@@ -111,12 +111,12 @@ def _cmd_certify(args) -> int:
     families = _parse_families(args.families)
     grid = _parse_grid(args.r_grid)
     reports = []
-    for family in families:
-        for r in grid:
-            reports.append(lyapunov.certify(family, model.make_params(args.omega0, r), tol=args.tol))
     thresholds = {}
     for family in families:
-        thresholds[family.value] = experiments.detect_threshold(family, grid)
+        row = [lyapunov.certify(family, model.make_params(args.omega0, r), tol=args.tol)
+               for r in grid]
+        reports.extend(row)
+        thresholds[family.value] = experiments.detect_threshold(row)
 
     mismatches = 0
     if args.expect:

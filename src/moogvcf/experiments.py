@@ -170,21 +170,13 @@ def decay_tolerance(method: Method) -> float:
     return _DECAY_TOLERANCE[method]
 
 
-def detect_threshold(family: MatrixFamily, r_grid) -> float | None:
-    """Bisect between the first adjacent grid points whose definiteness
-    verdicts differ; None when the whole grid agrees."""
-
-    def is_definite(r):
-        if family is MatrixFamily.QS_WORST_CASE and r == 0.0:
-            return None
-        return certify(family, model.make_params(1.0, r)).verdict is Verdict.NEGATIVE_DEFINITE
-
-    flags = [is_definite(r) for r in r_grid]
-    for i in range(len(r_grid) - 1):
-        a, b = flags[i], flags[i + 1]
-        if a is None or b is None or a == b:
-            continue
-        return definiteness_threshold(family, r_grid[i], r_grid[i + 1], tol=1e-8)
+def detect_threshold(reports) -> float | None:
+    """Bisect between the first adjacent reports whose negative-definite
+    flags differ, at the reports' own verdict tolerance; None when every
+    flag agrees.  The reports are of one family, in ascending r."""
+    for a, b in zip(reports, reports[1:]):
+        if (a.verdict is Verdict.NEGATIVE_DEFINITE) != (b.verdict is Verdict.NEGATIVE_DEFINITE):
+            return definiteness_threshold(a.family, a.r, b.r, tol=1e-8, verdict_tol=a.tol)
     return None
 
 
@@ -193,16 +185,12 @@ def run_definiteness_sweep(spec: SweepSpec) -> SweepResult:
     boundaries along r."""
     result = SweepResult()
     for family in spec.families:
-        for omega0 in spec.omega0_grid:
-            for r in spec.r_grid:
-                try:
-                    result.reports.append(certify(family, model.make_params(omega0, r)))
-                except ValueError as err:
-                    raise ValueError(
-                        f"certification failed at (family={family.value}, "
-                        f"omega0={omega0}, r={r}): {err}"
-                    ) from err
-        result.thresholds[family.value] = detect_threshold(family, spec.r_grid)
+        rows = [[certify(family, model.make_params(omega0, r)) for r in spec.r_grid]
+                for omega0 in spec.omega0_grid]
+        for row in rows:
+            result.reports.extend(row)
+        # Certificates are omega0-normalized, so every row has the same verdicts.
+        result.thresholds[family.value] = detect_threshold(rows[0])
     return result
 
 

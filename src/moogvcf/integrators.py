@@ -89,68 +89,69 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stage_quotients(w, v, p: FilterParams):
-    """Coordinate-wise discrete gradients between w and v.
-
-    Returns (zbar, du4): zbar are the quotients of the four stage
-    potentials, du4 the quotient of the stage-4 damping potential
-    d^6 lncosh(u/d^3).  At coincidence the analytic derivatives are used.
-    For r = 0 every stage potential is plain lncosh and du4 = zbar[3].
+def _stage_table(p: FilterParams):
+    """(scale, inner) of each stage potential S * lncosh(inner * u): the
+    four stage energies, then the stage-4 damping potential d^6 lncosh(u/d^3).
+    On the r = 0 branch d = 1, so every entry is plain lncosh and the
+    damping potential coincides with the stage-4 energy.
     """
     d = p.d
     d2 = d * d
     d3 = d2 * d
     a4 = p.feedback_gain
+    stage4 = (d2 / a4, a4 / d3) if p.r != 0.0 else (1.0, 1.0)
+    return ((1.0, 1.0), (d2, 1.0 / d), (d2 * d2, 1.0 / d2), stage4, (d3 * d3, 1.0 / d3))
+
+
+def _stage_quotients(w, v, table):
+    """Coordinate-wise discrete gradients between the tuples w and v.
+
+    Returns [z1, z2, z3, z4, du4]: the quotients of the four stage
+    potentials, then of the stage-4 damping potential, both of the last
+    along coordinate 4.  At coincidence the analytic derivatives are used.
+    """
     lcd = lyapunov.log_cosh_diff
-
-    def quotient(a, h, scale, inner):
-        # (S * lncosh(inner*(a+h)) - S * lncosh(inner*a)) / h with S*inner^2
-        # arranged so the analytic limit is S*inner*tanh(inner*a).
+    out = []
+    for a, b, (scale, inner) in zip(w + w[3:], v + v[3:], table):
+        h = b - a
         if abs(h) < _COINCIDENCE_CUTOFF * max(1.0, abs(a)):
-            return scale * inner * math.tanh(inner * a)
-        return scale * lcd(inner * a, inner * h) / h
-
-    z1 = quotient(w[0], v[0] - w[0], 1.0, 1.0)
-    z2 = quotient(w[1], v[1] - w[1], d2, 1.0 / d)
-    z3 = quotient(w[2], v[2] - w[2], d2 * d2, 1.0 / d2)
-    if p.r == 0.0:
-        z4 = quotient(w[3], v[3] - w[3], 1.0, 1.0)
-        return (z1, z2, z3, z4), z4
-    z4 = quotient(w[3], v[3] - w[3], d2 / a4, a4 / d3)
-    du4 = quotient(w[3], v[3] - w[3], d3 * d3, 1.0 / d3)
-    return (z1, z2, z3, z4), du4
+            out.append(scale * inner * math.tanh(inner * a))
+        else:
+            out.append(scale * lcd(inner * a, inner * h) / h)
+    return out
 
 
 def discrete_gradients(w_from, w_to, p: FilterParams):
     """Public wrapper over the stage quotients (zbar as an array, du4)."""
     w = tuple(float(u) for u in w_from)
     v = tuple(float(u) for u in w_to)
-    zbar, du4 = _stage_quotients(w, v, p)
+    *zbar, du4 = _stage_quotients(w, v, _stage_table(p))
     return np.array(zbar), du4
 
 
 def _quotient_derivative(a, h, scale, inner, zbar_i):
     """d/dv of a stage quotient; limit form S*inner^2*sech^2/2 near
-    coincidence."""
+    coincidence.  The quotient is a secant slope of a convex potential, so
+    the derivative is nonnegative; the secant form is clamped at 0 so that
+    rounding cannot flip its sign."""
     v = a + h
     t = math.tanh(inner * v)
     if abs(h) < _DERIVATIVE_CUTOFF * max(1.0, abs(a), abs(v)):
         return 0.5 * scale * inner * inner * (1.0 - t * t)
-    return (scale * inner * t - zbar_i) / h
+    return max(0.0, (scale * inner * t - zbar_i) / h)
 
 
-def _field_and_jacobian(w, v, p: FilterParams, dt_omega: float):
-    """Residual R(v) = v - w - dt*omega0*Fbar(w, v) and its 4x4 Jacobian."""
+def _field_and_jacobian(w, v, p: FilterParams, table, dt_omega: float):
+    """Residual R(v) = v - w - dt*omega0*Fbar(w, v) and its 4x4 Jacobian.
+
+    The Jacobian is lower bidiagonal plus the (1, 4) feedback corner, with
+    diagonal >= 1, nonpositive subdiagonal and nonnegative corner, because
+    every quotient derivative is nonnegative.
+    """
     d = p.d
-    d2 = d * d
-    d3 = d2 * d
-    a4 = p.feedback_gain
-    zbar, du4 = _stage_quotients(w, v, p)
-    z1, z2, z3, z4 = zbar
-    if p.r == 0.0:
-        c_fb = 0.0
-    else:
-        c_fb = d
+    c_fb = d if p.r != 0.0 else 0.0
+    zbar = _stage_quotients(w, v, table)
+    z1, z2, z3, z4, du4 = zbar
     f1 = -z1 - c_fb * z4
     f2 = d * z1 - z2
     f3 = d * z2 - z3
@@ -161,17 +162,10 @@ def _field_and_jacobian(w, v, p: FilterParams, dt_omega: float):
         v[2] - w[2] - dt_omega * f3,
         v[3] - w[3] - dt_omega * f4,
     )
-
-    dz1 = _quotient_derivative(w[0], v[0] - w[0], 1.0, 1.0, z1)
-    dz2 = _quotient_derivative(w[1], v[1] - w[1], d2, 1.0 / d, z2)
-    dz3 = _quotient_derivative(w[2], v[2] - w[2], d2 * d2, 1.0 / d2, z3)
-    if p.r == 0.0:
-        dz4 = _quotient_derivative(w[3], v[3] - w[3], 1.0, 1.0, z4)
-        ddu4 = dz4
-    else:
-        dz4 = _quotient_derivative(w[3], v[3] - w[3], d2 / a4, a4 / d3, z4)
-        ddu4 = _quotient_derivative(w[3], v[3] - w[3], d3 * d3, 1.0 / d3, du4)
-
+    dz1, dz2, dz3, dz4, ddu4 = [
+        _quotient_derivative(a, b - a, scale, inner, z)
+        for a, b, (scale, inner), z in zip(w + w[3:], v + v[3:], table, zbar)
+    ]
     jac = [
         [1.0 + dt_omega * dz1, 0.0, 0.0, dt_omega * c_fb * dz4],
         [-dt_omega * d * dz1, 1.0 + dt_omega * dz2, 0.0, 0.0],
@@ -181,26 +175,23 @@ def _field_and_jacobian(w, v, p: FilterParams, dt_omega: float):
     return res, jac
 
 
-def _solve4(a, b):
-    """Solve a 4x4 linear system (lists of floats) by Gaussian elimination
-    with partial pivoting."""
-    m = [row[:] + [bi] for row, bi in zip(a, b)]
-    for col in range(4):
-        piv = max(range(col, 4), key=lambda i: abs(m[i][col]))
-        if abs(m[piv][col]) < 1e-300:
-            raise ZeroDivisionError("singular Newton matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1.0 / m[col][col]
-        for i in range(col + 1, 4):
-            fac = m[i][col] * inv
-            if fac != 0.0:
-                for j in range(col, 5):
-                    m[i][j] -= fac * m[col][j]
-    x = [0.0] * 4
-    for i in range(3, -1, -1):
-        s = m[i][4] - sum(m[i][j] * x[j] for j in range(i + 1, 4))
-        x[i] = s / m[i][i]
-    return x
+def _newton_step(jac, res):
+    """Newton step -J^{-1} R for the Jacobian of _field_and_jacobian.
+
+    Forward substitution writes the first three components as
+    s_i = p_i - q_i * s4.  The sign pattern of J makes every q_i >= 0, so
+    the last pivot J44 - J43*q3 is at least J44 >= 1 and no pivoting is
+    needed.
+    """
+    (j11, _, _, j14), (j21, j22, _, _), (_, j32, j33, _), (_, _, j43, j44) = jac
+    p1 = -res[0] / j11
+    q1 = j14 / j11
+    p2 = (-res[1] - j21 * p1) / j22
+    q2 = -j21 * q1 / j22
+    p3 = (-res[2] - j32 * p2) / j33
+    q3 = -j32 * q2 / j33
+    s4 = (-res[3] - j43 * p3) / (j44 - j43 * q3)
+    return (p1 - q1 * s4, p2 - q2 * s4, p3 - q3 * s4, s4)
 
 
 def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
@@ -211,24 +202,22 @@ def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
     with the last residual if the infinity norm never reaches tol.
     """
     dt_omega = dt * p.omega0
+    table = _stage_table(p)
     # Explicit Euler predictor.
     fw = model.rhs_scaled(w, p)
     v = (w[0] + dt * fw[0], w[1] + dt * fw[1], w[2] + dt * fw[2], w[3] + dt * fw[3])
-    res, jac = _field_and_jacobian(w, v, p, dt_omega)
+    res, jac = _field_and_jacobian(w, v, p, table, dt_omega)
     rnorm = max(abs(r) for r in res)
     for _ in range(max_iter):
         if rnorm <= tol:
             return v
-        try:
-            step = _solve4(jac, [-r for r in res])
-        except ZeroDivisionError:
-            raise NewtonError("singular Jacobian in discrete-gradient solve", rnorm)
+        step = _newton_step(jac, res)
         best = None
         lam = 1.0
         for _halving in range(9):
             cand = (v[0] + lam * step[0], v[1] + lam * step[1],
                     v[2] + lam * step[2], v[3] + lam * step[3])
-            cres, cjac = _field_and_jacobian(w, cand, p, dt_omega)
+            cres, cjac = _field_and_jacobian(w, cand, p, table, dt_omega)
             cnorm = max(abs(r) for r in cres)
             if best is None or cnorm < best[0]:
                 best = (cnorm, cand, cres, cjac)

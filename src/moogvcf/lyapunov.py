@@ -4,8 +4,7 @@ Three candidate energies are implemented: the plain quadratic 0.5*x'x, the
 scaled quadratic 0.5*w'w, and the saturation energy built from log-cosh
 stage potentials whose gradient is exactly the saturation vector z.  A
 matrix family is certified negative (semi)definite through the eigenvalues
-of its omega0-normalized symmetrization, computed by a cyclic Jacobi
-rotation solver.
+of its omega0-normalized symmetrization.
 """
 
 import math
@@ -43,15 +42,13 @@ def log_cosh_diff(a: float, h: float) -> float:
 
 
 def V_quadratic_x(x) -> float:
-    """Stored-energy quadratic 0.5 * x'x."""
+    """Quadratic energy 0.5 * v'v: the stored energy 0.5 * x'x on x, and the
+    scaled quadratic 0.5 * w'w = 0.5 * x' D^2 x on w."""
     v = np.asarray(x, dtype=float)
     return 0.5 * float(v @ v)
 
 
-def V_quadratic_w(w) -> float:
-    """Scaled quadratic 0.5 * w'w = 0.5 * x' D^2 x."""
-    v = np.asarray(w, dtype=float)
-    return 0.5 * float(v @ v)
+V_quadratic_w = V_quadratic_x
 
 
 def V_nonlinear(w, p: FilterParams) -> float:
@@ -142,10 +139,8 @@ def candidate_value(kind: LyapunovKind, state, p: FilterParams) -> float:
     QUADRATIC_X takes the state in x coordinates; the other two take w.
     LOG_COSH dispatches to the feedback-free sum when r = 0.
     """
-    if kind is LyapunovKind.QUADRATIC_X:
+    if kind is LyapunovKind.QUADRATIC_X or kind is LyapunovKind.QUADRATIC_W:
         return V_quadratic_x(state)
-    if kind is LyapunovKind.QUADRATIC_W:
-        return V_quadratic_w(state)
     if kind is LyapunovKind.LOG_COSH:
         return lyapunov_value(state, p)
     raise ValueError(f"unknown Lyapunov kind {kind!r}")
@@ -158,38 +153,17 @@ def symmetrize(M) -> np.ndarray:
 
 
 def sym_eigvals(M, tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of a symmetric 4x4 matrix, ascending.
+    """Eigenvalues of a symmetric 4x4 matrix, ascending (LAPACK eigvalsh).
 
-    Cyclic Jacobi rotations, iterated until the off-diagonal Frobenius norm
-    falls below 1e-14 * max(1, ||M||_F); convergence is guaranteed for
-    symmetric input.  Rejects matrices with ||M - M'||_inf >= tol.
+    Rejects matrices with ||M - M'||_inf >= tol; the symmetric part is
+    what gets decomposed.
     """
     A = np.array(M, dtype=float)
     if A.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {A.shape}")
     if np.abs(A - A.T).max() >= tol:
         raise ValueError("matrix is not symmetric within tolerance")
-    A = 0.5 * (A + A.T)
-    scale = max(1.0, float(np.linalg.norm(A)))
-    target = 1e-14 * scale
-    for _ in range(60):
-        off = math.sqrt(sum(A[i, j] ** 2 for i in range(4) for j in range(4) if i != j))
-        if off <= target:
-            break
-        for i in range(3):
-            for j in range(i + 1, 4):
-                if A[i, j] == 0.0:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * A[i, j], A[j, j] - A[i, i])
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(4)
-                rot[i, i] = c
-                rot[j, j] = c
-                rot[i, j] = s
-                rot[j, i] = -s
-                A = rot.T @ A @ rot
-                A = 0.5 * (A + A.T)
-    return np.sort(np.diag(A))
+    return np.linalg.eigvalsh(0.5 * (A + A.T))
 
 
 def structure_max_eigenvalue(corner: float) -> float:
@@ -250,7 +224,7 @@ def _normalized_family_matrix(family: MatrixFamily, r: float) -> np.ndarray:
         return symmetrize(model.scaled_linearized_matrix(p))
     if family is MatrixFamily.QS_WORST_CASE:
         if r == 0.0:
-            raise ValueError("QsWorstCase certification undefined for r=0")
+            return symmetrize(model.linearized_matrix(p))
         g_lo, _ = model.feedback_ratio_bounds(p)
         return symmetrize(model.coupling_matrix(p, g_lo))
     raise ValueError(f"unknown family {family!r}")
@@ -263,6 +237,8 @@ def certify(family: MatrixFamily, p: FilterParams, tol: float = 1e-10) -> Certif
     attainable feedback ratio; since the ratio only enters the (4,4) entry
     with a minus sign, a negative-definite verdict there covers every
     attainable ratio (larger ratios subtract a positive rank-one term).
+    At r = 0 there is no feedback ratio; QsWorstCase then certifies the
+    feedback-free cascade, the matrix of Vdot_zero_feedback.
     """
     eigs = sym_eigvals(_normalized_family_matrix(family, p.r), tol=1e-8)
     max_eig = float(eigs[-1])

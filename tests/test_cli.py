@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from moogvcf import cli, integrators
+from moogvcf import cli, integrators, lyapunov
 from moogvcf.cli import main
 
 
@@ -70,6 +70,33 @@ def test_certify_threshold_row(capsys):
     thresholds = [row for row in rows if row[4] == "Threshold"]
     assert len(thresholds) == 1
     assert float(thresholds[0][1]) == pytest.approx(5.0 / 12.0, abs=1e-6)
+
+
+def test_certify_certifies_each_grid_point_once(capsys, monkeypatch):
+    calls = []
+    real = lyapunov.certify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "certify", counting)
+    code, _, _ = run(capsys, "certify", "--families", "As", "--r-grid", "0:1:0.01")
+    assert code == 0
+    # 101 grid points plus the Threshold row
+    assert len(calls) == 102
+
+
+def test_certify_all_families_full_grid(capsys):
+    code, out, _ = run(capsys, "certify", "--families", "As,Bs,QsWorstCase",
+                       "--r-grid", "0:1:0.01")
+    assert code == 0
+    _, rows = parse_csv(out)
+    verdicts = {(row[0], float(row[1])): row[4] for row in rows}
+    assert verdicts[("QsWorstCase", 0.0)] == "NegativeDefinite"
+    thresholds = {row[0]: float(row[1]) for row in rows if row[4] == "Threshold"}
+    assert thresholds == pytest.approx({"As": 5.0 / 12.0, "Bs": 1.0, "QsWorstCase": 1.0},
+                                       abs=1e-6)
 
 
 def test_certify_bs_expected_regions(capsys):

@@ -14,7 +14,7 @@ from moogvcf.experiments import (
     run_sweep,
 )
 from moogvcf.integrators import Method, StepConfig
-from moogvcf.lyapunov import MatrixFamily, Verdict
+from moogvcf.lyapunov import MatrixFamily, Verdict, certify
 from moogvcf.model import make_params
 from moogvcf.rng import SplitMix64, substream
 
@@ -117,16 +117,39 @@ def test_definiteness_sweep_qs_positive_grid():
     assert abs(result.thresholds["QsWorstCase"] - 1.0) < 1e-6
 
 
-def test_definiteness_sweep_reports_grid_point_on_error():
+def test_definiteness_sweep_qs_certifies_r0():
     spec = SweepSpec.from_dict({
-        "r": [0.0, 0.5],
-        "omega0": [1],
+        "r": [0.0, 0.5, 1.0],
+        "omega0": [1, 10],
         "families": ["QsWorstCase"],
         "seed": 1,
         "samples_per_point": 1,
     })
-    with pytest.raises(ValueError, match=r"r=0\.0"):
-        run_definiteness_sweep(spec)
+    result = run_definiteness_sweep(spec)
+    assert [(rep.omega0, rep.r, rep.verdict) for rep in result.reports] == [
+        (omega0, r, verdict)
+        for omega0 in (1.0, 10.0)
+        for r, verdict in ((0.0, Verdict.NEGATIVE_DEFINITE),
+                           (0.5, Verdict.NEGATIVE_DEFINITE),
+                           (1.0, Verdict.NEGATIVE_SEMIDEFINITE))
+    ]
+    assert abs(result.thresholds["QsWorstCase"] - 1.0) < 1e-6
+
+
+def test_detect_threshold_uses_report_tolerance():
+    # With a verdict tolerance of 0.1 the As boundary moves to where the
+    # largest eigenvalue crosses -0.1, and bisection must use that same
+    # tolerance instead of recertifying at the default.
+    reports = [certify(MatrixFamily.AS, make_params(1.0, r), tol=0.1)
+               for r in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)]
+    r_star = detect_threshold(reports)
+    flags = [rep.verdict is Verdict.NEGATIVE_DEFINITE for rep in reports]
+    k = flags.index(False)
+    assert reports[k - 1].r < r_star < reports[k].r
+    below = certify(MatrixFamily.AS, make_params(1.0, r_star - 1e-6)).max_eig
+    above = certify(MatrixFamily.AS, make_params(1.0, r_star + 1e-6)).max_eig
+    assert below < -0.1 < above
+    assert detect_threshold(reports[:k]) is None
 
 
 def test_decay_study_discrete_gradient_boundary_resonance():

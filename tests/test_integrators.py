@@ -131,6 +131,31 @@ def test_zero_feedback_branch_gradients():
     assert abs(change - float(zbar @ (v - w))) < 1e-12
 
 
+big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_size=4)
+
+
+@given(
+    # Subnormal r is left out: its stage-4 scale d^2/(4r) overflows, and
+    # make_params does not reject it.
+    r=st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0),
+    dt_omega=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
+    w=big_coords,
+    v=big_coords,
+)
+@settings(max_examples=500)
+def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
+    p = make_params(1.0, r)
+    w, v = tuple(w), tuple(v)
+    res, jac = integrators._field_and_jacobian(w, v, p, integrators._stage_table(p), dt_omega)
+    (j11, _, _, j14), (j21, j22, _, _), (_, j32, j33, _), (_, _, j43, j44) = jac
+    assert min(j11, j22, j33, j44) >= 1.0
+    q3 = (-j32 / j33) * (-j21 / j22) * (j14 / j11)
+    assert j44 - j43 * q3 >= 1.0
+    ref = np.linalg.solve(np.array(jac), -np.array(res))
+    step = np.array(integrators._newton_step(jac, res))
+    assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_one_step_agreement_with_rk4():
     p = make_params(1.0, 0.5)
     x0 = np.array([1.0, 0.0, 0.0, 0.0])

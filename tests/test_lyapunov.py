@@ -308,9 +308,12 @@ def test_certify_omega0_invariance():
     assert a.verdict is b.verdict
 
 
-def test_certify_qs_rejects_r0():
-    with pytest.raises(ValueError):
-        certify(MatrixFamily.QS_WORST_CASE, make_params(1.0, 0.0))
+def test_certify_qs_r0_is_feedback_free_cascade():
+    rep = certify(MatrixFamily.QS_WORST_CASE, make_params(1.0, 0.0))
+    assert rep.verdict is Verdict.NEGATIVE_DEFINITE
+    # sym of the r = 0 cascade is -I + (1/2) path(4): eigenvalues -1 + cos(k pi / 5)
+    assert rep.max_eig == pytest.approx(-1.0 + math.cos(math.pi / 5.0), abs=1e-14)
+    assert rep.min_eig == pytest.approx(-1.0 + math.cos(4.0 * math.pi / 5.0), abs=1e-14)
 
 
 def test_threshold_as_recovers_five_twelfths():
