@@ -19,6 +19,9 @@ from .spectral import RootFindingError
 
 SCHEMA_VERSION = 1
 
+# Largest number of points --r-grid may expand to; checked before allocating.
+_MAX_GRID_POINTS = 10 ** 6
+
 _FAMILY_BOUNDARY = {
     MatrixFamily.AS: 5.0 / 12.0,
     MatrixFamily.BS: 1.0,
@@ -39,16 +42,18 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _parse_grid(raw: str) -> list[float]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be lo:hi:step, got {raw!r}")
-    lo, hi, step = (float(t) for t in parts)
-    if not step > 0.0:
-        raise ValueError(f"grid step must be positive, got {step}")
+    try:
+        lo, hi, step = (float(t) for t in raw.split(":"))
+    except ValueError:
+        raise ValueError(f"--r-grid must be lo:hi:step of three reals, got {raw!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf):
+        raise ValueError(f"--r-grid needs finite lo, hi and a positive finite step, got {raw!r}")
     if hi < lo:
-        raise ValueError(f"grid must be ascending, got lo={lo} > hi={hi}")
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    values = [lo + k * step for k in range(count + 1)]
+        raise ValueError(f"--r-grid must be ascending, got lo={lo} > hi={hi}")
+    intervals = (hi - lo) / step + 1e-9
+    if not intervals < _MAX_GRID_POINTS:
+        raise ValueError(f"--r-grid {raw!r} has more than {_MAX_GRID_POINTS} points")
+    values = [lo + k * step for k in range(math.floor(intervals) + 1)]
     if values[-1] > hi:
         values[-1] = hi
     return values

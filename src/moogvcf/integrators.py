@@ -30,7 +30,6 @@ _DERIVATIVE_CUTOFF = 1e-7
 # Indirection so test harnesses can inject a broken energy and prove the
 # decay checks are actually sensitive to it.
 _lyapunov_value = lyapunov.lyapunov_value
-_lyapunov_rate = lyapunov.lyapunov_rate
 
 
 class Method(Enum):
@@ -58,8 +57,8 @@ class StepConfig:
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.newton_tol > 0.0:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
@@ -77,11 +76,21 @@ class Trajectory:
     Vdot: np.ndarray
 
 
+def _finite_state(x, name: str) -> np.ndarray:
+    """x as a float 4-vector; ValueError naming the field unless finite."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (4,):
+        raise ValueError(f"{name} must be a 4-vector, got shape {x.shape}")
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"{name} must be finite, got {x.tolist()}")
+    return x
+
+
 def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     """Classic fourth-order one-step update of rhs_nonlinear."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    x = np.asarray(x, dtype=float)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    x = _finite_state(x, "x")
     k1 = model.rhs_nonlinear(x, p)
     k2 = model.rhs_nonlinear(x + 0.5 * dt * k1, p)
     k3 = model.rhs_nonlinear(x + 0.5 * dt * k2, p)
@@ -89,26 +98,13 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stage_table(p: FilterParams):
-    """(scale, inner) of each stage potential S * lncosh(inner * u): the
-    four stage energies, then the stage-4 damping potential d^6 lncosh(u/d^3).
-    On the r = 0 branch d = 1, so every entry is plain lncosh and the
-    damping potential coincides with the stage-4 energy.
-    """
-    d = p.d
-    d2 = d * d
-    d3 = d2 * d
-    a4 = p.feedback_gain
-    stage4 = (d2 / a4, a4 / d3) if p.r != 0.0 else (1.0, 1.0)
-    return ((1.0, 1.0), (d2, 1.0 / d), (d2 * d2, 1.0 / d2), stage4, (d3 * d3, 1.0 / d3))
-
-
 def _stage_quotients(w, v, table):
     """Coordinate-wise discrete gradients between the tuples w and v.
 
     Returns [z1, z2, z3, z4, du4]: the quotients of the four stage
-    potentials, then of the stage-4 damping potential, both of the last
-    along coordinate 4.  At coincidence the analytic derivatives are used.
+    potentials of model.stage_table, then of the stage-4 damping potential,
+    both of the last along coordinate 4.  At coincidence the analytic
+    derivatives (model.stage_gradients) are used.
     """
     lcd = lyapunov.log_cosh_diff
     out = []
@@ -125,7 +121,7 @@ def discrete_gradients(w_from, w_to, p: FilterParams):
     """Public wrapper over the stage quotients (zbar as an array, du4)."""
     w = tuple(float(u) for u in w_from)
     v = tuple(float(u) for u in w_to)
-    *zbar, du4 = _stage_quotients(w, v, _stage_table(p))
+    *zbar, du4 = _stage_quotients(w, v, model.stage_table(p))
     return np.array(zbar), du4
 
 
@@ -151,11 +147,7 @@ def _field_and_jacobian(w, v, p: FilterParams, table, dt_omega: float):
     d = p.d
     c_fb = d if p.r != 0.0 else 0.0
     zbar = _stage_quotients(w, v, table)
-    z1, z2, z3, z4, du4 = zbar
-    f1 = -z1 - c_fb * z4
-    f2 = d * z1 - z2
-    f3 = d * z2 - z3
-    f4 = d * z3 - du4
+    f1, f2, f3, f4 = model.stage_field(zbar, p)
     res = (
         v[0] - w[0] - dt_omega * f1,
         v[1] - w[1] - dt_omega * f2,
@@ -202,7 +194,7 @@ def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
     with the last residual if the infinity norm never reaches tol.
     """
     dt_omega = dt * p.omega0
-    table = _stage_table(p)
+    table = model.stage_table(p)
     # Explicit Euler predictor.
     fw = model.rhs_scaled(w, p)
     v = (w[0] + dt * fw[0], w[1] + dt * fw[1], w[2] + dt * fw[2], w[3] + dt * fw[3])
@@ -232,7 +224,7 @@ def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
 
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x."""
-    w = model.to_scaled(x, p.d)
+    w = model.to_scaled(_finite_state(x, "x"), p.d)
     v = _newton_dg(tuple(w), p, cfg.dt, cfg.newton_tol, cfg.newton_max_iter)
     return model.from_scaled(v, p.d)
 
@@ -252,17 +244,15 @@ def _advance_dg(w, p, dt, tol, max_iter, depth=0):
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     """Integrate n_steps steps from x0 and record (t, x, V, Vdot).
 
-    The energy columns use the branch-aware saturation energy with
-    d = max(1, alpha).  Discrete-gradient Newton failures trigger internal
-    step halving (up to 10 levels) before a NewtonError carrying the step
-    index is raised.
+    The energy columns are lyapunov_value and lyapunov_rate, the saturation
+    energy of model.stage_table with d = max(1, alpha).  Discrete-gradient
+    Newton failures trigger internal step halving (up to 10 levels) before a
+    NewtonError carrying the step index is raised.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (4,):
-        raise ValueError(f"x0 must be a 4-vector, got shape {x0.shape}")
+    x0 = _finite_state(x0, "x0")
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, 4))
@@ -273,7 +263,7 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
         times[k] = k * cfg.dt
         states[k] = x
         energy[k] = _lyapunov_value(w, p)
-        rate[k] = _lyapunov_rate(w, p)
+        rate[k] = lyapunov.lyapunov_rate(w, p)
 
     if cfg.method is Method.RK4:
         x = x0

@@ -21,8 +21,12 @@ _LN2 = math.log(2.0)
 
 
 def log_cosh(u: float) -> float:
-    """ln(cosh(u)) without overflow: |u| + log1p(exp(-2|u|)) - ln 2."""
+    """ln(cosh(u)) without overflow: log1p(2 sinh(u/2)^2) for |u| <= 1, which
+    keeps full relative accuracy as u -> 0, else |u| + log1p(exp(-2|u|)) - ln 2."""
     a = abs(float(u))
+    if a <= 1.0:
+        sh = math.sinh(0.5 * a)
+        return math.log1p(2.0 * sh * sh)
     return a + math.log1p(math.exp(-2.0 * a)) - _LN2
 
 
@@ -61,17 +65,7 @@ def V_nonlinear(w, p: FilterParams) -> float:
     """
     if p.r == 0.0:
         raise ValueError("V_nonlinear undefined for r=0; use V_zero_feedback")
-    w1, w2, w3, w4 = (float(v) for v in w)
-    d = p.d
-    d2 = d * d
-    d3 = d2 * d
-    a4 = p.feedback_gain
-    return (
-        log_cosh(w1)
-        + d2 * log_cosh(w2 / d)
-        + d2 * d2 * log_cosh(w3 / d2)
-        + (d2 / a4) * log_cosh(a4 * w4 / d3)
-    )
+    return lyapunov_value(w, p)
 
 
 def V_zero_feedback(w) -> float:
@@ -92,36 +86,31 @@ def Vdot_nonlinear(w, p: FilterParams) -> float:
     with the feedback ratio evaluated at w4."""
     if p.r == 0.0:
         raise ValueError("Vdot_nonlinear undefined for r=0; use Vdot_zero_feedback")
-    z1, z2, z3, z4 = model.saturation_vector(w, p)
-    g = model.feedback_ratio(float(w[3]), p)
-    d = p.d
-    return p.omega0 * (
-        -z1 * z1 - z2 * z2 - z3 * z3 - g * z4 * z4
-        + d * (z1 * z2 + z2 * z3 + z3 * z4 - z1 * z4)
-    )
+    return lyapunov_rate(w, p)
 
 
 def Vdot_zero_feedback(w, p: FilterParams) -> float:
     """Decay rate of the feedback-free energy along the r = 0 cascade."""
-    t1, t2, t3, t4 = (math.tanh(float(v)) for v in w)
-    return p.omega0 * (
-        -t1 * t1 - t2 * t2 - t3 * t3 - t4 * t4 + t1 * t2 + t2 * t3 + t3 * t4
-    )
+    return lyapunov_rate(w, p)
 
 
 def lyapunov_value(w, p: FilterParams) -> float:
-    """Branch-aware energy: saturation energy for r > 0, feedback-free sum
-    for r = 0."""
-    if p.r == 0.0:
-        return V_zero_feedback(w)
-    return V_nonlinear(w, p)
+    """Saturation energy sum_i S_i lncosh(k_i w_i) over the four stage
+    energies of model.stage_table: V_nonlinear for r > 0, and the
+    feedback-free V_zero_feedback for r = 0."""
+    w1, w2, w3, w4 = w
+    (s1, k1), (s2, k2), (s3, k3), (s4, k4), _ = model.stage_table(p)
+    return (s1 * log_cosh(k1 * w1) + s2 * log_cosh(k2 * w2)
+            + s3 * log_cosh(k3 * w3) + s4 * log_cosh(k4 * w4))
 
 
 def lyapunov_rate(w, p: FilterParams) -> float:
-    """Branch-aware decay rate matching lyapunov_value."""
-    if p.r == 0.0:
-        return Vdot_zero_feedback(w, p)
-    return Vdot_nonlinear(w, p)
+    """Decay rate omega0 * z' F of lyapunov_value, with z the stage gradients
+    and F = model.stage_field(z); for r > 0 it is omega0 * z' sym(Q) z, as
+    z4 * du4 = g * z4^2 with g the feedback ratio at w4."""
+    z = model.stage_gradients(w, model.stage_table(p))
+    f1, f2, f3, f4 = model.stage_field(z, p)
+    return p.omega0 * (z[0] * f1 + z[1] * f2 + z[2] * f3 + z[3] * f4)
 
 
 class LyapunovKind(Enum):

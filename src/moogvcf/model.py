@@ -7,6 +7,7 @@ the system is exactly four-dimensional, so no general-N machinery is used.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +65,13 @@ def make_params(omega0: float, r: float) -> FilterParams:
     """Validate (omega0, r) and derive alpha and d.
 
     Raises ParameterRangeError naming the offending field if omega0 <= 0
-    or r lies outside [0, 1].
+    or r lies outside [0, 1].  Subnormal r is rejected too: the stage-4
+    energy scale d^2/(4r) of stage_table would overflow.
     """
     if not (omega0 > 0.0) or math.isinf(omega0):
         raise ParameterRangeError("omega0", omega0, "(0, inf)")
-    if not (0.0 <= r <= 1.0):
-        raise ParameterRangeError("r", r, "[0, 1]")
+    if not (r == 0.0 or sys.float_info.min <= r <= 1.0):
+        raise ParameterRangeError("r", r, f"{{0}} U [{sys.float_info.min!r}, 1]")
     return _derive(omega0, r)
 
 
@@ -94,24 +96,12 @@ def rhs_nonlinear(x, p: FilterParams) -> np.ndarray:
 
 
 def rhs_scaled(w, p: FilterParams) -> np.ndarray:
-    """Vector field dw/dt in scaled coordinates w = D x.
-
-    Identical to D @ rhs_nonlinear(D^-1 w, p), written out stage by stage.
-    """
-    w1, w2, w3, w4 = (float(v) for v in w)
-    d = p.d
-    t1 = math.tanh(w1)
-    t2 = math.tanh(w2 / d)
-    t3 = math.tanh(w3 / (d * d))
-    t4 = math.tanh(w4 / (d * d * d))
-    fb = math.tanh(p.feedback_gain * w4 / (d * d * d))
+    """Vector field dw/dt in scaled coordinates w = D x, evaluated as
+    omega0 * stage_field(stage_gradients(w)); equal to
+    D @ rhs_nonlinear(D^-1 w, p) up to rounding."""
+    f1, f2, f3, f4 = stage_field(stage_gradients(w, stage_table(p)), p)
     w0 = p.omega0
-    return np.array([
-        w0 * (-t1 - fb),
-        w0 * d * (-t2 + t1),
-        w0 * d * d * (-t3 + t2),
-        w0 * d * d * d * (-t4 + t3),
-    ])
+    return np.array([w0 * f1, w0 * f2, w0 * f3, w0 * f4])
 
 
 def linearized_matrix(p: FilterParams) -> np.ndarray:
@@ -165,20 +155,45 @@ def from_scaled(w, d: float) -> np.ndarray:
     return np.array([w1, w2 / d, w3 / (d * d), w4 / (d * d * d)])
 
 
-def saturation_vector(w, p: FilterParams) -> np.ndarray:
-    """Scaled stage saturations z(w).
-
-    z = [tanh(w1), d tanh(w2/d), d^2 tanh(w3/d^2), (1/d) tanh(4r * w4/d^3)].
-    For r = 0 the fourth component vanishes identically (tanh 0 = 0).
-    """
-    w1, w2, w3, w4 = (float(v) for v in w)
+def stage_table(p: FilterParams):
+    """(scale S, inner k) of each stage potential S * lncosh(k * u): the four
+    stage energies of V in w1..w4, then the stage-4 damping potential
+    d^6 lncosh(w4/d^3).  On the r = 0 branch d = 1 and the stage-4 energy is
+    plain lncosh, so V is the feedback-free sum."""
     d = p.d
-    return np.array([
-        math.tanh(w1),
-        d * math.tanh(w2 / d),
-        d * d * math.tanh(w3 / (d * d)),
-        (1.0 / d) * math.tanh(p.feedback_gain * w4 / (d * d * d)),
-    ])
+    d2 = d * d
+    d3 = d2 * d
+    a4 = p.feedback_gain
+    stage4 = (d2 / a4, a4 / d3) if p.r != 0.0 else (1.0, 1.0)
+    return ((1.0, 1.0), (d2, 1.0 / d), (d2 * d2, 1.0 / d2), stage4, (d3 * d3, 1.0 / d3))
+
+
+def stage_gradients(w, table):
+    """Derivatives S * k * tanh(k * u) of the stage potentials of table at
+    u = w1, w2, w3, w4, w4: [z1, z2, z3, z4, du4]."""
+    w1, w2, w3, w4 = w
+    (s1, k1), (s2, k2), (s3, k3), (s4, k4), (s5, k5) = table
+    return [s1 * k1 * math.tanh(k1 * w1), s2 * k2 * math.tanh(k2 * w2),
+            s3 * k3 * math.tanh(k3 * w3), s4 * k4 * math.tanh(k4 * w4),
+            s5 * k5 * math.tanh(k5 * w4)]
+
+
+def stage_field(z, p: FilterParams):
+    """Scaled field per unit omega0, (-z1 - d z4, d z1 - z2, d z2 - z3,
+    d z3 - du4), from stage gradients or their discrete-gradient quotients;
+    the feedback term d z4 is dropped on the r = 0 branch."""
+    z1, z2, z3, z4, du4 = z
+    d = p.d
+    fb = d * z4 if p.r != 0.0 else 0.0
+    return (-z1 - fb, d * z1 - z2, d * z2 - z3, d * z3 - du4)
+
+
+def saturation_vector(w, p: FilterParams) -> np.ndarray:
+    """Scaled stage saturations z(w), the first four stage gradients:
+    z = [tanh(w1), d tanh(w2/d), d^2 tanh(w3/d^2), (1/d) tanh(4r * w4/d^3)].
+    For r = 0 the fourth component (the feedback saturation) is 0."""
+    z1, z2, z3, z4, _ = stage_gradients(w, stage_table(p))
+    return np.array([z1, z2, z3, z4 if p.r != 0.0 else 0.0])
 
 
 def feedback_ratio(w4: float, p: FilterParams) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,42 @@ def test_simulate_bad_x0(capsys):
                        "--x0", "1,2,3", "--dt", "0.1", "--steps", "5")
     assert code == 2
     assert "x0" in err
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--x0", "nan,0,0,0", "x0"),
+    ("--x0", "1,inf,0,0", "x0"),
+    ("--dt", "inf", "dt"),
+    ("--r", "5e-324", "r="),
+])
+def test_simulate_rejects_non_finite_input_up_front(capsys, flag, value, field):
+    args = {"--omega0": "1", "--r": "0.5", "--x0": "1,0,0,0", "--dt": "0.1", "--steps": "5"}
+    args[flag] = value
+    argv = ["simulate"] + [tok for pair in args.items() for tok in pair]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert field in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("-inf:1:0.1", "finite"),
+    ("nan:1:0.1", "finite"),
+    ("0:inf:0.1", "finite"),
+    ("0:1:nan", "finite"),
+    ("0:1:1e-9", "more than"),
+    ("-1e308:1e308:1", "more than"),
+    ("0:1", "lo:hi:step"),
+    ("0:x:0.1", "lo:hi:step"),
+])
+def test_certify_rejects_bad_grid(capsys, monkeypatch, grid, message):
+    # a rejected grid must never reach certification
+    monkeypatch.setattr(lyapunov, "certify", None)
+    code, _, err = run(capsys, "certify", "--families", "As", f"--r-grid={grid}")
+    assert code == 2
+    assert "--r-grid" in err and message in err
 
 
 def test_simulate_integrator_failure_exit_code(capsys, monkeypatch):

@@ -23,8 +23,9 @@ resonances = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
 
 
 def test_step_config_validation():
-    with pytest.raises(ValueError):
-        StepConfig(dt=0.0)
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt"):
+            StepConfig(dt=dt)
     with pytest.raises(ValueError):
         StepConfig(dt=0.1, newton_tol=0.0)
     with pytest.raises(ValueError):
@@ -81,14 +82,19 @@ def test_rk4_fails_in_stiff_regime():
     assert np.diff(traj.V).max() > 1e-3
 
 
-@given(r=resonances, w=coords, v=coords)
-@settings(max_examples=300)
+# r = 0 and the smallest normal-range resonances, where the stage-4 energy
+# scale d^2/(4r) is largest.
+full_resonances = st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0)
+
+
+@given(r=full_resonances, w=coords, v=coords)
+@settings(max_examples=500)
 def test_discrete_gradient_telescopes(r, w, v):
     p = make_params(1.0, r)
     w = np.array(w)
     v = np.array(v)
     zbar, _ = discrete_gradients(w, v, p)
-    change = lyapunov.V_nonlinear(v, p) - lyapunov.V_nonlinear(w, p)
+    change = lyapunov.lyapunov_value(v, p) - lyapunov.lyapunov_value(w, p)
     assert abs(change - float(zbar @ (v - w))) < 1e-12
 
 
@@ -135,9 +141,7 @@ big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_
 
 
 @given(
-    # Subnormal r is left out: its stage-4 scale d^2/(4r) overflows, and
-    # make_params does not reject it.
-    r=st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0),
+    r=full_resonances,
     dt_omega=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
     w=big_coords,
     v=big_coords,
@@ -146,7 +150,7 @@ big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_
 def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
     p = make_params(1.0, r)
     w, v = tuple(w), tuple(v)
-    res, jac = integrators._field_and_jacobian(w, v, p, integrators._stage_table(p), dt_omega)
+    res, jac = integrators._field_and_jacobian(w, v, p, model.stage_table(p), dt_omega)
     (j11, _, _, j14), (j21, j22, _, _), (_, j32, j33, _), (_, _, j43, j44) = jac
     assert min(j11, j22, j33, j44) >= 1.0
     q3 = (-j32 / j33) * (-j21 / j22) * (j14 / j11)
@@ -198,6 +202,15 @@ def test_simulate_rejects_bad_inputs():
         simulate(np.zeros(4), p, cfg, 0)
     with pytest.raises(ValueError):
         simulate(np.zeros(3), p, cfg, 10)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            simulate([1.0, bad, 0.0, 0.0], p, cfg, 10)
+        with pytest.raises(ValueError, match="x must be finite"):
+            step_rk4([1.0, 0.0, bad, 0.0], p, 0.1)
+        with pytest.raises(ValueError, match="x must be finite"):
+            step_discrete_gradient([1.0, 0.0, 0.0, bad], p, cfg)
+    with pytest.raises(ValueError, match="dt"):
+        step_rk4(np.zeros(4), p, math.inf)
 
 
 def test_simulate_records_consistent_columns():
@@ -227,6 +240,15 @@ def test_simulate_rk4_decays_to_origin():
     traj = simulate(np.array([1.0, 0.0, 0.0, 0.0]), p,
                     StepConfig(dt=dt, method=Method.RK4), int(round(t_end / dt)))
     assert np.linalg.norm(traj.states[-1]) < 1e-3
+
+
+@pytest.mark.parametrize("r", [1e-10, 1e-12, 1e-15])
+def test_discrete_gradient_contract_at_tiny_resonance(r):
+    # the stage-4 energy scale d^2/(4r) multiplies any absolute error of
+    # lncosh near 0, so V must keep its relative accuracy there
+    p = make_params(1.0, r)
+    traj = simulate(np.array([1.0, -2.0, 0.5, 3.0]), p, StepConfig(dt=0.05), 200)
+    assert np.diff(traj.V).max() <= 1e-10
 
 
 def test_simulate_zero_feedback_branch():

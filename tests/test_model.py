@@ -50,6 +50,8 @@ def test_make_params_sixteenth():
     (1.0, -0.1, "r"),
     (1.0, 1.5, "r"),
     (1.0, math.nan, "r"),
+    (1.0, 5e-324, "r"),
+    (1.0, 1e-310, "r"),
 ])
 def test_make_params_rejects(omega0, r, field):
     with pytest.raises(ParameterRangeError) as exc:
@@ -57,7 +59,8 @@ def test_make_params_rejects(omega0, r, field):
     assert exc.value.field == field
 
 
-@given(r=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+# make_params rejects subnormal r (test_make_params_rejects)
+@given(r=st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False))
 def test_params_invariants(r):
     p = make_params(1.0, r)
     assert 0.0 <= p.alpha <= math.sqrt(2.0) * (1 + 1e-15)
