@@ -137,15 +137,9 @@ def _quotient_derivative(a, h, scale, inner, zbar_i):
     return max(0.0, (scale * inner * t - zbar_i) / h)
 
 
-def _field_and_jacobian(w, v, p: FilterParams, table, dt_omega: float):
-    """Residual R(v) = v - w - dt*omega0*Fbar(w, v) and its 4x4 Jacobian.
-
-    The Jacobian is lower bidiagonal plus the (1, 4) feedback corner, with
-    diagonal >= 1, nonpositive subdiagonal and nonnegative corner, because
-    every quotient derivative is nonnegative.
-    """
-    d = p.d
-    c_fb = d if p.r != 0.0 else 0.0
+def _residual(w, v, p: FilterParams, table, dt_omega: float):
+    """Residual R(v) = v - w - dt*omega0*Fbar(w, v), and the stage quotients
+    zbar it was built from, which _jacobian reuses."""
     zbar = _stage_quotients(w, v, table)
     f1, f2, f3, f4 = model.stage_field(zbar, p)
     res = (
@@ -154,21 +148,32 @@ def _field_and_jacobian(w, v, p: FilterParams, table, dt_omega: float):
         v[2] - w[2] - dt_omega * f3,
         v[3] - w[3] - dt_omega * f4,
     )
+    return res, zbar
+
+
+def _jacobian(w, v, p: FilterParams, table, zbar, dt_omega: float):
+    """4x4 Jacobian of _residual at v, from the quotients zbar at v.
+
+    It is lower bidiagonal plus the (1, 4) feedback corner, with diagonal
+    >= 1, nonpositive subdiagonal and nonnegative corner, because every
+    quotient derivative is nonnegative.
+    """
+    d = p.d
+    c_fb = d if p.r != 0.0 else 0.0
     dz1, dz2, dz3, dz4, ddu4 = [
         _quotient_derivative(a, b - a, scale, inner, z)
         for a, b, (scale, inner), z in zip(w + w[3:], v + v[3:], table, zbar)
     ]
-    jac = [
+    return [
         [1.0 + dt_omega * dz1, 0.0, 0.0, dt_omega * c_fb * dz4],
         [-dt_omega * d * dz1, 1.0 + dt_omega * dz2, 0.0, 0.0],
         [0.0, -dt_omega * d * dz2, 1.0 + dt_omega * dz3, 0.0],
         [0.0, 0.0, -dt_omega * d * dz3, 1.0 + dt_omega * ddu4],
     ]
-    return res, jac
 
 
 def _newton_step(jac, res):
-    """Newton step -J^{-1} R for the Jacobian of _field_and_jacobian.
+    """Newton step -J^{-1} R for the Jacobian J of _jacobian.
 
     Forward substitution writes the first three components as
     s_i = p_i - q_i * s4.  The sign pattern of J makes every q_i >= 0, so
@@ -189,34 +194,36 @@ def _newton_step(jac, res):
 def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
     """Solve the implicit discrete-gradient update from w over one step dt.
 
-    Full Newton with analytic Jacobian; on residual increase the update is
-    halved up to 8 times and the best candidate kept.  Raises NewtonError
-    with the last residual if the infinity norm never reaches tol.
+    Full Newton with analytic Jacobian, started at v = w, where the
+    quotients take their analytic form, so the first iterate is the
+    linearly implicit step.  On residual increase the update is halved up
+    to 8 times and the best candidate kept; trial points get a residual
+    only, and the Jacobian is built for an accepted iterate still above
+    tol.  Raises NewtonError with the last residual if the infinity norm
+    never reaches tol.
     """
     dt_omega = dt * p.omega0
     table = model.stage_table(p)
-    # Explicit Euler predictor.
-    fw = model.rhs_scaled(w, p)
-    v = (w[0] + dt * fw[0], w[1] + dt * fw[1], w[2] + dt * fw[2], w[3] + dt * fw[3])
-    res, jac = _field_and_jacobian(w, v, p, table, dt_omega)
+    v = w
+    res, zbar = _residual(w, v, p, table, dt_omega)
     rnorm = max(abs(r) for r in res)
     for _ in range(max_iter):
         if rnorm <= tol:
             return v
-        step = _newton_step(jac, res)
+        step = _newton_step(_jacobian(w, v, p, table, zbar, dt_omega), res)
         best = None
         lam = 1.0
         for _halving in range(9):
             cand = (v[0] + lam * step[0], v[1] + lam * step[1],
                     v[2] + lam * step[2], v[3] + lam * step[3])
-            cres, cjac = _field_and_jacobian(w, cand, p, table, dt_omega)
+            cres, czbar = _residual(w, cand, p, table, dt_omega)
             cnorm = max(abs(r) for r in cres)
             if best is None or cnorm < best[0]:
-                best = (cnorm, cand, cres, cjac)
+                best = (cnorm, cand, cres, czbar)
             if cnorm < rnorm:
                 break
             lam *= 0.5
-        rnorm, v, res, jac = best
+        rnorm, v, res, zbar = best
     if rnorm <= tol:
         return v
     raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
@@ -225,7 +232,7 @@ def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x."""
     w = model.to_scaled(_finite_state(x, "x"), p.d)
-    v = _newton_dg(tuple(w), p, cfg.dt, cfg.newton_tol, cfg.newton_max_iter)
+    v = _newton_dg(tuple(w.tolist()), p, cfg.dt, cfg.newton_tol, cfg.newton_max_iter)
     return model.from_scaled(v, p.d)
 
 
@@ -272,7 +279,7 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
             x = step_rk4(x, p, cfg.dt)
             record(k, x, model.to_scaled(x, p.d))
     else:
-        w = tuple(model.to_scaled(x0, p.d))
+        w = tuple(model.to_scaled(x0, p.d).tolist())
         record(0, model.from_scaled(w, p.d), w)
         for k in range(1, n_steps + 1):
             try:

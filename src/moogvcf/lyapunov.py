@@ -107,10 +107,31 @@ def lyapunov_value(w, p: FilterParams) -> float:
 def lyapunov_rate(w, p: FilterParams) -> float:
     """Decay rate omega0 * z' F of lyapunov_value, with z the stage gradients
     and F = model.stage_field(z); for r > 0 it is omega0 * z' sym(Q) z, as
-    z4 * du4 = g * z4^2 with g the feedback ratio at w4."""
-    z = model.stage_gradients(w, model.stage_table(p))
-    f1, f2, f3, f4 = model.stage_field(z, p)
-    return p.omega0 * (z[0] * f1 + z[1] * f2 + z[2] * f3 + z[3] * f4)
+    z4 * du4 = g * z4^2 with g the feedback ratio at w4.
+
+    It is evaluated as -omega0 * y' D y, with L D L' the factorisation of
+    -sym(Q) = [[1, -h, 0, c], [-h, 1, -h, 0], [0, -h, 1, -h], [c, 0, -h, g]],
+    h = d/2, corner c = h (0 on the r = 0 branch), g = du4/z4, and y = L' z.
+    The pivots are clamped at 0, so the rate is <= 0 by construction, also
+    along the null direction of -sym(Q) at r = 1, where d^2 = 2 and the
+    third pivot vanishes.
+    """
+    z1, z2, z3, z4, du4 = model.stage_gradients(w, model.stage_table(p))
+    h = 0.5 * p.d
+    c = h if p.r != 0.0 else 0.0
+    piv2 = 1.0 - h * h  # >= 1/2, as d^2 <= 2
+    l32, l42 = -h / piv2, h * c / piv2
+    piv3 = max(0.0, 1.0 - h * h / piv2)
+    m34 = -h + h * h * c / piv2
+    l43 = m34 / piv3 if piv3 > 0.0 else 0.0
+    y1 = z1 - h * z2 + c * z4
+    y2 = z2 + l32 * z3 + l42 * z4
+    y3 = z3 + l43 * z4
+    quad = y1 * y1 + piv2 * y2 * y2 + piv3 * y3 * y3
+    if z4 != 0.0:
+        piv4 = max(0.0, du4 / z4 - c * c - h * c * l42 - m34 * l43)
+        quad += piv4 * z4 * z4
+    return 0.0 - p.omega0 * quad  # not -(...): the origin gives 0.0, not -0.0
 
 
 class LyapunovKind(Enum):

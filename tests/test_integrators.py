@@ -150,7 +150,9 @@ big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_
 def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
     p = make_params(1.0, r)
     w, v = tuple(w), tuple(v)
-    res, jac = integrators._field_and_jacobian(w, v, p, model.stage_table(p), dt_omega)
+    table = model.stage_table(p)
+    res, zbar = integrators._residual(w, v, p, table, dt_omega)
+    jac = integrators._jacobian(w, v, p, table, zbar, dt_omega)
     (j11, _, _, j14), (j21, j22, _, _), (_, j32, j33, _), (_, _, j43, j44) = jac
     assert min(j11, j22, j33, j44) >= 1.0
     q3 = (-j32 / j33) * (-j21 / j22) * (j14 / j11)
@@ -158,6 +160,43 @@ def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
     ref = np.linalg.solve(np.array(jac), -np.array(res))
     step = np.array(integrators._newton_step(jac, res))
     assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dt_omega, max_per_step", [(0.05, 4.0), (10.0, 7.0)])
+def test_newton_work_per_step(monkeypatch, dt_omega, max_per_step):
+    # Newton starts at v = w (an explicit-Euler start costs 9.7 residuals per
+    # step at dt_omega = 10 on this trajectory), and a Jacobian, five
+    # quotient derivatives, is built only for an accepted iterate above tol:
+    # never for the converged iterate that ends each solve, nor for a
+    # rejected line-search trial.
+    counts = {"residual": 0, "derivative": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(integrators, "_residual", counted("residual", integrators._residual))
+    monkeypatch.setattr(integrators, "_quotient_derivative",
+                        counted("derivative", integrators._quotient_derivative))
+    real_newton = integrators._newton_dg
+
+    def newton(w, *args):
+        assert all(type(u) is float for u in w)
+        counts["solve"] += 1
+        v = real_newton(w, *args)
+        assert all(type(u) is float for u in v)
+        return v
+
+    monkeypatch.setattr(integrators, "_newton_dg", newton)
+    x0, p, cfg = np.array([1.0, -2.0, 0.5, 3.0]), make_params(1.0, 1.0), StepConfig(dt=dt_omega)
+    n_steps = 100
+    simulate(x0, p, cfg, n_steps)
+    assert counts["solve"] == n_steps
+    assert counts["residual"] <= max_per_step * n_steps
+    assert counts["derivative"] <= 5 * (counts["residual"] - counts["solve"])
+    step_discrete_gradient(x0, p, cfg)  # float entries on this path too
 
 
 def test_one_step_agreement_with_rk4():

@@ -170,6 +170,18 @@ def test_Vdot_nonpositive(r, w):
     assert lyapunov.lyapunov_rate(np.array(w), p) <= 0.0
 
 
+def test_Vdot_nonpositive_along_null_direction():
+    # at r = 1, d^2 = 2 and -sym(Q) is singular with null vector
+    # (1, sqrt 2, 1, 0); z' sym(Q) z evaluated directly rounds to +1e-16
+    # at most such states
+    p = make_params(1.0, 1.0)
+    d = p.d
+    for s in np.linspace(1e-4, 0.999, 2000):
+        w = (math.atanh(s), d * math.atanh(math.sqrt(2.0) * s / d),
+             d * d * math.atanh(s / (d * d)), 0.0)
+        assert lyapunov.lyapunov_rate(w, p) <= 0.0
+
+
 def test_Vdot_zero_feedback_nonpositive():
     rng = np.random.default_rng(13)
     p = make_params(1.0, 0.0)
