@@ -22,12 +22,6 @@ SCHEMA_VERSION = 1
 # Largest number of points --r-grid may expand to; checked before allocating.
 _MAX_GRID_POINTS = 10 ** 6
 
-_FAMILY_BOUNDARY = {
-    MatrixFamily.AS: 5.0 / 12.0,
-    MatrixFamily.BS: 1.0,
-    MatrixFamily.QS_WORST_CASE: 1.0,
-}
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -103,15 +97,6 @@ def _cmd_eig(args) -> int:
     return 0
 
 
-def _expected_verdict(family: MatrixFamily, r: float) -> lyapunov.Verdict:
-    boundary = _FAMILY_BOUNDARY[family]
-    if abs(r - boundary) <= 1e-9:
-        return lyapunov.Verdict.NEGATIVE_SEMIDEFINITE
-    if r < boundary:
-        return lyapunov.Verdict.NEGATIVE_DEFINITE
-    return lyapunov.Verdict.INDEFINITE
-
-
 def _cmd_certify(args) -> int:
     families = _parse_families(args.families)
     grid = _parse_grid(args.r_grid)
@@ -126,7 +111,7 @@ def _cmd_certify(args) -> int:
     mismatches = 0
     if args.expect:
         for rep in reports:
-            if rep.verdict is not _expected_verdict(rep.family, rep.r):
+            if rep.verdict is not lyapunov.expected_verdict(rep.family, rep.r):
                 mismatches += 1
 
     if args.format == "json":

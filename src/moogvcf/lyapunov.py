@@ -195,6 +195,26 @@ class MatrixFamily(Enum):
     QS_WORST_CASE = "QsWorstCase"
 
 
+# Resonance at which each family stops being negative definite: the plain
+# quadratic energy at r = 5/12, the scaled and saturation energies at r = 1.
+FAMILY_BOUNDARY = {
+    MatrixFamily.AS: 5.0 / 12.0,
+    MatrixFamily.BS: 1.0,
+    MatrixFamily.QS_WORST_CASE: 1.0,
+}
+
+
+def expected_verdict(family: MatrixFamily, r: float) -> Verdict:
+    """Verdict the family's boundary predicts at resonance r: semidefinite
+    within 1e-9 of the boundary, definite below it, indefinite above."""
+    boundary = FAMILY_BOUNDARY[family]
+    if abs(r - boundary) <= 1e-9:
+        return Verdict.NEGATIVE_SEMIDEFINITE
+    if r < boundary:
+        return Verdict.NEGATIVE_DEFINITE
+    return Verdict.INDEFINITE
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Definiteness verdict for one matrix family at one parameter point.

@@ -2,14 +2,16 @@
 
 The closed form puts the four eigenvalues at omega0 * (-1 +- r^(1/4)) +-
 j * omega0 * r^(1/4) (all four sign combinations).  The numerical oracle
-finds roots of the exact characteristic polynomial by Durand-Kerner
-simultaneous iteration; when the float64 iteration stalls or the roots
-cluster (multiple eigenvalues are infinitely ill-conditioned through the
-coefficients) it escalates to high-precision arithmetic on exactly computed
-rational coefficients.
+finds roots of the characteristic polynomial, exact via integer scaling
+(Faddeev-LeVerrier on the matrix times a power of two, in Python integers),
+by Durand-Kerner simultaneous iteration on the coefficients rounded to
+float64.  When that iteration stalls or the roots cluster (multiple
+eigenvalues are infinitely ill-conditioned through the coefficients) it
+escalates to mpmath arithmetic on the exact rational coefficients.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,31 +72,53 @@ def stability_margin(p: FilterParams) -> float:
     return p.omega0 * (1.0 - p.r ** 0.25)
 
 
+def _integer_matrix(M) -> tuple[list[list[int]], int]:
+    """Exact integer form of a finite real 4x4 matrix: rows of integers A
+    and an exponent E with M = A / 2**E.
+
+    Every finite float is n / 2**k (`float.as_integer_ratio`); E is the
+    largest k, so each scaled entry n * 2**(E - k) is an integer.
+    """
+    try:
+        arr = np.asarray(M)
+    except (TypeError, ValueError):
+        raise ValueError("M must be a real 4x4 matrix") from None
+    if arr.shape != (4, 4) or arr.dtype.kind not in "biuf":
+        raise ValueError(f"M must be a real 4x4 matrix, got shape {arr.shape}, dtype {arr.dtype}")
+    entries = arr.astype(float).ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        raise ValueError(f"M must be finite, got {entries}")
+    ratios = [x.as_integer_ratio() for x in entries]
+    E = max(d for _, d in ratios).bit_length() - 1
+    scaled = [n << (E + 1 - d.bit_length()) for n, d in ratios]
+    return [scaled[i:i + 4] for i in range(0, 16, 4)], E
+
+
 def characteristic_coeffs(M) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients of a 4x4 matrix,
-    computed exactly over the rationals (Faddeev-LeVerrier recursion)."""
-    F = [[Fraction(float(M[i][j])) for j in range(4)] for i in range(4)]
+    """Monic characteristic polynomial coefficients of a finite real 4x4
+    matrix, exact via integer scaling.
 
-    def matmul(A, B):
-        return [
-            [sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)]
-            for i in range(4)
-        ]
-
-    def trace(A):
-        return sum(A[i][i] for i in range(4))
-
-    coeffs = [Fraction(1)]
-    Mk = F
-    coeffs.append(-trace(Mk))
-    for k in range(2, 5):
-        shifted = [
-            [Mk[i][j] + (coeffs[-1] if i == j else 0) for j in range(4)]
-            for i in range(4)
-        ]
-        Mk = matmul(F, shifted)
-        coeffs.append(-trace(Mk) / k)
-    return coeffs
+    With M = A / 2**E (A an integer matrix), Faddeev-LeVerrier runs on A:
+    B_1 = A, B_k = A (B_{k-1} + C_{k-1} I), C_k = -tr(B_k) / k.  C_k is the
+    k-th characteristic coefficient of the integer matrix A, so the
+    division is exact, and M's coefficient is C_k / 2**(kE).  Raises
+    ValueError naming M for input that is not a finite real 4x4 matrix.
+    """
+    A, E = _integer_matrix(M)
+    C = [1, -sum(A[i][i] for i in range(4))]
+    B = A
+    for k in (2, 3, 4):
+        shifted = [row[:] for row in B]
+        for i in range(4):
+            shifted[i][i] += C[-1]
+        cols = list(zip(*shifted))
+        if k < 4:
+            B = [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
+            trace = sum(B[i][i] for i in range(4))
+        else:  # only the trace of A (B_3 + C_3 I) is needed
+            trace = sum(sum(map(operator.mul, row, col)) for row, col in zip(A, cols))
+        C.append(-trace // k)  # exact: C_k is an integer
+    return [Fraction(c, 1 << (k * E)) for k, c in enumerate(C)]
 
 
 def _poly_eval(coeffs, z):
@@ -167,8 +191,10 @@ def _roots_clustered(roots) -> bool:
 def eigvals_numeric(M, tol: float = 1e-12, max_iter: int = 200) -> Spectrum:
     """Spectrum of a 4x4 matrix via characteristic-polynomial roots.
 
-    Raises RootFindingError carrying the last residual if neither the
-    float64 nor the high-precision iteration converges.
+    Raises ValueError naming M, before any arithmetic, unless M is a
+    finite real 4x4 matrix.  Raises RootFindingError carrying the last
+    residual if neither the float64 nor the high-precision iteration
+    converges.
     """
     exact = characteristic_coeffs(M)
     cs64 = [float(c) for c in exact]

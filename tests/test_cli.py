@@ -321,7 +321,7 @@ def test_certify_expect_mismatch_exits_1(capsys, monkeypatch):
     # longer match the expectation table
     from moogvcf.lyapunov import MatrixFamily
 
-    monkeypatch.setitem(cli._FAMILY_BOUNDARY, MatrixFamily.AS, 0.9)
+    monkeypatch.setitem(lyapunov.FAMILY_BOUNDARY, MatrixFamily.AS, 0.9)
     code, _, _ = run(capsys, "certify", "--families", "As",
                      "--r-grid", "0:1:0.1", "--expect")
     assert code == 1

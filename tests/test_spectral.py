@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moogvcf import spectral
 from moogvcf.model import linearized_matrix, make_params
 from moogvcf.spectral import (
     RootFindingError,
@@ -132,3 +135,99 @@ def test_root_finding_error_carries_residual():
     with pytest.raises(RootFindingError) as exc:
         eigvals_numeric(M, max_iter=1)
     assert exc.value.residual > 0.0
+
+
+def _reference_coeffs(M):
+    """Faddeev-LeVerrier over Fraction entries: the exact rational
+    characteristic coefficients, computed the direct way."""
+    F = [[Fraction(float(M[i][j])) for j in range(4)] for i in range(4)]
+    coeffs = [Fraction(1)]
+    Mk = [[Fraction(0)] * 4 for _ in range(4)]
+    for k in range(1, 5):
+        shifted = [[Mk[i][j] + (coeffs[-1] if i == j else 0) for j in range(4)]
+                   for i in range(4)]
+        Mk = [[sum(F[i][m] * shifted[m][j] for m in range(4)) for j in range(4)]
+              for i in range(4)]
+        coeffs.append(-sum(Mk[i][i] for i in range(4)) / k)
+    return coeffs
+
+
+# The whole finite float range: signed zeros, subnormals, the extremes, and
+# entries of unrelated exponents in one matrix.
+_any_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1e308, 1e-200, 1e100, 1.0, -0.1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_finite, min_size=16, max_size=16))
+def test_characteristic_coeffs_match_fraction_reference(entries):
+    M = np.array(entries).reshape(4, 4)
+    got = characteristic_coeffs(M)
+    assert all(type(c) is Fraction for c in got)
+    assert got == _reference_coeffs(M)
+
+
+def _bytes(spec):
+    return spec.eigenvalues.tobytes(), repr(spec.max_real_part)
+
+
+def _spectrum_cases():
+    r_grid = np.linspace(0.0, 1.0, 21)  # criterion 1's grid
+    omega_grid = np.linspace(0.1, 100.0, 21)
+    cases = [linearized_matrix(make_params(omega_grid[0], r_grid[0]))]  # mpmath path
+    for r in r_grid[[7, 14, 20]]:
+        for omega0 in omega_grid[[0, 10, 20]]:
+            cases.append(linearized_matrix(make_params(omega0, r)))
+    cases.append(np.diag([1.0, 2.0, 3.0, 4.0]))
+    cases.append(np.array([
+        [0.0, -1.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ]))
+    rng = np.random.default_rng(55)
+    cases.extend(rng.uniform(-3, 3, size=(4, 4)) for _ in range(20))
+    return cases
+
+
+def test_numeric_spectra_bytewise_equal_to_fraction_reference(monkeypatch):
+    cases = _spectrum_cases()
+    got = [_bytes(eigvals_numeric(M)) for M in cases]
+    monkeypatch.setattr(spectral, "characteristic_coeffs", _reference_coeffs)
+    want = [_bytes(eigvals_numeric(M)) for M in cases]
+    assert got == want
+
+
+def test_characteristic_coeffs_fraction_work(monkeypatch):
+    # The recursion runs on integers; each coefficient becomes a Fraction
+    # once, at the end.
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(spectral, "Fraction", counted)
+    M = linearized_matrix(make_params(3.7, 0.45))
+    coeffs = characteristic_coeffs(M)
+    assert len(built) <= 5
+    assert coeffs == _reference_coeffs(M)
+
+
+@pytest.mark.parametrize("M", [
+    np.eye(3),
+    np.zeros((4, 5)),
+    [[1.0, 2.0, 3.0, 4.0]] * 3 + [[1.0, 2.0]],
+    np.diag([1.0, math.inf, 2.0, 3.0]),
+    np.diag([1.0, 2.0, -math.inf, 3.0]),
+    np.diag([1.0, 2.0, 3.0, math.nan]),
+    np.eye(4) * 1j,
+], ids=["3x3", "4x5", "ragged", "inf", "-inf", "nan", "complex"])
+def test_eigvals_numeric_rejects_bad_matrix(M):
+    with pytest.raises(ValueError, match=r"\bM\b"):
+        characteristic_coeffs(M)
+    with pytest.raises(ValueError, match=r"\bM\b"):
+        eigvals_numeric(M)
