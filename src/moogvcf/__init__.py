@@ -27,10 +27,8 @@ from .integrators import (
 )
 from .lyapunov import (
     CertificateReport,
-    LyapunovKind,
     MatrixFamily,
     Verdict,
-    candidate_value,
     V_nonlinear,
     V_quadratic_w,
     V_quadratic_x,

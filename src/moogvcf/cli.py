@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import experiments, integrators, lyapunov, model, spectral
-from .experiments import SpecValidationError, SweepSpec
+from .experiments import SweepSpec
 from .integrators import Method, NewtonError, StepConfig
 from .lyapunov import MatrixFamily
 from .spectral import RootFindingError
@@ -61,16 +61,7 @@ def _parse_x0(raw: str):
 
 
 def _parse_families(raw: str) -> list[MatrixFamily]:
-    by_value = {f.value: f for f in MatrixFamily}
-    out = []
-    for name in raw.split(","):
-        name = name.strip()
-        if name not in by_value:
-            raise ValueError(
-                f"unknown family {name!r}; choose from {sorted(by_value)}"
-            )
-        out.append(by_value[name])
-    return out
+    return [lyapunov.family_named(name.strip()) for name in raw.split(",")]
 
 
 def _cmd_eig(args) -> int:
@@ -98,15 +89,12 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     families = _parse_families(args.families)
     grid = _parse_grid(args.r_grid)
-    reports = []
-    thresholds = {}
-    for family in families:
-        row = [lyapunov.certify(family, model.make_params(args.omega0, r), tol=args.tol)
-               for r in grid]
-        reports.extend(row)
-        thresholds[family.value] = experiments.detect_threshold(row)
+    sweep = experiments.run_definiteness_sweep(families, (args.omega0,), grid, tol=args.tol)
+    reports, thresholds = sweep.reports, sweep.thresholds
 
     mismatches = 0
     if args.expect:
@@ -158,7 +146,10 @@ def _cmd_simulate(args) -> int:
     method = Method(args.method)
     cfg = StepConfig(dt=args.dt, method=method)
     traj = integrators.simulate(x0, p, cfg, args.steps)
-    with_dv = method is Method.DISCRETE_GRADIENT
+    # Per-step energy change, for the method that guarantees its sign.
+    dv = None
+    if method is Method.DISCRETE_GRADIENT:
+        dv = [0.0] + [traj.V[k] - traj.V[k - 1] for k in range(1, len(traj.V))]
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -171,13 +162,11 @@ def _cmd_simulate(args) -> int:
             "v": list(traj.V),
             "vdot": list(traj.Vdot),
         }
-        if with_dv:
-            payload["dv"] = [0.0] + [
-                traj.V[k] - traj.V[k - 1] for k in range(1, len(traj.V))
-            ]
+        if dv is not None:
+            payload["dv"] = dv
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
-    header = "t,x1,x2,x3,x4,v,vdot" + (",dv" if with_dv else "")
+    header = "t,x1,x2,x3,x4,v,vdot" + (",dv" if dv is not None else "")
     lines = [header]
     for k in range(len(traj.times)):
         row = [
@@ -189,8 +178,8 @@ def _cmd_simulate(args) -> int:
             _fmt(traj.V[k]),
             _fmt(traj.Vdot[k]),
         ]
-        if with_dv:
-            row.append(_fmt(0.0 if k == 0 else traj.V[k] - traj.V[k - 1]))
+        if dv is not None:
+            row.append(_fmt(dv[k]))
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -323,7 +312,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (SpecValidationError, ValueError) as err:
+    except ValueError as err:  # SpecValidationError and ParameterRangeError too
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (NewtonError, RootFindingError) as err:

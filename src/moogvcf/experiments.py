@@ -12,7 +12,7 @@ import numpy as np
 
 from . import lyapunov, model
 from .integrators import Method, NewtonError, StepConfig, simulate
-from .lyapunov import CertificateReport, MatrixFamily, Verdict, certify, definiteness_threshold
+from .lyapunov import Verdict
 from .rng import substream
 
 # Initial states are drawn with |x_i| <= 5, deep into tanh saturation, so
@@ -56,7 +56,9 @@ class SweepSpec:
         if not isinstance(data, dict):
             raise SpecValidationError("$", "spec must be a JSON object")
 
-        def grid(key, lo=None, hi=None, positive=False):
+        def grid(key, check):
+            """The sorted array data[key]; each entry must pass check, a
+            make_params call that raises ParameterRangeError."""
             values = data.get(key)
             if not isinstance(values, list) or not values:
                 raise SpecValidationError(key, "must be a non-empty array of numbers")
@@ -65,29 +67,29 @@ class SweepSpec:
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
                     raise SpecValidationError(f"{key}[{i}]", "must be a number")
                 v = float(v)
-                if positive and not v > 0.0:
-                    raise SpecValidationError(f"{key}[{i}]", f"must be > 0, got {v}")
-                if lo is not None and not (lo <= v <= hi):
-                    raise SpecValidationError(f"{key}[{i}]", f"must lie in [{lo}, {hi}], got {v}")
+                try:
+                    check(v)
+                except model.ParameterRangeError as err:
+                    raise SpecValidationError(f"{key}[{i}]", str(err)) from None
                 out.append(v)
             if sorted(out) != out:
                 raise SpecValidationError(key, "must be sorted ascending")
             return tuple(out)
 
-        r_grid = grid("r", lo=0.0, hi=1.0)
-        omega0_grid = grid("omega0", positive=True)
+        # make_params holds the range rules: r in {0} U [smallest normal, 1],
+        # omega0 positive and finite.
+        r_grid = grid("r", lambda r: model.make_params(1.0, r))
+        omega0_grid = grid("omega0", lambda omega0: model.make_params(omega0, 0.0))
 
         fams = data.get("families")
         if not isinstance(fams, list) or not fams:
             raise SpecValidationError("families", "must be a non-empty array")
-        by_value = {f.value: f for f in MatrixFamily}
         families = []
         for i, name in enumerate(fams):
-            if name not in by_value:
-                raise SpecValidationError(
-                    f"families[{i}]", f"unknown family {name!r}; choose from {sorted(by_value)}"
-                )
-            families.append(by_value[name])
+            try:
+                families.append(lyapunov.family_named(name))
+            except ValueError as err:
+                raise SpecValidationError(f"families[{i}]", str(err)) from None
 
         seed = data.get("seed")
         if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):
@@ -97,16 +99,17 @@ class SweepSpec:
         if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
             raise SpecValidationError("samples_per_point", "must be a positive integer")
 
-        method_name = data.get("method", Method.DISCRETE_GRADIENT.value)
-        methods = {m.value: m for m in Method}
-        if method_name not in methods:
-            raise SpecValidationError("method", f"unknown method {method_name!r}")
+        method_name = data.get("method", SweepSpec.method.value)
+        try:
+            method = Method(method_name)
+        except ValueError:
+            raise SpecValidationError("method", f"unknown method {method_name!r}") from None
 
-        dt = data.get("dt", 0.05)
-        if not isinstance(dt, (int, float)) or isinstance(dt, bool) or not dt > 0.0:
-            raise SpecValidationError("dt", "must be a positive number")
+        dt = data.get("dt", SweepSpec.dt)
+        if not isinstance(dt, (int, float)) or isinstance(dt, bool) or not 0.0 < dt < math.inf:
+            raise SpecValidationError("dt", "must be a positive finite number")
 
-        n_steps = data.get("n_steps", 200)
+        n_steps = data.get("n_steps", SweepSpec.n_steps)
         if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
             raise SpecValidationError("n_steps", "must be a positive integer")
 
@@ -121,7 +124,7 @@ class SweepSpec:
             families=tuple(families),
             seed=seed,
             samples_per_point=samples,
-            method=methods[method_name],
+            method=method,
             dt=float(dt),
             n_steps=n_steps,
         )
@@ -166,27 +169,24 @@ class SweepResult:
         return all(s.passed for s in self.summaries)
 
 
-def decay_tolerance(method: Method) -> float:
-    return _DECAY_TOLERANCE[method]
-
-
 def detect_threshold(reports) -> float | None:
     """Bisect between the first adjacent reports whose negative-definite
     flags differ, at the reports' own verdict tolerance; None when every
     flag agrees.  The reports are of one family, in ascending r."""
     for a, b in zip(reports, reports[1:]):
         if (a.verdict is Verdict.NEGATIVE_DEFINITE) != (b.verdict is Verdict.NEGATIVE_DEFINITE):
-            return definiteness_threshold(a.family, a.r, b.r, tol=1e-8, verdict_tol=a.tol)
+            return lyapunov.definiteness_threshold(a.family, a.r, b.r, verdict_tol=a.tol)
     return None
 
 
-def run_definiteness_sweep(spec: SweepSpec) -> SweepResult:
-    """Certify every (family, omega0, r) grid point and locate verdict
-    boundaries along r."""
+def run_definiteness_sweep(families, omega0_grid, r_grid, tol: float = 1e-10) -> SweepResult:
+    """Certify every (family, omega0, r) grid point at verdict tolerance tol
+    and locate each family's verdict boundary along r; the reports are in
+    (family, omega0, r) order."""
     result = SweepResult()
-    for family in spec.families:
-        rows = [[certify(family, model.make_params(omega0, r)) for r in spec.r_grid]
-                for omega0 in spec.omega0_grid]
+    for family in families:
+        rows = [[lyapunov.certify(family, model.make_params(omega0, r), tol=tol) for r in r_grid]
+                for omega0 in omega0_grid]
         for row in rows:
             result.reports.extend(row)
         # Certificates are omega0-normalized, so every row has the same verdicts.
@@ -200,7 +200,6 @@ def run_decay_study(
     n_states: int,
     cfg: StepConfig,
     t_end: float,
-    tol: float | None = None,
 ) -> SweepResult:
     """Simulate seeded random initial states and record the worst per-step
     energy increase and the final state norm for each.
@@ -212,8 +211,7 @@ def run_decay_study(
     n_states = int(n_states)
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    if tol is None:
-        tol = decay_tolerance(cfg.method)
+    tol = _DECAY_TOLERANCE[cfg.method]
     n_steps = max(1, int(round(t_end / cfg.dt)))
     result = SweepResult()
     for i in range(n_states):
@@ -222,18 +220,17 @@ def run_decay_study(
         try:
             traj = simulate(np.array(x0), p, cfg, n_steps)
         except NewtonError as err:
-            result.summaries.append(TrajectorySummary(
-                omega0=p.omega0, r=p.r, method=cfg.method.value, dt=cfg.dt,
-                state_index=i, x0=x0, max_v_increase=math.nan,
-                final_norm=math.nan, passed=False, error=str(err),
-            ))
-            continue
-        increases = np.diff(traj.V)
-        max_inc = float(increases.max()) if increases.size else 0.0
+            max_inc = final_norm = math.nan
+            error = str(err)
+        else:
+            increases = np.diff(traj.V)
+            max_inc = float(increases.max()) if increases.size else 0.0
+            final_norm = float(np.linalg.norm(traj.states[-1]))
+            error = None
         result.summaries.append(TrajectorySummary(
             omega0=p.omega0, r=p.r, method=cfg.method.value, dt=cfg.dt,
             state_index=i, x0=x0, max_v_increase=max_inc,
-            final_norm=float(np.linalg.norm(traj.states[-1])), passed=max_inc <= tol,
+            final_norm=final_norm, passed=max_inc <= tol, error=error,
         ))
     return result
 
@@ -274,7 +271,7 @@ def run_gradcheck(seed: int, n_points: int) -> float:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Full sweep backing the CLI: certification plus per-grid-point decay
     studies with spec.samples_per_point seeded states each."""
-    result = run_definiteness_sweep(spec)
+    result = run_definiteness_sweep(spec.families, spec.omega0_grid, spec.r_grid)
     cfg = StepConfig(dt=spec.dt, method=spec.method)
     t_end = spec.dt * spec.n_steps
     point_index = 0

@@ -27,9 +27,10 @@ from .model import FilterParams
 _COINCIDENCE_CUTOFF = 1e-12
 _DERIVATIVE_CUTOFF = 1e-7
 
-# Indirection so test harnesses can inject a broken energy and prove the
-# decay checks are actually sensitive to it.
-_lyapunov_value = lyapunov.lyapunov_value
+# Newton stops once the residual's infinity norm is at most _NEWTON_TOL,
+# and gives up after _NEWTON_MAX_ITER iterations.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
 
 
 class Method(Enum):
@@ -53,16 +54,10 @@ class StepConfig:
 
     dt: float
     method: Method = Method.DISCRETE_GRADIENT
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not self.newton_tol > 0.0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
 
 @dataclass
@@ -117,14 +112,6 @@ def _stage_quotients(w, v, table):
     return out
 
 
-def discrete_gradients(w_from, w_to, p: FilterParams):
-    """Public wrapper over the stage quotients (zbar as an array, du4)."""
-    w = tuple(float(u) for u in w_from)
-    v = tuple(float(u) for u in w_to)
-    *zbar, du4 = _stage_quotients(w, v, model.stage_table(p))
-    return np.array(zbar), du4
-
-
 def _quotient_derivative(a, h, scale, inner, zbar_i):
     """d/dv of a stage quotient; limit form S*inner^2*sech^2/2 near
     coincidence.  The quotient is a secant slope of a convex potential, so
@@ -159,13 +146,12 @@ def _jacobian(w, v, p: FilterParams, table, zbar, dt_omega: float):
     quotient derivative is nonnegative.
     """
     d = p.d
-    c_fb = d if p.r != 0.0 else 0.0
     dz1, dz2, dz3, dz4, ddu4 = [
         _quotient_derivative(a, b - a, scale, inner, z)
         for a, b, (scale, inner), z in zip(w + w[3:], v + v[3:], table, zbar)
     ]
     return [
-        [1.0 + dt_omega * dz1, 0.0, 0.0, dt_omega * c_fb * dz4],
+        [1.0 + dt_omega * dz1, 0.0, 0.0, dt_omega * p.feedback_coeff * dz4],
         [-dt_omega * d * dz1, 1.0 + dt_omega * dz2, 0.0, 0.0],
         [0.0, -dt_omega * d * dz2, 1.0 + dt_omega * dz3, 0.0],
         [0.0, 0.0, -dt_omega * d * dz3, 1.0 + dt_omega * ddu4],
@@ -191,7 +177,7 @@ def _newton_step(jac, res):
     return (p1 - q1 * s4, p2 - q2 * s4, p3 - q3 * s4, s4)
 
 
-def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
+def _newton_dg(w, p: FilterParams, dt: float):
     """Solve the implicit discrete-gradient update from w over one step dt.
 
     Full Newton with analytic Jacobian, started at v = w, where the
@@ -199,16 +185,16 @@ def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
     linearly implicit step.  On residual increase the update is halved up
     to 8 times and the best candidate kept; trial points get a residual
     only, and the Jacobian is built for an accepted iterate still above
-    tol.  Raises NewtonError with the last residual if the infinity norm
-    never reaches tol.
+    _NEWTON_TOL.  Raises NewtonError with the last residual if the infinity
+    norm does not reach _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
     """
     dt_omega = dt * p.omega0
     table = model.stage_table(p)
     v = w
     res, zbar = _residual(w, v, p, table, dt_omega)
     rnorm = max(abs(r) for r in res)
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if rnorm <= _NEWTON_TOL:
             return v
         step = _newton_step(_jacobian(w, v, p, table, zbar, dt_omega), res)
         best = None
@@ -224,7 +210,7 @@ def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
                 break
             lam *= 0.5
         rnorm, v, res, zbar = best
-    if rnorm <= tol:
+    if rnorm <= _NEWTON_TOL:
         return v
     raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
 
@@ -232,20 +218,20 @@ def _newton_dg(w, p: FilterParams, dt: float, tol: float, max_iter: int):
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x."""
     w = model.to_scaled(_finite_state(x, "x"), p.d)
-    v = _newton_dg(tuple(w.tolist()), p, cfg.dt, cfg.newton_tol, cfg.newton_max_iter)
+    v = _newton_dg(tuple(w.tolist()), p, cfg.dt)
     return model.from_scaled(v, p.d)
 
 
-def _advance_dg(w, p, dt, tol, max_iter, depth=0):
+def _advance_dg(w, p, dt, depth=0):
     """Newton step with internal halving: on failure the interval is split
     in two, recursively, up to 10 levels."""
     try:
-        return _newton_dg(w, p, dt, tol, max_iter)
+        return _newton_dg(w, p, dt)
     except NewtonError:
         if depth >= 10:
             raise
-        half = _advance_dg(w, p, 0.5 * dt, tol, max_iter, depth + 1)
-        return _advance_dg(half, p, 0.5 * dt, tol, max_iter, depth + 1)
+        half = _advance_dg(w, p, 0.5 * dt, depth + 1)
+        return _advance_dg(half, p, 0.5 * dt, depth + 1)
 
 
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
@@ -269,7 +255,7 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     def record(k, x, w):
         times[k] = k * cfg.dt
         states[k] = x
-        energy[k] = _lyapunov_value(w, p)
+        energy[k] = lyapunov.lyapunov_value(w, p)
         rate[k] = lyapunov.lyapunov_rate(w, p)
 
     if cfg.method is Method.RK4:
@@ -283,7 +269,7 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
         record(0, model.from_scaled(w, p.d), w)
         for k in range(1, n_steps + 1):
             try:
-                w = _advance_dg(w, p, cfg.dt, cfg.newton_tol, cfg.newton_max_iter)
+                w = _advance_dg(w, p, cfg.dt)
             except NewtonError as err:
                 raise NewtonError(
                     f"integration failed at step {k}", err.residual, step=k

@@ -111,14 +111,15 @@ def lyapunov_rate(w, p: FilterParams) -> float:
 
     It is evaluated as -omega0 * y' D y, with L D L' the factorisation of
     -sym(Q) = [[1, -h, 0, c], [-h, 1, -h, 0], [0, -h, 1, -h], [c, 0, -h, g]],
-    h = d/2, corner c = h (0 on the r = 0 branch), g = du4/z4, and y = L' z.
+    h = d/2, corner c = p.feedback_coeff/2 (h, or 0 on the r = 0 branch),
+    g = du4/z4, and y = L' z.
     The pivots are clamped at 0, so the rate is <= 0 by construction, also
     along the null direction of -sym(Q) at r = 1, where d^2 = 2 and the
     third pivot vanishes.
     """
     z1, z2, z3, z4, du4 = model.stage_gradients(w, model.stage_table(p))
     h = 0.5 * p.d
-    c = h if p.r != 0.0 else 0.0
+    c = 0.5 * p.feedback_coeff
     piv2 = 1.0 - h * h  # >= 1/2, as d^2 <= 2
     l32, l42 = -h / piv2, h * c / piv2
     piv3 = max(0.0, 1.0 - h * h / piv2)
@@ -132,28 +133,6 @@ def lyapunov_rate(w, p: FilterParams) -> float:
         piv4 = max(0.0, du4 / z4 - c * c - h * c * l42 - m34 * l43)
         quad += piv4 * z4 * z4
     return 0.0 - p.omega0 * quad  # not -(...): the origin gives 0.0, not -0.0
-
-
-class LyapunovKind(Enum):
-    """The three candidate energies.  LOG_COSH needs r > 0 unless the
-    feedback-free branch is taken."""
-
-    QUADRATIC_X = "QuadraticX"
-    QUADRATIC_W = "QuadraticW"
-    LOG_COSH = "LogCosh"
-
-
-def candidate_value(kind: LyapunovKind, state, p: FilterParams) -> float:
-    """Evaluate one candidate energy.
-
-    QUADRATIC_X takes the state in x coordinates; the other two take w.
-    LOG_COSH dispatches to the feedback-free sum when r = 0.
-    """
-    if kind is LyapunovKind.QUADRATIC_X or kind is LyapunovKind.QUADRATIC_W:
-        return V_quadratic_x(state)
-    if kind is LyapunovKind.LOG_COSH:
-        return lyapunov_value(state, p)
-    raise ValueError(f"unknown Lyapunov kind {kind!r}")
 
 
 def symmetrize(M) -> np.ndarray:
@@ -195,6 +174,25 @@ class MatrixFamily(Enum):
     QS_WORST_CASE = "QsWorstCase"
 
 
+def family_named(name) -> MatrixFamily:
+    """The family whose value is name; ValueError listing the choices otherwise."""
+    try:
+        return MatrixFamily(name)
+    except ValueError:
+        choices = sorted(f.value for f in MatrixFamily)
+        raise ValueError(f"unknown family {name!r}; choose from {choices}") from None
+
+
+def _verdict(margin: float, tol: float) -> Verdict:
+    """Verdict for a largest eigenvalue, or a resonance's offset from the
+    family boundary: definite below -tol, semidefinite within tol of 0."""
+    if margin < -tol:
+        return Verdict.NEGATIVE_DEFINITE
+    if abs(margin) <= tol:
+        return Verdict.NEGATIVE_SEMIDEFINITE
+    return Verdict.INDEFINITE
+
+
 # Resonance at which each family stops being negative definite: the plain
 # quadratic energy at r = 5/12, the scaled and saturation energies at r = 1.
 FAMILY_BOUNDARY = {
@@ -207,12 +205,7 @@ FAMILY_BOUNDARY = {
 def expected_verdict(family: MatrixFamily, r: float) -> Verdict:
     """Verdict the family's boundary predicts at resonance r: semidefinite
     within 1e-9 of the boundary, definite below it, indefinite above."""
-    boundary = FAMILY_BOUNDARY[family]
-    if abs(r - boundary) <= 1e-9:
-        return Verdict.NEGATIVE_SEMIDEFINITE
-    if r < boundary:
-        return Verdict.NEGATIVE_DEFINITE
-    return Verdict.INDEFINITE
+    return _verdict(r - FAMILY_BOUNDARY[family], 1e-9)
 
 
 @dataclass(frozen=True)
@@ -231,14 +224,6 @@ class CertificateReport:
     max_eig: float
     verdict: Verdict
     tol: float
-
-
-def _verdict_from_max_eig(max_eig: float, tol: float) -> Verdict:
-    if max_eig < -tol:
-        return Verdict.NEGATIVE_DEFINITE
-    if abs(max_eig) <= tol:
-        return Verdict.NEGATIVE_SEMIDEFINITE
-    return Verdict.INDEFINITE
 
 
 def _normalized_family_matrix(family: MatrixFamily, r: float) -> np.ndarray:
@@ -260,6 +245,14 @@ def _normalized_family_matrix(family: MatrixFamily, r: float) -> np.ndarray:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _check_tol(name: str, value: float, positive: bool = False) -> None:
+    """ValueError naming the tolerance unless it is finite and >= 0 (> 0
+    when positive)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 def certify(family: MatrixFamily, p: FilterParams, tol: float = 1e-10) -> CertificateReport:
     """Definiteness certificate for one family at parameters p.
 
@@ -268,8 +261,10 @@ def certify(family: MatrixFamily, p: FilterParams, tol: float = 1e-10) -> Certif
     with a minus sign, a negative-definite verdict there covers every
     attainable ratio (larger ratios subtract a positive rank-one term).
     At r = 0 there is no feedback ratio; QsWorstCase then certifies the
-    feedback-free cascade, the matrix of Vdot_zero_feedback.
+    feedback-free cascade, the matrix of Vdot_zero_feedback.  Raises
+    ValueError naming tol unless it is finite and >= 0.
     """
+    _check_tol("tol", tol)
     eigs = sym_eigvals(_normalized_family_matrix(family, p.r), tol=1e-8)
     max_eig = float(eigs[-1])
     return CertificateReport(
@@ -278,7 +273,7 @@ def certify(family: MatrixFamily, p: FilterParams, tol: float = 1e-10) -> Certif
         family=family,
         min_eig=float(eigs[0]),
         max_eig=max_eig,
-        verdict=_verdict_from_max_eig(max_eig, tol),
+        verdict=_verdict(max_eig, tol),
         tol=tol,
     )
 
@@ -294,8 +289,13 @@ def definiteness_threshold(
     definite (max eigenvalue crosses -verdict_tol).
 
     Requires the definiteness predicate to differ at r_lo and r_hi; r_hi may
-    sit slightly above 1 to bracket a boundary at r = 1 itself.
+    sit slightly above 1 to bracket a boundary at r = 1 itself.  Bisection
+    stops when the bracket is at most tol wide, or when it can shrink no
+    further in floating point.  Raises ValueError naming tol unless it is
+    finite and > 0, and naming verdict_tol unless it is finite and >= 0.
     """
+    _check_tol("tol", tol, positive=True)
+    _check_tol("verdict_tol", verdict_tol)
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"need 0 <= r_lo < r_hi, got ({r_lo}, {r_hi})")
 
@@ -311,6 +311,8 @@ def definiteness_threshold(
     lo, hi = float(r_lo), float(r_hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if is_definite(mid) == lo_def:
             lo = mid
         else:

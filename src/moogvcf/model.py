@@ -8,7 +8,7 @@ the system is exactly four-dimensional, so no general-N machinery is used.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class FilterParams:
     r:      resonance in [0, 1].
     alpha:  per-stage feedback gain base, sqrt(2) * r**(1/4), in [0, sqrt(2)].
     d:      diagonal scaling base, max(1, alpha).
+    feedback_coeff: coefficient of the fed-back stage-4 saturation in the
+            scaled field, d, or 0.0 on the feedback-free r = 0 branch.
 
     The fed-back state is multiplied by alpha**4 = 4*r; formulas use 4*r
     directly since it is exact in floating point.
@@ -47,6 +49,11 @@ class FilterParams:
     r: float
     alpha: float
     d: float
+    # Derived, and a plain attribute because the Newton residual reads it.
+    feedback_coeff: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "feedback_coeff", self.d if self.r != 0.0 else 0.0)
 
     @property
     def feedback_gain(self) -> float:
@@ -181,11 +188,10 @@ def stage_gradients(w, table):
 def stage_field(z, p: FilterParams):
     """Scaled field per unit omega0, (-z1 - d z4, d z1 - z2, d z2 - z3,
     d z3 - du4), from stage gradients or their discrete-gradient quotients;
-    the feedback term d z4 is dropped on the r = 0 branch."""
+    the feedback term reads p.feedback_coeff, so it is 0 on the r = 0 branch."""
     z1, z2, z3, z4, du4 = z
     d = p.d
-    fb = d * z4 if p.r != 0.0 else 0.0
-    return (-z1 - fb, d * z1 - z2, d * z2 - z3, d * z3 - du4)
+    return (-z1 - p.feedback_coeff * z4, d * z1 - z2, d * z2 - z3, d * z3 - du4)
 
 
 def saturation_vector(w, p: FilterParams) -> np.ndarray:
@@ -193,7 +199,7 @@ def saturation_vector(w, p: FilterParams) -> np.ndarray:
     z = [tanh(w1), d tanh(w2/d), d^2 tanh(w3/d^2), (1/d) tanh(4r * w4/d^3)].
     For r = 0 the fourth component (the feedback saturation) is 0."""
     z1, z2, z3, z4, _ = stage_gradients(w, stage_table(p))
-    return np.array([z1, z2, z3, z4 if p.r != 0.0 else 0.0])
+    return np.array([z1, z2, z3, z4 if p.feedback_coeff != 0.0 else 0.0])
 
 
 def feedback_ratio(w4: float, p: FilterParams) -> float:

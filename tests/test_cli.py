@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from moogvcf import cli, integrators, lyapunov
+from moogvcf import cli, experiments, integrators, lyapunov
 from moogvcf.cli import main
+from moogvcf.lyapunov import MatrixFamily
 
 
 def run(capsys, *args):
@@ -86,6 +87,38 @@ def test_certify_certifies_each_grid_point_once(capsys, monkeypatch):
     assert code == 0
     # 101 grid points plus the Threshold row
     assert len(calls) == 102
+
+
+def test_certify_runs_the_definiteness_sweep(capsys, monkeypatch):
+    # one certification loop: the CLI hands its grid and --tol to
+    # run_definiteness_sweep, the loop behind `moogvcf sweep` too
+    calls = []
+    real = experiments.run_definiteness_sweep
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_definiteness_sweep", recording)
+    code, out, _ = run(capsys, "certify", "--families", "As,Bs", "--r-grid", "0:1:0.25",
+                       "--omega0", "3", "--tol", "0.01")
+    assert code == 0
+    assert calls == [(([MatrixFamily.AS, MatrixFamily.BS], (3.0,), [0.0, 0.25, 0.5, 0.75, 1.0]),
+                      {"tol": 0.01})]
+    _, rows = parse_csv(out)
+    assert len(rows) == 2 * 5 + 2  # grid rows, then one Threshold row per family
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_certify_rejects_bad_tol(capsys, monkeypatch, tol):
+    # a negative --tol rated an indefinite point NegativeDefinite, and nan
+    # rated every point Indefinite, both with exit 0
+    monkeypatch.setattr(lyapunov, "certify", None)
+    code, out, err = run(capsys, "certify", "--families", "As", "--r-grid", "0:1:0.5",
+                         f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
 
 
 def test_certify_all_families_full_grid(capsys):
@@ -200,7 +233,7 @@ def test_certify_rejects_bad_grid(capsys, monkeypatch, grid, message):
 
 
 def test_simulate_integrator_failure_exit_code(capsys, monkeypatch):
-    def always_fail(w, p, dt, tol, max_iter):
+    def always_fail(w, p, dt):
         raise integrators.NewtonError("forced", 1.0)
 
     monkeypatch.setattr(integrators, "_newton_dg", always_fail)
@@ -235,6 +268,25 @@ def test_sweep_rejects_bad_resonance(tmp_path, capsys):
     assert "r[0]" in err
 
 
+@pytest.mark.parametrize("field, text, path", [
+    ("dt", "1e400", "dt"),
+    ("omega0", "[1.0, 1e400]", "omega0[1]"),
+    ("r", "[0.0, 5e-324]", "r[1]"),
+])
+def test_sweep_rejects_non_finite_spec_up_front(tmp_path, capsys, monkeypatch, field, text, path):
+    # JSON reads 1e400 as inf; the spec must be rejected before any
+    # certification, with the path of the offending entry
+    monkeypatch.setattr(lyapunov, "certify", None)
+    fields = {"r": "[0.5]", "omega0": "[1]", "families": '["As"]', "seed": "1",
+              "samples_per_point": "1", field: text}
+    spec = tmp_path / "spec.json"
+    spec.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    code, out, err = run(capsys, "sweep", "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_sweep_rejects_bad_json(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("{not json")
@@ -265,12 +317,8 @@ def test_sweep_bundled_fullrange_spec(tmp_path):
 
 def test_sweep_exit_1_on_failed_decay(tmp_path, capsys, monkeypatch):
     # harness meta-test: a sign-flipped energy must fail the sweep
-    from moogvcf import lyapunov
-
-    monkeypatch.setattr(
-        integrators, "_lyapunov_value",
-        lambda w, p: -lyapunov.lyapunov_value(w, p),
-    )
+    real = lyapunov.lyapunov_value
+    monkeypatch.setattr(lyapunov, "lyapunov_value", lambda w, p: -real(w, p))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "r": [0.5], "omega0": [1], "families": ["As"],

@@ -60,6 +60,15 @@ def test_spec_from_dict_minimal():
     ({"method": "leapfrog"}, "method"),
     ({"dt": -0.1}, "dt"),
     ({"bogus": 1}, "bogus"),
+    ({"dt": math.inf}, "dt"),
+    ({"dt": math.nan}, "dt"),
+    ({"omega0": [1.0, math.inf]}, "omega0[1]"),
+    ({"omega0": [math.nan]}, "omega0[0]"),
+    ({"r": [0.0, 5e-324]}, "r[1]"),
+    ({"r": [2.2250738585072014e-308 / 2]}, "r[0]"),
+    ({"r": [math.nan]}, "r[0]"),
+    ({"families": [["As"]]}, "families[0]"),
+    ({"method": ["dg"]}, "method"),
 ])
 def test_spec_validation_paths(patch, path):
     data = {"r": [0.5], "omega0": [1], "families": ["As"],
@@ -78,7 +87,7 @@ def test_definiteness_sweep_verdict_flip():
         "seed": 1,
         "samples_per_point": 1,
     })
-    result = run_definiteness_sweep(spec)
+    result = run_definiteness_sweep(spec.families, spec.omega0_grid, spec.r_grid)
     verdicts = {rep.r: rep.verdict for rep in result.reports}
     assert verdicts[0.41] is Verdict.NEGATIVE_DEFINITE
     assert verdicts[0.42] is Verdict.INDEFINITE
@@ -93,7 +102,7 @@ def test_definiteness_sweep_bs_full_range():
         "seed": 1,
         "samples_per_point": 1,
     })
-    result = run_definiteness_sweep(spec)
+    result = run_definiteness_sweep(spec.families, spec.omega0_grid, spec.r_grid)
     for rep in result.reports:
         if rep.r < 1.0:
             assert rep.verdict is Verdict.NEGATIVE_DEFINITE
@@ -110,7 +119,7 @@ def test_definiteness_sweep_qs_positive_grid():
         "seed": 1,
         "samples_per_point": 1,
     })
-    result = run_definiteness_sweep(spec)
+    result = run_definiteness_sweep(spec.families, spec.omega0_grid, spec.r_grid)
     for rep in result.reports:
         if rep.r < 1.0:
             assert rep.verdict is Verdict.NEGATIVE_DEFINITE
@@ -125,7 +134,7 @@ def test_definiteness_sweep_qs_certifies_r0():
         "seed": 1,
         "samples_per_point": 1,
     })
-    result = run_definiteness_sweep(spec)
+    result = run_definiteness_sweep(spec.families, spec.omega0_grid, spec.r_grid)
     assert [(rep.omega0, rep.r, rep.verdict) for rep in result.reports] == [
         (omega0, r, verdict)
         for omega0 in (1.0, 10.0)
@@ -134,6 +143,18 @@ def test_definiteness_sweep_qs_certifies_r0():
                            (1.0, Verdict.NEGATIVE_SEMIDEFINITE))
     ]
     assert abs(result.thresholds["QsWorstCase"] - 1.0) < 1e-6
+
+
+def test_definiteness_sweep_passes_its_tolerance():
+    # the verdict tolerance reaches every report and the bisection: at 0.1
+    # the As boundary is where the largest eigenvalue crosses -0.1
+    grid = [round(0.1 * k, 1) for k in range(6)]
+    result = run_definiteness_sweep([MatrixFamily.AS], [1.0, 4.0], grid, tol=0.1)
+    assert [(rep.omega0, rep.r, rep.tol) for rep in result.reports] == [
+        (omega0, r, 0.1) for omega0 in (1.0, 4.0) for r in grid]
+    r_star = result.thresholds["As"]
+    assert certify(MatrixFamily.AS, make_params(1.0, r_star - 1e-6)).max_eig < -0.1
+    assert certify(MatrixFamily.AS, make_params(1.0, r_star + 1e-6)).max_eig > -0.1
 
 
 def test_detect_threshold_uses_report_tolerance():
@@ -177,7 +198,7 @@ def test_decay_study_rejects_zero_states():
 
 
 def test_decay_study_records_integrator_failures(monkeypatch):
-    def always_fail(w, p, dt, tol, max_iter):
+    def always_fail(w, p, dt):
         raise integrators.NewtonError("forced", 1.0)
 
     monkeypatch.setattr(integrators, "_newton_dg", always_fail)
@@ -240,10 +261,8 @@ def test_sweep_summaries_canonical_order():
 
 def test_negated_energy_fails_decay_study(monkeypatch):
     # harness meta-test: a sign-flipped V must be caught on every state
-    monkeypatch.setattr(
-        integrators, "_lyapunov_value",
-        lambda w, p: -lyapunov.lyapunov_value(w, p),
-    )
+    real = lyapunov.lyapunov_value
+    monkeypatch.setattr(lyapunov, "lyapunov_value", lambda w, p: -real(w, p))
     p = make_params(1.0, 0.5)
     result = run_decay_study(p, seed=3, n_states=8, cfg=StepConfig(dt=0.1), t_end=5.0)
     assert all(not s.passed for s in result.summaries)

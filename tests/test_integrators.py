@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from moogvcf.integrators import (
     Method,
     NewtonError,
     StepConfig,
-    discrete_gradients,
+    _stage_quotients,
     simulate,
     step_discrete_gradient,
     step_rk4,
@@ -26,10 +27,13 @@ def test_step_config_validation():
     for dt in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="dt"):
             StepConfig(dt=dt)
-    with pytest.raises(ValueError):
-        StepConfig(dt=0.1, newton_tol=0.0)
-    with pytest.raises(ValueError):
-        StepConfig(dt=0.1, newton_max_iter=0)
+    # The Newton tolerance and iteration cap are module constants, so no
+    # configuration can set them to a value that breaks the solve.
+    assert [f.name for f in dataclasses.fields(StepConfig)] == ["dt", "method"]
+    for knob in ("newton_tol", "newton_max_iter"):
+        with pytest.raises(TypeError):
+            StepConfig(dt=0.1, **{knob: 0})
+    assert integrators._NEWTON_TOL > 0.0 and integrators._NEWTON_MAX_ITER >= 1
 
 
 def test_rk4_consistent_with_field():
@@ -91,17 +95,17 @@ full_resonances = st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0)
 @settings(max_examples=500)
 def test_discrete_gradient_telescopes(r, w, v):
     p = make_params(1.0, r)
+    *zbar, _ = _stage_quotients(tuple(w), tuple(v), model.stage_table(p))
     w = np.array(w)
     v = np.array(v)
-    zbar, _ = discrete_gradients(w, v, p)
     change = lyapunov.lyapunov_value(v, p) - lyapunov.lyapunov_value(w, p)
-    assert abs(change - float(zbar @ (v - w))) < 1e-12
+    assert abs(change - float(np.array(zbar) @ (v - w))) < 1e-12
 
 
 def test_discrete_gradient_coincidence_limit():
     p = make_params(1.0, 0.7)
     w = np.array([0.3, -1.0, 2.0, 0.5])
-    zbar, du4 = discrete_gradients(w, w, p)
+    *zbar, du4 = _stage_quotients(tuple(w.tolist()), tuple(w.tolist()), model.stage_table(p))
     assert np.array_equal(zbar, model.saturation_vector(w, p))
     d3 = p.d ** 3
     assert du4 == pytest.approx(d3 * math.tanh(w[3] / d3), rel=1e-15)
@@ -116,9 +120,9 @@ def test_discrete_gradient_coincidence_limit():
 def test_discrete_feedback_ratio_within_bounds(r, w4, v4):
     # the mean-value bound that makes the implicit scheme dissipative
     p = make_params(1.0, r)
-    w = np.array([0.0, 0.0, 0.0, w4])
-    v = np.array([0.0, 0.0, 0.0, v4])
-    zbar, du4 = discrete_gradients(w, v, p)
+    w = (0.0, 0.0, 0.0, w4)
+    v = (0.0, 0.0, 0.0, v4)
+    *zbar, du4 = _stage_quotients(w, v, model.stage_table(p))
     if abs(zbar[3]) < 1e-6:
         return
     gbar = du4 / zbar[3]
@@ -129,12 +133,12 @@ def test_discrete_feedback_ratio_within_bounds(r, w4, v4):
 
 def test_zero_feedback_branch_gradients():
     p = make_params(1.0, 0.0)
-    w = np.array([1.0, -2.0, 0.5, 3.0])
-    v = np.array([0.5, -1.0, 1.5, 2.0])
-    zbar, du4 = discrete_gradients(w, v, p)
+    w = (1.0, -2.0, 0.5, 3.0)
+    v = (0.5, -1.0, 1.5, 2.0)
+    *zbar, du4 = _stage_quotients(w, v, model.stage_table(p))
     assert du4 == zbar[3]
     change = lyapunov.V_zero_feedback(v) - lyapunov.V_zero_feedback(w)
-    assert abs(change - float(zbar @ (v - w))) < 1e-12
+    assert abs(change - float(np.array(zbar) @ (np.array(v) - np.array(w)))) < 1e-12
 
 
 big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_size=4)
@@ -226,11 +230,12 @@ def test_trajectory_convergence_order_at_least_one():
     assert slope >= 1.0
 
 
-def test_newton_reports_residual_on_failure():
+def test_newton_reports_residual_on_failure(monkeypatch):
+    monkeypatch.setattr(integrators, "_NEWTON_TOL", 1e-30)
+    monkeypatch.setattr(integrators, "_NEWTON_MAX_ITER", 2)
     p = make_params(100.0, 0.9)
-    cfg = StepConfig(dt=0.5, newton_tol=1e-30, newton_max_iter=2)
     with pytest.raises(NewtonError) as exc:
-        step_discrete_gradient(np.array([1.0, 1.0, -1.0, 0.5]), p, cfg)
+        step_discrete_gradient(np.array([1.0, 1.0, -1.0, 0.5]), p, StepConfig(dt=0.5))
     assert exc.value.residual > 0.0
 
 
@@ -301,11 +306,11 @@ def test_simulate_step_halving_recovers(monkeypatch):
     real = integrators._newton_dg
     calls = []
 
-    def flaky(w, p, dt, tol, max_iter):
+    def flaky(w, p, dt):
         calls.append(dt)
         if dt > 0.03:
             raise NewtonError("forced", 1.0)
-        return real(w, p, dt, tol, max_iter)
+        return real(w, p, dt)
 
     monkeypatch.setattr(integrators, "_newton_dg", flaky)
     p = make_params(1.0, 0.5)
@@ -315,7 +320,7 @@ def test_simulate_step_halving_recovers(monkeypatch):
 
 
 def test_simulate_halving_gives_up_with_step_index(monkeypatch):
-    def always_fail(w, p, dt, tol, max_iter):
+    def always_fail(w, p, dt):
         raise NewtonError("forced", 2.5)
 
     monkeypatch.setattr(integrators, "_newton_dg", always_fail)
@@ -337,4 +342,4 @@ def test_stress_matrix_dissipation_sample():
                 stream = substream(99, i)
                 x0 = np.array([stream.uniform(-5, 5) for _ in range(4)])
                 traj = simulate(x0, p, cfg, 50)
-                assert np.diff(traj.V).max() <= 10.0 * cfg.newton_tol
+                assert np.diff(traj.V).max() <= 10.0 * integrators._NEWTON_TOL

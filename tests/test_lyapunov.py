@@ -201,14 +201,24 @@ def test_branch_dispatchers():
 
 
 def test_candidate_dispatch():
+    # each of the three candidate energies, evaluated through the names the
+    # toolkit uses for it, against its defining formula: 0.5 x'x, 0.5 w'w,
+    # and the log-cosh stage energy, which lyapunov_value dispatches to the
+    # feedback-free sum at r = 0
     p = make_params(1.0, 0.5)
     x = np.array([1.0, -1.0, 0.5, 2.0])
     w = model.to_scaled(x, p.d)
-    assert lyapunov.candidate_value(lyapunov.LyapunovKind.QUADRATIC_X, x, p) == V_quadratic_x(x)
-    assert lyapunov.candidate_value(lyapunov.LyapunovKind.QUADRATIC_W, w, p) == V_quadratic_w(w)
-    assert lyapunov.candidate_value(lyapunov.LyapunovKind.LOG_COSH, w, p) == V_nonlinear(w, p)
+    assert V_quadratic_x(x) == 0.5 * float(x @ x)
+    assert V_quadratic_w(w) == 0.5 * float(w @ w)
+    assert lyapunov.lyapunov_value(w, p) == V_nonlinear(w, p)
+    d = p.d
+    assert V_nonlinear(w, p) == pytest.approx(
+        math.log(math.cosh(w[0])) + d ** 2 * math.log(math.cosh(w[1] / d))
+        + d ** 4 * math.log(math.cosh(w[2] / d ** 2))
+        + d ** 2 / (4 * p.r) * math.log(math.cosh(4 * p.r * w[3] / d ** 3)), rel=1e-14)
     p0 = make_params(1.0, 0.0)
-    assert lyapunov.candidate_value(lyapunov.LyapunovKind.LOG_COSH, x, p0) == V_zero_feedback(x)
+    assert lyapunov.lyapunov_value(x, p0) == V_zero_feedback(x)
+    assert V_zero_feedback(x) == pytest.approx(sum(math.log(math.cosh(u)) for u in x), rel=1e-15)
 
 
 def test_symmetrize():
@@ -348,6 +358,65 @@ def test_threshold_requires_sign_change():
         definiteness_threshold(MatrixFamily.AS, 0.0, 0.2)
     with pytest.raises(ValueError):
         definiteness_threshold(MatrixFamily.AS, 0.5, 0.3)
+
+
+def _limit_eigensolves(monkeypatch, limit=500):
+    """Make sym_eigvals raise after limit calls, so that a bisection that
+    never ends fails the test instead of hanging the suite."""
+    real = lyapunov.sym_eigvals
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} eigensolves")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "sym_eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [1e-20, 5e-324])
+def test_threshold_stops_at_float_spacing(monkeypatch, tol):
+    # a width below the bracket's float spacing cannot be reached; bisection
+    # must stop once the midpoint equals an end
+    calls = _limit_eigensolves(monkeypatch)
+    r_star = definiteness_threshold(MatrixFamily.AS, 0.0, 1.0, tol=tol)
+    assert len(calls) < 100
+    # the flip of max_eig < -1e-10 lies within 1e-12 of the result
+    below = certify(MatrixFamily.AS, make_params(1.0, r_star - 1e-12))
+    above = certify(MatrixFamily.AS, make_params(1.0, r_star + 1e-12))
+    assert below.verdict is Verdict.NEGATIVE_DEFINITE
+    assert above.verdict is not Verdict.NEGATIVE_DEFINITE
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"tol": 0.0}, "tol"),
+    ({"tol": -1e-8}, "tol"),
+    ({"tol": math.nan}, "tol"),
+    ({"tol": math.inf}, "tol"),
+    ({"verdict_tol": -1.0}, "verdict_tol"),
+    ({"verdict_tol": math.nan}, "verdict_tol"),
+    ({"verdict_tol": math.inf}, "verdict_tol"),
+])
+def test_threshold_rejects_bad_tolerance(monkeypatch, kwargs, name):
+    calls = _limit_eigensolves(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        definiteness_threshold(MatrixFamily.AS, 0.0, 1.0, **kwargs)
+    assert not calls
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_certify_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match=r"^tol must be finite and >= 0"):
+        certify(MatrixFamily.AS, make_params(1.0, 0.5), tol=tol)
+
+
+def test_certify_accepts_zero_tolerance():
+    # tol = 0 leaves no semidefinite band: only an exactly zero eigenvalue
+    rep = certify(MatrixFamily.AS, make_params(1.0, 0.3), tol=0.0)
+    assert rep.verdict is Verdict.NEGATIVE_DEFINITE
+    assert certify(MatrixFamily.AS, make_params(1.0, 0.5), tol=0.0).verdict is Verdict.INDEFINITE
 
 
 def test_stability_condition_over_resonance_range():
