@@ -7,9 +7,12 @@ with the shortest round-trip decimal representation.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import experiments, integrators, lyapunov, model, spectral
 from .experiments import SweepSpec
@@ -21,18 +24,18 @@ SCHEMA_VERSION = 1
 
 # Largest number of points --r-grid may expand to; checked before allocating.
 _MAX_GRID_POINTS = 10 ** 6
+# simulate renders and writes CSV rows in blocks of this many.
+_BLOCK_ROWS = 1024
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text, out_path: str | None) -> None:
+    """Write text, a string or an iterable of strings, to out_path or stdout."""
+    with open(out_path, "w", newline="") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -61,7 +64,10 @@ def _parse_x0(raw: str):
 
 
 def _parse_families(raw: str) -> list[MatrixFamily]:
-    return [lyapunov.family_named(name.strip()) for name in raw.split(",")]
+    families = [lyapunov.family_named(name.strip()) for name in raw.split(",")]
+    if len(set(families)) < len(families):
+        raise ValueError(f"--families names a family twice: {raw!r}")
+    return families
 
 
 def _cmd_eig(args) -> int:
@@ -147,9 +153,8 @@ def _cmd_simulate(args) -> int:
     cfg = StepConfig(dt=args.dt, method=method)
     traj = integrators.simulate(x0, p, cfg, args.steps)
     # Per-step energy change, for the method that guarantees its sign.
-    dv = None
-    if method is Method.DISCRETE_GRADIENT:
-        dv = [0.0] + [traj.V[k] - traj.V[k - 1] for k in range(1, len(traj.V))]
+    dg = method is Method.DISCRETE_GRADIENT
+    dv = np.concatenate(([0.0], np.diff(traj.V))) if dg else None
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -157,31 +162,24 @@ def _cmd_simulate(args) -> int:
             "r": p.r,
             "method": method.value,
             "dt": cfg.dt,
-            "t": list(traj.times),
-            "x": [list(row) for row in traj.states],
-            "v": list(traj.V),
-            "vdot": list(traj.Vdot),
+            "t": traj.times.tolist(),
+            "x": traj.states.tolist(),
+            "v": traj.V.tolist(),
+            "vdot": traj.Vdot.tolist(),
         }
-        if dv is not None:
-            payload["dv"] = dv
+        if dg:
+            payload["dv"] = dv.tolist()
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
-    header = "t,x1,x2,x3,x4,v,vdot" + (",dv" if dv is not None else "")
-    lines = [header]
-    for k in range(len(traj.times)):
-        row = [
-            _fmt(traj.times[k]),
-            _fmt(traj.states[k][0]),
-            _fmt(traj.states[k][1]),
-            _fmt(traj.states[k][2]),
-            _fmt(traj.states[k][3]),
-            _fmt(traj.V[k]),
-            _fmt(traj.Vdot[k]),
-        ]
-        if dv is not None:
-            row.append(_fmt(dv[k]))
-        lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", args.out)
+    columns = [traj.times, *traj.states.T, traj.V, traj.Vdot] + ([dv] if dg else [])
+
+    def blocks():  # written as rendered, so neither a row list nor the text spans the run
+        yield "t,x1,x2,x3,x4,v,vdot" + (",dv" if dg else "") + "\n"
+        for i in range(0, len(traj.times), _BLOCK_ROWS):
+            rows = zip(*(column[i:i + _BLOCK_ROWS].tolist() for column in columns))
+            yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+    _emit(blocks(), args.out)
     return 0
 
 

@@ -87,9 +87,12 @@ class SweepSpec:
         families = []
         for i, name in enumerate(fams):
             try:
-                families.append(lyapunov.family_named(name))
+                family = lyapunov.family_named(name)
             except ValueError as err:
                 raise SpecValidationError(f"families[{i}]", str(err)) from None
+            if family in families:
+                raise SpecValidationError(f"families[{i}]", f"repeats {name!r}")
+            families.append(family)
 
         seed = data.get("seed")
         if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):

@@ -16,6 +16,7 @@ is done when recording trajectories.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul, truediv
 
 import numpy as np
 
@@ -81,16 +82,25 @@ def _finite_state(x, name: str) -> np.ndarray:
     return x
 
 
+def _rk4(x, p: FilterParams, dt: float) -> tuple:
+    """Classic fourth-order step x + dt/6 (k1 + 2 k2 + 2 k3 + k4) of
+    model.nonlinear_field on the float 4-tuple x, in the array form's order."""
+    field = model.nonlinear_field
+    h = 0.5 * dt
+    x1, x2, x3, x4 = x
+    a1, a2, a3, a4 = field(x, p)
+    b1, b2, b3, b4 = field((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4), p)
+    c1, c2, c3, c4 = field((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4), p)
+    d1, d2, d3, d4 = field((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4), p)
+    s = dt / 6.0
+    return (x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1), x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3), x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+
+
 def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     """Classic fourth-order one-step update of rhs_nonlinear."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    x = _finite_state(x, "x")
-    k1 = model.rhs_nonlinear(x, p)
-    k2 = model.rhs_nonlinear(x + 0.5 * dt * k1, p)
-    k3 = model.rhs_nonlinear(x + 0.5 * dt * k2, p)
-    k4 = model.rhs_nonlinear(x + dt * k3, p)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    StepConfig(dt)  # validates dt
+    return np.array(_rk4(tuple(_finite_state(x, "x").tolist()), p, dt))
 
 
 def _stage_quotients(w, v, table):
@@ -246,34 +256,21 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     x0 = _finite_state(x0, "x0")
-
-    times = np.empty(n_steps + 1)
+    scale = model.scaling_matrix(p.d).diagonal().tolist()  # w = D x, entry by entry
+    rk4 = cfg.method is Method.RK4
+    u = tuple(x0.tolist() if rk4 else map(mul, scale, x0.tolist()))  # x for RK4, w for DG
+    value, rate = lyapunov.lyapunov_value, lyapunov.lyapunov_rate
     states = np.empty((n_steps + 1, 4))
-    energy = np.empty(n_steps + 1)
-    rate = np.empty(n_steps + 1)
-
-    def record(k, x, w):
-        times[k] = k * cfg.dt
-        states[k] = x
-        energy[k] = lyapunov.lyapunov_value(w, p)
-        rate[k] = lyapunov.lyapunov_rate(w, p)
-
-    if cfg.method is Method.RK4:
-        x = x0
-        record(0, x, model.to_scaled(x, p.d))
-        for k in range(1, n_steps + 1):
-            x = step_rk4(x, p, cfg.dt)
-            record(k, x, model.to_scaled(x, p.d))
-    else:
-        w = tuple(model.to_scaled(x0, p.d).tolist())
-        record(0, model.from_scaled(w, p.d), w)
-        for k in range(1, n_steps + 1):
+    energy, rates = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    for k in range(n_steps + 1):
+        if k:  # row 0 records the initial state
             try:
-                w = _advance_dg(w, p, cfg.dt)
+                u = _rk4(u, p, cfg.dt) if rk4 else _advance_dg(u, p, cfg.dt)
             except NewtonError as err:
-                raise NewtonError(
-                    f"integration failed at step {k}", err.residual, step=k
-                ) from err
-            record(k, model.from_scaled(w, p.d), w)
-
-    return Trajectory(times=times, states=states, V=energy, Vdot=rate)
+                raise NewtonError(f"integration failed at step {k}", err.residual, step=k) from err
+        x, w = (u, tuple(map(mul, scale, u))) if rk4 else (tuple(map(truediv, u, scale)), u)
+        states[k] = x
+        energy[k] = value(w, p)
+        rates[k] = rate(w, p)
+    return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt, states=states,
+                      V=energy, Vdot=rates)

@@ -104,6 +104,19 @@ def lyapunov_value(w, p: FilterParams) -> float:
             + s3 * log_cosh(k3 * w3) + s4 * log_cosh(k4 * w4))
 
 
+@model.per_params
+def _rate_constants(p: FilterParams):
+    """The w-independent terms of lyapunov_rate's LDL' factorisation."""
+    h = 0.5 * p.d
+    c = 0.5 * p.feedback_coeff
+    piv2 = 1.0 - h * h  # >= 1/2, as d^2 <= 2
+    l32, l42 = -h / piv2, h * c / piv2
+    piv3 = max(0.0, 1.0 - h * h / piv2)
+    m34 = -h + h * h * c / piv2
+    l43 = m34 / piv3 if piv3 > 0.0 else 0.0
+    return h, c, piv2, l32, l42, piv3, l43, c * c, h * c * l42, m34 * l43
+
+
 def lyapunov_rate(w, p: FilterParams) -> float:
     """Decay rate omega0 * z' F of lyapunov_value, with z the stage gradients
     and F = model.stage_field(z); for r > 0 it is omega0 * z' sym(Q) z, as
@@ -117,20 +130,14 @@ def lyapunov_rate(w, p: FilterParams) -> float:
     along the null direction of -sym(Q) at r = 1, where d^2 = 2 and the
     third pivot vanishes.
     """
+    h, c, piv2, l32, l42, piv3, l43, cc, hcl42, ml43 = _rate_constants(p)
     z1, z2, z3, z4, du4 = model.stage_gradients(w, model.stage_table(p))
-    h = 0.5 * p.d
-    c = 0.5 * p.feedback_coeff
-    piv2 = 1.0 - h * h  # >= 1/2, as d^2 <= 2
-    l32, l42 = -h / piv2, h * c / piv2
-    piv3 = max(0.0, 1.0 - h * h / piv2)
-    m34 = -h + h * h * c / piv2
-    l43 = m34 / piv3 if piv3 > 0.0 else 0.0
     y1 = z1 - h * z2 + c * z4
     y2 = z2 + l32 * z3 + l42 * z4
     y3 = z3 + l43 * z4
     quad = y1 * y1 + piv2 * y2 * y2 + piv3 * y3 * y3
     if z4 != 0.0:
-        piv4 = max(0.0, du4 / z4 - c * c - h * c * l42 - m34 * l43)
+        piv4 = max(0.0, du4 / z4 - cc - hcl42 - ml43)
         quad += piv4 * z4 * z4
     return 0.0 - p.omega0 * quad  # not -(...): the origin gives 0.0, not -0.0
 

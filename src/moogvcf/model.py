@@ -6,6 +6,7 @@ voltages of the ladder, ``w = D x`` its diagonally rescaled image with
 the system is exactly four-dimensional, so no general-N machinery is used.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -82,24 +83,25 @@ def make_params(omega0: float, r: float) -> FilterParams:
     return _derive(omega0, r)
 
 
-def rhs_nonlinear(x, p: FilterParams) -> np.ndarray:
-    """Autonomous vector field dx/dt of the four-stage ladder.
+def nonlinear_field(x, p: FilterParams) -> tuple:
+    """Autonomous vector field dx/dt of the four-stage ladder on a float
+    4-tuple, the field that RK4 integrates.
 
     dx/dt = omega0 * [-tanh(x1) - tanh(4r * x4),
                       -tanh(x2) + tanh(x1),
                       -tanh(x3) + tanh(x2),
                       -tanh(x4) + tanh(x3)]
     """
-    x1, x2, x3, x4 = (float(v) for v in x)
+    x1, x2, x3, x4 = x
     t1, t2, t3, t4 = math.tanh(x1), math.tanh(x2), math.tanh(x3), math.tanh(x4)
     fb = math.tanh(p.feedback_gain * x4)
     w0 = p.omega0
-    return np.array([
-        w0 * (-t1 - fb),
-        w0 * (-t2 + t1),
-        w0 * (-t3 + t2),
-        w0 * (-t4 + t3),
-    ])
+    return (w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3))
+
+
+def rhs_nonlinear(x, p: FilterParams) -> np.ndarray:
+    """nonlinear_field at any real 4-vector x, as an array."""
+    return np.array(nonlinear_field(tuple(map(float, x)), p))
 
 
 def rhs_scaled(w, p: FilterParams) -> np.ndarray:
@@ -162,6 +164,21 @@ def from_scaled(w, d: float) -> np.ndarray:
     return np.array([w1, w2 / d, w3 / (d * d), w4 / (d * d * d)])
 
 
+def per_params(fn):
+    """Memoise fn(p) on the FilterParams p itself: constants derived from
+    the parameters are computed once per parameter set and freed with it."""
+    key = f"_{fn.__module__}.{fn.__name__}"
+
+    @functools.wraps(fn)
+    def memo(p):
+        if key not in p.__dict__:  # not a field: equality, hash and repr ignore it
+            p.__dict__[key] = fn(p)
+        return p.__dict__[key]
+
+    return memo
+
+
+@per_params
 def stage_table(p: FilterParams):
     """(scale S, inner k) of each stage potential S * lncosh(k * u): the four
     stage energies of V in w1..w4, then the stage-4 damping potential

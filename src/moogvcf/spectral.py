@@ -128,17 +128,15 @@ def _poly_eval(coeffs, z):
     return v
 
 
-def _durand_kerner_f64(coeffs, tol, max_iter):
-    """Float64 simultaneous iteration.  Returns (roots, converged)."""
-    cs = [complex(c) for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in cs[1:])
-    base = complex(0.4, 0.9)
-    roots = [radius ** 0.25 * base ** k for k in range(1, 5)]
+def _durand_kerner(cs, roots, one, tol, max_iter):
+    """Simultaneous iteration on the monic coefficients cs from the start
+    roots, in the arithmetic of cs and one (the unit of that arithmetic).
+    Returns (roots, converged)."""
     for _ in range(max_iter):
         max_upd = 0.0
         new = []
         for i in range(4):
-            den = 1.0 + 0.0j
+            den = one
             for j in range(4):
                 if j != i:
                     den *= roots[i] - roots[j]
@@ -161,21 +159,7 @@ def _durand_kerner_mp(coeffs, max_iter=600):
         radius = 1 + max(abs(c) for c in cs[1:])
         base = mp.mpc(0.4, 0.9)
         roots = [radius ** (mp.mpf(1) / 4) * base ** k for k in range(1, 5)]
-        tol = mp.mpf("1e-15")
-        for _ in range(max_iter):
-            max_upd = mp.mpf(0)
-            new = []
-            for i in range(4):
-                den = mp.mpc(1)
-                for j in range(4):
-                    if j != i:
-                        den *= roots[i] - roots[j]
-                upd = _poly_eval(cs, roots[i]) / den
-                new.append(roots[i] - upd)
-                max_upd = max(max_upd, abs(upd) / (1 + abs(roots[i])))
-            roots = new
-            if max_upd < tol:
-                break
+        roots, _ = _durand_kerner(cs, roots, mp.mpc(1), mp.mpf("1e-15"), max_iter)
         return [complex(r) for r in roots]
 
 
@@ -198,7 +182,9 @@ def eigvals_numeric(M, tol: float = 1e-12, max_iter: int = 200) -> Spectrum:
     """
     exact = characteristic_coeffs(M)
     cs64 = [float(c) for c in exact]
-    roots, converged = _durand_kerner_f64(cs64, tol, max_iter)
+    radius = 1.0 + max(abs(c) for c in cs64[1:])
+    start = [radius ** 0.25 * complex(0.4, 0.9) ** k for k in range(1, 5)]
+    roots, converged = _durand_kerner(list(map(complex, cs64)), start, 1.0 + 0.0j, tol, max_iter)
     if not converged or _roots_clustered(roots):
         roots = _durand_kerner_mp(exact, max_iter=3 * max_iter)
     # Backward-error residual: |p(root)| relative to sum |c_k| |root|^k.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -157,6 +158,13 @@ def test_certify_rejects_unknown_family(capsys):
     code, _, err = run(capsys, "certify", "--families", "Zs", "--r-grid", "0:1:0.5")
     assert code == 2
     assert "family" in err
+
+
+def test_certify_rejects_duplicate_family(capsys):
+    code, out, err = run(capsys, "certify", "--families", "As,As", "--r-grid", "0:1:0.5")
+    assert code == 2
+    assert out == ""
+    assert "--families" in err
 
 
 def test_simulate_zero_state(capsys):
@@ -350,6 +358,30 @@ def test_simulate_golden_bytes(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the README's two simulate commands, recorded from the array-based
+# integrator that preceded the float-tuple RK4 kernel.
+README_SIMULATE = {
+    "dg": ["--omega0", "100", "--r", "0.9", "--x0", "1,1,-1,0.5", "--dt", "0.1",
+           "--steps", "1000", "--method", "dg"],
+    "rk4": ["--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0", "--dt", "0.001",
+            "--steps", "5000", "--method", "rk4"],
+}
+README_DIGESTS = {
+    ("dg", "csv"): "58d72f304324a1dd1a46d7f82d1561a5c3f9fef99fa83b139d3e25ce7273b325",
+    ("rk4", "csv"): "5c4d543f1ad87e1a0974d88c89e985f806e47c6ea58d5f6facccb6e1683b6ec2",
+    ("dg", "json"): "eaaecb36f32b53df5891735719c2834c9738bbd621e290b15fcbf982e254e658",
+    ("rk4", "json"): "885fc4b1c1d9c4535a9d1bac83174501fdff0113e3740974501f31d88c630fd6",
+}
+
+
+@pytest.mark.parametrize("method, fmt", sorted(README_DIGESTS))
+def test_simulate_readme_commands_keep_their_bytes(tmp_path, method, fmt):
+    out = tmp_path / f"{method}.{fmt}"
+    argv = ["simulate", *README_SIMULATE[method], "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_DIGESTS[method, fmt]
 
 
 def test_gradcheck_single_point(capsys):

@@ -69,6 +69,8 @@ def test_spec_from_dict_minimal():
     ({"r": [math.nan]}, "r[0]"),
     ({"families": [["As"]]}, "families[0]"),
     ({"method": ["dg"]}, "method"),
+    ({"families": ["As", "Bs", "As"]}, "families[2]"),
+    ({"families": ["As", "As"]}, "families[1]"),
 ])
 def test_spec_validation_paths(patch, path):
     data = {"r": [0.5], "omega0": [1], "families": ["As"],

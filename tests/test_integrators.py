@@ -45,6 +45,22 @@ def test_rk4_consistent_with_field():
     assert np.abs(increment - field).max() <= 1e-6 * np.abs(field).max()
 
 
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+def test_rk4_kernel_matches_array_form_bitwise(r):
+    # the textbook array form on numpy vectors is the reference
+    p = make_params(3.0, r)
+    rng = np.random.default_rng(5)
+    for dt in (1e-3, 0.05, 0.7):
+        for _ in range(20):
+            x = rng.uniform(-6.0, 6.0, size=4)
+            k1 = model.rhs_nonlinear(x, p)
+            k2 = model.rhs_nonlinear(x + 0.5 * dt * k1, p)
+            k3 = model.rhs_nonlinear(x + 0.5 * dt * k2, p)
+            k4 = model.rhs_nonlinear(x + dt * k3, p)
+            want = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert step_rk4(x, p, dt).tobytes() == want.tobytes()
+
+
 def test_rk4_matches_matrix_exponential_in_linear_regime():
     # eigendecomposition oracle for exp(A dt) acting on a tiny state
     p = make_params(1.0, 0.3)
@@ -267,6 +283,27 @@ def test_simulate_records_consistent_columns():
         w = model.to_scaled(traj.states[k], p.d)
         assert traj.V[k] == pytest.approx(lyapunov.V_nonlinear(w, p), rel=1e-12)
         assert traj.Vdot[k] == pytest.approx(lyapunov.Vdot_nonlinear(w, p), rel=1e-9, abs=1e-12)
+
+
+def test_simulate_rk4_states_equal_repeated_steps():
+    p = make_params(1.0, 0.9)
+    cfg = StepConfig(dt=0.05, method=Method.RK4)
+    x = np.array([3.0, -1.5, 0.25, 4.0])
+    traj = simulate(x, p, cfg, 40)
+    want = [x]
+    for _ in range(40):
+        want.append(step_rk4(want[-1], p, cfg.dt))
+    assert traj.states.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_trajectory_arrays_are_float64(method):
+    n = 7
+    traj = simulate([1, -2, 0, 3], make_params(1.0, 0.5), StepConfig(dt=1, method=method), n)
+    for column in (traj.times, traj.V, traj.Vdot):
+        assert column.dtype == np.float64 and column.shape == (n + 1,)
+    assert traj.states.dtype == np.float64 and traj.states.shape == (n + 1, 4)
+    assert traj.times.tolist() == [float(k) for k in range(n + 1)]
 
 
 def test_simulate_rk4_energy_decay_small_steps():

@@ -438,3 +438,14 @@ def test_case_split_by_resonance():
     for r in (0.26, 0.5, 1.0):
         p = make_params(1.0, r)
         assert p.d == p.alpha > 1.0
+
+
+def test_energy_constants_are_kept_per_params():
+    p = make_params(2.0, 0.7)
+    w = (0.5, -1.0, 2.0, -0.25)
+    first = (lyapunov.lyapunov_value(w, p), lyapunov.lyapunov_rate(w, p))
+    assert model.stage_table(p) is model.stage_table(p)
+    assert lyapunov._rate_constants(p) is lyapunov._rate_constants(p)
+    fresh = make_params(2.0, 0.7)  # nothing cached on it yet
+    assert fresh == p and hash(fresh) == hash(p) and repr(fresh) == repr(p)
+    assert (lyapunov.lyapunov_value(w, fresh), lyapunov.lyapunov_rate(w, fresh)) == first
