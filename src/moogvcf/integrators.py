@@ -103,87 +103,84 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return np.array(_rk4(tuple(_finite_state(x, "x").tolist()), p, dt))
 
 
-def _stage_quotients(w, v, table):
-    """Coordinate-wise discrete gradients between the tuples w and v.
-
-    Returns [z1, z2, z3, z4, du4]: the quotients of the four stage
-    potentials of model.stage_table, then of the stage-4 damping potential,
-    both of the last along coordinate 4.  At coincidence the analytic
-    derivatives (model.stage_gradients) are used.
-    """
-    lcd = lyapunov.log_cosh_diff
-    out = []
-    for a, b, (scale, inner) in zip(w + w[3:], v + v[3:], table):
-        h = b - a
-        if abs(h) < _COINCIDENCE_CUTOFF * max(1.0, abs(a)):
-            out.append(scale * inner * math.tanh(inner * a))
-        else:
-            out.append(scale * lcd(inner * a, inner * h) / h)
-    return out
+@model.per_params
+def _stage_constants(p: FilterParams):
+    """(S, k, S*k, S*k^2/2) for each stage potential S * lncosh(k * u) of
+    model.stage_table: the quotient's two factors, the analytic derivative's
+    factor and the coincidence limit of the quotient's slope."""
+    return tuple((s, k, s * k, 0.5 * s * k * k) for s, k in model.stage_table(p))
 
 
-def _quotient_derivative(a, h, scale, inner, zbar_i):
-    """d/dv of a stage quotient; limit form S*inner^2*sech^2/2 near
-    coincidence.  The quotient is a secant slope of a convex potential, so
-    the derivative is nonnegative; the secant form is clamped at 0 so that
-    rounding cannot flip its sign."""
+def _quotient(a, b, stage):
+    """Discrete gradient (S lncosh(k b) - S lncosh(k a)) / (b - a) of one
+    stage potential; its analytic derivative S k tanh(k a) at coincidence."""
+    s, k, sk, _ = stage
+    h = b - a
+    # max(1, |a|) as a conditional, which gives the same value without a call
+    m = abs(a) if abs(a) > 1.0 else 1.0
+    if abs(h) < _COINCIDENCE_CUTOFF * m:
+        return sk * math.tanh(k * a)
+    return s * lyapunov.log_cosh_diff(k * a, k * h) / h
+
+
+def _quotient_slope(a, b, stage, z):
+    """d/db of the quotient z = _quotient(a, b, stage); limit form
+    S k^2 sech^2(k b) / 2 near coincidence.  The quotient is a secant slope
+    of a convex potential, so the derivative is nonnegative; the secant form
+    is clamped at 0 so that rounding cannot flip its sign."""
+    _, k, sk, half_skk = stage
+    h = b - a
     v = a + h
-    t = math.tanh(inner * v)
-    if abs(h) < _DERIVATIVE_CUTOFF * max(1.0, abs(a), abs(v)):
-        return 0.5 * scale * inner * inner * (1.0 - t * t)
-    return max(0.0, (scale * inner * t - zbar_i) / h)
+    t = math.tanh(k * v)
+    m = abs(a) if abs(a) > 1.0 else 1.0
+    if abs(h) < _DERIVATIVE_CUTOFF * (abs(v) if abs(v) > m else m):  # max(1, |a|, |v|)
+        return half_skk * (1.0 - t * t)
+    e = (sk * t - z) / h
+    return e if e > 0.0 else 0.0
 
 
-def _residual(w, v, p: FilterParams, table, dt_omega: float):
-    """Residual R(v) = v - w - dt*omega0*Fbar(w, v), and the stage quotients
-    zbar it was built from, which _jacobian reuses."""
-    zbar = _stage_quotients(w, v, table)
-    f1, f2, f3, f4 = model.stage_field(zbar, p)
-    res = (
-        v[0] - w[0] - dt_omega * f1,
-        v[1] - w[1] - dt_omega * f2,
-        v[2] - w[2] - dt_omega * f3,
-        v[3] - w[3] - dt_omega * f4,
-    )
-    return res, zbar
-
-
-def _jacobian(w, v, p: FilterParams, table, zbar, dt_omega: float):
-    """4x4 Jacobian of _residual at v, from the quotients zbar at v.
-
-    It is lower bidiagonal plus the (1, 4) feedback corner, with diagonal
-    >= 1, nonpositive subdiagonal and nonnegative corner, because every
-    quotient derivative is nonnegative.
-    """
+def _residual(w, v, p: FilterParams, stages, dt_omega: float):
+    """Residual R(v) = v - w - dt*omega0*Fbar(w, v), with the scaled field
+    Fbar = (-z1 - d z4, d z1 - z2, d z2 - z3, d z3 - du4) of model.stage_field,
+    and the stage quotients (z1, z2, z3, z4, du4) it was built from."""
+    w1, w2, w3, w4 = w
+    v1, v2, v3, v4 = v
+    c1, c2, c3, c4, c5 = stages
+    z1, z2, z3 = _quotient(w1, v1, c1), _quotient(w2, v2, c2), _quotient(w3, v3, c3)
+    z4, du4 = _quotient(w4, v4, c4), _quotient(w4, v4, c5)
     d = p.d
-    dz1, dz2, dz3, dz4, ddu4 = [
-        _quotient_derivative(a, b - a, scale, inner, z)
-        for a, b, (scale, inner), z in zip(w + w[3:], v + v[3:], table, zbar)
-    ]
-    return [
-        [1.0 + dt_omega * dz1, 0.0, 0.0, dt_omega * p.feedback_coeff * dz4],
-        [-dt_omega * d * dz1, 1.0 + dt_omega * dz2, 0.0, 0.0],
-        [0.0, -dt_omega * d * dz2, 1.0 + dt_omega * dz3, 0.0],
-        [0.0, 0.0, -dt_omega * d * dz3, 1.0 + dt_omega * ddu4],
-    ]
+    res = (v1 - w1 - dt_omega * (-z1 - p.feedback_coeff * z4), v2 - w2 - dt_omega * (d * z1 - z2),
+           v3 - w3 - dt_omega * (d * z2 - z3), v4 - w4 - dt_omega * (d * z3 - du4))
+    return res, (z1, z2, z3, z4, du4)
 
 
-def _newton_step(jac, res):
-    """Newton step -J^{-1} R for the Jacobian J of _jacobian.
+def _newton_step(w, v, zbar, res, p: FilterParams, stages, dt_omega: float):
+    """Newton step -J^{-1} R at v, for the residual R and quotients zbar of
+    _residual at v.
 
-    Forward substitution writes the first three components as
-    s_i = p_i - q_i * s4.  The sign pattern of J makes every q_i >= 0, so
-    the last pivot J44 - J43*q3 is at least J44 >= 1 and no pivoting is
-    needed.
+    J is lower bidiagonal plus the (1, 4) feedback corner, with diagonal
+    >= 1, nonpositive subdiagonal and nonnegative corner, because every
+    quotient slope is nonnegative.  Forward substitution writes the first
+    three components as s_i = p_i - q_i * s4 with every q_i >= 0, so the
+    last pivot J44 - J43*q3 is at least J44 >= 1 and no pivoting is needed.
     """
-    (j11, _, _, j14), (j21, j22, _, _), (_, j32, j33, _), (_, _, j43, j44) = jac
+    w1, w2, w3, w4 = w
+    v1, v2, v3, v4 = v
+    z1, z2, z3, z4, du4 = zbar
+    c1, c2, c3, c4, c5 = stages
+    slope = _quotient_slope
+    e1, e2, e3 = slope(w1, v1, c1, z1), slope(w2, v2, c2, z2), slope(w3, v3, c3, z3)
+    e4, e5 = slope(w4, v4, c4, z4), slope(w4, v4, c5, du4)
+    sub = -dt_omega * p.d
+    j11, j22, j33 = 1.0 + dt_omega * e1, 1.0 + dt_omega * e2, 1.0 + dt_omega * e3
+    j21, j32, j43 = sub * e1, sub * e2, sub * e3
     p1 = -res[0] / j11
-    q1 = j14 / j11
+    q1 = dt_omega * p.feedback_coeff * e4 / j11
     p2 = (-res[1] - j21 * p1) / j22
     q2 = -j21 * q1 / j22
     p3 = (-res[2] - j32 * p2) / j33
     q3 = -j32 * q2 / j33
-    s4 = (-res[3] - j43 * p3) / (j44 - j43 * q3)
+    s4 = (-res[3] - j43 * p3) / (1.0 + dt_omega * e5 - j43 * q3)
     return (p1 - q1 * s4, p2 - q2 * s4, p3 - q3 * s4, s4)
 
 
@@ -194,26 +191,26 @@ def _newton_dg(w, p: FilterParams, dt: float):
     quotients take their analytic form, so the first iterate is the
     linearly implicit step.  On residual increase the update is halved up
     to 8 times and the best candidate kept; trial points get a residual
-    only, and the Jacobian is built for an accepted iterate still above
+    only, and the Newton step is built for an accepted iterate still above
     _NEWTON_TOL.  Raises NewtonError with the last residual if the infinity
     norm does not reach _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
     """
     dt_omega = dt * p.omega0
-    table = model.stage_table(p)
+    stages = _stage_constants(p)
     v = w
-    res, zbar = _residual(w, v, p, table, dt_omega)
-    rnorm = max(abs(r) for r in res)
+    res, zbar = _residual(w, v, p, stages, dt_omega)
+    rnorm = max(map(abs, res))
     for _ in range(_NEWTON_MAX_ITER):
         if rnorm <= _NEWTON_TOL:
             return v
-        step = _newton_step(_jacobian(w, v, p, table, zbar, dt_omega), res)
+        s1, s2, s3, s4 = _newton_step(w, v, zbar, res, p, stages, dt_omega)
+        v1, v2, v3, v4 = v
         best = None
         lam = 1.0
         for _halving in range(9):
-            cand = (v[0] + lam * step[0], v[1] + lam * step[1],
-                    v[2] + lam * step[2], v[3] + lam * step[3])
-            cres, czbar = _residual(w, cand, p, table, dt_omega)
-            cnorm = max(abs(r) for r in cres)
+            cand = (v1 + lam * s1, v2 + lam * s2, v3 + lam * s3, v4 + lam * s4)
+            cres, czbar = _residual(w, cand, p, stages, dt_omega)
+            cnorm = max(map(abs, cres))
             if best is None or cnorm < best[0]:
                 best = (cnorm, cand, cres, czbar)
             if cnorm < rnorm:
@@ -226,10 +223,10 @@ def _newton_dg(w, p: FilterParams, dt: float):
 
 
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
-    """One implicit discrete-gradient step of length cfg.dt from state x."""
+    """One implicit discrete-gradient step of length cfg.dt from state x,
+    taken as simulate takes it: Newton failures halve the interval."""
     w = model.to_scaled(_finite_state(x, "x"), p.d)
-    v = _newton_dg(tuple(w.tolist()), p, cfg.dt)
-    return model.from_scaled(v, p.d)
+    return model.from_scaled(_advance_dg(tuple(w.tolist()), p, cfg.dt), p.d)
 
 
 def _advance_dg(w, p, dt, depth=0):

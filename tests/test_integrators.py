@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from moogvcf.integrators import (
     Method,
     NewtonError,
     StepConfig,
-    _stage_quotients,
     simulate,
     step_discrete_gradient,
     step_rk4,
@@ -21,6 +22,13 @@ from moogvcf.rng import substream
 
 coords = st.lists(st.floats(min_value=-20, max_value=20), min_size=4, max_size=4)
 resonances = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
+
+
+def stage_quotients(w, v, p):
+    """[z1, z2, z3, z4, du4]: the quotients of the four stage potentials, then
+    of the stage-4 damping potential, the last two along coordinate 4."""
+    stages = integrators._stage_constants(p)
+    return [integrators._quotient(a, b, c) for a, b, c in zip(w + w[3:], v + v[3:], stages)]
 
 
 def test_step_config_validation():
@@ -111,7 +119,7 @@ full_resonances = st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0)
 @settings(max_examples=500)
 def test_discrete_gradient_telescopes(r, w, v):
     p = make_params(1.0, r)
-    *zbar, _ = _stage_quotients(tuple(w), tuple(v), model.stage_table(p))
+    *zbar, _ = stage_quotients(tuple(w), tuple(v), p)
     w = np.array(w)
     v = np.array(v)
     change = lyapunov.lyapunov_value(v, p) - lyapunov.lyapunov_value(w, p)
@@ -121,7 +129,7 @@ def test_discrete_gradient_telescopes(r, w, v):
 def test_discrete_gradient_coincidence_limit():
     p = make_params(1.0, 0.7)
     w = np.array([0.3, -1.0, 2.0, 0.5])
-    *zbar, du4 = _stage_quotients(tuple(w.tolist()), tuple(w.tolist()), model.stage_table(p))
+    *zbar, du4 = stage_quotients(tuple(w.tolist()), tuple(w.tolist()), p)
     assert np.array_equal(zbar, model.saturation_vector(w, p))
     d3 = p.d ** 3
     assert du4 == pytest.approx(d3 * math.tanh(w[3] / d3), rel=1e-15)
@@ -138,7 +146,7 @@ def test_discrete_feedback_ratio_within_bounds(r, w4, v4):
     p = make_params(1.0, r)
     w = (0.0, 0.0, 0.0, w4)
     v = (0.0, 0.0, 0.0, v4)
-    *zbar, du4 = _stage_quotients(w, v, model.stage_table(p))
+    *zbar, du4 = stage_quotients(w, v, p)
     if abs(zbar[3]) < 1e-6:
         return
     gbar = du4 / zbar[3]
@@ -151,7 +159,7 @@ def test_zero_feedback_branch_gradients():
     p = make_params(1.0, 0.0)
     w = (1.0, -2.0, 0.5, 3.0)
     v = (0.5, -1.0, 1.5, 2.0)
-    *zbar, du4 = _stage_quotients(w, v, model.stage_table(p))
+    *zbar, du4 = stage_quotients(w, v, p)
     assert du4 == zbar[3]
     change = lyapunov.V_zero_feedback(v) - lyapunov.V_zero_feedback(w)
     assert abs(change - float(np.array(zbar) @ (np.array(v) - np.array(w)))) < 1e-12
@@ -170,26 +178,36 @@ big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_
 def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
     p = make_params(1.0, r)
     w, v = tuple(w), tuple(v)
-    table = model.stage_table(p)
-    res, zbar = integrators._residual(w, v, p, table, dt_omega)
-    jac = integrators._jacobian(w, v, p, table, zbar, dt_omega)
-    (j11, _, _, j14), (j21, j22, _, _), (_, j32, j33, _), (_, _, j43, j44) = jac
-    assert min(j11, j22, j33, j44) >= 1.0
-    q3 = (-j32 / j33) * (-j21 / j22) * (j14 / j11)
-    assert j44 - j43 * q3 >= 1.0
-    ref = np.linalg.solve(np.array(jac), -np.array(res))
-    step = np.array(integrators._newton_step(jac, res))
+    stages = integrators._stage_constants(p)
+    res, zbar = integrators._residual(w, v, p, stages, dt_omega)
+    e1, e2, e3, e4, e5 = slopes = [integrators._quotient_slope(a, b, c, z)
+                                   for a, b, c, z in zip(w + w[3:], v + v[3:], stages, zbar)]
+    assert min(slopes) >= 0.0
+    h, sub = dt_omega, -dt_omega * p.d
+    jac = np.array([
+        [1.0 + h * e1, 0.0, 0.0, h * p.feedback_coeff * e4],
+        [sub * e1, 1.0 + h * e2, 0.0, 0.0],
+        [0.0, sub * e2, 1.0 + h * e3, 0.0],
+        [0.0, 0.0, sub * e3, 1.0 + h * e5],
+    ])
+    assert jac.diagonal().min() >= 1.0
+    q3 = (-jac[2, 1] / jac[2, 2]) * (-jac[1, 0] / jac[1, 1]) * (jac[0, 3] / jac[0, 0])
+    assert jac[3, 3] - jac[3, 2] * q3 >= 1.0
+    ref = np.linalg.solve(jac, -np.array(res))
+    step = np.array(integrators._newton_step(w, v, zbar, res, p, stages, dt_omega))
     assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("dt_omega, max_per_step", [(0.05, 4.0), (10.0, 7.0)])
 def test_newton_work_per_step(monkeypatch, dt_omega, max_per_step):
     # Newton starts at v = w (an explicit-Euler start costs 9.7 residuals per
-    # step at dt_omega = 10 on this trajectory), and a Jacobian, five
-    # quotient derivatives, is built only for an accepted iterate above tol:
+    # step at dt_omega = 10 on this trajectory), where every quotient takes
+    # its analytic form, so the first residual of a solve evaluates no
+    # log-cosh difference and later ones at most five.  Quotient slopes, five
+    # per Newton step, are taken only for an accepted iterate above tol:
     # never for the converged iterate that ends each solve, nor for a
     # rejected line-search trial.
-    counts = {"residual": 0, "derivative": 0, "solve": 0}
+    counts = {"residual": 0, "log_cosh_diff": 0, "slope": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -198,8 +216,10 @@ def test_newton_work_per_step(monkeypatch, dt_omega, max_per_step):
         return wrapper
 
     monkeypatch.setattr(integrators, "_residual", counted("residual", integrators._residual))
-    monkeypatch.setattr(integrators, "_quotient_derivative",
-                        counted("derivative", integrators._quotient_derivative))
+    monkeypatch.setattr(lyapunov, "log_cosh_diff",
+                        counted("log_cosh_diff", lyapunov.log_cosh_diff))
+    monkeypatch.setattr(integrators, "_quotient_slope",
+                        counted("slope", integrators._quotient_slope))
     real_newton = integrators._newton_dg
 
     def newton(w, *args):
@@ -215,8 +235,179 @@ def test_newton_work_per_step(monkeypatch, dt_omega, max_per_step):
     simulate(x0, p, cfg, n_steps)
     assert counts["solve"] == n_steps
     assert counts["residual"] <= max_per_step * n_steps
-    assert counts["derivative"] <= 5 * (counts["residual"] - counts["solve"])
+    assert 0 < counts["log_cosh_diff"] <= 5 * (counts["residual"] - counts["solve"])
+    assert counts["slope"] <= 5 * (counts["residual"] - counts["solve"])
     step_discrete_gradient(x0, p, cfg)  # float entries on this path too
+    assert counts["solve"] == n_steps + 1
+
+
+# The discrete-gradient kernel as it stood before the flat float rewrite:
+# list-building helpers over model.stage_table and model.stage_field.  The
+# rewrite must reproduce it bit for bit, NewtonError residuals included.
+
+def _ref_stage_quotients(w, v, table):
+    lcd = lyapunov.log_cosh_diff
+    out = []
+    for a, b, (scale, inner) in zip(w + w[3:], v + v[3:], table):
+        h = b - a
+        if abs(h) < integrators._COINCIDENCE_CUTOFF * max(1.0, abs(a)):
+            out.append(scale * inner * math.tanh(inner * a))
+        else:
+            out.append(scale * lcd(inner * a, inner * h) / h)
+    return out
+
+
+def _ref_quotient_derivative(a, h, scale, inner, zbar_i):
+    v = a + h
+    t = math.tanh(inner * v)
+    if abs(h) < integrators._DERIVATIVE_CUTOFF * max(1.0, abs(a), abs(v)):
+        return 0.5 * scale * inner * inner * (1.0 - t * t)
+    return max(0.0, (scale * inner * t - zbar_i) / h)
+
+
+def _ref_residual(w, v, p, table, dt_omega):
+    zbar = _ref_stage_quotients(w, v, table)
+    f1, f2, f3, f4 = model.stage_field(zbar, p)
+    res = (
+        v[0] - w[0] - dt_omega * f1,
+        v[1] - w[1] - dt_omega * f2,
+        v[2] - w[2] - dt_omega * f3,
+        v[3] - w[3] - dt_omega * f4,
+    )
+    return res, zbar
+
+
+def _ref_jacobian(w, v, p, table, zbar, dt_omega):
+    d = p.d
+    dz1, dz2, dz3, dz4, ddu4 = [
+        _ref_quotient_derivative(a, b - a, scale, inner, z)
+        for a, b, (scale, inner), z in zip(w + w[3:], v + v[3:], table, zbar)
+    ]
+    return [
+        [1.0 + dt_omega * dz1, 0.0, 0.0, dt_omega * p.feedback_coeff * dz4],
+        [-dt_omega * d * dz1, 1.0 + dt_omega * dz2, 0.0, 0.0],
+        [0.0, -dt_omega * d * dz2, 1.0 + dt_omega * dz3, 0.0],
+        [0.0, 0.0, -dt_omega * d * dz3, 1.0 + dt_omega * ddu4],
+    ]
+
+
+def _ref_newton_step(jac, res):
+    (j11, _, _, j14), (j21, j22, _, _), (_, j32, j33, _), (_, _, j43, j44) = jac
+    p1 = -res[0] / j11
+    q1 = j14 / j11
+    p2 = (-res[1] - j21 * p1) / j22
+    q2 = -j21 * q1 / j22
+    p3 = (-res[2] - j32 * p2) / j33
+    q3 = -j32 * q2 / j33
+    s4 = (-res[3] - j43 * p3) / (j44 - j43 * q3)
+    return (p1 - q1 * s4, p2 - q2 * s4, p3 - q3 * s4, s4)
+
+
+def _ref_newton_dg(w, p, dt):
+    dt_omega = dt * p.omega0
+    table = model.stage_table(p)
+    v = w
+    res, zbar = _ref_residual(w, v, p, table, dt_omega)
+    rnorm = max(abs(r) for r in res)
+    for _ in range(integrators._NEWTON_MAX_ITER):
+        if rnorm <= integrators._NEWTON_TOL:
+            return v
+        step = _ref_newton_step(_ref_jacobian(w, v, p, table, zbar, dt_omega), res)
+        best = None
+        lam = 1.0
+        for _halving in range(9):
+            cand = (v[0] + lam * step[0], v[1] + lam * step[1],
+                    v[2] + lam * step[2], v[3] + lam * step[3])
+            cres, czbar = _ref_residual(w, cand, p, table, dt_omega)
+            cnorm = max(abs(r) for r in cres)
+            if best is None or cnorm < best[0]:
+                best = (cnorm, cand, cres, czbar)
+            if cnorm < rnorm:
+                break
+            lam *= 0.5
+        rnorm, v, res, zbar = best
+    if rnorm <= integrators._NEWTON_TOL:
+        return v
+    raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _solve_or_residual(solver, w, p, dt):
+    try:
+        return _bits(solver(w, p, dt))
+    except NewtonError as err:
+        return ("NewtonError", _bits([err.residual]))
+
+
+amplitude = st.floats(min_value=-1e3, max_value=1e3)
+# v_i exactly at w_i, within 1e-12 and within 1e-7 of it relative to
+# max(1, |w_i|) (the two cutoffs of the quotient and of its slope), or free.
+offsets = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-2e-12, max_value=2e-12).map(lambda e: ("rel", e)),
+    st.floats(min_value=-2e-7, max_value=2e-7).map(lambda e: ("rel", e)),
+    amplitude.map(lambda u: ("abs", u)),
+)
+
+
+def _near(w, offset):
+    if offset == 0.0:
+        return w
+    kind, e = offset
+    return w + e * max(1.0, abs(w)) if kind == "rel" else e
+
+
+@given(
+    r=full_resonances,
+    dt_omega=st.floats(min_value=-3.0, max_value=4.0).map(lambda e: 10.0 ** e),
+    w=st.lists(amplitude, min_size=4, max_size=4),
+    offset=st.lists(offsets, min_size=4, max_size=4),
+    max_iter=st.sampled_from([50, 3]),
+)
+@settings(max_examples=500, deadline=None)
+def test_kernel_bit_identical_to_frozen_reference(r, dt_omega, w, offset, max_iter):
+    p = make_params(1.0, r)
+    w = tuple(w)
+    v = tuple(map(_near, w, offset))
+    stages, table = integrators._stage_constants(p), model.stage_table(p)
+    res, zbar = integrators._residual(w, v, p, stages, dt_omega)
+    ref_res, ref_zbar = _ref_residual(w, v, p, table, dt_omega)
+    assert _bits(res) == _bits(ref_res) and _bits(zbar) == _bits(ref_zbar)
+    step = integrators._newton_step(w, v, zbar, res, p, stages, dt_omega)
+    ref_step = _ref_newton_step(_ref_jacobian(w, v, p, table, ref_zbar, dt_omega), ref_res)
+    assert _bits(step) == _bits(ref_step)
+    with mock.patch.object(integrators, "_NEWTON_MAX_ITER", max_iter):
+        got = _solve_or_residual(integrators._newton_dg, w, p, dt_omega)
+        assert got == _solve_or_residual(_ref_newton_dg, w, p, dt_omega)
+
+
+def test_step_discrete_gradient_is_simulate_step(monkeypatch):
+    # the one-step API takes simulate's step path, interval halving included
+    calls = []
+    real_newton = integrators._newton_dg
+
+    def newton(w, p, dt):
+        calls.append(dt)
+        return real_newton(w, p, dt)
+
+    monkeypatch.setattr(integrators, "_newton_dg", newton)
+    # Newton alone stalls at residual 1.45e-12 here; halving the step succeeds.
+    p = make_params(1.0, 0.99)
+    cfg = StepConfig(dt=6145.5604786231415)
+    x = np.array([-8.759788673787686, -1.4019593204420175, 23.613903935334953, -18.812994667196612])
+    got = step_discrete_gradient(x, p, cfg)
+    assert len(calls) > 1
+    assert got.tobytes() == simulate(x, p, cfg, 1).states[1].tobytes()
+    stream = substream(8, 0)
+    for _ in range(40):
+        p = make_params(10.0 ** stream.uniform(-1.0, 2.0), stream.uniform(0.0, 1.0))
+        cfg = StepConfig(dt=10.0 ** stream.uniform(-1.0, 4.0) / p.omega0)
+        x = np.array([stream.uniform(-30.0, 30.0) for _ in range(4)])
+        got = step_discrete_gradient(x, p, cfg)
+        assert got.tobytes() == simulate(x, p, cfg, 1).states[1].tobytes()
 
 
 def test_one_step_agreement_with_rk4():
