@@ -103,17 +103,9 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return np.array(_rk4(tuple(_finite_state(x, "x").tolist()), p, dt))
 
 
-@model.per_params
-def _stage_constants(p: FilterParams):
-    """(S, k, S*k, S*k^2/2) for each stage potential S * lncosh(k * u) of
-    model.stage_table: the quotient's two factors, the analytic derivative's
-    factor and the coincidence limit of the quotient's slope."""
-    return tuple((s, k, s * k, 0.5 * s * k * k) for s, k in model.stage_table(p))
-
-
 def _quotient(a, b, stage):
-    """Discrete gradient (S lncosh(k b) - S lncosh(k a)) / (b - a) of one
-    stage potential; its analytic derivative S k tanh(k a) at coincidence."""
+    """Discrete gradient (S lncosh(k b) - S lncosh(k a)) / (b - a) of the
+    potential with model.stage_table row stage; S k tanh(k a) at coincidence."""
     s, k, sk, _ = stage
     h = b - a
     # max(1, |a|) as a conditional, which gives the same value without a call
@@ -189,14 +181,14 @@ def _newton_dg(w, p: FilterParams, dt: float):
 
     Full Newton with analytic Jacobian, started at v = w, where the
     quotients take their analytic form, so the first iterate is the
-    linearly implicit step.  On residual increase the update is halved up
-    to 8 times and the best candidate kept; trial points get a residual
-    only, and the Newton step is built for an accepted iterate still above
-    _NEWTON_TOL.  Raises NewtonError with the last residual if the infinity
-    norm does not reach _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
+    linearly implicit step.  Each iteration takes the first of the update
+    and its 8 halvings that lowers the residual's infinity norm.  Raises
+    NewtonError with the last accepted residual if no trial lowers it, or
+    if the norm does not reach _NEWTON_TOL within _NEWTON_MAX_ITER
+    iterations.
     """
     dt_omega = dt * p.omega0
-    stages = _stage_constants(p)
+    stages = model.stage_table(p)
     v = w
     res, zbar = _residual(w, v, p, stages, dt_omega)
     rnorm = max(map(abs, res))
@@ -205,18 +197,17 @@ def _newton_dg(w, p: FilterParams, dt: float):
             return v
         s1, s2, s3, s4 = _newton_step(w, v, zbar, res, p, stages, dt_omega)
         v1, v2, v3, v4 = v
-        best = None
         lam = 1.0
         for _halving in range(9):
             cand = (v1 + lam * s1, v2 + lam * s2, v3 + lam * s3, v4 + lam * s4)
             cres, czbar = _residual(w, cand, p, stages, dt_omega)
             cnorm = max(map(abs, cres))
-            if best is None or cnorm < best[0]:
-                best = (cnorm, cand, cres, czbar)
             if cnorm < rnorm:
+                rnorm, v, res, zbar = cnorm, cand, cres, czbar
                 break
             lam *= 0.5
-        rnorm, v, res, zbar = best
+        else:  # the line search stalled: _advance_dg halves the interval
+            break
     if rnorm <= _NEWTON_TOL:
         return v
     raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
@@ -230,8 +221,8 @@ def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
 
 
 def _advance_dg(w, p, dt, depth=0):
-    """Newton step with internal halving: on failure the interval is split
-    in two, recursively, up to 10 levels."""
+    """Newton step with internal halving, the solve's one recovery: on
+    NewtonError the interval is split in two, recursively, up to 10 levels."""
     try:
         return _newton_dg(w, p, dt)
     except NewtonError:
@@ -245,9 +236,9 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     """Integrate n_steps steps from x0 and record (t, x, V, Vdot).
 
     The energy columns are lyapunov_value and lyapunov_rate, the saturation
-    energy of model.stage_table with d = max(1, alpha).  Discrete-gradient
-    Newton failures trigger internal step halving (up to 10 levels) before a
-    NewtonError carrying the step index is raised.
+    energy of model.stage_table with d = max(1, alpha).  Each failed
+    discrete-gradient Newton solve halves the step (up to 10 levels) before
+    a NewtonError carrying the step index is raised.
     """
     n_steps = int(n_steps)
     if n_steps < 1:

@@ -99,7 +99,7 @@ def lyapunov_value(w, p: FilterParams) -> float:
     energies of model.stage_table: V_nonlinear for r > 0, and the
     feedback-free V_zero_feedback for r = 0."""
     w1, w2, w3, w4 = w
-    (s1, k1), (s2, k2), (s3, k3), (s4, k4), _ = model.stage_table(p)
+    (s1, k1, _, _), (s2, k2, _, _), (s3, k3, _, _), (s4, k4, _, _), _ = model.stage_table(p)
     return (s1 * log_cosh(k1 * w1) + s2 * log_cosh(k2 * w2)
             + s3 * log_cosh(k3 * w3) + s4 * log_cosh(k4 * w4))
 

@@ -180,8 +180,9 @@ def per_params(fn):
 
 @per_params
 def stage_table(p: FilterParams):
-    """(scale S, inner k) of each stage potential S * lncosh(k * u): the four
-    stage energies of V in w1..w4, then the stage-4 damping potential
+    """(S, k, S*k, S*k^2/2) of each stage potential S * lncosh(k * u): scale,
+    inner factor, derivative factor and half the curvature at 0.  Rows: the
+    four stage energies of V in w1..w4, then the stage-4 damping potential
     d^6 lncosh(w4/d^3).  On the r = 0 branch d = 1 and the stage-4 energy is
     plain lncosh, so V is the feedback-free sum."""
     d = p.d
@@ -189,17 +190,17 @@ def stage_table(p: FilterParams):
     d3 = d2 * d
     a4 = p.feedback_gain
     stage4 = (d2 / a4, a4 / d3) if p.r != 0.0 else (1.0, 1.0)
-    return ((1.0, 1.0), (d2, 1.0 / d), (d2 * d2, 1.0 / d2), stage4, (d3 * d3, 1.0 / d3))
+    pairs = ((1.0, 1.0), (d2, 1.0 / d), (d2 * d2, 1.0 / d2), stage4, (d3 * d3, 1.0 / d3))
+    return tuple((s, k, s * k, 0.5 * s * k * k) for s, k in pairs)
 
 
 def stage_gradients(w, table):
     """Derivatives S * k * tanh(k * u) of the stage potentials of table at
     u = w1, w2, w3, w4, w4: [z1, z2, z3, z4, du4]."""
     w1, w2, w3, w4 = w
-    (s1, k1), (s2, k2), (s3, k3), (s4, k4), (s5, k5) = table
-    return [s1 * k1 * math.tanh(k1 * w1), s2 * k2 * math.tanh(k2 * w2),
-            s3 * k3 * math.tanh(k3 * w3), s4 * k4 * math.tanh(k4 * w4),
-            s5 * k5 * math.tanh(k5 * w4)]
+    (_, k1, sk1, _), (_, k2, sk2, _), (_, k3, sk3, _), (_, k4, sk4, _), (_, k5, sk5, _) = table
+    return [sk1 * math.tanh(k1 * w1), sk2 * math.tanh(k2 * w2), sk3 * math.tanh(k3 * w3),
+            sk4 * math.tanh(k4 * w4), sk5 * math.tanh(k5 * w4)]
 
 
 def stage_field(z, p: FilterParams):

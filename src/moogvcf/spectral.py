@@ -132,12 +132,13 @@ def _durand_kerner(cs, roots, one, tol, max_iter):
     """Simultaneous iteration on the monic coefficients cs from the start
     roots, in the arithmetic of cs and one (the unit of that arithmetic).
     Returns (roots, converged)."""
+    n = len(roots)
     for _ in range(max_iter):
         max_upd = 0.0
         new = []
-        for i in range(4):
+        for i in range(n):
             den = one
-            for j in range(4):
+            for j in range(n):
                 if j != i:
                     den *= roots[i] - roots[j]
             upd = _poly_eval(cs, roots[i]) / den
@@ -158,15 +159,15 @@ def _durand_kerner_mp(coeffs, max_iter=600):
         cs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in coeffs]
         radius = 1 + max(abs(c) for c in cs[1:])
         base = mp.mpc(0.4, 0.9)
-        roots = [radius ** (mp.mpf(1) / 4) * base ** k for k in range(1, 5)]
+        roots = [radius ** (mp.mpf(1) / (len(cs) - 1)) * base ** k for k in range(1, len(cs))]
         roots, _ = _durand_kerner(cs, roots, mp.mpc(1), mp.mpf("1e-15"), max_iter)
         return [complex(r) for r in roots]
 
 
 def _roots_clustered(roots) -> bool:
     scale = 1.0 + max(abs(r) for r in roots)
-    for i in range(4):
-        for j in range(i + 1, 4):
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) < 1e-3 * scale:
                 return True
     return False
@@ -176,22 +177,30 @@ def eigvals_numeric(M, tol: float = 1e-12, max_iter: int = 200) -> Spectrum:
     """Spectrum of a 4x4 matrix via characteristic-polynomial roots.
 
     Raises ValueError naming M, before any arithmetic, unless M is a
-    finite real 4x4 matrix.  Raises RootFindingError carrying the last
-    residual if neither the float64 nor the high-precision iteration
-    converges.
+    finite real 4x4 matrix.  Exact zero eigenvalues are the exact
+    coefficients' k trailing zeros; they are returned as exact zeros and the
+    iteration runs on the degree-(4 - k) quotient.  Raises RootFindingError
+    carrying the last residual if neither the float64 nor the high-precision
+    iteration converges.
     """
     exact = characteristic_coeffs(M)
+    n = 4
+    while n and exact[n] == 0:
+        n -= 1
+    if not n:
+        return _sorted_spectrum([0j] * 4)
+    exact = exact[:n + 1]
     cs64 = [float(c) for c in exact]
     radius = 1.0 + max(abs(c) for c in cs64[1:])
-    start = [radius ** 0.25 * complex(0.4, 0.9) ** k for k in range(1, 5)]
+    start = [radius ** (1.0 / n) * complex(0.4, 0.9) ** k for k in range(1, n + 1)]
     roots, converged = _durand_kerner(list(map(complex, cs64)), start, 1.0 + 0.0j, tol, max_iter)
     if not converged or _roots_clustered(roots):
         roots = _durand_kerner_mp(exact, max_iter=3 * max_iter)
     # Backward-error residual: |p(root)| relative to sum |c_k| |root|^k.
     worst = 0.0
     for root in roots:
-        scale = sum(abs(c) * abs(root) ** (4 - k) for k, c in enumerate(cs64))
+        scale = sum(abs(c) * abs(root) ** (n - k) for k, c in enumerate(cs64))
         worst = max(worst, abs(_poly_eval(cs64, root)) / max(scale, 1e-300))
     if worst > 1e-10:
         raise RootFindingError("characteristic polynomial roots did not converge", worst)
-    return _sorted_spectrum(roots)
+    return _sorted_spectrum(roots + [0j] * (4 - n))

@@ -27,7 +27,7 @@ resonances = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
 def stage_quotients(w, v, p):
     """[z1, z2, z3, z4, du4]: the quotients of the four stage potentials, then
     of the stage-4 damping potential, the last two along coordinate 4."""
-    stages = integrators._stage_constants(p)
+    stages = model.stage_table(p)
     return [integrators._quotient(a, b, c) for a, b, c in zip(w + w[3:], v + v[3:], stages)]
 
 
@@ -178,7 +178,7 @@ big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_
 def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
     p = make_params(1.0, r)
     w, v = tuple(w), tuple(v)
-    stages = integrators._stage_constants(p)
+    stages = model.stage_table(p)
     res, zbar = integrators._residual(w, v, p, stages, dt_omega)
     e1, e2, e3, e4, e5 = slopes = [integrators._quotient_slope(a, b, c, z)
                                    for a, b, c, z in zip(w + w[3:], v + v[3:], stages, zbar)]
@@ -242,8 +242,15 @@ def test_newton_work_per_step(monkeypatch, dt_omega, max_per_step):
 
 
 # The discrete-gradient kernel as it stood before the flat float rewrite:
-# list-building helpers over model.stage_table and model.stage_field.  The
-# rewrite must reproduce it bit for bit, NewtonError residuals included.
+# list-building helpers over the (scale, inner) columns of model.stage_table
+# and over model.stage_field.  The rewrite must reproduce it bit for bit,
+# NewtonError residuals included.  Its solve gives up as the kernel's does,
+# when no line-search trial lowers the residual.
+
+
+def _ref_table(p):
+    return [(scale, inner) for scale, inner, *_ in model.stage_table(p)]
+
 
 def _ref_stage_quotients(w, v, table):
     lcd = lyapunov.log_cosh_diff
@@ -305,7 +312,7 @@ def _ref_newton_step(jac, res):
 
 def _ref_newton_dg(w, p, dt):
     dt_omega = dt * p.omega0
-    table = model.stage_table(p)
+    table = _ref_table(p)
     v = w
     res, zbar = _ref_residual(w, v, p, table, dt_omega)
     rnorm = max(abs(r) for r in res)
@@ -313,19 +320,18 @@ def _ref_newton_dg(w, p, dt):
         if rnorm <= integrators._NEWTON_TOL:
             return v
         step = _ref_newton_step(_ref_jacobian(w, v, p, table, zbar, dt_omega), res)
-        best = None
         lam = 1.0
         for _halving in range(9):
             cand = (v[0] + lam * step[0], v[1] + lam * step[1],
                     v[2] + lam * step[2], v[3] + lam * step[3])
             cres, czbar = _ref_residual(w, cand, p, table, dt_omega)
             cnorm = max(abs(r) for r in cres)
-            if best is None or cnorm < best[0]:
-                best = (cnorm, cand, cres, czbar)
             if cnorm < rnorm:
+                rnorm, v, res, zbar = cnorm, cand, cres, czbar
                 break
             lam *= 0.5
-        rnorm, v, res, zbar = best
+        else:
+            break
     if rnorm <= integrators._NEWTON_TOL:
         return v
     raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
@@ -372,7 +378,7 @@ def test_kernel_bit_identical_to_frozen_reference(r, dt_omega, w, offset, max_it
     p = make_params(1.0, r)
     w = tuple(w)
     v = tuple(map(_near, w, offset))
-    stages, table = integrators._stage_constants(p), model.stage_table(p)
+    stages, table = model.stage_table(p), _ref_table(p)
     res, zbar = integrators._residual(w, v, p, stages, dt_omega)
     ref_res, ref_zbar = _ref_residual(w, v, p, table, dt_omega)
     assert _bits(res) == _bits(ref_res) and _bits(zbar) == _bits(ref_zbar)
@@ -382,6 +388,18 @@ def test_kernel_bit_identical_to_frozen_reference(r, dt_omega, w, offset, max_it
     with mock.patch.object(integrators, "_NEWTON_MAX_ITER", max_iter):
         got = _solve_or_residual(integrators._newton_dg, w, p, dt_omega)
         assert got == _solve_or_residual(_ref_newton_dg, w, p, dt_omega)
+
+
+def _count_residuals(monkeypatch):
+    counts = {"residual": 0}
+    real = integrators._residual
+
+    def residual(*args):
+        counts["residual"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(integrators, "_residual", residual)
+    return counts
 
 
 def test_step_discrete_gradient_is_simulate_step(monkeypatch):
@@ -394,12 +412,16 @@ def test_step_discrete_gradient_is_simulate_step(monkeypatch):
         return real_newton(w, p, dt)
 
     monkeypatch.setattr(integrators, "_newton_dg", newton)
-    # Newton alone stalls at residual 1.45e-12 here; halving the step succeeds.
+    counts = _count_residuals(monkeypatch)
+    # Newton alone stalls near residual 1.45e-12 here, where no line-search
+    # trial lowers it; the solve gives up at once, and halving the step
+    # succeeds within a few hundred residual evaluations.
     p = make_params(1.0, 0.99)
     cfg = StepConfig(dt=6145.5604786231415)
     x = np.array([-8.759788673787686, -1.4019593204420175, 23.613903935334953, -18.812994667196612])
     got = step_discrete_gradient(x, p, cfg)
     assert len(calls) > 1
+    assert counts["residual"] <= 300
     assert got.tobytes() == simulate(x, p, cfg, 1).states[1].tobytes()
     stream = substream(8, 0)
     for _ in range(40):
@@ -526,6 +548,31 @@ def test_discrete_gradient_contract_at_tiny_resonance(r):
 def test_simulate_zero_feedback_branch():
     p = make_params(1.0, 0.0)
     traj = simulate(np.array([2.0, -3.0, 1.0, 0.5]), p, StepConfig(dt=0.5), 100)
+    assert np.diff(traj.V).max() <= 1e-10
+
+
+def test_stalled_line_search_gives_up_at_once(monkeypatch):
+    # r = 0 at omega0*dt = 10: Newton iterates often stall just above the
+    # tolerance, and a stalled solve must give up at once for the halved
+    # step to take over
+    counts = _count_residuals(monkeypatch)
+    n_steps = 100
+    traj = simulate(np.array([1.0, -2.0, 0.5, 3.0]), make_params(1.0, 0.0),
+                    StepConfig(dt=10.0), n_steps)
+    assert counts["residual"] <= 20 * n_steps
+    assert np.diff(traj.V).max() <= 1e-10
+
+
+@given(
+    r=st.sampled_from([0.0, 1.0]) | st.floats(min_value=1e-300, max_value=1.0),
+    dt_omega=st.floats(min_value=-2.0, max_value=4.0).map(lambda e: 10.0 ** e),
+    x0=big_coords,
+)
+@settings(max_examples=300, deadline=None)
+def test_discrete_gradient_contract_at_extreme_inputs(r, dt_omega, x0):
+    # amplitudes up to 1e3 and steps up to omega0*dt = 1e4: no solve runs
+    # out of halvings, and V never rises beyond solver slack
+    traj = simulate(np.array(x0), make_params(1.0, r), StepConfig(dt=dt_omega), 3)
     assert np.diff(traj.V).max() <= 1e-10
 
 

@@ -53,6 +53,21 @@ def test_numeric_diagonal():
     assert np.abs(spec.eigenvalues.imag).max() < 1e-12
 
 
+@pytest.mark.parametrize("M", [
+    np.zeros((4, 4)),
+    np.diag([0.0, 0.0, 0.0, 1.0]),
+    np.diag([0.0, 1.0, 2.0, 3.0]),
+    np.diag([1.0, 1.0, 1.0], k=1),  # nilpotent: a quadruple zero
+    np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]),  # rank 2
+], ids=["zero", "diag0001", "diag0123", "nilpotent", "rank2"])
+def test_numeric_exact_zero_eigenvalues(M):
+    # every exact zero eigenvalue is a trailing zero coefficient, and the
+    # relative residual of any nonzero root approximation of it would be 1
+    got = np.sort_complex(eigvals_numeric(M).eigenvalues)
+    want = np.sort_complex(np.linalg.eigvals(M).astype(complex))
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def test_numeric_rotation_blocks():
     # two uncoupled unit rotations: double pair at +-j
     M = np.array([
