@@ -103,121 +103,121 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return np.array(_rk4(tuple(_finite_state(x, "x").tolist()), p, dt))
 
 
-def _quotient(a, b, stage):
-    """Discrete gradient (S lncosh(k b) - S lncosh(k a)) / (b - a) of the
-    potential with model.stage_table row stage; S k tanh(k a) at coincidence."""
-    s, k, sk, _ = stage
-    h = b - a
-    # max(1, |a|) as a conditional, which gives the same value without a call
-    m = abs(a) if abs(a) > 1.0 else 1.0
-    if abs(h) < _COINCIDENCE_CUTOFF * m:
-        return sk * math.tanh(k * a)
-    return s * lyapunov.log_cosh_diff(k * a, k * h) / h
-
-
-def _quotient_slope(a, b, stage, z):
-    """d/db of the quotient z = _quotient(a, b, stage); limit form
-    S k^2 sech^2(k b) / 2 near coincidence.  The quotient is a secant slope
-    of a convex potential, so the derivative is nonnegative; the secant form
-    is clamped at 0 so that rounding cannot flip its sign."""
-    _, k, sk, half_skk = stage
-    h = b - a
-    v = a + h
-    t = math.tanh(k * v)
-    m = abs(a) if abs(a) > 1.0 else 1.0
-    if abs(h) < _DERIVATIVE_CUTOFF * (abs(v) if abs(v) > m else m):  # max(1, |a|, |v|)
-        return half_skk * (1.0 - t * t)
-    e = (sk * t - z) / h
-    return e if e > 0.0 else 0.0
-
-
-def _residual(w, v, p: FilterParams, stages, dt_omega: float):
-    """Residual R(v) = v - w - dt*omega0*Fbar(w, v), with the scaled field
-    Fbar = (-z1 - d z4, d z1 - z2, d z2 - z3, d z3 - du4) of model.stage_field,
-    and the stage quotients (z1, z2, z3, z4, du4) it was built from."""
-    w1, w2, w3, w4 = w
-    v1, v2, v3, v4 = v
-    c1, c2, c3, c4, c5 = stages
-    z1, z2, z3 = _quotient(w1, v1, c1), _quotient(w2, v2, c2), _quotient(w3, v3, c3)
-    z4, du4 = _quotient(w4, v4, c4), _quotient(w4, v4, c5)
-    d = p.d
-    res = (v1 - w1 - dt_omega * (-z1 - p.feedback_coeff * z4), v2 - w2 - dt_omega * (d * z1 - z2),
-           v3 - w3 - dt_omega * (d * z2 - z3), v4 - w4 - dt_omega * (d * z3 - du4))
-    return res, (z1, z2, z3, z4, du4)
-
-
-def _newton_step(w, v, zbar, res, p: FilterParams, stages, dt_omega: float):
-    """Newton step -J^{-1} R at v, for the residual R and quotients zbar of
-    _residual at v.
-
-    J is lower bidiagonal plus the (1, 4) feedback corner, with diagonal
-    >= 1, nonpositive subdiagonal and nonnegative corner, because every
-    quotient slope is nonnegative.  Forward substitution writes the first
-    three components as s_i = p_i - q_i * s4 with every q_i >= 0, so the
-    last pivot J44 - J43*q3 is at least J44 >= 1 and no pivoting is needed.
-    """
-    w1, w2, w3, w4 = w
-    v1, v2, v3, v4 = v
-    z1, z2, z3, z4, du4 = zbar
-    c1, c2, c3, c4, c5 = stages
-    slope = _quotient_slope
-    e1, e2, e3 = slope(w1, v1, c1, z1), slope(w2, v2, c2, z2), slope(w3, v3, c3, z3)
-    e4, e5 = slope(w4, v4, c4, z4), slope(w4, v4, c5, du4)
-    sub = -dt_omega * p.d
-    j11, j22, j33 = 1.0 + dt_omega * e1, 1.0 + dt_omega * e2, 1.0 + dt_omega * e3
-    j21, j32, j43 = sub * e1, sub * e2, sub * e3
-    p1 = -res[0] / j11
-    q1 = dt_omega * p.feedback_coeff * e4 / j11
-    p2 = (-res[1] - j21 * p1) / j22
-    q2 = -j21 * q1 / j22
-    p3 = (-res[2] - j32 * p2) / j33
-    q3 = -j32 * q2 / j33
-    s4 = (-res[3] - j43 * p3) / (1.0 + dt_omega * e5 - j43 * q3)
-    return (p1 - q1 * s4, p2 - q2 * s4, p3 - q3 * s4, s4)
-
-
 def _newton_dg(w, p: FilterParams, dt: float):
-    """Solve the implicit discrete-gradient update from w over one step dt.
+    """Solve v = w + dt*omega0*Fbar(w, v) for the float 4-tuple w over one step.
 
-    Full Newton with analytic Jacobian, started at v = w, where the
-    quotients take their analytic form, so the first iterate is the
-    linearly implicit step.  Each iteration takes the first of the update
-    and its 8 halvings that lowers the residual's infinity norm.  Raises
-    NewtonError with the last accepted residual if no trial lowers it, or
-    if the norm does not reach _NEWTON_TOL within _NEWTON_MAX_ITER
-    iterations.
+    Fbar is model.stage_field of the stage quotients zbar of the rows of
+    model.stage_table (rows 4 and 5 along coordinate 4); a quotient is the
+    gradient S k tanh(k w_i) within _COINCIDENCE_CUTOFF * max(1, |w_i|) of
+    coincidence.  Its slope in v_i is S k^2 sech^2(k v_i) / 2 within
+    _DERIVATIVE_CUTOFF * max(1, |w_i|, |v_i|), else the secant form clamped
+    at 0, as a secant slope of a convex potential is.  So the Jacobian is
+    lower bidiagonal plus the (1, 4) feedback corner, with diagonal >= 1,
+    subdiagonal <= 0 and corner >= 0: forward substitution writes the first
+    three step components as p_i - q_i * n4 with q_i >= 0, and the last
+    pivot is at least 1.
+
+    Newton starts at v = w, where every quotient is analytic, so the first
+    iterate is the linearly implicit step; what depends on w alone is
+    computed once.  Each iteration takes the first of the update and its 8
+    halvings that lowers the residual's infinity norm.  Raises NewtonError
+    with the last accepted residual if none does, or if the norm does not
+    reach _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
     """
-    dt_omega = dt * p.omega0
-    stages = model.stage_table(p)
-    v = w
-    res, zbar = _residual(w, v, p, stages, dt_omega)
-    rnorm = max(map(abs, res))
+    lcd, tanh, tol = lyapunov.log_cosh_diff, math.tanh, _NEWTON_TOL  # per solve: patches apply
+    (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
+        model.stage_table(p))
+    ho, d, fc = dt * p.omega0, p.d, p.feedback_coeff
+    sub, hf = -ho * d, ho * fc
+    w1, w2, w3, w4 = w
+    a1, a2, a3, a4, a5 = k1 * w1, k2 * w2, k3 * w3, k4 * w4, k5 * w4
+    y1, y2, y3, y4, y5 = g1 * tanh(a1), g2 * tanh(a2), g3 * tanh(a3), g4 * tanh(a4), g5 * tanh(a5)
+    m1, m2, m3, m4 = (u if u > 1.0 else 1.0 for u in (abs(w1), abs(w2), abs(w3), abs(w4)))
+    cut1, cut2, cut3, cut4 = (_COINCIDENCE_CUTOFF * m for m in (m1, m2, m3, m4))
+    # the iterate v, h = v - w, its quotients z, residual r and norm
+    v1, v2, v3, v4, h1, h2, h3, h4 = w1, w2, w3, w4, 0.0, 0.0, 0.0, 0.0
+    z1, z2, z3, z4, z5 = y1, y2, y3, y4, y5
+    r1, r2, r3, r4 = (0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2),
+                      0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5))
+    rnorm = max(map(abs, (r1, r2, r3, r4)))
     for _ in range(_NEWTON_MAX_ITER):
-        if rnorm <= _NEWTON_TOL:
-            return v
-        s1, s2, s3, s4 = _newton_step(w, v, zbar, res, p, stages, dt_omega)
-        v1, v2, v3, v4 = v
+        if rnorm <= tol:
+            return v1, v2, v3, v4
+        u1, u2, u3, u4 = w1 + h1, w2 + h2, w3 + h3, w4 + h4
+        t1, t2, t3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
+        t4, t5 = tanh(k4 * u4), tanh(k5 * u4)
+        if abs(h1) < _DERIVATIVE_CUTOFF * (abs(u1) if abs(u1) > m1 else m1):
+            e1 = c1 * (1.0 - t1 * t1)
+        else:
+            e1 = (g1 * t1 - z1) / h1
+            e1 = e1 if e1 > 0.0 else 0.0
+        if abs(h2) < _DERIVATIVE_CUTOFF * (abs(u2) if abs(u2) > m2 else m2):
+            e2 = c2 * (1.0 - t2 * t2)
+        else:
+            e2 = (g2 * t2 - z2) / h2
+            e2 = e2 if e2 > 0.0 else 0.0
+        if abs(h3) < _DERIVATIVE_CUTOFF * (abs(u3) if abs(u3) > m3 else m3):
+            e3 = c3 * (1.0 - t3 * t3)
+        else:
+            e3 = (g3 * t3 - z3) / h3
+            e3 = e3 if e3 > 0.0 else 0.0
+        if abs(h4) < _DERIVATIVE_CUTOFF * (abs(u4) if abs(u4) > m4 else m4):
+            e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
+        else:
+            e4, e5 = (g4 * t4 - z4) / h4, (g5 * t5 - z5) / h4
+            e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
+        j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
+        j21, j32, j43 = sub * e1, sub * e2, sub * e3
+        p1 = -r1 / j11
+        q1 = hf * e4 / j11
+        p2 = (-r2 - j21 * p1) / j22
+        q2 = -j21 * q1 / j22
+        p3 = (-r3 - j32 * p2) / j33
+        q3 = -j32 * q2 / j33
+        n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
+        n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
         lam = 1.0
         for _halving in range(9):
-            cand = (v1 + lam * s1, v2 + lam * s2, v3 + lam * s3, v4 + lam * s4)
-            cres, czbar = _residual(w, cand, p, stages, dt_omega)
-            cnorm = max(map(abs, cres))
+            x1, x2, x3, x4 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3, v4 + lam * n4
+            b1, b2, b3, b4 = x1 - w1, x2 - w2, x3 - w3, x4 - w4
+            f1 = y1 if abs(b1) < cut1 else s1 * lcd(a1, k1 * b1) / b1
+            f2 = y2 if abs(b2) < cut2 else s2 * lcd(a2, k2 * b2) / b2
+            f3 = y3 if abs(b3) < cut3 else s3 * lcd(a3, k3 * b3) / b3
+            if abs(b4) < cut4:
+                f4, f5 = y4, y5
+            else:
+                f4, f5 = s4 * lcd(a4, k4 * b4) / b4, s5 * lcd(a5, k5 * b4) / b4
+            o1, o2, o3, o4 = (b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2),
+                              b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5))
+            cnorm, l2, l3, l4 = abs(o1), abs(o2), abs(o3), abs(o4)  # max(map(abs, o)), no call
+            cnorm = l2 if l2 > cnorm else cnorm
+            cnorm = l3 if l3 > cnorm else cnorm
+            cnorm = l4 if l4 > cnorm else cnorm
             if cnorm < rnorm:
-                rnorm, v, res, zbar = cnorm, cand, cres, czbar
+                v1, v2, v3, v4, h1, h2, h3, h4, rnorm = x1, x2, x3, x4, b1, b2, b3, b4, cnorm
+                z1, z2, z3, z4, z5, r1, r2, r3, r4 = f1, f2, f3, f4, f5, o1, o2, o3, o4
                 break
             lam *= 0.5
         else:  # the line search stalled: _advance_dg halves the interval
             break
-    if rnorm <= _NEWTON_TOL:
-        return v
+    if rnorm <= tol:
+        return v1, v2, v3, v4
     raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
 
 
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x,
     taken as simulate takes it: Newton failures halve the interval."""
-    w = model.to_scaled(_finite_state(x, "x"), p.d)
-    return model.from_scaled(_advance_dg(tuple(w.tolist()), p, cfg.dt), p.d)
+    scale = _scale(p)
+    w = _advance_dg(tuple(map(mul, scale, _finite_state(x, "x").tolist())), p, cfg.dt)
+    return np.array(tuple(map(truediv, w, scale)))
+
+
+@model.per_params
+def _scale(p: FilterParams) -> tuple:
+    """The diagonal (1, d, d^2, d^3) of model.scaling_matrix(p.d) as floats,
+    so that w = D x and x = D^-1 w are taken entry by entry."""
+    return tuple(model.scaling_matrix(p.d).diagonal().tolist())
 
 
 def _advance_dg(w, p, dt, depth=0):
@@ -244,7 +244,7 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     x0 = _finite_state(x0, "x0")
-    scale = model.scaling_matrix(p.d).diagonal().tolist()  # w = D x, entry by entry
+    scale = _scale(p)
     rk4 = cfg.method is Method.RK4
     u = tuple(x0.tolist() if rk4 else map(mul, scale, x0.tolist()))  # x for RK4, w for DG
     value, rate = lyapunov.lyapunov_value, lyapunov.lyapunov_rate

@@ -24,228 +24,13 @@ coords = st.lists(st.floats(min_value=-20, max_value=20), min_size=4, max_size=4
 resonances = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
 
 
-def stage_quotients(w, v, p):
-    """[z1, z2, z3, z4, du4]: the quotients of the four stage potentials, then
-    of the stage-4 damping potential, the last two along coordinate 4."""
-    stages = model.stage_table(p)
-    return [integrators._quotient(a, b, c) for a, b, c in zip(w + w[3:], v + v[3:], stages)]
-
-
-def test_step_config_validation():
-    for dt in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="dt"):
-            StepConfig(dt=dt)
-    # The Newton tolerance and iteration cap are module constants, so no
-    # configuration can set them to a value that breaks the solve.
-    assert [f.name for f in dataclasses.fields(StepConfig)] == ["dt", "method"]
-    for knob in ("newton_tol", "newton_max_iter"):
-        with pytest.raises(TypeError):
-            StepConfig(dt=0.1, **{knob: 0})
-    assert integrators._NEWTON_TOL > 0.0 and integrators._NEWTON_MAX_ITER >= 1
-
-
-def test_rk4_consistent_with_field():
-    p = make_params(1.0, 0.5)
-    x = np.array([1.0, -0.5, 0.2, 0.8])
-    dt = 1e-8
-    increment = (step_rk4(x, p, dt) - x) / dt
-    field = model.rhs_nonlinear(x, p)
-    assert np.abs(increment - field).max() <= 1e-6 * np.abs(field).max()
-
-
-@pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
-def test_rk4_kernel_matches_array_form_bitwise(r):
-    # the textbook array form on numpy vectors is the reference
-    p = make_params(3.0, r)
-    rng = np.random.default_rng(5)
-    for dt in (1e-3, 0.05, 0.7):
-        for _ in range(20):
-            x = rng.uniform(-6.0, 6.0, size=4)
-            k1 = model.rhs_nonlinear(x, p)
-            k2 = model.rhs_nonlinear(x + 0.5 * dt * k1, p)
-            k3 = model.rhs_nonlinear(x + 0.5 * dt * k2, p)
-            k4 = model.rhs_nonlinear(x + dt * k3, p)
-            want = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            assert step_rk4(x, p, dt).tobytes() == want.tobytes()
-
-
-def test_rk4_matches_matrix_exponential_in_linear_regime():
-    # eigendecomposition oracle for exp(A dt) acting on a tiny state
-    p = make_params(1.0, 0.3)
-    A = model.linearized_matrix(p)
-    vals, vecs = np.linalg.eig(A)
-    dt = 1e-3
-    expm = (vecs @ np.diag(np.exp(vals * dt)) @ np.linalg.inv(vecs)).real
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        x = rng.normal(size=4)
-        x *= 1e-6 / np.linalg.norm(x)
-        want = expm @ x
-        got = step_rk4(x, p, dt)
-        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
-
-
-def test_equilibrium_exact_for_both_methods():
-    p = make_params(10.0, 0.8)
-    assert np.array_equal(step_rk4(np.zeros(4), p, 0.3), np.zeros(4))
-    out = step_discrete_gradient(np.zeros(4), p, StepConfig(dt=0.3))
-    assert np.array_equal(out, np.zeros(4))
-
-
-def test_discrete_gradient_defining_contract():
-    # far beyond any explicit stability limit: omega0*dt = 10
-    p = make_params(100.0, 0.9)
-    traj = simulate(np.array([1.0, 1.0, -1.0, 0.5]), p, StepConfig(dt=0.1), 1000)
-    increases = np.diff(traj.V)
-    assert increases.max() <= 1e-10
-    assert np.linalg.norm(traj.states[-1]) < 1e-3
-
-
-def test_rk4_fails_in_stiff_regime():
-    # same setting must push energy up through RK4, showing the guarantee
-    # is not vacuous
-    p = make_params(100.0, 0.9)
-    traj = simulate(np.array([1.0, 1.0, -1.0, 0.5]), p,
-                    StepConfig(dt=0.1, method=Method.RK4), 200)
-    assert np.diff(traj.V).max() > 1e-3
-
-
-# r = 0 and the smallest normal-range resonances, where the stage-4 energy
-# scale d^2/(4r) is largest.
-full_resonances = st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0)
-
-
-@given(r=full_resonances, w=coords, v=coords)
-@settings(max_examples=500)
-def test_discrete_gradient_telescopes(r, w, v):
-    p = make_params(1.0, r)
-    *zbar, _ = stage_quotients(tuple(w), tuple(v), p)
-    w = np.array(w)
-    v = np.array(v)
-    change = lyapunov.lyapunov_value(v, p) - lyapunov.lyapunov_value(w, p)
-    assert abs(change - float(np.array(zbar) @ (v - w))) < 1e-12
-
-
-def test_discrete_gradient_coincidence_limit():
-    p = make_params(1.0, 0.7)
-    w = np.array([0.3, -1.0, 2.0, 0.5])
-    *zbar, du4 = stage_quotients(tuple(w.tolist()), tuple(w.tolist()), p)
-    assert np.array_equal(zbar, model.saturation_vector(w, p))
-    d3 = p.d ** 3
-    assert du4 == pytest.approx(d3 * math.tanh(w[3] / d3), rel=1e-15)
-
-
-@given(
-    r=resonances,
-    w4=st.floats(min_value=-20, max_value=20),
-    v4=st.floats(min_value=-20, max_value=20),
-)
-@settings(max_examples=500)
-def test_discrete_feedback_ratio_within_bounds(r, w4, v4):
-    # the mean-value bound that makes the implicit scheme dissipative
-    p = make_params(1.0, r)
-    w = (0.0, 0.0, 0.0, w4)
-    v = (0.0, 0.0, 0.0, v4)
-    *zbar, du4 = stage_quotients(w, v, p)
-    if abs(zbar[3]) < 1e-6:
-        return
-    gbar = du4 / zbar[3]
-    lo, hi = model.feedback_ratio_bounds(p)
-    assert lo - 1e-8 * hi <= gbar <= hi * (1 + 1e-8)
-    assert gbar >= 1.0 - 1e-8
-
-
-def test_zero_feedback_branch_gradients():
-    p = make_params(1.0, 0.0)
-    w = (1.0, -2.0, 0.5, 3.0)
-    v = (0.5, -1.0, 1.5, 2.0)
-    *zbar, du4 = stage_quotients(w, v, p)
-    assert du4 == zbar[3]
-    change = lyapunov.V_zero_feedback(v) - lyapunov.V_zero_feedback(w)
-    assert abs(change - float(np.array(zbar) @ (np.array(v) - np.array(w)))) < 1e-12
-
-
-big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_size=4)
-
-
-@given(
-    r=full_resonances,
-    dt_omega=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
-    w=big_coords,
-    v=big_coords,
-)
-@settings(max_examples=500)
-def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
-    p = make_params(1.0, r)
-    w, v = tuple(w), tuple(v)
-    stages = model.stage_table(p)
-    res, zbar = integrators._residual(w, v, p, stages, dt_omega)
-    e1, e2, e3, e4, e5 = slopes = [integrators._quotient_slope(a, b, c, z)
-                                   for a, b, c, z in zip(w + w[3:], v + v[3:], stages, zbar)]
-    assert min(slopes) >= 0.0
-    h, sub = dt_omega, -dt_omega * p.d
-    jac = np.array([
-        [1.0 + h * e1, 0.0, 0.0, h * p.feedback_coeff * e4],
-        [sub * e1, 1.0 + h * e2, 0.0, 0.0],
-        [0.0, sub * e2, 1.0 + h * e3, 0.0],
-        [0.0, 0.0, sub * e3, 1.0 + h * e5],
-    ])
-    assert jac.diagonal().min() >= 1.0
-    q3 = (-jac[2, 1] / jac[2, 2]) * (-jac[1, 0] / jac[1, 1]) * (jac[0, 3] / jac[0, 0])
-    assert jac[3, 3] - jac[3, 2] * q3 >= 1.0
-    ref = np.linalg.solve(jac, -np.array(res))
-    step = np.array(integrators._newton_step(w, v, zbar, res, p, stages, dt_omega))
-    assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("dt_omega, max_per_step", [(0.05, 4.0), (10.0, 7.0)])
-def test_newton_work_per_step(monkeypatch, dt_omega, max_per_step):
-    # Newton starts at v = w (an explicit-Euler start costs 9.7 residuals per
-    # step at dt_omega = 10 on this trajectory), where every quotient takes
-    # its analytic form, so the first residual of a solve evaluates no
-    # log-cosh difference and later ones at most five.  Quotient slopes, five
-    # per Newton step, are taken only for an accepted iterate above tol:
-    # never for the converged iterate that ends each solve, nor for a
-    # rejected line-search trial.
-    counts = {"residual": 0, "log_cosh_diff": 0, "slope": 0, "solve": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(integrators, "_residual", counted("residual", integrators._residual))
-    monkeypatch.setattr(lyapunov, "log_cosh_diff",
-                        counted("log_cosh_diff", lyapunov.log_cosh_diff))
-    monkeypatch.setattr(integrators, "_quotient_slope",
-                        counted("slope", integrators._quotient_slope))
-    real_newton = integrators._newton_dg
-
-    def newton(w, *args):
-        assert all(type(u) is float for u in w)
-        counts["solve"] += 1
-        v = real_newton(w, *args)
-        assert all(type(u) is float for u in v)
-        return v
-
-    monkeypatch.setattr(integrators, "_newton_dg", newton)
-    x0, p, cfg = np.array([1.0, -2.0, 0.5, 3.0]), make_params(1.0, 1.0), StepConfig(dt=dt_omega)
-    n_steps = 100
-    simulate(x0, p, cfg, n_steps)
-    assert counts["solve"] == n_steps
-    assert counts["residual"] <= max_per_step * n_steps
-    assert 0 < counts["log_cosh_diff"] <= 5 * (counts["residual"] - counts["solve"])
-    assert counts["slope"] <= 5 * (counts["residual"] - counts["solve"])
-    step_discrete_gradient(x0, p, cfg)  # float entries on this path too
-    assert counts["solve"] == n_steps + 1
-
-
 # The discrete-gradient kernel as it stood before the flat float rewrite:
 # list-building helpers over the (scale, inner) columns of model.stage_table
 # and over model.stage_field.  The rewrite must reproduce it bit for bit,
 # NewtonError residuals included.  Its solve gives up as the kernel's does,
-# when no line-search trial lowers the residual.
+# when no line-search trial lowers the residual.  The kernel keeps its
+# quotients, slopes and Newton step inline, so the tests of those properties
+# (telescoping, coincidence limit, feedback ratio, dense solve) run here.
 
 
 def _ref_table(p):
@@ -348,80 +133,268 @@ def _solve_or_residual(solver, w, p, dt):
         return ("NewtonError", _bits([err.residual]))
 
 
-amplitude = st.floats(min_value=-1e3, max_value=1e3)
-# v_i exactly at w_i, within 1e-12 and within 1e-7 of it relative to
-# max(1, |w_i|) (the two cutoffs of the quotient and of its slope), or free.
-offsets = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=-2e-12, max_value=2e-12).map(lambda e: ("rel", e)),
-    st.floats(min_value=-2e-7, max_value=2e-7).map(lambda e: ("rel", e)),
-    amplitude.map(lambda u: ("abs", u)),
+def test_step_config_validation():
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt"):
+            StepConfig(dt=dt)
+    # The Newton tolerance and iteration cap are module constants, so no
+    # configuration can set them to a value that breaks the solve.
+    assert [f.name for f in dataclasses.fields(StepConfig)] == ["dt", "method"]
+    for knob in ("newton_tol", "newton_max_iter"):
+        with pytest.raises(TypeError):
+            StepConfig(dt=0.1, **{knob: 0})
+    assert integrators._NEWTON_TOL > 0.0 and integrators._NEWTON_MAX_ITER >= 1
+
+
+def test_rk4_consistent_with_field():
+    p = make_params(1.0, 0.5)
+    x = np.array([1.0, -0.5, 0.2, 0.8])
+    dt = 1e-8
+    increment = (step_rk4(x, p, dt) - x) / dt
+    field = model.rhs_nonlinear(x, p)
+    assert np.abs(increment - field).max() <= 1e-6 * np.abs(field).max()
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+def test_rk4_kernel_matches_array_form_bitwise(r):
+    # the textbook array form on numpy vectors is the reference
+    p = make_params(3.0, r)
+    rng = np.random.default_rng(5)
+    for dt in (1e-3, 0.05, 0.7):
+        for _ in range(20):
+            x = rng.uniform(-6.0, 6.0, size=4)
+            k1 = model.rhs_nonlinear(x, p)
+            k2 = model.rhs_nonlinear(x + 0.5 * dt * k1, p)
+            k3 = model.rhs_nonlinear(x + 0.5 * dt * k2, p)
+            k4 = model.rhs_nonlinear(x + dt * k3, p)
+            want = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert step_rk4(x, p, dt).tobytes() == want.tobytes()
+
+
+def test_rk4_matches_matrix_exponential_in_linear_regime():
+    # eigendecomposition oracle for exp(A dt) acting on a tiny state
+    p = make_params(1.0, 0.3)
+    A = model.linearized_matrix(p)
+    vals, vecs = np.linalg.eig(A)
+    dt = 1e-3
+    expm = (vecs @ np.diag(np.exp(vals * dt)) @ np.linalg.inv(vecs)).real
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        x = rng.normal(size=4)
+        x *= 1e-6 / np.linalg.norm(x)
+        want = expm @ x
+        got = step_rk4(x, p, dt)
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_equilibrium_exact_for_both_methods():
+    p = make_params(10.0, 0.8)
+    assert np.array_equal(step_rk4(np.zeros(4), p, 0.3), np.zeros(4))
+    out = step_discrete_gradient(np.zeros(4), p, StepConfig(dt=0.3))
+    assert np.array_equal(out, np.zeros(4))
+
+
+def test_discrete_gradient_defining_contract():
+    # far beyond any explicit stability limit: omega0*dt = 10
+    p = make_params(100.0, 0.9)
+    traj = simulate(np.array([1.0, 1.0, -1.0, 0.5]), p, StepConfig(dt=0.1), 1000)
+    increases = np.diff(traj.V)
+    assert increases.max() <= 1e-10
+    assert np.linalg.norm(traj.states[-1]) < 1e-3
+
+
+def test_rk4_fails_in_stiff_regime():
+    # same setting must push energy up through RK4, showing the guarantee
+    # is not vacuous
+    p = make_params(100.0, 0.9)
+    traj = simulate(np.array([1.0, 1.0, -1.0, 0.5]), p,
+                    StepConfig(dt=0.1, method=Method.RK4), 200)
+    assert np.diff(traj.V).max() > 1e-3
+
+
+# r = 0 and the smallest normal-range resonances, where the stage-4 energy
+# scale d^2/(4r) is largest.
+full_resonances = st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0)
+
+
+@given(r=full_resonances, w=coords, v=coords)
+@settings(max_examples=500)
+def test_discrete_gradient_telescopes(r, w, v):
+    p = make_params(1.0, r)
+    *zbar, _ = _ref_stage_quotients(tuple(w), tuple(v), _ref_table(p))
+    w = np.array(w)
+    v = np.array(v)
+    change = lyapunov.lyapunov_value(v, p) - lyapunov.lyapunov_value(w, p)
+    assert abs(change - float(np.array(zbar) @ (v - w))) < 1e-12
+
+
+def test_discrete_gradient_coincidence_limit():
+    p = make_params(1.0, 0.7)
+    w = np.array([0.3, -1.0, 2.0, 0.5])
+    *zbar, du4 = _ref_stage_quotients(tuple(w.tolist()), tuple(w.tolist()), _ref_table(p))
+    assert np.array_equal(zbar, model.saturation_vector(w, p))
+    d3 = p.d ** 3
+    assert du4 == pytest.approx(d3 * math.tanh(w[3] / d3), rel=1e-15)
+
+
+@given(
+    r=resonances,
+    w4=st.floats(min_value=-20, max_value=20),
+    v4=st.floats(min_value=-20, max_value=20),
 )
+@settings(max_examples=500)
+def test_discrete_feedback_ratio_within_bounds(r, w4, v4):
+    # the mean-value bound that makes the implicit scheme dissipative
+    p = make_params(1.0, r)
+    w = (0.0, 0.0, 0.0, w4)
+    v = (0.0, 0.0, 0.0, v4)
+    *zbar, du4 = _ref_stage_quotients(w, v, _ref_table(p))
+    if abs(zbar[3]) < 1e-6:
+        return
+    gbar = du4 / zbar[3]
+    lo, hi = model.feedback_ratio_bounds(p)
+    assert lo - 1e-8 * hi <= gbar <= hi * (1 + 1e-8)
+    assert gbar >= 1.0 - 1e-8
 
 
-def _near(w, offset):
-    if offset == 0.0:
-        return w
-    kind, e = offset
-    return w + e * max(1.0, abs(w)) if kind == "rel" else e
+def test_zero_feedback_branch_gradients():
+    p = make_params(1.0, 0.0)
+    w = (1.0, -2.0, 0.5, 3.0)
+    v = (0.5, -1.0, 1.5, 2.0)
+    *zbar, du4 = _ref_stage_quotients(w, v, _ref_table(p))
+    assert du4 == zbar[3]
+    change = lyapunov.V_zero_feedback(v) - lyapunov.V_zero_feedback(w)
+    assert abs(change - float(np.array(zbar) @ (np.array(v) - np.array(w)))) < 1e-12
+
+
+big_coords = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_size=4)
 
 
 @given(
     r=full_resonances,
-    dt_omega=st.floats(min_value=-3.0, max_value=4.0).map(lambda e: 10.0 ** e),
-    w=st.lists(amplitude, min_size=4, max_size=4),
-    offset=st.lists(offsets, min_size=4, max_size=4),
-    max_iter=st.sampled_from([50, 3]),
+    dt_omega=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
+    w=big_coords,
+    v=big_coords,
 )
-@settings(max_examples=500, deadline=None)
-def test_kernel_bit_identical_to_frozen_reference(r, dt_omega, w, offset, max_iter):
+@settings(max_examples=500)
+def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
+    # on the frozen reference, which the kernel matches bit for bit
     p = make_params(1.0, r)
-    w = tuple(w)
-    v = tuple(map(_near, w, offset))
-    stages, table = model.stage_table(p), _ref_table(p)
-    res, zbar = integrators._residual(w, v, p, stages, dt_omega)
-    ref_res, ref_zbar = _ref_residual(w, v, p, table, dt_omega)
-    assert _bits(res) == _bits(ref_res) and _bits(zbar) == _bits(ref_zbar)
-    step = integrators._newton_step(w, v, zbar, res, p, stages, dt_omega)
-    ref_step = _ref_newton_step(_ref_jacobian(w, v, p, table, ref_zbar, dt_omega), ref_res)
-    assert _bits(step) == _bits(ref_step)
-    with mock.patch.object(integrators, "_NEWTON_MAX_ITER", max_iter):
+    w, v = tuple(w), tuple(v)
+    table = _ref_table(p)
+    res, zbar = _ref_residual(w, v, p, table, dt_omega)
+    jac = np.array(_ref_jacobian(w, v, p, table, zbar, dt_omega))
+    # every quotient slope is nonnegative: diagonal >= 1, corner >= 0 and
+    # subdiagonal <= 0
+    assert jac.diagonal().min() >= 1.0 and jac[0, 3] >= 0.0
+    assert np.diagonal(jac, -1).max() <= 0.0
+    q3 = (-jac[2, 1] / jac[2, 2]) * (-jac[1, 0] / jac[1, 1]) * (jac[0, 3] / jac[0, 0])
+    assert jac[3, 3] - jac[3, 2] * q3 >= 1.0
+    ref = np.linalg.solve(jac, -np.array(res))
+    step = np.array(_ref_newton_step(jac.tolist(), res))
+    assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _count_work(monkeypatch):
+    """Count _newton_dg solves and lyapunov.log_cosh_diff calls, the one
+    function the kernel calls per quotient off coincidence; a solve's first
+    residual, at v = w, calls it never and each later one at most five times."""
+    counts = {"solve": 0, "log_cosh_diff": 0}
+    real_newton, real_lcd = integrators._newton_dg, lyapunov.log_cosh_diff
+
+    def newton(w, *args):
+        assert all(type(u) is float for u in w)
+        counts["solve"] += 1
+        v = real_newton(w, *args)
+        assert all(type(u) is float for u in v)
+        return v
+
+    def lcd(*args):
+        counts["log_cosh_diff"] += 1
+        return real_lcd(*args)
+
+    monkeypatch.setattr(integrators, "_newton_dg", newton)
+    monkeypatch.setattr(lyapunov, "log_cosh_diff", lcd)
+    return counts
+
+
+@pytest.mark.parametrize("dt_omega, max_per_step", [(0.05, 4.0), (10.0, 7.0)])
+def test_newton_work_per_step(monkeypatch, dt_omega, max_per_step):
+    # Newton starts at v = w (an explicit-Euler start costs 9.7 residuals per
+    # step at dt_omega = 10 on this trajectory), where every quotient takes
+    # its analytic form, so the first residual of a solve evaluates no
+    # log-cosh difference and later ones at most five.  At most max_per_step
+    # residuals per step then means at most 5 (max_per_step - 1) log-cosh
+    # differences per step.
+    counts = _count_work(monkeypatch)
+    x0, p, cfg = np.array([1.0, -2.0, 0.5, 3.0]), make_params(1.0, 1.0), StepConfig(dt=dt_omega)
+    n_steps = 100
+    simulate(x0, p, cfg, n_steps)
+    assert counts["solve"] == n_steps
+    assert 0 < counts["log_cosh_diff"] <= 5 * (max_per_step - 1.0) * n_steps
+    step_discrete_gradient(x0, p, cfg)  # float entries on this path too
+    assert counts["solve"] == n_steps + 1
+
+
+# Signed zeros and amplitudes up to 1e6, on a linear and on a log scale.
+amplitude = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(min_value=-12.0, max_value=6.0)).map(
+        lambda se: se[0] * 10.0 ** se[1]),
+)
+
+
+@st.composite
+def solve_inputs(draw):
+    """(p, w, omega0*dt) with steps from 1e-12, where iterates stay within
+    the cutoffs of w, to 1e8, where the first iterate lands deep in
+    saturation and the solve may give up; or with a step whose first
+    increment of one coordinate, about omega0*dt*F_i(w), falls within 1e-6
+    (relative) of that coordinate's coincidence or derivative cutoff."""
+    p = make_params(1.0, draw(full_resonances))
+    w = tuple(draw(st.lists(amplitude, min_size=4, max_size=4)))
+    dt_omega = 10.0 ** draw(st.floats(min_value=-12.0, max_value=8.0))
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=3))
+        f = abs(model.stage_field(model.stage_gradients(w, model.stage_table(p)), p)[i])
+        cutoff = draw(st.sampled_from([integrators._COINCIDENCE_CUTOFF,
+                                       integrators._DERIVATIVE_CUTOFF]))
+        e = draw(st.floats(min_value=-1e-6, max_value=1e-6))
+        if f > 0.0:
+            dt_omega = cutoff * max(1.0, abs(w[i])) * (1.0 + e) / f
+    return p, w, dt_omega
+
+
+@given(
+    inputs=solve_inputs(),
+    max_iter=st.sampled_from([1, 3, 50]),
+    tol=st.sampled_from([integrators._NEWTON_TOL, 0.0]),
+)
+@settings(max_examples=1000, deadline=None)
+def test_kernel_bit_identical_to_frozen_reference(inputs, max_iter, tol):
+    # The whole solve: the returned iterate, or the NewtonError residual.
+    # At tolerance 0 every solve iterates until its line search stalls, so
+    # the residual it reports depends on every trial's quotients.
+    p, w, dt_omega = inputs
+    with mock.patch.multiple(integrators, _NEWTON_MAX_ITER=max_iter, _NEWTON_TOL=tol):
         got = _solve_or_residual(integrators._newton_dg, w, p, dt_omega)
         assert got == _solve_or_residual(_ref_newton_dg, w, p, dt_omega)
 
 
-def _count_residuals(monkeypatch):
-    counts = {"residual": 0}
-    real = integrators._residual
-
-    def residual(*args):
-        counts["residual"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(integrators, "_residual", residual)
-    return counts
-
-
 def test_step_discrete_gradient_is_simulate_step(monkeypatch):
     # the one-step API takes simulate's step path, interval halving included
-    calls = []
-    real_newton = integrators._newton_dg
-
-    def newton(w, p, dt):
-        calls.append(dt)
-        return real_newton(w, p, dt)
-
-    monkeypatch.setattr(integrators, "_newton_dg", newton)
-    counts = _count_residuals(monkeypatch)
+    counts = _count_work(monkeypatch)
     # Newton alone stalls near residual 1.45e-12 here, where no line-search
     # trial lowers it; the solve gives up at once, and halving the step
-    # succeeds within a few hundred residual evaluations.
+    # succeeds within a few hundred residual evaluations (at most five
+    # log-cosh differences each after a solve's first).
     p = make_params(1.0, 0.99)
     cfg = StepConfig(dt=6145.5604786231415)
     x = np.array([-8.759788673787686, -1.4019593204420175, 23.613903935334953, -18.812994667196612])
     got = step_discrete_gradient(x, p, cfg)
-    assert len(calls) > 1
-    assert counts["residual"] <= 300
+    assert counts["solve"] > 1
+    assert counts["log_cosh_diff"] <= 5 * (300 - counts["solve"])
     assert got.tobytes() == simulate(x, p, cfg, 1).states[1].tobytes()
     stream = substream(8, 0)
     for _ in range(40):
@@ -554,12 +527,13 @@ def test_simulate_zero_feedback_branch():
 def test_stalled_line_search_gives_up_at_once(monkeypatch):
     # r = 0 at omega0*dt = 10: Newton iterates often stall just above the
     # tolerance, and a stalled solve must give up at once for the halved
-    # step to take over
-    counts = _count_residuals(monkeypatch)
+    # step to take over: at most 20 residuals per step, of which each
+    # solve's first evaluates no log-cosh difference and the others five
+    counts = _count_work(monkeypatch)
     n_steps = 100
     traj = simulate(np.array([1.0, -2.0, 0.5, 3.0]), make_params(1.0, 0.0),
                     StepConfig(dt=10.0), n_steps)
-    assert counts["residual"] <= 20 * n_steps
+    assert counts["log_cosh_diff"] <= 5 * (20 * n_steps - counts["solve"])
     assert np.diff(traj.V).max() <= 1e-10
 
 
