@@ -307,6 +307,22 @@ def test_sweep_missing_file(capsys):
     assert code == 2
 
 
+def test_sweep_bundled_fullrange_spec(tmp_path):
+    # end-to-end run of the spec shipped in specs/
+    import pathlib
+
+    spec = pathlib.Path(__file__).parent.parent / "specs" / "fullrange.json"
+    out = tmp_path / "fullrange.json"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["all_pass"] is True
+    assert len(data["reports"]) == 3 * 50
+    assert len(data["decay"]) == 100
+    assert abs(data["thresholds"]["As"] - 5.0 / 12.0) < 1e-6
+    assert abs(data["thresholds"]["Bs"] - 1.0) < 1e-6
+    assert abs(data["thresholds"]["QsWorstCase"] - 1.0) < 1e-6
+
+
 def test_sweep_exit_1_on_failed_decay(tmp_path, capsys, monkeypatch):
     # harness meta-test: a sign-flipped energy must fail the sweep
     real = lyapunov.lyapunov_value
@@ -319,6 +335,19 @@ def test_sweep_exit_1_on_failed_decay(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", "--spec", str(spec))
     assert code == 1
     assert json.loads(out)["all_pass"] is False
+
+
+def test_sweep_output_deterministic(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "r": [0.25, 0.75], "omega0": [1], "families": ["As", "QsWorstCase"],
+        "seed": 99, "samples_per_point": 2, "dt": 0.1, "n_steps": 40,
+    }))
+    out1 = tmp_path / "a.json"
+    out2 = tmp_path / "b.json"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out1)]) == 0
+    assert main(["sweep", "--spec", str(spec), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_simulate_golden_bytes(tmp_path):
