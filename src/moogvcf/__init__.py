@@ -30,7 +30,6 @@ from .lyapunov import (
     MatrixFamily,
     Verdict,
     V_nonlinear,
-    V_quadratic_w,
     V_quadratic_x,
     V_zero_feedback,
     Vdot_nonlinear,

@@ -103,8 +103,9 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return np.array(_rk4(tuple(_finite_state(x, "x").tolist()), p, dt))
 
 
-def _newton_dg(w, p: FilterParams, dt: float):
-    """Solve v = w + dt*omega0*Fbar(w, v) for the float 4-tuple w over one step.
+def _newton_dg(w, t, p: FilterParams, dt: float):
+    """Solve v = w + dt*omega0*Fbar(w, v) for the float 4-tuple w over one step,
+    given its stage values t = model.stage_tanh(w, model.stage_table(p)).
 
     Fbar is model.stage_field of the stage quotients zbar of the rows of
     model.stage_table (rows 4 and 5 along coordinate 4); a quotient is the
@@ -119,53 +120,37 @@ def _newton_dg(w, p: FilterParams, dt: float):
 
     Newton starts at v = w, where every quotient is analytic, so the first
     iterate is the linearly implicit step; what depends on w alone is
-    computed once.  Each iteration takes the first of the update and its 8
-    halvings that lowers the residual's infinity norm.  Raises NewtonError
-    with the last accepted residual if none does, or if the norm does not
-    reach _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
+    computed once, and tanh(k w_i) comes from t, so tanh is evaluated only
+    for the slopes of later iterations.  Each iteration takes the first of
+    the update and its 8 halvings that lowers the residual's infinity norm.
+    Raises NewtonError with the last accepted residual if none does, or if
+    the norm does not reach _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
     """
-    lcd, tanh, tol = lyapunov.log_cosh_diff, math.tanh, _NEWTON_TOL  # per solve: patches apply
+    lcd, tanh = lyapunov.log_cosh_diff, math.tanh  # per solve: patches apply
     (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
         model.stage_table(p))
-    ho, d, fc = dt * p.omega0, p.d, p.feedback_coeff
+    ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
     sub, hf = -ho * d, ho * fc
     w1, w2, w3, w4 = w
+    t1, t2, t3, t4, t5 = t
     a1, a2, a3, a4, a5 = k1 * w1, k2 * w2, k3 * w3, k4 * w4, k5 * w4
-    y1, y2, y3, y4, y5 = g1 * tanh(a1), g2 * tanh(a2), g3 * tanh(a3), g4 * tanh(a4), g5 * tanh(a5)
-    m1, m2, m3, m4 = (u if u > 1.0 else 1.0 for u in (abs(w1), abs(w2), abs(w3), abs(w4)))
-    cut1, cut2, cut3, cut4 = (_COINCIDENCE_CUTOFF * m for m in (m1, m2, m3, m4))
+    y1, y2, y3, y4, y5 = g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5
+    m1, m2, m3, m4 = abs(w1), abs(w2), abs(w3), abs(w4)
+    m1, m2 = m1 if m1 > 1.0 else 1.0, m2 if m2 > 1.0 else 1.0
+    m3, m4 = m3 if m3 > 1.0 else 1.0, m4 if m4 > 1.0 else 1.0
+    cut1, cut2, cut3, cut4 = cut * m1, cut * m2, cut * m3, cut * m4
     # the iterate v, h = v - w, its quotients z, residual r and norm
     v1, v2, v3, v4, h1, h2, h3, h4 = w1, w2, w3, w4, 0.0, 0.0, 0.0, 0.0
     z1, z2, z3, z4, z5 = y1, y2, y3, y4, y5
     r1, r2, r3, r4 = (0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2),
                       0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5))
     rnorm = max(map(abs, (r1, r2, r3, r4)))
+    if rnorm <= tol:
+        return v1, v2, v3, v4
+    # the quotient slopes at v = w, where h = 0 takes the analytic form
+    e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
+    e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
     for _ in range(_NEWTON_MAX_ITER):
-        if rnorm <= tol:
-            return v1, v2, v3, v4
-        u1, u2, u3, u4 = w1 + h1, w2 + h2, w3 + h3, w4 + h4
-        t1, t2, t3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
-        t4, t5 = tanh(k4 * u4), tanh(k5 * u4)
-        if abs(h1) < _DERIVATIVE_CUTOFF * (abs(u1) if abs(u1) > m1 else m1):
-            e1 = c1 * (1.0 - t1 * t1)
-        else:
-            e1 = (g1 * t1 - z1) / h1
-            e1 = e1 if e1 > 0.0 else 0.0
-        if abs(h2) < _DERIVATIVE_CUTOFF * (abs(u2) if abs(u2) > m2 else m2):
-            e2 = c2 * (1.0 - t2 * t2)
-        else:
-            e2 = (g2 * t2 - z2) / h2
-            e2 = e2 if e2 > 0.0 else 0.0
-        if abs(h3) < _DERIVATIVE_CUTOFF * (abs(u3) if abs(u3) > m3 else m3):
-            e3 = c3 * (1.0 - t3 * t3)
-        else:
-            e3 = (g3 * t3 - z3) / h3
-            e3 = e3 if e3 > 0.0 else 0.0
-        if abs(h4) < _DERIVATIVE_CUTOFF * (abs(u4) if abs(u4) > m4 else m4):
-            e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
-        else:
-            e4, e5 = (g4 * t4 - z4) / h4, (g5 * t5 - z5) / h4
-            e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
         j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
         j21, j32, j43 = sub * e1, sub * e2, sub * e3
         p1 = -r1 / j11
@@ -180,13 +165,13 @@ def _newton_dg(w, p: FilterParams, dt: float):
         for _halving in range(9):
             x1, x2, x3, x4 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3, v4 + lam * n4
             b1, b2, b3, b4 = x1 - w1, x2 - w2, x3 - w3, x4 - w4
-            f1 = y1 if abs(b1) < cut1 else s1 * lcd(a1, k1 * b1) / b1
-            f2 = y2 if abs(b2) < cut2 else s2 * lcd(a2, k2 * b2) / b2
-            f3 = y3 if abs(b3) < cut3 else s3 * lcd(a3, k3 * b3) / b3
+            f1 = y1 if abs(b1) < cut1 else s1 * lcd(a1, k1 * b1, t1) / b1
+            f2 = y2 if abs(b2) < cut2 else s2 * lcd(a2, k2 * b2, t2) / b2
+            f3 = y3 if abs(b3) < cut3 else s3 * lcd(a3, k3 * b3, t3) / b3
             if abs(b4) < cut4:
                 f4, f5 = y4, y5
             else:
-                f4, f5 = s4 * lcd(a4, k4 * b4) / b4, s5 * lcd(a5, k5 * b4) / b4
+                f4, f5 = s4 * lcd(a4, k4 * b4, t4) / b4, s5 * lcd(a5, k5 * b4, t5) / b4
             o1, o2, o3, o4 = (b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2),
                               b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5))
             cnorm, l2, l3, l4 = abs(o1), abs(o2), abs(o3), abs(o4)  # max(map(abs, o)), no call
@@ -200,8 +185,32 @@ def _newton_dg(w, p: FilterParams, dt: float):
             lam *= 0.5
         else:  # the line search stalled: _advance_dg halves the interval
             break
-    if rnorm <= tol:
-        return v1, v2, v3, v4
+        if rnorm <= tol:
+            return v1, v2, v3, v4
+        # the quotient slopes at the new iterate u = w + h, from its tanh
+        u1, u2, u3, u4 = w1 + h1, w2 + h2, w3 + h3, w4 + h4
+        th1, th2, th3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
+        th4, th5 = tanh(k4 * u4), tanh(k5 * u4)
+        if abs(h1) < _DERIVATIVE_CUTOFF * (abs(u1) if abs(u1) > m1 else m1):
+            e1 = c1 * (1.0 - th1 * th1)
+        else:
+            e1 = (g1 * th1 - z1) / h1
+            e1 = e1 if e1 > 0.0 else 0.0
+        if abs(h2) < _DERIVATIVE_CUTOFF * (abs(u2) if abs(u2) > m2 else m2):
+            e2 = c2 * (1.0 - th2 * th2)
+        else:
+            e2 = (g2 * th2 - z2) / h2
+            e2 = e2 if e2 > 0.0 else 0.0
+        if abs(h3) < _DERIVATIVE_CUTOFF * (abs(u3) if abs(u3) > m3 else m3):
+            e3 = c3 * (1.0 - th3 * th3)
+        else:
+            e3 = (g3 * th3 - z3) / h3
+            e3 = e3 if e3 > 0.0 else 0.0
+        if abs(h4) < _DERIVATIVE_CUTOFF * (abs(u4) if abs(u4) > m4 else m4):
+            e4, e5 = c4 * (1.0 - th4 * th4), c5 * (1.0 - th5 * th5)
+        else:
+            e4, e5 = (g4 * th4 - z4) / h4, (g5 * th5 - z5) / h4
+            e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
     raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
 
 
@@ -209,7 +218,8 @@ def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x,
     taken as simulate takes it: Newton failures halve the interval."""
     scale = _scale(p)
-    w = _advance_dg(tuple(map(mul, scale, _finite_state(x, "x").tolist())), p, cfg.dt)
+    w = tuple(map(mul, scale, _finite_state(x, "x").tolist()))
+    w = _advance_dg(w, model.stage_tanh(w, model.stage_table(p)), p, cfg.dt)
     return np.array(tuple(map(truediv, w, scale)))
 
 
@@ -220,25 +230,28 @@ def _scale(p: FilterParams) -> tuple:
     return tuple(model.scaling_matrix(p.d).diagonal().tolist())
 
 
-def _advance_dg(w, p, dt, depth=0):
-    """Newton step with internal halving, the solve's one recovery: on
-    NewtonError the interval is split in two, recursively, up to 10 levels."""
+def _advance_dg(w, t, p, dt, depth=0):
+    """Newton step from w with its stage values t, and internal halving, the
+    solve's one recovery: on NewtonError the interval is split in two,
+    recursively, up to 10 levels, from a midpoint with its own stage values."""
     try:
-        return _newton_dg(w, p, dt)
+        return _newton_dg(w, t, p, dt)
     except NewtonError:
         if depth >= 10:
             raise
-        half = _advance_dg(w, p, 0.5 * dt, depth + 1)
-        return _advance_dg(half, p, 0.5 * dt, depth + 1)
+        half = _advance_dg(w, t, p, 0.5 * dt, depth + 1)
+        return _advance_dg(half, model.stage_tanh(half, model.stage_table(p)), p, 0.5 * dt,
+                           depth + 1)
 
 
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     """Integrate n_steps steps from x0 and record (t, x, V, Vdot).
 
     The energy columns are lyapunov_value and lyapunov_rate, the saturation
-    energy of model.stage_table with d = max(1, alpha).  Each failed
-    discrete-gradient Newton solve halves the step (up to 10 levels) before
-    a NewtonError carrying the step index is raised.
+    energy of model.stage_table with d = max(1, alpha); each state's stage
+    values model.stage_tanh are evaluated once, for its rate and the solve
+    from it.  Each failed discrete-gradient Newton solve halves the step (up
+    to 10 levels) before a NewtonError carrying the step index is raised.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
@@ -247,18 +260,20 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     scale = _scale(p)
     rk4 = cfg.method is Method.RK4
     u = tuple(x0.tolist() if rk4 else map(mul, scale, x0.tolist()))  # x for RK4, w for DG
-    value, rate = lyapunov.lyapunov_value, lyapunov.lyapunov_rate
+    value, rate, table = lyapunov.lyapunov_value, lyapunov.rate_of_gradients, model.stage_table(p)
+    (_, _, g1, _), (_, _, g2, _), (_, _, g3, _), (_, _, g4, _), (_, _, g5, _) = table
     states = np.empty((n_steps + 1, 4))
     energy, rates = np.empty(n_steps + 1), np.empty(n_steps + 1)
     for k in range(n_steps + 1):
         if k:  # row 0 records the initial state
             try:
-                u = _rk4(u, p, cfg.dt) if rk4 else _advance_dg(u, p, cfg.dt)
+                u = _rk4(u, p, cfg.dt) if rk4 else _advance_dg(u, t, p, cfg.dt)
             except NewtonError as err:
                 raise NewtonError(f"integration failed at step {k}", err.residual, step=k) from err
         x, w = (u, tuple(map(mul, scale, u))) if rk4 else (tuple(map(truediv, u, scale)), u)
+        t1, t2, t3, t4, t5 = t = model.stage_tanh(w, table)
         states[k] = x
         energy[k] = value(w, p)
-        rates[k] = rate(w, p)
+        rates[k] = rate((g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5), p)
     return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt, states=states,
                       V=energy, Vdot=rates)

@@ -30,8 +30,9 @@ def log_cosh(u: float) -> float:
     return a + math.log1p(math.exp(-2.0 * a)) - _LN2
 
 
-def log_cosh_diff(a: float, h: float) -> float:
-    """ln(cosh(a+h)) - ln(cosh(a)), stable across step sizes.
+def log_cosh_diff(a: float, h: float, tanh_a: float) -> float:
+    """ln(cosh(a+h)) - ln(cosh(a)), stable across step sizes, given
+    tanh_a = tanh(a), a stage value the quotient's caller already holds.
 
     For |h| <= 1 uses cosh(a+h)/cosh(a) = cosh(h) + sinh(h) tanh(a), i.e.
     log1p(2 sinh(h/2)^2 + sinh(h) tanh(a)), which avoids cancelling the
@@ -41,8 +42,13 @@ def log_cosh_diff(a: float, h: float) -> float:
     """
     if abs(h) <= 1.0:
         sh = math.sinh(0.5 * h)
-        return math.log1p(2.0 * sh * sh + math.sinh(h) * math.tanh(a))
-    return log_cosh(a + h) - log_cosh(a)
+        return math.log1p(2.0 * sh * sh + math.sinh(h) * tanh_a)
+    u, v = abs(a + h), abs(a)  # log_cosh(a + h) and log_cosh(a), inline
+    u = (math.log1p(2.0 * (sh := math.sinh(0.5 * u)) * sh) if u <= 1.0
+         else u + math.log1p(math.exp(-2.0 * u)) - _LN2)
+    v = (math.log1p(2.0 * (sh := math.sinh(0.5 * v)) * sh) if v <= 1.0
+         else v + math.log1p(math.exp(-2.0 * v)) - _LN2)
+    return u - v
 
 
 def V_quadratic_x(x) -> float:
@@ -50,9 +56,6 @@ def V_quadratic_x(x) -> float:
     scaled quadratic 0.5 * w'w = 0.5 * x' D^2 x on w."""
     v = np.asarray(x, dtype=float)
     return 0.5 * float(v @ v)
-
-
-V_quadratic_w = V_quadratic_x
 
 
 def V_nonlinear(w, p: FilterParams) -> float:
@@ -106,7 +109,7 @@ def lyapunov_value(w, p: FilterParams) -> float:
 
 @model.per_params
 def _rate_constants(p: FilterParams):
-    """The w-independent terms of lyapunov_rate's LDL' factorisation."""
+    """The w-independent terms of rate_of_gradients' LDL' factorisation."""
     h = 0.5 * p.d
     c = 0.5 * p.feedback_coeff
     piv2 = 1.0 - h * h  # >= 1/2, as d^2 <= 2
@@ -118,8 +121,13 @@ def _rate_constants(p: FilterParams):
 
 
 def lyapunov_rate(w, p: FilterParams) -> float:
-    """Decay rate omega0 * z' F of lyapunov_value, with z the stage gradients
-    and F = model.stage_field(z); for r > 0 it is omega0 * z' sym(Q) z, as
+    """Decay rate of lyapunov_value: rate_of_gradients of model.stage_gradients."""
+    return rate_of_gradients(model.stage_gradients(w, model.stage_table(p)), p)
+
+
+def rate_of_gradients(z, p: FilterParams) -> float:
+    """omega0 * z' F for the stage gradients z = (z1, z2, z3, z4, du4) and
+    F = model.stage_field(z); for r > 0 it is omega0 * z' sym(Q) z, as
     z4 * du4 = g * z4^2 with g the feedback ratio at w4.
 
     It is evaluated as -omega0 * y' D y, with L D L' the factorisation of
@@ -131,7 +139,7 @@ def lyapunov_rate(w, p: FilterParams) -> float:
     third pivot vanishes.
     """
     h, c, piv2, l32, l42, piv3, l43, cc, hcl42, ml43 = _rate_constants(p)
-    z1, z2, z3, z4, du4 = model.stage_gradients(w, model.stage_table(p))
+    z1, z2, z3, z4, du4 = z
     y1 = z1 - h * z2 + c * z4
     y2 = z2 + l32 * z3 + l42 * z4
     y3 = z3 + l43 * z4

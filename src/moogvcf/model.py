@@ -194,13 +194,21 @@ def stage_table(p: FilterParams):
     return tuple((s, k, s * k, 0.5 * s * k * k) for s, k in pairs)
 
 
+def stage_tanh(w, table):
+    """tanh(k * u) of the stage potentials of table at u = w1, w2, w3, w4, w4,
+    from which every stage gradient and discrete-gradient quotient at w is built."""
+    w1, w2, w3, w4 = w
+    (_, k1, _, _), (_, k2, _, _), (_, k3, _, _), (_, k4, _, _), (_, k5, _, _) = table
+    return (math.tanh(k1 * w1), math.tanh(k2 * w2), math.tanh(k3 * w3), math.tanh(k4 * w4),
+            math.tanh(k5 * w4))
+
+
 def stage_gradients(w, table):
     """Derivatives S * k * tanh(k * u) of the stage potentials of table at
     u = w1, w2, w3, w4, w4: [z1, z2, z3, z4, du4]."""
-    w1, w2, w3, w4 = w
-    (_, k1, sk1, _), (_, k2, sk2, _), (_, k3, sk3, _), (_, k4, sk4, _), (_, k5, sk5, _) = table
-    return [sk1 * math.tanh(k1 * w1), sk2 * math.tanh(k2 * w2), sk3 * math.tanh(k3 * w3),
-            sk4 * math.tanh(k4 * w4), sk5 * math.tanh(k5 * w4)]
+    t1, t2, t3, t4, t5 = stage_tanh(w, table)
+    (_, _, sk1, _), (_, _, sk2, _), (_, _, sk3, _), (_, _, sk4, _), (_, _, sk5, _) = table
+    return [sk1 * t1, sk2 * t2, sk3 * t3, sk4 * t4, sk5 * t5]
 
 
 def stage_field(z, p: FilterParams):

@@ -241,7 +241,7 @@ def test_certify_rejects_bad_grid(capsys, monkeypatch, grid, message):
 
 
 def test_simulate_integrator_failure_exit_code(capsys, monkeypatch):
-    def always_fail(w, p, dt):
+    def always_fail(w, t, p, dt):
         raise integrators.NewtonError("forced", 1.0)
 
     monkeypatch.setattr(integrators, "_newton_dg", always_fail)

@@ -200,7 +200,7 @@ def test_decay_study_rejects_zero_states():
 
 
 def test_decay_study_records_integrator_failures(monkeypatch):
-    def always_fail(w, p, dt):
+    def always_fail(w, t, p, dt):
         raise integrators.NewtonError("forced", 1.0)
 
     monkeypatch.setattr(integrators, "_newton_dg", always_fail)

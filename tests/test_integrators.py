@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moogvcf import integrators, lyapunov, model
@@ -31,6 +31,15 @@ resonances = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
 # when no line-search trial lowers the residual.  The kernel keeps its
 # quotients, slopes and Newton step inline, so the tests of those properties
 # (telescoping, coincidence limit, feedback ratio, dense solve) run here.
+# Its log-cosh difference is the two-argument formula of that time, which
+# evaluated tanh(a) itself.
+
+
+def _ref_log_cosh_diff(a, h):
+    if abs(h) <= 1.0:
+        sh = math.sinh(0.5 * h)
+        return math.log1p(2.0 * sh * sh + math.sinh(h) * math.tanh(a))
+    return lyapunov.log_cosh(a + h) - lyapunov.log_cosh(a)
 
 
 def _ref_table(p):
@@ -38,7 +47,7 @@ def _ref_table(p):
 
 
 def _ref_stage_quotients(w, v, table):
-    lcd = lyapunov.log_cosh_diff
+    lcd = _ref_log_cosh_diff
     out = []
     for a, b, (scale, inner) in zip(w + w[3:], v + v[3:], table):
         h = b - a
@@ -122,8 +131,43 @@ def _ref_newton_dg(w, p, dt):
     raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
 
 
+def _ref_advance(w, p, dt, depth=0):
+    try:
+        return _ref_newton_dg(w, p, dt)
+    except NewtonError:
+        if depth >= 10:
+            raise
+        half = _ref_advance(w, p, 0.5 * dt, depth + 1)
+        return _ref_advance(half, p, 0.5 * dt, depth + 1)
+
+
+def _ref_trajectory(x0, p, dt, n_steps):
+    """simulate's discrete-gradient columns (times, states, V, Vdot) as bytes
+    from the frozen solve, with interval halving, and lyapunov_value and
+    lyapunov_rate at each state; or the step and residual of its NewtonError."""
+    w = tuple(model.to_scaled(x0, p.d).tolist())
+    states, energy, rates = [], [], []
+    for k in range(n_steps + 1):
+        if k:
+            try:
+                w = _ref_advance(w, p, dt)
+            except NewtonError as err:
+                return ("NewtonError", k, _bits([err.residual]))
+        states.append(model.from_scaled(w, p.d))
+        energy.append(lyapunov.lyapunov_value(w, p))
+        rates.append(lyapunov.lyapunov_rate(w, p))
+    times = np.arange(n_steps + 1, dtype=float) * dt
+    return (times.tobytes(), np.array(states).tobytes(), np.array(energy).tobytes(),
+            np.array(rates).tobytes())
+
+
 def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
+
+
+def _kernel(w, p, dt):
+    """_newton_dg with the stage values of w, in the frozen solve's signature."""
+    return integrators._newton_dg(w, model.stage_tanh(w, model.stage_table(p)), p, dt)
 
 
 def _solve_or_residual(solver, w, p, dt):
@@ -131,6 +175,14 @@ def _solve_or_residual(solver, w, p, dt):
         return _bits(solver(w, p, dt))
     except NewtonError as err:
         return ("NewtonError", _bits([err.residual]))
+
+
+def _trajectory_or_error(x0, p, dt, n_steps):
+    try:
+        traj = simulate(x0, p, StepConfig(dt=dt), n_steps)
+    except NewtonError as err:
+        return ("NewtonError", err.step, _bits([err.residual]))
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.V.tobytes(), traj.Vdot.tobytes())
 
 
 def test_step_config_validation():
@@ -378,8 +430,77 @@ def test_kernel_bit_identical_to_frozen_reference(inputs, max_iter, tol):
     # the residual it reports depends on every trial's quotients.
     p, w, dt_omega = inputs
     with mock.patch.multiple(integrators, _NEWTON_MAX_ITER=max_iter, _NEWTON_TOL=tol):
-        got = _solve_or_residual(integrators._newton_dg, w, p, dt_omega)
+        got = _solve_or_residual(_kernel, w, p, dt_omega)
         assert got == _solve_or_residual(_ref_newton_dg, w, p, dt_omega)
+
+
+# The resonances, amplitudes and steps of the extreme-input contract test,
+# plus the documented step that Newton alone cannot take and halving can.
+@given(
+    r=st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(min_value=1e-3, max_value=1.0),
+    omega0=st.sampled_from([1.0, 100.0]),
+    dt_omega=st.floats(min_value=-2.0, max_value=4.0).map(lambda e: 10.0 ** e),
+    x0=big_coords,
+)
+@example(r=0.99, omega0=1.0, dt_omega=6145.5604786231415,
+         x0=[-8.759788673787686, -1.4019593204420175, 23.613903935334953, -18.812994667196612])
+@settings(max_examples=200, deadline=None)
+def test_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x0):
+    # simulate's discrete-gradient Trajectory, every column, against the
+    # frozen solve with interval halving and the energy functions per state
+    p, x0 = make_params(omega0, r), np.array(x0)
+    dt = dt_omega / omega0
+    assert _trajectory_or_error(x0, p, dt, 4) == _ref_trajectory(x0, p, dt, 4)
+
+
+@pytest.mark.parametrize("dt_omega", [0.1, 10.0])
+def test_stage_tanh_once_per_state(monkeypatch, dt_omega):
+    # A recorded state's five stage values serve its rate and the solve from
+    # it, and a solve evaluates tanh only for the quotient slopes of its
+    # iterations after the first: at most 5 tanh calls per recorded state
+    # plus 5 per such iteration.  The iterations are counted on the frozen
+    # solve, which takes the same iterates bit for bit.
+    p, x0, n_steps = make_params(1.0, 1.0), np.array([1.0, -2.0, 0.5, 3.0]), 100
+    counts = {"solve": 0, "iteration": 0, "tanh": 0}
+    real_newton, real_jacobian, real_tanh = _ref_newton_dg, _ref_jacobian, math.tanh
+
+    def newton(*args):
+        counts["solve"] += 1
+        return real_newton(*args)
+
+    def jacobian(*args):
+        counts["iteration"] += 1
+        return real_jacobian(*args)
+
+    def tanh(u):
+        counts["tanh"] += 1
+        return real_tanh(u)
+
+    with mock.patch.dict(globals(), _ref_newton_dg=newton, _ref_jacobian=jacobian):
+        want = _ref_trajectory(x0, p, dt_omega, n_steps)
+    assert counts["solve"] == n_steps  # no halving on this trajectory
+    with mock.patch.object(math, "tanh", tanh):
+        got = _trajectory_or_error(x0, p, dt_omega, n_steps)
+    assert got == want
+    assert 0 < counts["tanh"] <= 5 * (n_steps + 1) + 5 * (counts["iteration"] - counts["solve"])
+
+
+@given(
+    a=st.floats(min_value=-3.0, max_value=3.0) | st.floats(min_value=-800.0, max_value=800.0),
+    h=st.floats(min_value=-1.0, max_value=1.0) | st.floats(min_value=1.0, max_value=1e3)
+    | st.floats(min_value=-1e3, max_value=-1.0),
+)
+# |h| > 1 with each of |a + h| and |a| on either side of 1, where the
+# two-argument formula took log_cosh's two branches
+@example(a=0.5, h=-1.25)
+@example(a=0.5, h=1.5)
+@example(a=2.0, h=-1.5)
+@example(a=-2.0, h=-1.5)
+@example(a=1.0, h=-2.0)
+@example(a=-0.0, h=1.0)
+@settings(max_examples=500)
+def test_log_cosh_diff_bit_identical_to_two_argument_formula(a, h):
+    assert _bits([lyapunov.log_cosh_diff(a, h, math.tanh(a))]) == _bits([_ref_log_cosh_diff(a, h)])
 
 
 def test_step_discrete_gradient_is_simulate_step(monkeypatch):
@@ -555,11 +676,13 @@ def test_simulate_step_halving_recovers(monkeypatch):
     real = integrators._newton_dg
     calls = []
 
-    def flaky(w, p, dt):
+    def flaky(w, t, p, dt):
+        # every solve, halved ones included, gets the stage values of its start
+        assert t == model.stage_tanh(w, model.stage_table(p))
         calls.append(dt)
         if dt > 0.03:
             raise NewtonError("forced", 1.0)
-        return real(w, p, dt)
+        return real(w, t, p, dt)
 
     monkeypatch.setattr(integrators, "_newton_dg", flaky)
     p = make_params(1.0, 0.5)
@@ -569,7 +692,7 @@ def test_simulate_step_halving_recovers(monkeypatch):
 
 
 def test_simulate_halving_gives_up_with_step_index(monkeypatch):
-    def always_fail(w, p, dt):
+    def always_fail(w, t, p, dt):
         raise NewtonError("forced", 2.5)
 
     monkeypatch.setattr(integrators, "_newton_dg", always_fail)

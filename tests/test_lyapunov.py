@@ -11,7 +11,6 @@ from moogvcf.lyapunov import (
     MatrixFamily,
     Verdict,
     V_nonlinear,
-    V_quadratic_w,
     V_quadratic_x,
     V_zero_feedback,
     Vdot_nonlinear,
@@ -46,18 +45,19 @@ def test_log_cosh_matches_naive():
 @given(a=st.floats(min_value=-30, max_value=30), h=st.floats(min_value=-40, max_value=40))
 def test_log_cosh_diff_consistent(a, h):
     direct = log_cosh(a + h) - log_cosh(a)
-    assert log_cosh_diff(a, h) == pytest.approx(direct, abs=5e-13)
+    assert log_cosh_diff(a, h, math.tanh(a)) == pytest.approx(direct, abs=5e-13)
 
 
 def test_quadratic_energies():
     assert V_quadratic_x(np.zeros(4)) == 0.0
     assert V_quadratic_x(np.ones(4)) == 2.0
     assert V_quadratic_x([3.0, 0.0, 0.0, 0.0]) == 4.5
-    assert V_quadratic_w(np.zeros(4)) == 0.0
+    # the scaled quadratic energy 0.5 w'w is V_quadratic_x applied to w
+    assert V_quadratic_x(model.to_scaled(np.zeros(4), math.sqrt(2.0))) == 0.0
     w = model.to_scaled([1.0, 1.0, 0.0, 0.0], math.sqrt(2.0))
-    assert V_quadratic_w(w) == pytest.approx(1.5, rel=1e-15)
+    assert V_quadratic_x(w) == pytest.approx(1.5, rel=1e-15)
     x = np.array([0.2, -1.0, 3.0, 0.5])
-    assert V_quadratic_w(model.to_scaled(x, 1.0)) == V_quadratic_x(x)
+    assert V_quadratic_x(model.to_scaled(x, 1.0)) == V_quadratic_x(x)
 
 
 def test_V_nonlinear_zero_at_origin():
@@ -209,7 +209,7 @@ def test_candidate_dispatch():
     x = np.array([1.0, -1.0, 0.5, 2.0])
     w = model.to_scaled(x, p.d)
     assert V_quadratic_x(x) == 0.5 * float(x @ x)
-    assert V_quadratic_w(w) == 0.5 * float(w @ w)
+    assert V_quadratic_x(w) == 0.5 * float(w @ w)
     assert lyapunov.lyapunov_value(w, p) == V_nonlinear(w, p)
     d = p.d
     assert V_nonlinear(w, p) == pytest.approx(
