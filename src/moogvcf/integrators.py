@@ -33,6 +33,9 @@ _DERIVATIVE_CUTOFF = 1e-7
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 
+# The line search's trial factors: the Newton update and its 8 halvings.
+_LINE_SEARCH = tuple(0.5 ** i for i in range(9))
+
 
 class Method(Enum):
     RK4 = "rk4"
@@ -144,7 +147,10 @@ def _newton_dg(w, t, p: FilterParams, dt: float):
     z1, z2, z3, z4, z5 = y1, y2, y3, y4, y5
     r1, r2, r3, r4 = (0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2),
                       0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5))
-    rnorm = max(map(abs, (r1, r2, r3, r4)))
+    rnorm, l2, l3, l4 = abs(r1), abs(r2), abs(r3), abs(r4)  # max(map(abs, r)), no call
+    rnorm = l2 if l2 > rnorm else rnorm
+    rnorm = l3 if l3 > rnorm else rnorm
+    rnorm = l4 if l4 > rnorm else rnorm
     if rnorm <= tol:
         return v1, v2, v3, v4
     # the quotient slopes at v = w, where h = 0 takes the analytic form
@@ -161,8 +167,7 @@ def _newton_dg(w, t, p: FilterParams, dt: float):
         q3 = -j32 * q2 / j33
         n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
         n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
-        lam = 1.0
-        for _halving in range(9):
+        for lam in _LINE_SEARCH:
             x1, x2, x3, x4 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3, v4 + lam * n4
             b1, b2, b3, b4 = x1 - w1, x2 - w2, x3 - w3, x4 - w4
             f1 = y1 if abs(b1) < cut1 else s1 * lcd(a1, k1 * b1, t1) / b1
@@ -182,7 +187,6 @@ def _newton_dg(w, t, p: FilterParams, dt: float):
                 v1, v2, v3, v4, h1, h2, h3, h4, rnorm = x1, x2, x3, x4, b1, b2, b3, b4, cnorm
                 z1, z2, z3, z4, z5, r1, r2, r3, r4 = f1, f2, f3, f4, f5, o1, o2, o3, o4
                 break
-            lam *= 0.5
         else:  # the line search stalled: _advance_dg halves the interval
             break
         if rnorm <= tol:
@@ -252,6 +256,11 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     values model.stage_tanh are evaluated once, for its rate and the solve
     from it.  Each failed discrete-gradient Newton solve halves the step (up
     to 10 levels) before a NewtonError carrying the step index is raised.
+
+    Each step appends its state (x for RK4, w for discrete gradient), V and
+    Vdot to flat lists, and the arrays are built once after the loop; the
+    discrete-gradient states become x = D^-1 w in one array division, which
+    rounds as the entry-by-entry float division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
@@ -262,18 +271,19 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     u = tuple(x0.tolist() if rk4 else map(mul, scale, x0.tolist()))  # x for RK4, w for DG
     value, rate, table = lyapunov.lyapunov_value, lyapunov.rate_of_gradients, model.stage_table(p)
     (_, _, g1, _), (_, _, g2, _), (_, _, g3, _), (_, _, g4, _), (_, _, g5, _) = table
-    states = np.empty((n_steps + 1, 4))
-    energy, rates = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    us, energy, rates = [], [], []
     for k in range(n_steps + 1):
         if k:  # row 0 records the initial state
             try:
                 u = _rk4(u, p, cfg.dt) if rk4 else _advance_dg(u, t, p, cfg.dt)
             except NewtonError as err:
                 raise NewtonError(f"integration failed at step {k}", err.residual, step=k) from err
-        x, w = (u, tuple(map(mul, scale, u))) if rk4 else (tuple(map(truediv, u, scale)), u)
+        w = tuple(map(mul, scale, u)) if rk4 else u
         t1, t2, t3, t4, t5 = t = model.stage_tanh(w, table)
-        states[k] = x
-        energy[k] = value(w, p)
-        rates[k] = rate((g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5), p)
-    return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt, states=states,
-                      V=energy, Vdot=rates)
+        us.extend(u)
+        energy.append(value(w, p))
+        rates.append(rate((g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5), p))
+    states = np.array(us).reshape(n_steps + 1, 4)
+    return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt,
+                      states=states if rk4 else states / np.array(scale),
+                      V=np.array(energy), Vdot=np.array(rates))

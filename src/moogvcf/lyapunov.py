@@ -103,8 +103,17 @@ def lyapunov_value(w, p: FilterParams) -> float:
     feedback-free V_zero_feedback for r = 0."""
     w1, w2, w3, w4 = w
     (s1, k1, _, _), (s2, k2, _, _), (s3, k3, _, _), (s4, k4, _, _), _ = model.stage_table(p)
-    return (s1 * log_cosh(k1 * w1) + s2 * log_cosh(k2 * w2)
-            + s3 * log_cosh(k3 * w3) + s4 * log_cosh(k4 * w4))
+    a1, a2, a3, a4 = abs(k1 * w1), abs(k2 * w2), abs(k3 * w3), abs(k4 * w4)
+    # log_cosh(k_i w_i), inline
+    a1 = (math.log1p(2.0 * (sh := math.sinh(0.5 * a1)) * sh) if a1 <= 1.0
+          else a1 + math.log1p(math.exp(-2.0 * a1)) - _LN2)
+    a2 = (math.log1p(2.0 * (sh := math.sinh(0.5 * a2)) * sh) if a2 <= 1.0
+          else a2 + math.log1p(math.exp(-2.0 * a2)) - _LN2)
+    a3 = (math.log1p(2.0 * (sh := math.sinh(0.5 * a3)) * sh) if a3 <= 1.0
+          else a3 + math.log1p(math.exp(-2.0 * a3)) - _LN2)
+    a4 = (math.log1p(2.0 * (sh := math.sinh(0.5 * a4)) * sh) if a4 <= 1.0
+          else a4 + math.log1p(math.exp(-2.0 * a4)) - _LN2)
+    return s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4
 
 
 @model.per_params

@@ -171,9 +171,11 @@ def per_params(fn):
 
     @functools.wraps(fn)
     def memo(p):
-        if key not in p.__dict__:  # not a field: equality, hash and repr ignore it
-            p.__dict__[key] = fn(p)
-        return p.__dict__[key]
+        try:
+            return p.__dict__[key]
+        except KeyError:  # first call: not a field, so equality, hash and repr ignore it
+            value = p.__dict__[key] = fn(p)
+            return value
 
     return memo
 

@@ -307,6 +307,11 @@ def test_sweep_missing_file(capsys):
     assert code == 2
 
 
+# sha256 of `moogvcf sweep --spec specs/fullrange.json`, recorded before the
+# list-backed trajectory recorder; the sweep's bytes must not move.
+FULLRANGE_SWEEP_DIGEST = "5ca93e9dc0035f87e56786166857412648ca9f0fc77ad1322a10be2b2345be2b"
+
+
 def test_sweep_bundled_fullrange_spec(tmp_path):
     # end-to-end run of the spec shipped in specs/
     import pathlib
@@ -321,6 +326,7 @@ def test_sweep_bundled_fullrange_spec(tmp_path):
     assert abs(data["thresholds"]["As"] - 5.0 / 12.0) < 1e-6
     assert abs(data["thresholds"]["Bs"] - 1.0) < 1e-6
     assert abs(data["thresholds"]["QsWorstCase"] - 1.0) < 1e-6
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FULLRANGE_SWEEP_DIGEST
 
 
 def test_sweep_exit_1_on_failed_decay(tmp_path, capsys, monkeypatch):

@@ -453,6 +453,23 @@ def test_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x0):
     assert _trajectory_or_error(x0, p, dt, 4) == _ref_trajectory(x0, p, dt, 4)
 
 
+@given(
+    r=st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(min_value=1e-3, max_value=1.0),
+    omega0=st.sampled_from([1.0, 100.0]),
+    dt_omega=st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0 ** e),
+    x0=big_coords,
+)
+@settings(max_examples=100, deadline=None)
+def test_rk4_energy_columns_bit_identical_to_per_state_energy(r, omega0, dt_omega, x0):
+    # simulate's RK4 V and Vdot are lyapunov_value and lyapunov_rate of
+    # w = D x at each recorded state, bit for bit
+    p = make_params(omega0, r)
+    traj = simulate(np.array(x0), p, StepConfig(dt=dt_omega / omega0, method=Method.RK4), 4)
+    ws = [model.to_scaled(x, p.d) for x in traj.states]
+    assert traj.V.tobytes() == np.array([lyapunov.lyapunov_value(w, p) for w in ws]).tobytes()
+    assert traj.Vdot.tobytes() == np.array([lyapunov.lyapunov_rate(w, p) for w in ws]).tobytes()
+
+
 @pytest.mark.parametrize("dt_omega", [0.1, 10.0])
 def test_stage_tanh_once_per_state(monkeypatch, dt_omega):
     # A recorded state's five stage values serve its rate and the solve from
