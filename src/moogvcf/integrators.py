@@ -16,6 +16,7 @@ is done when recording trajectories.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import cycle
 from operator import mul, truediv
 
 import numpy as np
@@ -251,38 +252,34 @@ def _advance_dg(w, t, p, dt, depth=0):
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     """Integrate n_steps steps from x0 and record (t, x, V, Vdot).
 
-    The energy columns are lyapunov_value and lyapunov_rate, the saturation
-    energy of model.stage_table with d = max(1, alpha); each state's stage
-    values model.stage_tanh are evaluated once, for its rate and the solve
-    from it.  Each failed discrete-gradient Newton solve halves the step (up
-    to 10 levels) before a NewtonError carrying the step index is raised.
-
-    Each step appends its state (x for RK4, w for discrete gradient), V and
-    Vdot to flat lists, and the arrays are built once after the loop; the
-    discrete-gradient states become x = D^-1 w in one array division, which
+    The loop only advances the state (x for RK4, w for discrete gradient),
+    appending it and its stage values model.stage_tanh, which also serve the
+    solve from it, to flat lists; a failed discrete-gradient Newton solve
+    halves the step (up to 10 levels) before a NewtonError carrying the step
+    index is raised.  lyapunov.energy_columns then evaluates V and Vdot, the
+    saturation energy with d = max(1, alpha) and its rate, once per
+    trajectory; DG states become x = D^-1 w in one array division, which
     rounds as the entry-by-entry float division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     x0 = _finite_state(x0, "x0")
-    scale = _scale(p)
+    scale, table = _scale(p), model.stage_table(p)
     rk4 = cfg.method is Method.RK4
     u = tuple(x0.tolist() if rk4 else map(mul, scale, x0.tolist()))  # x for RK4, w for DG
-    value, rate, table = lyapunov.lyapunov_value, lyapunov.rate_of_gradients, model.stage_table(p)
-    (_, _, g1, _), (_, _, g2, _), (_, _, g3, _), (_, _, g4, _), (_, _, g5, _) = table
-    us, energy, rates = [], [], []
+    us, ts = [], []
     for k in range(n_steps + 1):
         if k:  # row 0 records the initial state
             try:
                 u = _rk4(u, p, cfg.dt) if rk4 else _advance_dg(u, t, p, cfg.dt)
             except NewtonError as err:
                 raise NewtonError(f"integration failed at step {k}", err.residual, step=k) from err
-        w = tuple(map(mul, scale, u)) if rk4 else u
-        t1, t2, t3, t4, t5 = t = model.stage_tanh(w, table)
+        t = model.stage_tanh(tuple(map(mul, scale, u)) if rk4 else u, table)
         us.extend(u)
-        energy.append(value(w, p))
-        rates.append(rate((g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5), p))
+        ts.extend(t)
+    ws = map(mul, us, cycle(scale)) if rk4 else us  # w = D x, entry by entry
+    energy, rates = lyapunov.energy_columns(ws, map(mul, ts, cycle([g for _, _, g, _ in table])), p)
     states = np.array(us).reshape(n_steps + 1, 4)
     return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt,
                       states=states if rk4 else states / np.array(scale),

@@ -30,8 +30,8 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Four complex eigenvalues sorted by argument in [0, 2pi) then by
-    magnitude, plus the largest real part."""
+    """Four complex eigenvalues sorted by argument in [0, 2pi), taken as 0 within 1e-12 of the
+    largest magnitude of the positive real axis, then by magnitude; and the largest real part."""
 
     eigenvalues: np.ndarray
     max_real_part: float
@@ -39,7 +39,8 @@ class Spectrum:
 
 def _sorted_spectrum(vals) -> Spectrum:
     z = np.asarray(vals, dtype=complex)
-    ang = np.mod(np.angle(z), 2.0 * np.pi)
+    real = (z.real > 0.0) & (np.abs(z.imag) <= 1e-12 * np.abs(z).max())  # imag: rounding noise
+    ang = np.where(real, 0.0, np.mod(np.angle(z), 2.0 * np.pi))
     order = np.lexsort((np.abs(z), ang))
     z = z[order]
     return Spectrum(eigenvalues=z, max_real_part=float(z.real.max()))

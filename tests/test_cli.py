@@ -331,8 +331,14 @@ def test_sweep_bundled_fullrange_spec(tmp_path):
 
 def test_sweep_exit_1_on_failed_decay(tmp_path, capsys, monkeypatch):
     # harness meta-test: a sign-flipped energy must fail the sweep
-    real = lyapunov.lyapunov_value
-    monkeypatch.setattr(lyapunov, "lyapunov_value", lambda w, p: -real(w, p))
+    # (simulate's V column comes from lyapunov.energy_columns)
+    real = lyapunov.energy_columns
+
+    def negated(ws, zs, p):
+        energy, rates = real(ws, zs, p)
+        return [-v for v in energy], rates
+
+    monkeypatch.setattr(lyapunov, "energy_columns", negated)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "r": [0.5], "omega0": [1], "families": ["As"],

@@ -263,8 +263,14 @@ def test_sweep_summaries_canonical_order():
 
 def test_negated_energy_fails_decay_study(monkeypatch):
     # harness meta-test: a sign-flipped V must be caught on every state
-    real = lyapunov.lyapunov_value
-    monkeypatch.setattr(lyapunov, "lyapunov_value", lambda w, p: -real(w, p))
+    # (simulate's V column comes from lyapunov.energy_columns)
+    real = lyapunov.energy_columns
+
+    def negated(ws, zs, p):
+        energy, rates = real(ws, zs, p)
+        return [-v for v in energy], rates
+
+    monkeypatch.setattr(lyapunov, "energy_columns", negated)
     p = make_params(1.0, 0.5)
     result = run_decay_study(p, seed=3, n_states=8, cfg=StepConfig(dt=0.1), t_end=5.0)
     assert all(not s.passed for s in result.summaries)

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moogvcf import lyapunov, model
@@ -180,6 +181,106 @@ def test_Vdot_nonpositive_along_null_direction():
         w = (math.atanh(s), d * math.atanh(math.sqrt(2.0) * s / d),
              d * d * math.atanh(s / (d * d)), 0.0)
         assert lyapunov.lyapunov_rate(w, p) <= 0.0
+
+
+# lyapunov_value and rate_of_gradients as they stood before energy_columns
+# evaluated whole trajectories.  The scalar names now wrap energy_columns, so
+# they cannot serve as their own reference.
+
+
+def _ref_lyapunov_value(w, p):
+    w1, w2, w3, w4 = w
+    (s1, k1, _, _), (s2, k2, _, _), (s3, k3, _, _), (s4, k4, _, _), _ = model.stage_table(p)
+    a1, a2, a3, a4 = abs(k1 * w1), abs(k2 * w2), abs(k3 * w3), abs(k4 * w4)
+    ln2 = math.log(2.0)
+    a1 = (math.log1p(2.0 * (sh := math.sinh(0.5 * a1)) * sh) if a1 <= 1.0
+          else a1 + math.log1p(math.exp(-2.0 * a1)) - ln2)
+    a2 = (math.log1p(2.0 * (sh := math.sinh(0.5 * a2)) * sh) if a2 <= 1.0
+          else a2 + math.log1p(math.exp(-2.0 * a2)) - ln2)
+    a3 = (math.log1p(2.0 * (sh := math.sinh(0.5 * a3)) * sh) if a3 <= 1.0
+          else a3 + math.log1p(math.exp(-2.0 * a3)) - ln2)
+    a4 = (math.log1p(2.0 * (sh := math.sinh(0.5 * a4)) * sh) if a4 <= 1.0
+          else a4 + math.log1p(math.exp(-2.0 * a4)) - ln2)
+    return s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4
+
+
+def _ref_rate_of_gradients(z, p):
+    h, c, piv2, l32, l42, piv3, l43, cc, hcl42, ml43 = lyapunov._rate_constants(p)
+    z1, z2, z3, z4, du4 = z
+    y1 = z1 - h * z2 + c * z4
+    y2 = z2 + l32 * z3 + l42 * z4
+    y3 = z3 + l43 * z4
+    quad = y1 * y1 + piv2 * y2 * y2 + piv3 * y3 * y3
+    if z4 != 0.0:
+        piv4 = max(0.0, du4 / z4 - cc - hcl42 - ml43)
+        quad += piv4 * z4 * z4
+    return 0.0 - p.omega0 * quad
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _null_state(s, d=math.sqrt(2.0)):
+    """A state whose stage gradients lie on the null direction (1, sqrt 2, 1, 0)
+    of -sym(Q) at r = 1, as in test_Vdot_nonpositive_along_null_direction."""
+    return [math.atanh(s), d * math.atanh(math.sqrt(2.0) * s / d),
+            d * d * math.atanh(s / (d * d)), 0.0]
+
+
+# |k_i w_i| on both sides of 1: the two branches of the inline log-cosh
+stage_coords = st.floats(min_value=-3.0, max_value=3.0) | st.floats(min_value=-1e3, max_value=1e3)
+# a row's gradients: None for the stage gradients of its state, else any five
+# values, as discrete-gradient quotients are, which reach the clamp of a
+# negative fourth pivot
+row_gradients = st.none() | st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                                     min_size=5, max_size=5)
+
+
+def _rows(*states):
+    return [(w, None) for w in states]
+
+
+@given(
+    r=st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(min_value=1e-3, max_value=1.0),
+    omega0=st.sampled_from([1.0, 100.0]),
+    rows=st.lists(st.tuples(st.lists(stage_coords, min_size=4, max_size=4), row_gradients),
+                  min_size=1, max_size=4),
+)
+@example(r=0.5, omega0=1.0, rows=_rows([0.0, 0.0, 0.0, 0.0]))  # origin: z4 = 0, Vdot +0.0
+@example(r=0.0, omega0=100.0, rows=_rows([0.0, 0.0, 0.0, 0.0], [1.0, -2.0, 0.5, 3.0]))
+@example(r=1.0, omega0=1.0, rows=_rows(_null_state(0.5), _null_state(0.999), _null_state(1e-4)))
+@example(r=0.5, omega0=1.0, rows=[([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0, -1.0])])
+@settings(max_examples=300)
+def test_energy_columns_bit_identical_to_frozen_reference(r, omega0, rows):
+    # every row of both columns, and the one-row wrappers, bit for bit
+    p = make_params(omega0, r)
+    table = model.stage_table(p)
+    ws = [w for w, _ in rows]
+    gradients = [model.stage_gradients(w, table) for w in ws]
+    zs = [g if z is None else z for g, (_, z) in zip(gradients, rows)]
+    want_v = _bits([_ref_lyapunov_value(w, p) for w in ws])
+    want_vdot = _bits([_ref_rate_of_gradients(z, p) for z in zs])
+    energy, rates = lyapunov.energy_columns([u for w in ws for u in w],
+                                            [g for z in zs for g in z], p)
+    assert (_bits(energy), _bits(rates)) == (want_v, want_vdot)
+    assert _bits([lyapunov.lyapunov_value(w, p) for w in ws]) == want_v
+    assert _bits([lyapunov.rate_of_gradients(z, p) for z in zs]) == want_vdot
+    assert (_bits([lyapunov.lyapunov_rate(w, p) for w in ws])
+            == _bits([_ref_rate_of_gradients(g, p) for g in gradients]))
+    assert all(math.copysign(1.0, v) == 1.0 for v, w in zip(rates, ws) if not any(w))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: lyapunov.lyapunov_value((1.0, 2.0, 3.0), p),
+    lambda p: lyapunov.lyapunov_value((1.0, 2.0, 3.0, 4.0, 5.0), p),
+    lambda p: lyapunov.rate_of_gradients((1.0, 2.0, 3.0, 4.0), p),
+    lambda p: lyapunov.energy_columns([0.0] * 8, [0.0] * 5, p),  # two states, one gradient row
+    lambda p: lyapunov.energy_columns([0.0] * 4, [0.0] * 10, p),
+], ids=["value-3", "value-5", "rate-4", "rows-2-1", "rows-1-2"])
+def test_energy_rejects_partial_rows(call):
+    with pytest.raises(ValueError):
+        call(make_params(1.0, 0.5))
 
 
 def test_Vdot_zero_feedback_nonpositive():

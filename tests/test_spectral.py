@@ -53,6 +53,14 @@ def test_numeric_diagonal():
     assert np.abs(spec.eigenvalues.imag).max() < 1e-12
 
 
+@pytest.mark.parametrize("diagonal", [[3.0, 2.0, 1.0, 0.5], [1e-8, 1.0, 1.0, 3.0]])
+def test_numeric_positive_real_spectrum_in_ascending_order(diagonal):
+    # rounding noise in a positive root's imaginary part must not order it by
+    # its noise, or send it to angle 2 pi: it sorts as real, by modulus
+    got = eigvals_numeric(np.diag(diagonal)).eigenvalues
+    assert np.abs(got - sorted(diagonal)).max() < 1e-12
+
+
 @pytest.mark.parametrize("M", [
     np.zeros((4, 4)),
     np.diag([0.0, 0.0, 0.0, 1.0]),
