@@ -37,6 +37,10 @@ _NEWTON_MAX_ITER = 50
 # The line search's trial factors: the Newton update and its 8 halvings.
 _LINE_SEARCH = tuple(0.5 ** i for i in range(9))
 
+# A step whose solve gives up is taken as two half steps, recursively, at
+# most this many levels deep.
+_MAX_DEPTH = 10
+
 
 class Method(Enum):
     RK4 = "rk4"
@@ -107,116 +111,148 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return np.array(_rk4(tuple(_finite_state(x, "x").tolist()), p, dt))
 
 
-def _newton_dg(w, t, p: FilterParams, dt: float):
-    """Solve v = w + dt*omega0*Fbar(w, v) for the float 4-tuple w over one step,
-    given its stage values t = model.stage_tanh(w, model.stage_table(p)).
+def _dg_run(w, t, p: FilterParams, dt: float, n: int, depth: int = 0):
+    """Take n discrete-gradient steps of length dt from the float 4-tuple w
+    with its stage values t = model.stage_tanh(w, model.stage_table(p)).
 
-    Fbar is model.stage_field of the stage quotients zbar of the rows of
-    model.stage_table (rows 4 and 5 along coordinate 4); a quotient is the
-    gradient S k tanh(k w_i) within _COINCIDENCE_CUTOFF * max(1, |w_i|) of
-    coincidence.  Its slope in v_i is S k^2 sech^2(k v_i) / 2 within
-    _DERIVATIVE_CUTOFF * max(1, |w_i|, |v_i|), else the secant form clamped
-    at 0, as a secant slope of a convex potential is.  So the Jacobian is
-    lower bidiagonal plus the (1, 4) feedback corner, with diagonal >= 1,
-    subdiagonal <= 0 and corner >= 0: forward substitution writes the first
-    three step components as p_i - q_i * n4 with q_i >= 0, and the last
-    pivot is at least 1.
+    Returns the n new states and their stage values tanh(k_i v_i), each back
+    to back in a flat list, the number of Newton solves (failed and halved
+    ones included) and that of line-search trials, the residual evaluations
+    with quotients.  The constants of (p, dt) are computed once per call.
+
+    A step solves v = w + dt*omega0*Fbar(w, v), Fbar being model.stage_field
+    of the stage quotients zbar of the table's rows (rows 4 and 5 along w4):
+    S k tanh(k w_i) within _COINCIDENCE_CUTOFF * max(1, |w_i|) of coincidence,
+    else S lyapunov.log_cosh_diff(k w_i, k h_i, tanh(k w_i)) / h_i, with its
+    |k h_i| <= 1 branch inline.  A quotient's slope in v_i is S k^2 sech^2(k v_i)
+    / 2 within _DERIVATIVE_CUTOFF * max(1, |w_i|, |v_i|), else the secant form
+    clamped at 0, as a convex potential's is.  So the Jacobian is lower
+    bidiagonal plus the (1, 4) feedback corner, with diagonal >= 1, subdiagonal
+    <= 0 and corner >= 0: forward substitution writes n_i = p_i - q_i * n4
+    (q_i >= 0), and the last pivot is >= 1.
 
     Newton starts at v = w, where every quotient is analytic, so the first
-    iterate is the linearly implicit step; what depends on w alone is
-    computed once, and tanh(k w_i) comes from t, so tanh is evaluated only
-    for the slopes of later iterations.  Each iteration takes the first of
-    the update and its 8 halvings that lowers the residual's infinity norm.
-    Raises NewtonError with the last accepted residual if none does, or if
-    the norm does not reach _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
+    iterate is the linearly implicit step.  Each iteration takes the first of
+    the update and its 8 halvings that lowers the residual's infinity norm.  A
+    solve gives up if none does, or if _NEWTON_MAX_ITER iterations do not reach
+    _NEWTON_TOL; its step is then taken as two, _dg_run(w, t, p, dt/2, 2,
+    depth + 1).  At depth _MAX_DEPTH a NewtonError with the last residual is
+    raised instead; its step is the failed step's 1-based index in the
+    outermost call.
     """
-    lcd, tanh = lyapunov.log_cosh_diff, math.tanh  # per solve: patches apply
     (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
         model.stage_table(p))
     ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
-    sub, hf = -ho * d, ho * fc
-    w1, w2, w3, w4 = w
-    t1, t2, t3, t4, t5 = t
-    a1, a2, a3, a4, a5 = k1 * w1, k2 * w2, k3 * w3, k4 * w4, k5 * w4
-    y1, y2, y3, y4, y5 = g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5
-    m1, m2, m3, m4 = abs(w1), abs(w2), abs(w3), abs(w4)
-    m1, m2 = m1 if m1 > 1.0 else 1.0, m2 if m2 > 1.0 else 1.0
-    m3, m4 = m3 if m3 > 1.0 else 1.0, m4 if m4 > 1.0 else 1.0
-    cut1, cut2, cut3, cut4 = cut * m1, cut * m2, cut * m3, cut * m4
-    # the iterate v, h = v - w, its quotients z, residual r and norm
-    v1, v2, v3, v4, h1, h2, h3, h4 = w1, w2, w3, w4, 0.0, 0.0, 0.0, 0.0
-    z1, z2, z3, z4, z5 = y1, y2, y3, y4, y5
-    r1, r2, r3, r4 = (0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2),
-                      0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5))
-    rnorm, l2, l3, l4 = abs(r1), abs(r2), abs(r3), abs(r4)  # max(map(abs, r)), no call
-    rnorm = l2 if l2 > rnorm else rnorm
-    rnorm = l3 if l3 > rnorm else rnorm
-    rnorm = l4 if l4 > rnorm else rnorm
-    if rnorm <= tol:
-        return v1, v2, v3, v4
-    # the quotient slopes at v = w, where h = 0 takes the analytic form
-    e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
-    e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
-    for _ in range(_NEWTON_MAX_ITER):
-        j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
-        j21, j32, j43 = sub * e1, sub * e2, sub * e3
-        p1 = -r1 / j11
-        q1 = hf * e4 / j11
-        p2 = (-r2 - j21 * p1) / j22
-        q2 = -j21 * q1 / j22
-        p3 = (-r3 - j32 * p2) / j33
-        q3 = -j32 * q2 / j33
-        n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
-        n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
-        for lam in _LINE_SEARCH:
-            x1, x2, x3, x4 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3, v4 + lam * n4
-            b1, b2, b3, b4 = x1 - w1, x2 - w2, x3 - w3, x4 - w4
-            f1 = y1 if abs(b1) < cut1 else s1 * lcd(a1, k1 * b1, t1) / b1
-            f2 = y2 if abs(b2) < cut2 else s2 * lcd(a2, k2 * b2, t2) / b2
-            f3 = y3 if abs(b3) < cut3 else s3 * lcd(a3, k3 * b3, t3) / b3
-            if abs(b4) < cut4:
-                f4, f5 = y4, y5
-            else:
-                f4, f5 = s4 * lcd(a4, k4 * b4, t4) / b4, s5 * lcd(a5, k5 * b4, t5) / b4
-            o1, o2, o3, o4 = (b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2),
-                              b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5))
-            cnorm, l2, l3, l4 = abs(o1), abs(o2), abs(o3), abs(o4)  # max(map(abs, o)), no call
-            cnorm = l2 if l2 > cnorm else cnorm
-            cnorm = l3 if l3 > cnorm else cnorm
-            cnorm = l4 if l4 > cnorm else cnorm
-            if cnorm < rnorm:
-                v1, v2, v3, v4, h1, h2, h3, h4, rnorm = x1, x2, x3, x4, b1, b2, b3, b4, cnorm
-                z1, z2, z3, z4, z5, r1, r2, r3, r4 = f1, f2, f3, f4, f5, o1, o2, o3, o4
+    sub, hf, max_iter = -ho * d, ho * fc, _NEWTON_MAX_ITER
+    tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
+    (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = w, t
+    states, stages, solves, trials = [], [], n, 0
+    for i in range(n):
+        a1, a2, a3, a4, a5 = k1 * w1, k2 * w2, k3 * w3, k4 * w4, k5 * w4
+        y1, y2, y3, y4, y5 = g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5
+        m1, m2, m3, m4 = abs(w1), abs(w2), abs(w3), abs(w4)
+        m1, m2 = m1 if m1 > 1.0 else 1.0, m2 if m2 > 1.0 else 1.0
+        m3, m4 = m3 if m3 > 1.0 else 1.0, m4 if m4 > 1.0 else 1.0
+        cut1, cut2, cut3, cut4 = cut * m1, cut * m2, cut * m3, cut * m4
+        # the iterate v, h = v - w, its quotients z, residual r and norm
+        v1, v2, v3, v4, h1, h2, h3, h4 = w1, w2, w3, w4, 0.0, 0.0, 0.0, 0.0
+        z1, z2, z3, z4, z5 = y1, y2, y3, y4, y5
+        r1, r2, r3, r4 = (0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2),
+                          0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5))
+        rnorm, l2, l3, l4 = abs(r1), abs(r2), abs(r3), abs(r4)  # max(map(abs, r)), no call
+        rnorm = l2 if l2 > rnorm else rnorm
+        rnorm = l3 if l3 > rnorm else rnorm
+        rnorm = l4 if l4 > rnorm else rnorm
+        # the quotient slopes at v = w, where h = 0 takes the analytic form
+        e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
+        e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
+        for _ in range(0 if rnorm <= tol else max_iter):  # none if v = w solves
+            j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
+            j21, j32, j43 = sub * e1, sub * e2, sub * e3
+            p1 = -r1 / j11
+            q1 = hf * e4 / j11
+            p2 = (-r2 - j21 * p1) / j22
+            q2 = -j21 * q1 / j22
+            p3 = (-r3 - j32 * p2) / j33
+            q3 = -j32 * q2 / j33
+            n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
+            n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
+            for lam in _LINE_SEARCH:
+                trials += 1
+                x1, x2, x3, x4 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3, v4 + lam * n4
+                b1, b2, b3, b4 = x1 - w1, x2 - w2, x3 - w3, x4 - w4
+                # a quotient S log_cosh_diff(a, q, tanh(a)) / b with q = k b
+                f1 = y1 if abs(b1) < cut1 else s1 * (
+                    log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t1)
+                    if -1.0 <= (q := k1 * b1) <= 1.0 else lcd(a1, q, t1)) / b1
+                f2 = y2 if abs(b2) < cut2 else s2 * (
+                    log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t2)
+                    if -1.0 <= (q := k2 * b2) <= 1.0 else lcd(a2, q, t2)) / b2
+                f3 = y3 if abs(b3) < cut3 else s3 * (
+                    log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t3)
+                    if -1.0 <= (q := k3 * b3) <= 1.0 else lcd(a3, q, t3)) / b3
+                if abs(b4) < cut4:
+                    f4, f5 = y4, y5
+                else:
+                    f4 = s4 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t4)
+                               if -1.0 <= (q := k4 * b4) <= 1.0 else lcd(a4, q, t4)) / b4
+                    f5 = s5 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t5)
+                               if -1.0 <= (q := k5 * b4) <= 1.0 else lcd(a5, q, t5)) / b4
+                o1, o2, o3, o4 = (b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2),
+                                  b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5))
+                cnorm, l2, l3, l4 = abs(o1), abs(o2), abs(o3), abs(o4)  # no call
+                cnorm = l2 if l2 > cnorm else cnorm
+                cnorm = l3 if l3 > cnorm else cnorm
+                cnorm = l4 if l4 > cnorm else cnorm
+                if cnorm < rnorm:
+                    v1, v2, v3, v4, h1, h2, h3, h4, rnorm = x1, x2, x3, x4, b1, b2, b3, b4, cnorm
+                    z1, z2, z3, z4, z5, r1, r2, r3, r4 = f1, f2, f3, f4, f5, o1, o2, o3, o4
+                    break
+            else:  # the line search stalled: the solve gives up
                 break
-        else:  # the line search stalled: _advance_dg halves the interval
-            break
-        if rnorm <= tol:
-            return v1, v2, v3, v4
-        # the quotient slopes at the new iterate u = w + h, from its tanh
-        u1, u2, u3, u4 = w1 + h1, w2 + h2, w3 + h3, w4 + h4
-        th1, th2, th3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
-        th4, th5 = tanh(k4 * u4), tanh(k5 * u4)
-        if abs(h1) < _DERIVATIVE_CUTOFF * (abs(u1) if abs(u1) > m1 else m1):
-            e1 = c1 * (1.0 - th1 * th1)
-        else:
-            e1 = (g1 * th1 - z1) / h1
-            e1 = e1 if e1 > 0.0 else 0.0
-        if abs(h2) < _DERIVATIVE_CUTOFF * (abs(u2) if abs(u2) > m2 else m2):
-            e2 = c2 * (1.0 - th2 * th2)
-        else:
-            e2 = (g2 * th2 - z2) / h2
-            e2 = e2 if e2 > 0.0 else 0.0
-        if abs(h3) < _DERIVATIVE_CUTOFF * (abs(u3) if abs(u3) > m3 else m3):
-            e3 = c3 * (1.0 - th3 * th3)
-        else:
-            e3 = (g3 * th3 - z3) / h3
-            e3 = e3 if e3 > 0.0 else 0.0
-        if abs(h4) < _DERIVATIVE_CUTOFF * (abs(u4) if abs(u4) > m4 else m4):
-            e4, e5 = c4 * (1.0 - th4 * th4), c5 * (1.0 - th5 * th5)
-        else:
-            e4, e5 = (g4 * th4 - z4) / h4, (g5 * th5 - z5) / h4
-            e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
-    raise NewtonError("discrete-gradient Newton iteration did not converge", rnorm)
+            if rnorm <= tol:
+                break
+            # the quotient slopes at the new iterate u = w + h, from its tanh
+            u1, u2, u3, u4 = w1 + h1, w2 + h2, w3 + h3, w4 + h4
+            th1, th2, th3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
+            th4, th5 = tanh(k4 * u4), tanh(k5 * u4)
+            if abs(h1) < _DERIVATIVE_CUTOFF * (abs(u1) if abs(u1) > m1 else m1):
+                e1 = c1 * (1.0 - th1 * th1)
+            else:
+                e1 = (g1 * th1 - z1) / h1
+                e1 = e1 if e1 > 0.0 else 0.0
+            if abs(h2) < _DERIVATIVE_CUTOFF * (abs(u2) if abs(u2) > m2 else m2):
+                e2 = c2 * (1.0 - th2 * th2)
+            else:
+                e2 = (g2 * th2 - z2) / h2
+                e2 = e2 if e2 > 0.0 else 0.0
+            if abs(h3) < _DERIVATIVE_CUTOFF * (abs(u3) if abs(u3) > m3 else m3):
+                e3 = c3 * (1.0 - th3 * th3)
+            else:
+                e3 = (g3 * th3 - z3) / h3
+                e3 = e3 if e3 > 0.0 else 0.0
+            if abs(h4) < _DERIVATIVE_CUTOFF * (abs(u4) if abs(u4) > m4 else m4):
+                e4, e5 = c4 * (1.0 - th4 * th4), c5 * (1.0 - th5 * th5)
+            else:
+                e4, e5 = (g4 * th4 - z4) / h4, (g5 * th5 - z5) / h4
+                e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
+        if not rnorm <= tol:  # gave up (NaN included): two half steps
+            if depth >= _MAX_DEPTH:
+                raise NewtonError("discrete-gradient Newton iteration did not converge",
+                                  rnorm, i + 1)
+            try:  # v is where the second half step ends
+                (_, _, _, _, v1, v2, v3, v4), _, more, tried = _dg_run(
+                    (w1, w2, w3, w4), (t1, t2, t3, t4, t5), p, 0.5 * dt, 2, depth + 1)
+            except NewtonError as err:
+                err.step = i + 1
+                raise
+            solves, trials = solves + more, trials + tried
+        w1, w2, w3, w4 = v1, v2, v3, v4
+        t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
+        t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
+        states += (w1, w2, w3, w4)
+        stages += (t1, t2, t3, t4, t5)
+    return states, stages, solves, trials
 
 
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
@@ -224,7 +260,7 @@ def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     taken as simulate takes it: Newton failures halve the interval."""
     scale = _scale(p)
     w = tuple(map(mul, scale, _finite_state(x, "x").tolist()))
-    w = _advance_dg(w, model.stage_tanh(w, model.stage_table(p)), p, cfg.dt)
+    w = _dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, cfg.dt, 1)[0]
     return np.array(tuple(map(truediv, w, scale)))
 
 
@@ -235,28 +271,13 @@ def _scale(p: FilterParams) -> tuple:
     return tuple(model.scaling_matrix(p.d).diagonal().tolist())
 
 
-def _advance_dg(w, t, p, dt, depth=0):
-    """Newton step from w with its stage values t, and internal halving, the
-    solve's one recovery: on NewtonError the interval is split in two,
-    recursively, up to 10 levels, from a midpoint with its own stage values."""
-    try:
-        return _newton_dg(w, t, p, dt)
-    except NewtonError:
-        if depth >= 10:
-            raise
-        half = _advance_dg(w, t, p, 0.5 * dt, depth + 1)
-        return _advance_dg(half, model.stage_tanh(half, model.stage_table(p)), p, 0.5 * dt,
-                           depth + 1)
-
-
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     """Integrate n_steps steps from x0 and record (t, x, V, Vdot).
 
-    The loop only advances the state (x for RK4, w for discrete gradient),
-    appending it and its stage values model.stage_tanh, which also serve the
-    solve from it, to flat lists; a failed discrete-gradient Newton solve
-    halves the step (up to 10 levels) before a NewtonError carrying the step
-    index is raised.  lyapunov.energy_columns then evaluates V and Vdot, the
+    The states (x for RK4, w for discrete gradient) and their stage values
+    model.stage_tanh go to flat lists, step by step for RK4 and from one
+    _dg_run call for DG, whose NewtonError gets simulate's message and keeps
+    the step index.  lyapunov.energy_columns then evaluates V and Vdot, the
     saturation energy with d = max(1, alpha) and its rate, once per
     trajectory; DG states become x = D^-1 w in one array division, which
     rounds as the entry-by-entry float division does.
@@ -268,16 +289,19 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     scale, table = _scale(p), model.stage_table(p)
     rk4 = cfg.method is Method.RK4
     u = tuple(x0.tolist() if rk4 else map(mul, scale, x0.tolist()))  # x for RK4, w for DG
-    us, ts = [], []
-    for k in range(n_steps + 1):
-        if k:  # row 0 records the initial state
-            try:
-                u = _rk4(u, p, cfg.dt) if rk4 else _advance_dg(u, t, p, cfg.dt)
-            except NewtonError as err:
-                raise NewtonError(f"integration failed at step {k}", err.residual, step=k) from err
-        t = model.stage_tanh(tuple(map(mul, scale, u)) if rk4 else u, table)
-        us.extend(u)
-        ts.extend(t)
+    t = model.stage_tanh(tuple(map(mul, scale, u)) if rk4 else u, table)
+    us, ts = list(u), list(t)
+    if rk4:
+        for _ in range(n_steps):
+            u = _rk4(u, p, cfg.dt)
+            us.extend(u)
+            ts.extend(model.stage_tanh(tuple(map(mul, scale, u)), table))
+    else:
+        try:  # the initial row is followed by the n_steps rows of _dg_run
+            us[4:], ts[5:], _, _ = _dg_run(u, t, p, cfg.dt, n_steps)
+        except NewtonError as err:
+            raise NewtonError(f"integration failed at step {err.step}", err.residual,
+                              step=err.step) from err
     ws = map(mul, us, cycle(scale)) if rk4 else us  # w = D x, entry by entry
     energy, rates = lyapunov.energy_columns(ws, map(mul, ts, cycle([g for _, _, g, _ in table])), p)
     states = np.array(us).reshape(n_steps + 1, 4)

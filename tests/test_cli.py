@@ -241,10 +241,8 @@ def test_certify_rejects_bad_grid(capsys, monkeypatch, grid, message):
 
 
 def test_simulate_integrator_failure_exit_code(capsys, monkeypatch):
-    def always_fail(w, t, p, dt):
-        raise integrators.NewtonError("forced", 1.0)
-
-    monkeypatch.setattr(integrators, "_newton_dg", always_fail)
+    # every solve fails, through the full halving depth
+    monkeypatch.setattr(integrators, "_NEWTON_MAX_ITER", 0)
     code, _, err = run(capsys, "simulate", "--omega0", "1", "--r", "0.5",
                        "--x0", "1,0,0,0", "--dt", "0.1", "--steps", "5")
     assert code == 3

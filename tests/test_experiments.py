@@ -200,10 +200,8 @@ def test_decay_study_rejects_zero_states():
 
 
 def test_decay_study_records_integrator_failures(monkeypatch):
-    def always_fail(w, t, p, dt):
-        raise integrators.NewtonError("forced", 1.0)
-
-    monkeypatch.setattr(integrators, "_newton_dg", always_fail)
+    # every solve fails, through the full halving depth
+    monkeypatch.setattr(integrators, "_NEWTON_MAX_ITER", 0)
     result = run_decay_study(make_params(1.0, 0.5), 1, 3, StepConfig(dt=0.1), 1.0)
     assert len(result.summaries) == 3
     assert not result.all_pass

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import struct
 from unittest import mock
 
@@ -166,8 +167,17 @@ def _bits(values):
 
 
 def _kernel(w, p, dt):
-    """_newton_dg with the stage values of w, in the frozen solve's signature."""
-    return integrators._newton_dg(w, model.stage_tanh(w, model.stage_table(p)), p, dt)
+    """One _dg_run step from w with its stage values, in the frozen solve's
+    signature; run at the deepest level, so a failed solve raises its residual."""
+    return integrators._dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, dt, 1,
+                               depth=integrators._MAX_DEPTH)[0]
+
+
+def _dg_work(x0, p, dt, n_steps):
+    """_dg_run's (states, stages, solves, trials) over n_steps from x0, started
+    as simulate starts it."""
+    w = tuple(map(operator.mul, integrators._scale(p), x0))
+    return integrators._dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, dt, n_steps)
 
 
 def _solve_or_residual(solver, w, p, dt):
@@ -347,45 +357,20 @@ def test_closed_form_newton_step_matches_dense_solve(r, dt_omega, w, v):
     assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _count_work(monkeypatch):
-    """Count _newton_dg solves and lyapunov.log_cosh_diff calls, the one
-    function the kernel calls per quotient off coincidence; a solve's first
-    residual, at v = w, calls it never and each later one at most five times."""
-    counts = {"solve": 0, "log_cosh_diff": 0}
-    real_newton, real_lcd = integrators._newton_dg, lyapunov.log_cosh_diff
-
-    def newton(w, *args):
-        assert all(type(u) is float for u in w)
-        counts["solve"] += 1
-        v = real_newton(w, *args)
-        assert all(type(u) is float for u in v)
-        return v
-
-    def lcd(*args):
-        counts["log_cosh_diff"] += 1
-        return real_lcd(*args)
-
-    monkeypatch.setattr(integrators, "_newton_dg", newton)
-    monkeypatch.setattr(lyapunov, "log_cosh_diff", lcd)
-    return counts
-
-
 @pytest.mark.parametrize("dt_omega, max_per_step", [(0.05, 4.0), (10.0, 7.0)])
-def test_newton_work_per_step(monkeypatch, dt_omega, max_per_step):
+def test_newton_work_per_step(dt_omega, max_per_step):
     # Newton starts at v = w (an explicit-Euler start costs 9.7 residuals per
-    # step at dt_omega = 10 on this trajectory), where every quotient takes
-    # its analytic form, so the first residual of a solve evaluates no
-    # log-cosh difference and later ones at most five.  At most max_per_step
-    # residuals per step then means at most 5 (max_per_step - 1) log-cosh
-    # differences per step.
-    counts = _count_work(monkeypatch)
-    x0, p, cfg = np.array([1.0, -2.0, 0.5, 3.0]), make_params(1.0, 1.0), StepConfig(dt=dt_omega)
+    # step at dt_omega = 10 on this trajectory): at most max_per_step residual
+    # evaluations per step, each solve's first and its line-search trials,
+    # counted by _dg_run itself on the steps simulate takes
+    x0, p, cfg = [1.0, -2.0, 0.5, 3.0], make_params(1.0, 1.0), StepConfig(dt=dt_omega)
     n_steps = 100
-    simulate(x0, p, cfg, n_steps)
-    assert counts["solve"] == n_steps
-    assert 0 < counts["log_cosh_diff"] <= 5 * (max_per_step - 1.0) * n_steps
-    step_discrete_gradient(x0, p, cfg)  # float entries on this path too
-    assert counts["solve"] == n_steps + 1
+    states, stages, solves, trials = _dg_work(x0, p, cfg.dt, n_steps)
+    assert solves == n_steps
+    assert 0 < solves + trials <= max_per_step * n_steps
+    assert all(type(u) is float for u in states + stages)
+    want = np.array(states).reshape(n_steps, 4) / np.array(integrators._scale(p))
+    assert simulate(x0, p, cfg, n_steps).states[1:].tobytes() == want.tobytes()
 
 
 # Signed zeros and amplitudes up to 1e6, on a linear and on a log scale.
@@ -441,16 +426,21 @@ def test_kernel_bit_identical_to_frozen_reference(inputs, max_iter, tol):
     omega0=st.sampled_from([1.0, 100.0]),
     dt_omega=st.floats(min_value=-2.0, max_value=4.0).map(lambda e: 10.0 ** e),
     x0=big_coords,
+    n_steps=st.just(4),
 )
 @example(r=0.99, omega0=1.0, dt_omega=6145.5604786231415,
-         x0=[-8.759788673787686, -1.4019593204420175, 23.613903935334953, -18.812994667196612])
+         x0=[-8.759788673787686, -1.4019593204420175, 23.613903935334953, -18.812994667196612],
+         n_steps=4)
+# step 71 halves and steps 72 to 76 do not: a recovered step's state and
+# stage values carry into whole steps within one kernel frame
+@example(r=0.0, omega0=1.0, dt_omega=10.0, x0=[1.0, -2.0, 0.5, 3.0], n_steps=76)
 @settings(max_examples=200, deadline=None)
-def test_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x0):
+def test_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x0, n_steps):
     # simulate's discrete-gradient Trajectory, every column, against the
     # frozen solve with interval halving and the energy functions per state
     p, x0 = make_params(omega0, r), np.array(x0)
     dt = dt_omega / omega0
-    assert _trajectory_or_error(x0, p, dt, 4) == _ref_trajectory(x0, p, dt, 4)
+    assert _trajectory_or_error(x0, p, dt, n_steps) == _ref_trajectory(x0, p, dt, n_steps)
 
 
 @given(
@@ -520,19 +510,18 @@ def test_log_cosh_diff_bit_identical_to_two_argument_formula(a, h):
     assert _bits([lyapunov.log_cosh_diff(a, h, math.tanh(a))]) == _bits([_ref_log_cosh_diff(a, h)])
 
 
-def test_step_discrete_gradient_is_simulate_step(monkeypatch):
+def test_step_discrete_gradient_is_simulate_step():
     # the one-step API takes simulate's step path, interval halving included
-    counts = _count_work(monkeypatch)
     # Newton alone stalls near residual 1.45e-12 here, where no line-search
     # trial lowers it; the solve gives up at once, and halving the step
-    # succeeds within a few hundred residual evaluations (at most five
-    # log-cosh differences each after a solve's first).
+    # succeeds within a few hundred residual evaluations.
     p = make_params(1.0, 0.99)
     cfg = StepConfig(dt=6145.5604786231415)
     x = np.array([-8.759788673787686, -1.4019593204420175, 23.613903935334953, -18.812994667196612])
+    _, _, solves, trials = _dg_work(x.tolist(), p, cfg.dt, 1)
+    assert solves > 1
+    assert solves + trials <= 300
     got = step_discrete_gradient(x, p, cfg)
-    assert counts["solve"] > 1
-    assert counts["log_cosh_diff"] <= 5 * (300 - counts["solve"])
     assert got.tobytes() == simulate(x, p, cfg, 1).states[1].tobytes()
     stream = substream(8, 0)
     for _ in range(40):
@@ -662,16 +651,15 @@ def test_simulate_zero_feedback_branch():
     assert np.diff(traj.V).max() <= 1e-10
 
 
-def test_stalled_line_search_gives_up_at_once(monkeypatch):
+def test_stalled_line_search_gives_up_at_once():
     # r = 0 at omega0*dt = 10: Newton iterates often stall just above the
     # tolerance, and a stalled solve must give up at once for the halved
-    # step to take over: at most 20 residuals per step, of which each
-    # solve's first evaluates no log-cosh difference and the others five
-    counts = _count_work(monkeypatch)
-    n_steps = 100
-    traj = simulate(np.array([1.0, -2.0, 0.5, 3.0]), make_params(1.0, 0.0),
-                    StepConfig(dt=10.0), n_steps)
-    assert counts["log_cosh_diff"] <= 5 * (20 * n_steps - counts["solve"])
+    # step to take over: at most 20 residual evaluations per step
+    x0, p, n_steps = [1.0, -2.0, 0.5, 3.0], make_params(1.0, 0.0), 100
+    _, _, solves, trials = _dg_work(x0, p, 10.0, n_steps)
+    assert solves > n_steps
+    assert solves + trials <= 20 * n_steps
+    traj = simulate(np.array(x0), p, StepConfig(dt=10.0), n_steps)
     assert np.diff(traj.V).max() <= 1e-10
 
 
@@ -688,36 +676,40 @@ def test_discrete_gradient_contract_at_extreme_inputs(r, dt_omega, x0):
     assert np.diff(traj.V).max() <= 1e-10
 
 
-def test_simulate_step_halving_recovers(monkeypatch):
-    # force failures for coarse steps only; simulate must split the interval
-    real = integrators._newton_dg
-    calls = []
-
-    def flaky(w, t, p, dt):
-        # every solve, halved ones included, gets the stage values of its start
-        assert t == model.stage_tanh(w, model.stage_table(p))
-        calls.append(dt)
-        if dt > 0.03:
-            raise NewtonError("forced", 1.0)
-        return real(w, t, p, dt)
-
-    monkeypatch.setattr(integrators, "_newton_dg", flaky)
-    p = make_params(1.0, 0.5)
-    traj = simulate(np.array([1.0, 1.0, 1.0, 1.0]), p, StepConfig(dt=0.1), 5)
-    assert np.diff(traj.V).max() <= 1e-10
-    assert min(calls) <= 0.03
+def test_simulate_step_halving_recovers():
+    # inputs on which Newton alone gives up: simulate splits those steps and
+    # takes the others whole, and V does not rise
+    for r, dt, x0, n_steps in [
+        (0.99, 6145.5604786231415,
+         [-8.759788673787686, -1.4019593204420175, 23.613903935334953, -18.812994667196612], 5),
+        (0.0, 10.0, [1.0, -2.0, 0.5, 3.0], 100),
+    ]:
+        p = make_params(1.0, r)
+        _, _, solves, _ = _dg_work(x0, p, dt, n_steps)
+        assert solves > n_steps
+        traj = simulate(np.array(x0), p, StepConfig(dt=dt), n_steps)
+        assert np.isfinite(traj.states).all()
+        assert np.diff(traj.V).max() <= 1e-10
 
 
 def test_simulate_halving_gives_up_with_step_index(monkeypatch):
-    def always_fail(w, t, p, dt):
-        raise NewtonError("forced", 2.5)
-
-    monkeypatch.setattr(integrators, "_newton_dg", always_fail)
+    # every solve fails, through the full halving depth
     p = make_params(1.0, 0.5)
-    with pytest.raises(NewtonError) as exc:
-        simulate(np.ones(4), p, StepConfig(dt=0.1), 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(integrators, "_NEWTON_MAX_ITER", 0)
+        with pytest.raises(NewtonError) as exc:
+            simulate(np.ones(4), p, StepConfig(dt=0.1), 3)
     assert exc.value.step == 1
     assert "step 1" in str(exc.value)
+    assert exc.value.residual > 0.0
+    # with no halving allowed, the first step that needs one is reported
+    p, x0 = make_params(1.0, 0.0), [1.0, -2.0, 0.5, 3.0]
+    first = next(k for k in range(1, 100) if _dg_work(x0, p, 10.0, k)[2] > k)
+    monkeypatch.setattr(integrators, "_MAX_DEPTH", 0)
+    with pytest.raises(NewtonError) as exc:
+        simulate(np.array(x0), p, StepConfig(dt=10.0), first + 5)
+    assert exc.value.step == first > 1
+    assert f"step {first}" in str(exc.value)
 
 
 def test_stress_matrix_dissipation_sample():
