@@ -17,6 +17,7 @@ from .experiments import (
     run_sweep,
 )
 from .integrators import (
+    IntegrationError,
     Method,
     NewtonError,
     StepConfig,

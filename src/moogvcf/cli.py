@@ -2,21 +2,23 @@
 and gradient checks, emitted as CSV or JSON.
 
 Exit codes: 0 success / all checks passed, 1 a requested check failed,
-2 usage or specification error, 3 numerical failure.  Floats are rendered
-with the shortest round-trip decimal representation.
+2 usage or specification error, 3 numerical failure, 141 (128 + SIGPIPE)
+the reader closed stdout.  Floats are rendered with the shortest round-trip
+decimal representation.
 """
 
 import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import experiments, integrators, lyapunov, model, spectral
 from .experiments import SweepSpec
-from .integrators import Method, NewtonError, StepConfig
+from .integrators import IntegrationError, Method, StepConfig
 from .lyapunov import MatrixFamily
 from .spectral import RootFindingError
 
@@ -309,13 +311,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as err:  # SpecValidationError and ParameterRangeError too
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NewtonError, RootFindingError) as err:
+    except (IntegrationError, RootFindingError) as err:  # NewtonError too
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # Python's signal docs' recipe: the exit-time flush of what is still
+        # buffered goes to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lyapunov, model
-from .integrators import Method, NewtonError, StepConfig, simulate
+from .integrators import IntegrationError, Method, StepConfig, simulate
 from .lyapunov import Verdict
 from .rng import substream
 
@@ -222,7 +222,7 @@ def run_decay_study(
         x0 = tuple(stream.uniform(-_STATE_RANGE, _STATE_RANGE) for _ in range(4))
         try:
             traj = simulate(np.array(x0), p, cfg, n_steps)
-        except NewtonError as err:
+        except IntegrationError as err:
             max_inc = final_norm = math.nan
             error = str(err)
         else:

@@ -47,14 +47,22 @@ class Method(Enum):
     DISCRETE_GRADIENT = "dg"
 
 
-class NewtonError(RuntimeError):
+class IntegrationError(RuntimeError):
+    """A simulation could not continue; carries the 1-based index of the
+    failed step, when known."""
+
+    def __init__(self, message: str, step: int | None = None):
+        self.step = step
+        super().__init__(message)
+
+
+class NewtonError(IntegrationError):
     """Implicit solve failed; carries the last residual and, when raised
     from a simulation, the failing step index."""
 
     def __init__(self, message: str, residual: float, step: int | None = None):
         self.residual = residual
-        self.step = step
-        super().__init__(f"{message} (residual {residual:.3e})")
+        super().__init__(f"{message} (residual {residual:.3e})", step)
 
 
 @dataclass(frozen=True)
@@ -90,25 +98,55 @@ def _finite_state(x, name: str) -> np.ndarray:
     return x
 
 
-def _rk4(x, p: FilterParams, dt: float) -> tuple:
-    """Classic fourth-order step x + dt/6 (k1 + 2 k2 + 2 k3 + k4) of
-    model.nonlinear_field on the float 4-tuple x, in the array form's order."""
-    field = model.nonlinear_field
-    h = 0.5 * dt
+def _rk4_run(x, p: FilterParams, dt: float, n: int):
+    """Take n classic fourth-order steps x + dt/6 (a + 2 b + 2 c + d) of
+    model.nonlinear_field from the float 4-tuple x.
+
+    Returns the n new states and their stage values model.stage_tanh(D x,
+    model.stage_table(p)), each back to back in a flat list.  The field and
+    the stage values are inline, with the operands and order of
+    nonlinear_field, the array form and stage_tanh, so they match those bit
+    for bit; the constants of (p, dt) are computed once per call.
+
+    tanh is bounded, so a state component that is not finite stays so in
+    every later step, and only the last state is checked: if it is not
+    finite, IntegrationError names the first step whose state is not.
+    """
+    (_, k1, _, _), (_, k2, _, _), (_, k3, _, _), (_, k4, _, _), (_, k5, _, _) = (
+        model.stage_table(p))
+    _, sc2, sc3, sc4 = _scale(p)  # D's first entry is 1, so w1 = x1
+    w0, g, h, s, tanh = p.omega0, p.feedback_gain, 0.5 * dt, dt / 6.0, math.tanh
     x1, x2, x3, x4 = x
-    a1, a2, a3, a4 = field(x, p)
-    b1, b2, b3, b4 = field((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4), p)
-    c1, c2, c3, c4 = field((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4), p)
-    d1, d2, d3, d4 = field((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4), p)
-    s = dt / 6.0
-    return (x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1), x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-            x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3), x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+    states, stages = [], []
+    for _ in range(n):
+        t1, t2, t3, t4, fb = tanh(x1), tanh(x2), tanh(x3), tanh(x4), tanh(g * x4)
+        a1, a2, a3, a4 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)
+        y1, y2, y3, y4 = x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4
+        t1, t2, t3, t4, fb = tanh(y1), tanh(y2), tanh(y3), tanh(y4), tanh(g * y4)
+        b1, b2, b3, b4 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)
+        y1, y2, y3, y4 = x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4
+        t1, t2, t3, t4, fb = tanh(y1), tanh(y2), tanh(y3), tanh(y4), tanh(g * y4)
+        c1, c2, c3, c4 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)
+        y1, y2, y3, y4 = x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4
+        t1, t2, t3, t4, fb = tanh(y1), tanh(y2), tanh(y3), tanh(y4), tanh(g * y4)
+        d1, d2, d3, d4 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)
+        x1, x2 = x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1), x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        x3, x4 = x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3), x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+        w4 = sc4 * x4
+        states += (x1, x2, x3, x4)
+        stages += (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)), tanh(k4 * w4),
+                   tanh(k5 * w4))
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3) and math.isfinite(x4)):
+        step = list(map(math.isfinite, states)).index(False) // 4 + 1
+        raise IntegrationError(f"integration failed at step {step}: state not finite", step)
+    return states, stages
 
 
 def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
-    """Classic fourth-order one-step update of rhs_nonlinear."""
+    """Classic fourth-order one-step update of rhs_nonlinear, taken as
+    simulate takes it."""
     StepConfig(dt)  # validates dt
-    return np.array(_rk4(tuple(_finite_state(x, "x").tolist()), p, dt))
+    return np.array(_rk4_run(tuple(_finite_state(x, "x").tolist()), p, dt, 1)[0])
 
 
 def _dg_run(w, t, p: FilterParams, dt: float, n: int, depth: int = 0):
@@ -275,12 +313,13 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     """Integrate n_steps steps from x0 and record (t, x, V, Vdot).
 
     The states (x for RK4, w for discrete gradient) and their stage values
-    model.stage_tanh go to flat lists, step by step for RK4 and from one
-    _dg_run call for DG, whose NewtonError gets simulate's message and keeps
-    the step index.  lyapunov.energy_columns then evaluates V and Vdot, the
-    saturation energy with d = max(1, alpha) and its rate, once per
-    trajectory; DG states become x = D^-1 w in one array division, which
-    rounds as the entry-by-entry float division does.
+    model.stage_tanh go to flat lists from one _rk4_run or _dg_run call; a
+    NewtonError gets simulate's message and keeps the step index, and RK4's
+    IntegrationError names the first step that is not finite.
+    lyapunov.energy_columns then evaluates V and Vdot, the saturation energy
+    with d = max(1, alpha) and its rate, once per trajectory; DG states
+    become x = D^-1 w in one array division, which rounds as the
+    entry-by-entry float division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
@@ -290,14 +329,11 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     rk4 = cfg.method is Method.RK4
     u = tuple(x0.tolist() if rk4 else map(mul, scale, x0.tolist()))  # x for RK4, w for DG
     t = model.stage_tanh(tuple(map(mul, scale, u)) if rk4 else u, table)
-    us, ts = list(u), list(t)
+    us, ts = list(u), list(t)  # the initial row, then the kernel's n_steps rows
     if rk4:
-        for _ in range(n_steps):
-            u = _rk4(u, p, cfg.dt)
-            us.extend(u)
-            ts.extend(model.stage_tanh(tuple(map(mul, scale, u)), table))
+        us[4:], ts[5:] = _rk4_run(u, p, cfg.dt, n_steps)
     else:
-        try:  # the initial row is followed by the n_steps rows of _dg_run
+        try:
             us[4:], ts[5:], _, _ = _dg_run(u, t, p, cfg.dt, n_steps)
         except NewtonError as err:
             raise NewtonError(f"integration failed at step {err.step}", err.residual,

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,32 @@ def test_simulate_integrator_failure_exit_code(capsys, monkeypatch):
                        "--x0", "1,0,0,0", "--dt", "0.1", "--steps", "5")
     assert code == 3
     assert "step 1" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_rk4_overflow_exit_code(capsys, fmt):
+    # the first step overflows; no inf or nan row, nor a NaN token, is written
+    code, out, err = run(capsys, "simulate", "--omega0", "1e300", "--r", "0.5", "--x0", "1,2,3,4",
+                         "--dt", "1e10", "--steps", "3", "--method", "rk4", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert "step 1" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one line and closes the pipe while simulate still writes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "moogvcf.cli", "simulate", "--omega0", "1", "--r", "0.5",
+         "--x0", "1,0,0,0", "--dt", "0.01", "--steps", "20000", "--method", "rk4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"t,x1,x2,x3,x4,v,vdot\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_sweep_minimal(tmp_path, capsys):

@@ -211,6 +211,15 @@ def test_decay_study_records_integrator_failures(monkeypatch):
         assert math.isnan(s.max_v_increase)
 
 
+def test_decay_study_records_non_finite_rk4_state():
+    # the first RK4 step overflows
+    result = run_decay_study(make_params(1e300, 0.5), 1, 1, StepConfig(1e10, Method.RK4), 3e10)
+    (s,) = result.summaries
+    assert not s.passed and not result.all_pass
+    assert "step 1" in s.error
+    assert math.isnan(s.max_v_increase) and math.isnan(s.final_norm)
+
+
 def test_gradcheck_origin_anchor():
     assert run_gradcheck(seed=1, n_points=1) == 0.0
 

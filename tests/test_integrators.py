@@ -2,6 +2,7 @@ import dataclasses
 import math
 import operator
 import struct
+from itertools import cycle
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from moogvcf import integrators, lyapunov, model
 from moogvcf.integrators import (
+    IntegrationError,
     Method,
     NewtonError,
     StepConfig,
@@ -162,6 +164,65 @@ def _ref_trajectory(x0, p, dt, n_steps):
             np.array(rates).tobytes())
 
 
+# simulate's RK4 path before it ran in one kernel frame: model.nonlinear_field,
+# the _rk4 step in the array form's order, and model.stage_tanh of w = D x per
+# recorded state, one call each, as they stood.  The kernel must reproduce its
+# states and stage values bit for bit.
+
+
+def _ref_field(x, p):
+    x1, x2, x3, x4 = x
+    t1, t2, t3, t4 = math.tanh(x1), math.tanh(x2), math.tanh(x3), math.tanh(x4)
+    fb = math.tanh(p.feedback_gain * x4)
+    w0 = p.omega0
+    return (w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3))
+
+
+def _ref_rk4(x, p, dt):
+    field = _ref_field
+    h = 0.5 * dt
+    x1, x2, x3, x4 = x
+    a1, a2, a3, a4 = field(x, p)
+    b1, b2, b3, b4 = field((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4), p)
+    c1, c2, c3, c4 = field((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4), p)
+    d1, d2, d3, d4 = field((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4), p)
+    s = dt / 6.0
+    return (x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1), x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3), x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+
+
+def _ref_stage_tanh(w, table):
+    w1, w2, w3, w4 = w
+    (_, k1, _, _), (_, k2, _, _), (_, k3, _, _), (_, k4, _, _), (_, k5, _, _) = table
+    return (math.tanh(k1 * w1), math.tanh(k2 * w2), math.tanh(k3 * w3), math.tanh(k4 * w4),
+            math.tanh(k5 * w4))
+
+
+def _ref_rk4_trajectory(x0, p, dt, n_steps):
+    """simulate's RK4 columns (times, states, V, Vdot) as bytes from the frozen
+    step and stage values, V and Vdot by lyapunov.energy_columns as simulate
+    evaluates them; and the bytes of the flat states and stage values after x0."""
+    scale = tuple(model.scaling_matrix(p.d).diagonal().tolist())
+    table = model.stage_table(p)
+    x, xs, ts = tuple(map(float, x0)), [], []
+    for k in range(n_steps + 1):
+        if k:
+            x = _ref_rk4(x, p, dt)
+        xs.extend(x)
+        ts.extend(_ref_stage_tanh(tuple(map(operator.mul, scale, x)), table))
+    energy, rates = lyapunov.energy_columns(
+        map(operator.mul, xs, cycle(scale)),
+        map(operator.mul, ts, cycle([g for _, _, g, _ in table])), p)
+    times = np.arange(n_steps + 1, dtype=float) * dt
+    columns = (times.tobytes(), np.array(xs).reshape(n_steps + 1, 4).tobytes(),
+               np.array(energy).tobytes(), np.array(rates).tobytes())
+    return columns, _bits(xs[4:] + ts[5:])
+
+
+def _columns(traj):
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.V.tobytes(), traj.Vdot.tobytes())
+
+
 def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
@@ -192,7 +253,7 @@ def _trajectory_or_error(x0, p, dt, n_steps):
         traj = simulate(x0, p, StepConfig(dt=dt), n_steps)
     except NewtonError as err:
         return ("NewtonError", err.step, _bits([err.residual]))
-    return (traj.times.tobytes(), traj.states.tobytes(), traj.V.tobytes(), traj.Vdot.tobytes())
+    return _columns(traj)
 
 
 def test_step_config_validation():
@@ -458,6 +519,66 @@ def test_rk4_energy_columns_bit_identical_to_per_state_energy(r, omega0, dt_omeg
     ws = [model.to_scaled(x, p.d) for x in traj.states]
     assert traj.V.tobytes() == np.array([lyapunov.lyapunov_value(w, p) for w in ws]).tobytes()
     assert traj.Vdot.tobytes() == np.array([lyapunov.lyapunov_rate(w, p) for w in ws]).tobytes()
+
+
+@given(
+    r=st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(min_value=1e-3, max_value=1.0),
+    omega0=st.sampled_from([1.0, 100.0]),
+    dt_omega=st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0 ** e),
+    x0=big_coords,
+    n_steps=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_rk4_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x0, n_steps):
+    # simulate's RK4 Trajectory, every column, and the kernel's states and
+    # stage values against the frozen step and per-state stage_tanh
+    p, dt = make_params(omega0, r), dt_omega / omega0
+    columns, flat = _ref_rk4_trajectory(x0, p, dt, n_steps)
+    traj = simulate(np.array(x0), p, StepConfig(dt=dt, method=Method.RK4), n_steps)
+    assert _columns(traj) == columns
+    states, stages = integrators._rk4_run(tuple(map(float, x0)), p, dt, n_steps)
+    assert _bits(states + stages) == flat
+
+
+def test_rk4_tanh_calls_per_step():
+    # 20 for the four field evaluations and 5 for the new state's stage
+    # values, after the 5 of the initial state
+    p, x0, dt, n_steps = make_params(1.0, 1.0), np.array([1.0, -2.0, 0.5, 3.0]), 0.05, 100
+    want, _ = _ref_rk4_trajectory(x0, p, dt, n_steps)
+    calls, real_tanh = [], math.tanh
+
+    def tanh(u):
+        calls.append(u)
+        return real_tanh(u)
+
+    with mock.patch.object(math, "tanh", tanh):
+        traj = simulate(x0, p, StepConfig(dt=dt, method=Method.RK4), n_steps)
+    assert _columns(traj) == want
+    assert len(calls) == 5 + 25 * n_steps
+
+
+def test_rk4_non_finite_state_names_its_step():
+    # the first step overflows, and so does a lone step
+    p, x0 = make_params(1e300, 0.5), [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(IntegrationError, match="step 1:") as exc:
+        simulate(x0, p, StepConfig(dt=1e10, method=Method.RK4), 3)
+    assert exc.value.step == 1 and not isinstance(exc.value, NewtonError)
+    with pytest.raises(IntegrationError, match="step 1:"):
+        step_rk4(x0, p, 1e10)
+    # a NaN injected into the first tanh of step k spreads to later steps,
+    # and the error names step k
+    p, real_tanh = make_params(1.0, 0.5), math.tanh
+    for k in (2, 5, 10):
+        calls = []
+
+        def tanh(u):
+            calls.append(u)
+            return math.nan if len(calls) == 5 + 25 * (k - 1) + 1 else real_tanh(u)
+
+        with mock.patch.object(math, "tanh", tanh):
+            with pytest.raises(IntegrationError, match=f"step {k}:") as exc:
+                simulate(x0, p, StepConfig(dt=0.1, method=Method.RK4), 10)
+        assert exc.value.step == k
 
 
 @pytest.mark.parametrize("dt_omega", [0.1, 10.0])
