@@ -2,7 +2,8 @@
 and gradient checks, emitted as CSV or JSON.
 
 Exit codes: 0 success / all checks passed, 1 a requested check failed,
-2 usage or specification error, 3 numerical failure, 141 (128 + SIGPIPE)
+2 usage or specification error, 3 numerical failure (a simulated state that
+is not finite, or an eigenvalue root finder that fails), 141 (128 + SIGPIPE)
 the reader closed stdout.  Floats are rendered with the shortest round-trip
 decimal representation.
 """
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     except ValueError as err:  # SpecValidationError and ParameterRangeError too
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (IntegrationError, RootFindingError) as err:  # NewtonError too
+    except (IntegrationError, RootFindingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except BrokenPipeError:

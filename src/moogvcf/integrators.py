@@ -37,10 +37,6 @@ _NEWTON_MAX_ITER = 50
 # The line search's trial factors: the Newton update and its 8 halvings.
 _LINE_SEARCH = tuple(0.5 ** i for i in range(9))
 
-# A step whose solve gives up is taken as two half steps, recursively, at
-# most this many levels deep.
-_MAX_DEPTH = 10
-
 
 class Method(Enum):
     RK4 = "rk4"
@@ -57,8 +53,8 @@ class IntegrationError(RuntimeError):
 
 
 class NewtonError(IntegrationError):
-    """Implicit solve failed; carries the last residual and, when raised
-    from a simulation, the failing step index."""
+    """Implicit solve failed, with its last residual.  Nothing raises it now (a
+    failed solve takes the stabilized step); bench/tracing.py still reads it."""
 
     def __init__(self, message: str, residual: float, step: int | None = None):
         self.residual = residual
@@ -98,6 +94,15 @@ def _finite_state(x, name: str) -> np.ndarray:
     return x
 
 
+def _check_finite(states: list) -> None:
+    """IntegrationError naming the first step whose state is not finite, if the
+    last of the flat list states is not: each kernel adds an increment to the
+    state, so a component that is not finite stays so in every later step."""
+    if not all(map(math.isfinite, states[-4:])):
+        step = list(map(math.isfinite, states)).index(False) // 4 + 1
+        raise IntegrationError(f"integration failed at step {step}: state not finite", step)
+
+
 def _rk4_run(x, p: FilterParams, dt: float, n: int):
     """Take n classic fourth-order steps x + dt/6 (a + 2 b + 2 c + d) of
     model.nonlinear_field from the float 4-tuple x.
@@ -106,11 +111,8 @@ def _rk4_run(x, p: FilterParams, dt: float, n: int):
     model.stage_table(p)), each back to back in a flat list.  The field and
     the stage values are inline, with the operands and order of
     nonlinear_field, the array form and stage_tanh, so they match those bit
-    for bit; the constants of (p, dt) are computed once per call.
-
-    tanh is bounded, so a state component that is not finite stays so in
-    every later step, and only the last state is checked: if it is not
-    finite, IntegrationError names the first step whose state is not.
+    for bit; the constants of (p, dt) are computed once per call, and
+    _check_finite checks the last state.
     """
     (_, k1, _, _), (_, k2, _, _), (_, k3, _, _), (_, k4, _, _), (_, k5, _, _) = (
         model.stage_table(p))
@@ -136,9 +138,7 @@ def _rk4_run(x, p: FilterParams, dt: float, n: int):
         states += (x1, x2, x3, x4)
         stages += (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)), tanh(k4 * w4),
                    tanh(k5 * w4))
-    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3) and math.isfinite(x4)):
-        step = list(map(math.isfinite, states)).index(False) // 4 + 1
-        raise IntegrationError(f"integration failed at step {step}: state not finite", step)
+    _check_finite(states)
     return states, stages
 
 
@@ -149,14 +149,14 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return np.array(_rk4_run(tuple(_finite_state(x, "x").tolist()), p, dt, 1)[0])
 
 
-def _dg_run(w, t, p: FilterParams, dt: float, n: int, depth: int = 0):
+def _dg_run(w, t, p: FilterParams, dt: float, n: int):
     """Take n discrete-gradient steps of length dt from the float 4-tuple w
     with its stage values t = model.stage_tanh(w, model.stage_table(p)).
 
     Returns the n new states and their stage values tanh(k_i v_i), each back
-    to back in a flat list, the number of Newton solves (failed and halved
-    ones included) and that of line-search trials, the residual evaluations
-    with quotients.  The constants of (p, dt) are computed once per call.
+    to back in a flat list, the number of stabilized steps and that of
+    line-search trials, the residual evaluations with quotients.  The constants
+    of (p, dt) are computed once per call, and _check_finite checks the last state.
 
     A step solves v = w + dt*omega0*Fbar(w, v), Fbar being model.stage_field
     of the stage quotients zbar of the table's rows (rows 4 and 5 along w4):
@@ -173,19 +173,24 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int, depth: int = 0):
     iterate is the linearly implicit step.  Each iteration takes the first of
     the update and its 8 halvings that lowers the residual's infinity norm.  A
     solve gives up if none does, or if _NEWTON_MAX_ITER iterations do not reach
-    _NEWTON_TOL; its step is then taken as two, _dg_run(w, t, p, dt/2, 2,
-    depth + 1).  At depth _MAX_DEPTH a NewtonError with the last residual is
-    raised instead; its step is the failed step's 1-based index in the
-    outermost call.
+    _NEWTON_TOL (a NaN residual included).  Its step is then the stabilized
+    step delta = dt*omega0*Q(g)(z + L delta): z the stage gradients at w,
+    L = diag(S_i k_i^2) >= every stage curvature, Q = model.coupling_matrix and
+    g = du4/z4 at w (c5/c4 at z4 = 0, 1 at r = 0) clamped into its bounds, solved
+    with slopes e_i = L_i and e5 = g L4.  With y = z + L delta, V(w + delta) - V(w)
+    <= z'delta + delta'L delta/2 = dt*omega0*y'Q(g)y - delta'L delta/2 <= 0, as
+    the QsWorstCase certificate makes sym(Q(g)) <= 0 within the bounds.
     """
     (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
         model.stage_table(p))
     ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
     sub, hf, max_iter = -ho * d, ho * fc, _NEWTON_MAX_ITER
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
+    cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
+    glo, ghi = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
     (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = w, t
-    states, stages, solves, trials = [], [], n, 0
-    for i in range(n):
+    states, stages, stabilized, trials = [], [], 0, 0
+    for _ in range(n):
         a1, a2, a3, a4, a5 = k1 * w1, k2 * w2, k3 * w3, k4 * w4, k5 * w4
         y1, y2, y3, y4, y5 = g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5
         m1, m2, m3, m4 = abs(w1), abs(w2), abs(w3), abs(w4)
@@ -274,28 +279,32 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int, depth: int = 0):
             else:
                 e4, e5 = (g4 * th4 - z4) / h4, (g5 * th5 - z5) / h4
                 e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
-        if not rnorm <= tol:  # gave up (NaN included): two half steps
-            if depth >= _MAX_DEPTH:
-                raise NewtonError("discrete-gradient Newton iteration did not converge",
-                                  rnorm, i + 1)
-            try:  # v is where the second half step ends
-                (_, _, _, _, v1, v2, v3, v4), _, more, tried = _dg_run(
-                    (w1, w2, w3, w4), (t1, t2, t3, t4, t5), p, 0.5 * dt, 2, depth + 1)
-            except NewtonError as err:
-                err.step = i + 1
-                raise
-            solves, trials = solves + more, trials + tried
+        if not rnorm <= tol:  # gave up (NaN included): the stabilized step from w
+            g = y5 / y4 if y4 else g0
+            g = glo if g < glo else ghi if g > ghi else g
+            j11, j22, j33 = 1.0 + ho * cb1, 1.0 + ho * cb2, 1.0 + ho * cb3
+            j21, j32, j43 = sub * cb1, sub * cb2, sub * cb3
+            p1 = ho * (-y1 - fc * y4) / j11
+            q1 = hf * cb4 / j11
+            p2 = (ho * (d * y1 - y2) - j21 * p1) / j22
+            q2 = -j21 * q1 / j22
+            p3 = (ho * (d * y2 - y3) - j32 * p2) / j33
+            q3 = -j32 * q2 / j33
+            n4 = (ho * (d * y3 - g * y4) - j43 * p3) / (1.0 + ho * (g * cb4) - j43 * q3)
+            v1, v2, v3, v4 = w1 + (p1 - q1 * n4), w2 + (p2 - q2 * n4), w3 + (p3 - q3 * n4), w4 + n4
+            stabilized += 1
         w1, w2, w3, w4 = v1, v2, v3, v4
         t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
         t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
         states += (w1, w2, w3, w4)
         stages += (t1, t2, t3, t4, t5)
-    return states, stages, solves, trials
+    _check_finite(states)
+    return states, stages, stabilized, trials
 
 
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x,
-    taken as simulate takes it: Newton failures halve the interval."""
+    taken as simulate takes it: a failed Newton solve takes the stabilized step."""
     scale = _scale(p)
     w = tuple(map(mul, scale, _finite_state(x, "x").tolist()))
     w = _dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, cfg.dt, 1)[0]
@@ -312,9 +321,9 @@ def _scale(p: FilterParams) -> tuple:
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     """Integrate n_steps steps from x0 and record (t, x, V, Vdot).
 
+    ValueError names x0 unless it is finite with a finite energy V(D x0).
     The states (x for RK4, w for discrete gradient) and their stage values
-    model.stage_tanh go to flat lists from one _rk4_run or _dg_run call; a
-    NewtonError gets simulate's message and keeps the step index, and RK4's
+    model.stage_tanh go to flat lists from one _rk4_run or _dg_run call, whose
     IntegrationError names the first step that is not finite.
     lyapunov.energy_columns then evaluates V and Vdot, the saturation energy
     with d = max(1, alpha) and its rate, once per trajectory; DG states
@@ -327,17 +336,15 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     x0 = _finite_state(x0, "x0")
     scale, table = _scale(p), model.stage_table(p)
     rk4 = cfg.method is Method.RK4
-    u = tuple(x0.tolist() if rk4 else map(mul, scale, x0.tolist()))  # x for RK4, w for DG
-    t = model.stage_tanh(tuple(map(mul, scale, u)) if rk4 else u, table)
+    w = tuple(map(mul, scale, x0.tolist()))
+    if not math.isfinite(lyapunov.lyapunov_value(w, p)):
+        raise ValueError(f"x0 must have a finite energy V(D x0), got {x0.tolist()}")
+    u, t = (tuple(x0.tolist()) if rk4 else w), model.stage_tanh(w, table)  # u: x for RK4, w for DG
     us, ts = list(u), list(t)  # the initial row, then the kernel's n_steps rows
     if rk4:
         us[4:], ts[5:] = _rk4_run(u, p, cfg.dt, n_steps)
     else:
-        try:
-            us[4:], ts[5:], _, _ = _dg_run(u, t, p, cfg.dt, n_steps)
-        except NewtonError as err:
-            raise NewtonError(f"integration failed at step {err.step}", err.residual,
-                              step=err.step) from err
+        us[4:], ts[5:], _, _ = _dg_run(u, t, p, cfg.dt, n_steps)
     ws = map(mul, us, cycle(scale)) if rk4 else us  # w = D x, entry by entry
     energy, rates = lyapunov.energy_columns(ws, map(mul, ts, cycle([g for _, _, g, _ in table])), p)
     states = np.array(us).reshape(n_steps + 1, 4)

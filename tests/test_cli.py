@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moogvcf import cli, experiments, integrators, lyapunov
+from moogvcf import cli, experiments, lyapunov
 from moogvcf.cli import main
 from moogvcf.lyapunov import MatrixFamily
 
@@ -244,13 +244,34 @@ def test_certify_rejects_bad_grid(capsys, monkeypatch, grid, message):
     assert "--r-grid" in err and message in err
 
 
+@pytest.mark.parametrize("method", ["dg", "rk4"])
+@pytest.mark.parametrize("x0", ["0,0,0,1e308", "0,0,5e307,0"])
+def test_simulate_rejects_x0_of_infinite_energy(capsys, method, x0):
+    # every entry is finite, but at r = 1 w4 = d^3 x4 overflows in the first
+    # x0, and V's stage-3 term 4 lncosh(w3/2) in the second
+    code, out, err = run(capsys, "simulate", "--omega0", "1", "--r", "1", "--x0", x0,
+                         "--dt", "0.1", "--steps", "1", "--method", method, "--format", "json")
+    assert code == 2
+    assert "x0" in err and "energy" in err
+    assert out == ""
+
+
 def test_simulate_integrator_failure_exit_code(capsys, monkeypatch):
-    # every solve fails, through the full halving depth
-    monkeypatch.setattr(integrators, "_NEWTON_MAX_ITER", 0)
-    code, _, err = run(capsys, "simulate", "--omega0", "1", "--r", "0.5",
-                       "--x0", "1,0,0,0", "--dt", "0.1", "--steps", "5")
-    assert code == 3
-    assert "step 1" in err
+    # a NaN injected into either kernel: tanh returns NaN from its 20th call on
+    real_tanh = math.tanh
+    for method in ("dg", "rk4"):
+        calls = []
+
+        def tanh(u):
+            calls.append(u)
+            return math.nan if len(calls) >= 20 else real_tanh(u)
+
+        monkeypatch.setattr(math, "tanh", tanh)
+        code, out, err = run(capsys, "simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0",
+                             "--dt", "0.1", "--steps", "5", "--method", method)
+        assert code == 3
+        assert out == ""
+        assert "state not finite" in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

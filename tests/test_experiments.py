@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moogvcf import experiments, integrators, lyapunov
+from moogvcf import experiments, lyapunov
 from moogvcf.experiments import (
     SpecValidationError,
     SweepSpec,
@@ -200,14 +200,15 @@ def test_decay_study_rejects_zero_states():
 
 
 def test_decay_study_records_integrator_failures(monkeypatch):
-    # every solve fails, through the full halving depth
-    monkeypatch.setattr(integrators, "_NEWTON_MAX_ITER", 0)
+    # a NaN injected into the kernel: every stage value is NaN, so no
+    # trajectory's first state is finite
+    monkeypatch.setattr(math, "tanh", lambda u: math.nan)
     result = run_decay_study(make_params(1.0, 0.5), 1, 3, StepConfig(dt=0.1), 1.0)
     assert len(result.summaries) == 3
     assert not result.all_pass
     for s in result.summaries:
         assert not s.passed
-        assert s.error is not None
+        assert "step 1: state not finite" in s.error
         assert math.isnan(s.max_v_increase)
 
 
