@@ -209,11 +209,14 @@ def run_decay_study(
 
     A state passes when its largest per-step increase stays at or below the
     method's tolerance.  Integrator failures are recorded in the summary,
-    not raised.
+    not raised.  ValueError names n_states unless it is >= 1, and t_end
+    unless it is positive and finite.
     """
     n_states = int(n_states)
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     tol = _DECAY_TOLERANCE[cfg.method]
     n_steps = max(1, int(round(t_end / cfg.dt)))
     result = SweepResult()

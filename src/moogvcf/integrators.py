@@ -120,18 +120,30 @@ def _rk4_run(x, p: FilterParams, dt: float, n: int):
     w0, g, h, s, tanh = p.omega0, p.feedback_gain, 0.5 * dt, dt / 6.0, math.tanh
     x1, x2, x3, x4 = x
     states, stages = [], []
+    # at most three targets per assignment, as in _dg_run
     for _ in range(n):
-        t1, t2, t3, t4, fb = tanh(x1), tanh(x2), tanh(x3), tanh(x4), tanh(g * x4)
-        a1, a2, a3, a4 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)
-        y1, y2, y3, y4 = x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4
-        t1, t2, t3, t4, fb = tanh(y1), tanh(y2), tanh(y3), tanh(y4), tanh(g * y4)
-        b1, b2, b3, b4 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)
-        y1, y2, y3, y4 = x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4
-        t1, t2, t3, t4, fb = tanh(y1), tanh(y2), tanh(y3), tanh(y4), tanh(g * y4)
-        c1, c2, c3, c4 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)
-        y1, y2, y3, y4 = x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4
-        t1, t2, t3, t4, fb = tanh(y1), tanh(y2), tanh(y3), tanh(y4), tanh(g * y4)
-        d1, d2, d3, d4 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)
+        t1, t2, t3 = tanh(x1), tanh(x2), tanh(x3)
+        t4, fb = tanh(x4), tanh(g * x4)
+        a1, a2, a3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
+        a4 = w0 * (-t4 + t3)
+        y1, y2, y3 = x1 + h * a1, x2 + h * a2, x3 + h * a3
+        y4 = x4 + h * a4
+        t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
+        t4, fb = tanh(y4), tanh(g * y4)
+        b1, b2, b3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
+        b4 = w0 * (-t4 + t3)
+        y1, y2, y3 = x1 + h * b1, x2 + h * b2, x3 + h * b3
+        y4 = x4 + h * b4
+        t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
+        t4, fb = tanh(y4), tanh(g * y4)
+        c1, c2, c3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
+        c4 = w0 * (-t4 + t3)
+        y1, y2, y3 = x1 + dt * c1, x2 + dt * c2, x3 + dt * c3
+        y4 = x4 + dt * c4
+        t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
+        t4, fb = tanh(y4), tanh(g * y4)
+        d1, d2, d3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
+        d4 = w0 * (-t4 + t3)
         x1, x2 = x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1), x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
         x3, x4 = x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3), x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
         w4 = sc4 * x4
@@ -184,32 +196,47 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
     (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
         model.stage_table(p))
     ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
-    sub, hf, max_iter = -ho * d, ho * fc, _NEWTON_MAX_ITER
+    sub, hf, dcut = -ho * d, ho * fc, _DERIVATIVE_CUTOFF
+    iterations, line_search = range(_NEWTON_MAX_ITER), _LINE_SEARCH
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
     cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
     glo, ghi = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
     (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = w, t
     states, stages, stabilized, trials = [], [], 0, 0
+    # The loops below keep three rules, as CPython 3.11 runs them.  An
+    # assignment has at most three targets: four or more build and unpack a
+    # tuple.  No builtin is called: |b| < c is written -c < b < c, and a max of
+    # absolute values is a chain of comparisons that, as max(map(abs, ...))
+    # does, keeps a NaN first term and skips a NaN later one.  Constants are
+    # read into locals before the loop.  Each float operation keeps the
+    # operands and order it had with abs(), so no result changes by a bit.
     for _ in range(n):
-        a1, a2, a3, a4, a5 = k1 * w1, k2 * w2, k3 * w3, k4 * w4, k5 * w4
-        y1, y2, y3, y4, y5 = g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5
-        m1, m2, m3, m4 = abs(w1), abs(w2), abs(w3), abs(w4)
-        m1, m2 = m1 if m1 > 1.0 else 1.0, m2 if m2 > 1.0 else 1.0
-        m3, m4 = m3 if m3 > 1.0 else 1.0, m4 if m4 > 1.0 else 1.0
-        cut1, cut2, cut3, cut4 = cut * m1, cut * m2, cut * m3, cut * m4
+        y1, y2, y3 = g1 * t1, g2 * t2, g3 * t3
+        y4, y5 = g4 * t4, g5 * t5
+        # m_i = max(1, |w_i|), the coincidence cutoffs cut_i and nc_i = -cut_i
+        m1 = w1 if w1 > 1.0 else -w1 if -w1 > 1.0 else 1.0
+        m2 = w2 if w2 > 1.0 else -w2 if -w2 > 1.0 else 1.0
+        m3 = w3 if w3 > 1.0 else -w3 if -w3 > 1.0 else 1.0
+        m4 = w4 if w4 > 1.0 else -w4 if -w4 > 1.0 else 1.0
+        cut1, cut2, cut3 = cut * m1, cut * m2, cut * m3
+        cut4, nc1, nc2 = cut * m4, -cut1, -cut2
+        nc3, nc4 = -cut3, -cut4
         # the iterate v, h = v - w, its quotients z, residual r and norm
-        v1, v2, v3, v4, h1, h2, h3, h4 = w1, w2, w3, w4, 0.0, 0.0, 0.0, 0.0
-        z1, z2, z3, z4, z5 = y1, y2, y3, y4, y5
-        r1, r2, r3, r4 = (0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2),
-                          0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5))
-        rnorm, l2, l3, l4 = abs(r1), abs(r2), abs(r3), abs(r4)  # max(map(abs, r)), no call
-        rnorm = l2 if l2 > rnorm else rnorm
-        rnorm = l3 if l3 > rnorm else rnorm
-        rnorm = l4 if l4 > rnorm else rnorm
+        v1, v2, v3 = w1, w2, w3
+        v4, h1, h2 = w4, 0.0, 0.0
+        h3, h4 = 0.0, 0.0
+        z1, z2, z3 = y1, y2, y3
+        z4, z5 = y4, y5
+        r1, r2 = 0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2)
+        r3, r4 = 0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5)
+        rnorm = -r1 if r1 < 0.0 else r1
+        rnorm = r2 if r2 > rnorm else -r2 if -r2 > rnorm else rnorm
+        rnorm = r3 if r3 > rnorm else -r3 if -r3 > rnorm else rnorm
+        rnorm = r4 if r4 > rnorm else -r4 if -r4 > rnorm else rnorm
         # the quotient slopes at v = w, where h = 0 takes the analytic form
         e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
         e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
-        for _ in range(0 if rnorm <= tol else max_iter):  # none if v = w solves
+        for _ in (() if rnorm <= tol else iterations):  # none if v = w solves
             j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
             j21, j32, j43 = sub * e1, sub * e2, sub * e3
             p1 = -r1 / j11
@@ -220,61 +247,73 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
             q3 = -j32 * q2 / j33
             n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
             n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
-            for lam in _LINE_SEARCH:
+            for lam in line_search:
                 trials += 1
-                x1, x2, x3, x4 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3, v4 + lam * n4
-                b1, b2, b3, b4 = x1 - w1, x2 - w2, x3 - w3, x4 - w4
-                # a quotient S log_cosh_diff(a, q, tanh(a)) / b with q = k b
-                f1 = y1 if abs(b1) < cut1 else s1 * (
+                x1, x2, x3 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3
+                x4 = v4 + lam * n4
+                b1, b2, b3 = x1 - w1, x2 - w2, x3 - w3
+                b4 = x4 - w4
+                # a quotient S log_cosh_diff(k w, q, tanh(k w)) / b with q = k b
+                f1 = y1 if nc1 < b1 < cut1 else s1 * (
                     log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t1)
-                    if -1.0 <= (q := k1 * b1) <= 1.0 else lcd(a1, q, t1)) / b1
-                f2 = y2 if abs(b2) < cut2 else s2 * (
+                    if -1.0 <= (q := k1 * b1) <= 1.0 else lcd(k1 * w1, q, t1)) / b1
+                f2 = y2 if nc2 < b2 < cut2 else s2 * (
                     log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t2)
-                    if -1.0 <= (q := k2 * b2) <= 1.0 else lcd(a2, q, t2)) / b2
-                f3 = y3 if abs(b3) < cut3 else s3 * (
+                    if -1.0 <= (q := k2 * b2) <= 1.0 else lcd(k2 * w2, q, t2)) / b2
+                f3 = y3 if nc3 < b3 < cut3 else s3 * (
                     log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t3)
-                    if -1.0 <= (q := k3 * b3) <= 1.0 else lcd(a3, q, t3)) / b3
-                if abs(b4) < cut4:
+                    if -1.0 <= (q := k3 * b3) <= 1.0 else lcd(k3 * w3, q, t3)) / b3
+                if nc4 < b4 < cut4:
                     f4, f5 = y4, y5
                 else:
                     f4 = s4 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t4)
-                               if -1.0 <= (q := k4 * b4) <= 1.0 else lcd(a4, q, t4)) / b4
+                               if -1.0 <= (q := k4 * b4) <= 1.0 else lcd(k4 * w4, q, t4)) / b4
                     f5 = s5 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t5)
-                               if -1.0 <= (q := k5 * b4) <= 1.0 else lcd(a5, q, t5)) / b4
-                o1, o2, o3, o4 = (b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2),
-                                  b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5))
-                cnorm, l2, l3, l4 = abs(o1), abs(o2), abs(o3), abs(o4)  # no call
-                cnorm = l2 if l2 > cnorm else cnorm
-                cnorm = l3 if l3 > cnorm else cnorm
-                cnorm = l4 if l4 > cnorm else cnorm
+                               if -1.0 <= (q := k5 * b4) <= 1.0 else lcd(k5 * w4, q, t5)) / b4
+                o1, o2 = b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2)
+                o3, o4 = b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5)
+                cnorm = -o1 if o1 < 0.0 else o1
+                cnorm = o2 if o2 > cnorm else -o2 if -o2 > cnorm else cnorm
+                cnorm = o3 if o3 > cnorm else -o3 if -o3 > cnorm else cnorm
+                cnorm = o4 if o4 > cnorm else -o4 if -o4 > cnorm else cnorm
                 if cnorm < rnorm:
-                    v1, v2, v3, v4, h1, h2, h3, h4, rnorm = x1, x2, x3, x4, b1, b2, b3, b4, cnorm
-                    z1, z2, z3, z4, z5, r1, r2, r3, r4 = f1, f2, f3, f4, f5, o1, o2, o3, o4
+                    v1, v2, v3 = x1, x2, x3
+                    v4, h1, h2 = x4, b1, b2
+                    h3, h4, rnorm = b3, b4, cnorm
+                    z1, z2, z3 = f1, f2, f3
+                    z4, z5, r1 = f4, f5, o1
+                    r2, r3, r4 = o2, o3, o4
                     break
             else:  # the line search stalled: the solve gives up
                 break
             if rnorm <= tol:
                 break
-            # the quotient slopes at the new iterate u = w + h, from its tanh
-            u1, u2, u3, u4 = w1 + h1, w2 + h2, w3 + h3, w4 + h4
+            # the quotient slopes at the new iterate u = w + h, from its tanh,
+            # analytic within dcut * max(m_i, |u_i|)
+            u1, u2, u3 = w1 + h1, w2 + h2, w3 + h3
+            u4 = w4 + h4
             th1, th2, th3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
             th4, th5 = tanh(k4 * u4), tanh(k5 * u4)
-            if abs(h1) < _DERIVATIVE_CUTOFF * (abs(u1) if abs(u1) > m1 else m1):
+            dc = dcut * (u1 if u1 > m1 else -u1 if -u1 > m1 else m1)
+            if -dc < h1 < dc:
                 e1 = c1 * (1.0 - th1 * th1)
             else:
                 e1 = (g1 * th1 - z1) / h1
                 e1 = e1 if e1 > 0.0 else 0.0
-            if abs(h2) < _DERIVATIVE_CUTOFF * (abs(u2) if abs(u2) > m2 else m2):
+            dc = dcut * (u2 if u2 > m2 else -u2 if -u2 > m2 else m2)
+            if -dc < h2 < dc:
                 e2 = c2 * (1.0 - th2 * th2)
             else:
                 e2 = (g2 * th2 - z2) / h2
                 e2 = e2 if e2 > 0.0 else 0.0
-            if abs(h3) < _DERIVATIVE_CUTOFF * (abs(u3) if abs(u3) > m3 else m3):
+            dc = dcut * (u3 if u3 > m3 else -u3 if -u3 > m3 else m3)
+            if -dc < h3 < dc:
                 e3 = c3 * (1.0 - th3 * th3)
             else:
                 e3 = (g3 * th3 - z3) / h3
                 e3 = e3 if e3 > 0.0 else 0.0
-            if abs(h4) < _DERIVATIVE_CUTOFF * (abs(u4) if abs(u4) > m4 else m4):
+            dc = dcut * (u4 if u4 > m4 else -u4 if -u4 > m4 else m4)
+            if -dc < h4 < dc:
                 e4, e5 = c4 * (1.0 - th4 * th4), c5 * (1.0 - th5 * th5)
             else:
                 e4, e5 = (g4 * th4 - z4) / h4, (g5 * th5 - z5) / h4
@@ -291,9 +330,11 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
             p3 = (ho * (d * y2 - y3) - j32 * p2) / j33
             q3 = -j32 * q2 / j33
             n4 = (ho * (d * y3 - g * y4) - j43 * p3) / (1.0 + ho * (g * cb4) - j43 * q3)
-            v1, v2, v3, v4 = w1 + (p1 - q1 * n4), w2 + (p2 - q2 * n4), w3 + (p3 - q3 * n4), w4 + n4
+            v1, v2, v3 = w1 + (p1 - q1 * n4), w2 + (p2 - q2 * n4), w3 + (p3 - q3 * n4)
+            v4 = w4 + n4
             stabilized += 1
-        w1, w2, w3, w4 = v1, v2, v3, v4
+        w1, w2, w3 = v1, v2, v3
+        w4 = v4
         t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
         t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
         states += (w1, w2, w3, w4)

@@ -138,19 +138,23 @@ def energy_columns(ws, zs, p: FilterParams) -> tuple[list, list]:
     """
     (s1, k1, _, _), (s2, k2, _, _), (s3, k3, _, _), (s4, k4, _, _), _ = model.stage_table(p)
     h, c, piv2, l32, l42, piv3, l43, cc, hcl42, ml43 = _rate_constants(p)
-    omega0, log1p, sinh, exp = p.omega0, math.log1p, math.sinh, math.exp
+    omega0, log1p, sinh, exp, ln2 = p.omega0, math.log1p, math.sinh, math.exp, _LN2
     energy, rates, wi, zi = [], [], iter(ws), iter(zs)
+    # no abs call and at most three targets per assignment, as in integrators._dg_run
     for w1, w2, w3, w4, z1, z2, z3, z4, du4 in zip(wi, wi, wi, wi, zi, zi, zi, zi, zi, strict=True):
-        a1, a2, a3, a4 = abs(k1 * w1), abs(k2 * w2), abs(k3 * w3), abs(k4 * w4)
-        # log_cosh(k_i w_i), inline
+        # log_cosh(k_i w_i) of a_i = |k_i w_i| (0.0 - a: +0.0 at a = -0.0, as abs gives), inline
+        a1 = a if (a := k1 * w1) > 0.0 else 0.0 - a
         a1 = (log1p(2.0 * (sh := sinh(0.5 * a1)) * sh) if a1 <= 1.0
-              else a1 + log1p(exp(-2.0 * a1)) - _LN2)
+              else a1 + log1p(exp(-2.0 * a1)) - ln2)
+        a2 = a if (a := k2 * w2) > 0.0 else 0.0 - a
         a2 = (log1p(2.0 * (sh := sinh(0.5 * a2)) * sh) if a2 <= 1.0
-              else a2 + log1p(exp(-2.0 * a2)) - _LN2)
+              else a2 + log1p(exp(-2.0 * a2)) - ln2)
+        a3 = a if (a := k3 * w3) > 0.0 else 0.0 - a
         a3 = (log1p(2.0 * (sh := sinh(0.5 * a3)) * sh) if a3 <= 1.0
-              else a3 + log1p(exp(-2.0 * a3)) - _LN2)
+              else a3 + log1p(exp(-2.0 * a3)) - ln2)
+        a4 = a if (a := k4 * w4) > 0.0 else 0.0 - a
         a4 = (log1p(2.0 * (sh := sinh(0.5 * a4)) * sh) if a4 <= 1.0
-              else a4 + log1p(exp(-2.0 * a4)) - _LN2)
+              else a4 + log1p(exp(-2.0 * a4)) - ln2)
         energy.append(s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4)
         y1, y2, y3 = z1 - h * z2 + c * z4, z2 + l32 * z3 + l42 * z4, z3 + l43 * z4
         quad = y1 * y1 + piv2 * y2 * y2 + piv3 * y3 * y3

@@ -199,6 +199,14 @@ def test_decay_study_rejects_zero_states():
         run_decay_study(make_params(1.0, 0.5), 1, 0, StepConfig(dt=0.1), 1.0)
 
 
+@pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan, 0.0, -0.0, -1.0])
+def test_decay_study_rejects_bad_t_end(t_end):
+    # inf used to raise OverflowError, NaN an unnamed ValueError, and 0 or a
+    # negative t_end ran one step
+    with pytest.raises(ValueError, match="t_end"):
+        run_decay_study(make_params(1.0, 0.5), 1, 1, StepConfig(dt=0.1), t_end)
+
+
 def test_decay_study_records_integrator_failures(monkeypatch):
     # a NaN injected into the kernel: every stage value is NaN, so no
     # trajectory's first state is finite

@@ -521,6 +521,13 @@ def solve_inputs(draw):
     max_iter=st.sampled_from([1, 3, 50]),
     tol=st.sampled_from([integrators._NEWTON_TOL, 0.0]),
 )
+# -0.0 components, at a step that leaves every increment within the cutoffs
+# and at one that does not, and |w_i| = 1 exactly, where max(1, |w_i|) ties:
+# the signs and ties where a comparison in place of abs() can go wrong
+@example(inputs=(make_params(1.0, 0.5), (-0.0, 0.5, -0.0, -2.0), 1e-13), max_iter=50, tol=0.0)
+@example(inputs=(make_params(1.0, 0.5), (-0.0, 0.5, -0.0, -2.0), 1.0), max_iter=50, tol=0.0)
+@example(inputs=(make_params(1.0, 1.0), (1.0, -1.0, 1.0, -1.0), 0.1), max_iter=50,
+         tol=integrators._NEWTON_TOL)
 @settings(max_examples=1000, deadline=None)
 def test_kernel_bit_identical_to_frozen_reference(inputs, max_iter, tol):
     # The whole step: the returned state, whether the solve gave up and took

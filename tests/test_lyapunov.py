@@ -252,6 +252,13 @@ def _rows(*states):
 @example(r=1.0, omega0=1.0, rows=_rows(_null_state(0.5), _null_state(0.999), _null_state(1e-4)))
 @example(r=0.5, omega0=1.0, rows=[([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0, -1.0])])
 @example(r=0.0, omega0=1.0, rows=[([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0])])  # Vdot < 0
+# -0.0 components, and |k_i w_i| = 1 exactly (all k_i are 1 at r = 0, and these
+# w_i are 1/k_i to the last bit at r = 1): the signs and the branch tie where
+# a comparison in place of abs() can go wrong
+@example(r=0.5, omega0=1.0, rows=[([-0.0, 0.5, -0.0, -2.0], [-0.0, 0.0, -0.0, -0.0, 0.0])])
+@example(r=0.0, omega0=1.0, rows=_rows([1.0, -1.0, 1.0, -1.0]))
+@example(r=1.0, omega0=1.0, rows=_rows([-1.0, 1.4142135623730951, -2.0000000000000004,
+                                        0.7071067811865477]))
 @settings(max_examples=300)
 def test_energy_columns_bit_identical_to_frozen_reference(r, omega0, rows):
     # every row of both columns, and the one-row wrappers, bit for bit
