@@ -115,6 +115,12 @@ class SweepSpec:
         n_steps = data.get("n_steps", SweepSpec.n_steps)
         if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
             raise SpecValidationError("n_steps", "must be a positive integer")
+        try:
+            t_end = dt * n_steps  # run_sweep's decay horizon
+        except OverflowError:  # an n_steps beyond the float range
+            t_end = math.inf
+        if t_end == math.inf:
+            raise SpecValidationError("dt", f"dt * n_steps must be finite, got dt = {dt!r}")
 
         known = {"r", "omega0", "families", "seed", "samples_per_point", "method", "dt", "n_steps"}
         for key in data:
@@ -267,7 +273,7 @@ def run_gradcheck(seed: int, n_points: int) -> float:
             hi[k] += h
             lo[k] -= h
             rows += hi + lo
-        energy = lyapunov.energy_columns(rows, [0.0] * 40, p)[0]  # V of the 8 rows, one pass
+        energy = lyapunov.energy_column(rows, p)  # V of the 8 rows, one pass
         fd = (np.array(energy[0::2]) - energy[1::2]) / (2.0 * np.array(steps))
         err = float(np.abs(fd - grad).max() / max(1.0, np.abs(grad).max()))
         worst = max(worst, err)

@@ -14,8 +14,9 @@ is done when recording trajectories.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import cycle
 from operator import mul, truediv
 
@@ -75,13 +76,24 @@ class StepConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled solution: times, states in x coordinates, energy V, and its
-    decay rate Vdot, all of equal length with strictly increasing times."""
+    """Sampled solution: times, states in x coordinates and energy V, of equal
+    length with strictly increasing times, and the decay rate Vdot of each state.
+
+    Vdot is evaluated by lyapunov.rate_column from the kernel's flat stage
+    values, 5 per state, on its first read and kept: a caller that reads only
+    V, as a decay study does, never pays for it.
+    """
 
     times: np.ndarray
     states: np.ndarray
     V: np.ndarray
-    Vdot: np.ndarray
+    stages: list = field(repr=False)
+    p: FilterParams = field(repr=False)
+
+    @cached_property
+    def Vdot(self) -> np.ndarray:
+        gains = cycle([g for _, _, g, _ in model.stage_table(self.p)])
+        return np.array(lyapunov.rate_column(map(mul, self.stages, gains), self.p))
 
 
 def _finite_state(x, name: str) -> np.ndarray:
@@ -360,16 +372,16 @@ def _scale(p: FilterParams) -> tuple:
 
 
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
-    """Integrate n_steps steps from x0 and record (t, x, V, Vdot).
+    """Integrate n_steps steps from x0 and record (t, x, V), with Vdot on first read.
 
     ValueError names x0 unless it is finite with a finite energy V(D x0).
     The states (x for RK4, w for discrete gradient) and their stage values
     model.stage_tanh go to flat lists from one _rk4_run or _dg_run call, whose
     IntegrationError names the first step that is not finite.
-    lyapunov.energy_columns then evaluates V and Vdot, the saturation energy
-    with d = max(1, alpha) and its rate, once per trajectory; DG states
-    become x = D^-1 w in one array division, which rounds as the
-    entry-by-entry float division does.
+    lyapunov.energy_column then evaluates V, the saturation energy with
+    d = max(1, alpha), once per trajectory, and the Trajectory keeps the stage
+    values for its rate; DG states become x = D^-1 w in one array division,
+    which rounds as the entry-by-entry float division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
@@ -387,8 +399,8 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     else:
         us[4:], ts[5:], _, _ = _dg_run(u, t, p, cfg.dt, n_steps)
     ws = map(mul, us, cycle(scale)) if rk4 else us  # w = D x, entry by entry
-    energy, rates = lyapunov.energy_columns(ws, map(mul, ts, cycle([g for _, _, g, _ in table])), p)
+    energy = lyapunov.energy_column(ws, p)
     states = np.array(us).reshape(n_steps + 1, 4)
     return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt,
                       states=states if rk4 else states / np.array(scale),
-                      V=np.array(energy), Vdot=np.array(rates))
+                      V=np.array(energy), stages=ts, p=p)

@@ -98,13 +98,13 @@ def Vdot_zero_feedback(w, p: FilterParams) -> float:
 
 
 def lyapunov_value(w, p: FilterParams) -> float:
-    """energy_columns' V of the one state w: V_nonlinear, or V_zero_feedback at r = 0."""
-    return energy_columns(w, (0.0, 0.0, 0.0, 0.0, 0.0), p)[0][0]
+    """energy_column's V of the one state w: V_nonlinear, or V_zero_feedback at r = 0."""
+    return energy_column(w, p)[0]
 
 
 @model.per_params
 def _rate_constants(p: FilterParams):
-    """The w-independent terms of energy_columns' LDL' factorisation."""
+    """The w-independent terms of rate_column's LDL' factorisation."""
     h = 0.5 * p.d
     c = 0.5 * p.feedback_coeff
     piv2 = 1.0 - h * h  # >= 1/2, as d^2 <= 2
@@ -121,27 +121,18 @@ def lyapunov_rate(w, p: FilterParams) -> float:
 
 
 def rate_of_gradients(z, p: FilterParams) -> float:
-    """energy_columns' Vdot of the one row z = (z1, z2, z3, z4, du4) of stage gradients."""
-    return energy_columns((0.0, 0.0, 0.0, 0.0), z, p)[1][0]
+    """rate_column's Vdot of the one row z = (z1, z2, z3, z4, du4) of stage gradients."""
+    return rate_column(z, p)[0]
 
 
-def energy_columns(ws, zs, p: FilterParams) -> tuple[list, list]:
-    """V and Vdot of each row in one pass, from the rows' states (w1, w2, w3, w4) in ws
-    and stage gradients z = (z1, z2, z3, z4, du4) in zs, back to back (else ValueError).
-
-    V = sum_i S_i lncosh(k_i w_i) over model.stage_table.  Vdot is
-    omega0 * z' model.stage_field(z), for r > 0 omega0 * z' sym(Q) z (z4 du4 = g z4^2,
-    g the feedback ratio at w4), evaluated as -omega0 * y' D y with y = L' z and
-    L D L' = -sym(Q) = [[1, -h, 0, c], [-h, 1, -h, 0], [0, -h, 1, -h], [c, 0, -h, g]],
-    h = d/2, c = p.feedback_coeff/2 (h, or 0 at r = 0) and g = du4/z4.  The pivots
-    are clamped at 0, so Vdot <= 0, also on the null direction of -sym(Q) at r = 1.
-    """
+def energy_column(ws, p: FilterParams) -> list:
+    """V of each state (w1, w2, w3, w4) in ws, back to back (else ValueError):
+    V = sum_i S_i lncosh(k_i w_i) over model.stage_table."""
     (s1, k1, _, _), (s2, k2, _, _), (s3, k3, _, _), (s4, k4, _, _), _ = model.stage_table(p)
-    h, c, piv2, l32, l42, piv3, l43, cc, hcl42, ml43 = _rate_constants(p)
-    omega0, log1p, sinh, exp, ln2 = p.omega0, math.log1p, math.sinh, math.exp, _LN2
-    energy, rates, wi, zi = [], [], iter(ws), iter(zs)
+    log1p, sinh, exp, ln2 = math.log1p, math.sinh, math.exp, _LN2
+    energy, wi = [], iter(ws)
     # no abs call and at most three targets per assignment, as in integrators._dg_run
-    for w1, w2, w3, w4, z1, z2, z3, z4, du4 in zip(wi, wi, wi, wi, zi, zi, zi, zi, zi, strict=True):
+    for w1, w2, w3, w4 in zip(wi, wi, wi, wi, strict=True):
         # log_cosh(k_i w_i) of a_i = |k_i w_i| (0.0 - a: +0.0 at a = -0.0, as abs gives), inline
         a1 = a if (a := k1 * w1) > 0.0 else 0.0 - a
         a1 = (log1p(2.0 * (sh := sinh(0.5 * a1)) * sh) if a1 <= 1.0
@@ -156,13 +147,31 @@ def energy_columns(ws, zs, p: FilterParams) -> tuple[list, list]:
         a4 = (log1p(2.0 * (sh := sinh(0.5 * a4)) * sh) if a4 <= 1.0
               else a4 + log1p(exp(-2.0 * a4)) - ln2)
         energy.append(s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4)
+    return energy
+
+
+def rate_column(zs, p: FilterParams) -> list:
+    """Vdot of each row of stage gradients z = (z1, z2, z3, z4, du4) in zs, back
+    to back (else ValueError).
+
+    Vdot is omega0 * z' model.stage_field(z), for r > 0 omega0 * z' sym(Q) z
+    (z4 du4 = g z4^2, g the feedback ratio at w4), evaluated as -omega0 * y' D y
+    with y = L' z and L D L' = -sym(Q) = [[1, -h, 0, c], [-h, 1, -h, 0],
+    [0, -h, 1, -h], [c, 0, -h, g]], h = d/2, c = p.feedback_coeff/2 (h, or 0 at
+    r = 0) and g = du4/z4.  The pivots are clamped at 0, so Vdot <= 0, also on
+    the null direction of -sym(Q) at r = 1.
+    """
+    h, c, piv2, l32, l42, piv3, l43, cc, hcl42, ml43 = _rate_constants(p)
+    omega0, rates, zi = p.omega0, [], iter(zs)
+    # at most three targets per assignment, as in integrators._dg_run
+    for z1, z2, z3, z4, du4 in zip(zi, zi, zi, zi, zi, strict=True):
         y1, y2, y3 = z1 - h * z2 + c * z4, z2 + l32 * z3 + l42 * z4, z3 + l43 * z4
         quad = y1 * y1 + piv2 * y2 * y2 + piv3 * y3 * y3
         if z4 != 0.0:
             piv4 = du4 / z4 - cc - hcl42 - ml43
             quad += (piv4 if piv4 > 0.0 else 0.0) * z4 * z4  # max(0.0, piv4), NaN included
         rates.append(0.0 - omega0 * quad)  # not -(...): the origin gives 0.0, not -0.0
-    return energy, rates
+    return rates
 
 
 def symmetrize(M) -> np.ndarray:

@@ -380,14 +380,9 @@ def test_sweep_bundled_fullrange_spec(tmp_path):
 
 def test_sweep_exit_1_on_failed_decay(tmp_path, capsys, monkeypatch):
     # harness meta-test: a sign-flipped energy must fail the sweep
-    # (simulate's V column comes from lyapunov.energy_columns)
-    real = lyapunov.energy_columns
-
-    def negated(ws, zs, p):
-        energy, rates = real(ws, zs, p)
-        return [-v for v in energy], rates
-
-    monkeypatch.setattr(lyapunov, "energy_columns", negated)
+    # (simulate's V column comes from lyapunov.energy_column)
+    real = lyapunov.energy_column
+    monkeypatch.setattr(lyapunov, "energy_column", lambda ws, p: [-v for v in real(ws, p)])
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "r": [0.5], "omega0": [1], "families": ["As"],
@@ -419,6 +414,25 @@ def test_simulate_golden_bytes(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["dg", "rk4"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_evaluates_rate_once(capsys, monkeypatch, method, fmt):
+    # the vdot column is the trajectory's one rate_column pass, of every row
+    rows = []
+    real = lyapunov.rate_column
+
+    def counted(zs, p):
+        rates = real(zs, p)
+        rows.append(len(rates))
+        return rates
+
+    monkeypatch.setattr(lyapunov, "rate_column", counted)
+    code, _, _ = run(capsys, "simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,-2,0.5,3",
+                     "--dt", "0.05", "--steps", "20", "--method", method, "--format", fmt)
+    assert code == 0
+    assert rows == [21]
 
 
 # sha256 of the README's two simulate commands, recorded from the array-based

@@ -71,6 +71,8 @@ def test_spec_from_dict_minimal():
     ({"method": ["dg"]}, "method"),
     ({"families": ["As", "Bs", "As"]}, "families[2]"),
     ({"families": ["As", "As"]}, "families[1]"),
+    ({"dt": 1e308, "n_steps": 10}, "dt"),
+    ({"n_steps": 10 ** 400}, "dt"),
 ])
 def test_spec_validation_paths(patch, path):
     data = {"r": [0.5], "omega0": [1], "families": ["As"],
@@ -279,17 +281,24 @@ def test_sweep_summaries_canonical_order():
 
 def test_negated_energy_fails_decay_study(monkeypatch):
     # harness meta-test: a sign-flipped V must be caught on every state
-    # (simulate's V column comes from lyapunov.energy_columns)
-    real = lyapunov.energy_columns
-
-    def negated(ws, zs, p):
-        energy, rates = real(ws, zs, p)
-        return [-v for v in energy], rates
-
-    monkeypatch.setattr(lyapunov, "energy_columns", negated)
+    # (simulate's V column comes from lyapunov.energy_column)
+    real = lyapunov.energy_column
+    monkeypatch.setattr(lyapunov, "energy_column", lambda ws, p: [-v for v in real(ws, p)])
     p = make_params(1.0, 0.5)
     result = run_decay_study(p, seed=3, n_states=8, cfg=StepConfig(dt=0.1), t_end=5.0)
     assert all(not s.passed for s in result.summaries)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_decay_study_evaluates_no_rate(monkeypatch, method):
+    # a decay study reads V alone, so no trajectory's Vdot is evaluated
+    calls = []
+    real = lyapunov.rate_column
+    monkeypatch.setattr(lyapunov, "rate_column", lambda zs, p: calls.append(p) or real(zs, p))
+    result = run_decay_study(make_params(1.0, 0.5), seed=3, n_states=4,
+                             cfg=StepConfig(dt=0.01, method=method), t_end=0.5)
+    assert result.all_pass and len(result.summaries) == 4
+    assert calls == []
 
 
 def test_negated_gradient_fails_gradcheck(monkeypatch):

@@ -220,8 +220,9 @@ def _ref_stage_tanh(w, table):
 
 def _ref_rk4_trajectory(x0, p, dt, n_steps):
     """simulate's RK4 columns (times, states, V, Vdot) as bytes from the frozen
-    step and stage values, V and Vdot by lyapunov.energy_columns as simulate
-    evaluates them; and the bytes of the flat states and stage values after x0."""
+    step and stage values, V by lyapunov.energy_column and Vdot by
+    lyapunov.rate_column as simulate and Trajectory evaluate them; and the bytes
+    of the flat states and stage values after x0."""
     scale = tuple(model.scaling_matrix(p.d).diagonal().tolist())
     table = model.stage_table(p)
     x, xs, ts = tuple(map(float, x0)), [], []
@@ -230,9 +231,8 @@ def _ref_rk4_trajectory(x0, p, dt, n_steps):
             x = _ref_rk4(x, p, dt)
         xs.extend(x)
         ts.extend(_ref_stage_tanh(tuple(map(operator.mul, scale, x)), table))
-    energy, rates = lyapunov.energy_columns(
-        map(operator.mul, xs, cycle(scale)),
-        map(operator.mul, ts, cycle([g for _, _, g, _ in table])), p)
+    energy = lyapunov.energy_column(map(operator.mul, xs, cycle(scale)), p)
+    rates = lyapunov.rate_column(map(operator.mul, ts, cycle([g for _, _, g, _ in table])), p)
     times = np.arange(n_steps + 1, dtype=float) * dt
     columns = (times.tobytes(), np.array(xs).reshape(n_steps + 1, 4).tobytes(),
                np.array(energy).tobytes(), np.array(rates).tobytes())
@@ -579,6 +579,38 @@ def test_rk4_energy_columns_bit_identical_to_per_state_energy(r, omega0, dt_omeg
     ws = [model.to_scaled(x, p.d) for x in traj.states]
     assert traj.V.tobytes() == np.array([lyapunov.lyapunov_value(w, p) for w in ws]).tobytes()
     assert traj.Vdot.tobytes() == np.array([lyapunov.lyapunov_rate(w, p) for w in ws]).tobytes()
+
+
+@given(
+    r=st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(min_value=1e-3, max_value=1.0),
+    omega0=st.sampled_from([1.0, 100.0]),
+    dt_omega=st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0 ** e),
+    x0=big_coords,
+)
+@settings(max_examples=50, deadline=None)
+def test_dg_vdot_bit_identical_to_per_state_rate(r, omega0, dt_omega, x0):
+    # simulate's DG Vdot, evaluated on first read, is lyapunov_rate at each
+    # w the kernel recorded, as the test above checks for RK4 at w = D x
+    p, dt = make_params(omega0, r), dt_omega / omega0
+    traj = simulate(np.array(x0), p, StepConfig(dt=dt), 4)
+    w = tuple(map(operator.mul, integrators._scale(p), x0))
+    flat = [*w, *integrators._dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, dt, 4)[0]]
+    ws = [flat[i:i + 4] for i in range(0, len(flat), 4)]
+    assert traj.Vdot.tobytes() == np.array([lyapunov.lyapunov_rate(w, p) for w in ws]).tobytes()
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_vdot_evaluated_on_first_read_and_kept(monkeypatch, method):
+    calls = []
+    real = lyapunov.rate_column
+    monkeypatch.setattr(lyapunov, "rate_column", lambda zs, p: calls.append(p) or real(zs, p))
+    p = make_params(1.0, 0.5)
+    traj = simulate(np.array([1.0, -2.0, 0.5, 3.0]), p, StepConfig(dt=0.05, method=method), 30)
+    assert calls == []
+    first = traj.Vdot
+    assert len(first) == 31 and calls == [p]
+    assert traj.Vdot is first
+    assert calls == [p]
 
 
 @given(

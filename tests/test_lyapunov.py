@@ -183,9 +183,9 @@ def test_Vdot_nonpositive_along_null_direction():
         assert lyapunov.lyapunov_rate(w, p) <= 0.0
 
 
-# lyapunov_value and rate_of_gradients as they stood before energy_columns
-# evaluated whole trajectories.  The scalar names now wrap energy_columns, so
-# they cannot serve as their own reference.
+# lyapunov_value and rate_of_gradients as they stood before energy_column and
+# rate_column evaluated whole trajectories.  The scalar names now wrap those
+# loops, so they cannot serve as their own reference.
 
 
 def _ref_lyapunov_value(w, p):
@@ -269,8 +269,8 @@ def test_energy_columns_bit_identical_to_frozen_reference(r, omega0, rows):
     zs = [g if z is None else z for g, (_, z) in zip(gradients, rows)]
     want_v = _bits([_ref_lyapunov_value(w, p) for w in ws])
     want_vdot = _bits([_ref_rate_of_gradients(z, p) for z in zs])
-    energy, rates = lyapunov.energy_columns([u for w in ws for u in w],
-                                            [g for z in zs for g in z], p)
+    energy = lyapunov.energy_column([u for w in ws for u in w], p)
+    rates = lyapunov.rate_column([g for z in zs for g in z], p)
     assert (_bits(energy), _bits(rates)) == (want_v, want_vdot)
     assert _bits([lyapunov.lyapunov_value(w, p) for w in ws]) == want_v
     assert _bits([lyapunov.rate_of_gradients(z, p) for z in zs]) == want_vdot
@@ -286,9 +286,9 @@ def test_energy_columns_bit_identical_to_frozen_reference(r, omega0, rows):
     lambda p: lyapunov.lyapunov_value((1.0, 2.0, 3.0), p),
     lambda p: lyapunov.lyapunov_value((1.0, 2.0, 3.0, 4.0, 5.0), p),
     lambda p: lyapunov.rate_of_gradients((1.0, 2.0, 3.0, 4.0), p),
-    lambda p: lyapunov.energy_columns([0.0] * 8, [0.0] * 5, p),  # two states, one gradient row
-    lambda p: lyapunov.energy_columns([0.0] * 4, [0.0] * 10, p),
-], ids=["value-3", "value-5", "rate-4", "rows-2-1", "rows-1-2"])
+    lambda p: lyapunov.energy_column([0.0] * 5, p),  # one state and a partial one
+    lambda p: lyapunov.rate_column([0.0] * 6, p),  # one gradient row and a partial one
+], ids=["value-3", "value-5", "rate-4", "energy-5", "rates-6"])
 def test_energy_rejects_partial_rows(call):
     with pytest.raises(ValueError):
         call(make_params(1.0, 0.5))
