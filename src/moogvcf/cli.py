@@ -25,8 +25,12 @@ from .spectral import RootFindingError
 
 SCHEMA_VERSION = 1
 
-# Largest number of points --r-grid may expand to; checked before allocating.
+# Largest number of points --r-grid may expand to, and of gradcheck --points;
+# checked before any work.
 _MAX_GRID_POINTS = 10 ** 6
+# Largest simulate --steps: simulate holds every recorded step, about 0.46 KB
+# each, before the first row is written, so 10^6 steps take about 460 MB.
+_MAX_STEPS = 10 ** 6
 # simulate renders and writes CSV rows in blocks of this many.
 _BLOCK_ROWS = 1024
 
@@ -75,6 +79,9 @@ def _parse_families(raw: str) -> list[MatrixFamily]:
 
 def _cmd_eig(args) -> int:
     p = model.make_params(args.omega0, args.r)
+    if not math.isfinite(p.omega0 * max(1.0, p.feedback_gain)):  # the largest entry of A
+        raise ValueError(f"--omega0 {args.omega0!r} overflows the linearization "
+                         "omega0 * max(1, 4r)")
     closed = spectral.eigvals_closed_form(p)
     numeric = spectral.eigvals_numeric(model.linearized_matrix(p))
     if args.format == "json":
@@ -150,6 +157,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps > _MAX_STEPS:
+        raise ValueError(f"--steps {args.steps} is more than {_MAX_STEPS}")
     p = model.make_params(args.omega0, args.r)
     x0 = _parse_x0(args.x0)
     method = Method(args.method)
@@ -237,6 +246,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.points > _MAX_GRID_POINTS:
+        raise ValueError(f"--points {args.points} is more than {_MAX_GRID_POINTS}")
     worst = experiments.run_gradcheck(args.seed, args.points)
     if args.format == "json":
         payload = {

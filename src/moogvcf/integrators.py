@@ -193,10 +193,17 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
     <= 0 and corner >= 0: forward substitution writes n_i = p_i - q_i * n4
     (q_i >= 0), and the last pivot is >= 1.
 
-    Newton starts at v = w, where every quotient is analytic, so the first
-    iterate is the linearly implicit step.  Each iteration takes the first of
-    the update and its 8 halvings that lowers the residual's infinity norm.  A
-    solve gives up if none does, or if _NEWTON_MAX_ITER iterations do not reach
+    Newton starts at v = w, where every quotient is analytic.  The first
+    iteration uses the slopes there, so its iterate is the linearly implicit
+    step, unless the step is not the call's first and the residual norm at w
+    times max(k_i) exceeds 1: that update may leave the |k b| <= 1 region, and
+    a saturated stage's slope at w, near 0, would shoot far past the root.
+    The first iteration then uses the slopes that the previous solve last used,
+    and if its line search stalls, it is retried once from the slopes at w,
+    after which the solve takes the iterates of one started there.  Each
+    iteration takes the first of the update and its 8 halvings that lowers the
+    residual's infinity norm.  A solve gives up if none does, or if
+    _NEWTON_MAX_ITER iterations (a retried one counted twice) do not reach
     _NEWTON_TOL (a NaN residual included).  Its step is then the stabilized
     step delta = dt*omega0*Q(g)(z + L delta): z the stage gradients at w,
     L = diag(S_i k_i^2) >= every stage curvature, Q = model.coupling_matrix and
@@ -208,7 +215,8 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
     (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
         model.stage_table(p))
     ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
-    sub, hf, dcut = -ho * d, ho * fc, _DERIVATIVE_CUTOFF
+    sub, hf, dcut, kmax = -ho * d, ho * fc, _DERIVATIVE_CUTOFF, max(k1, k2, k3, k4, k5)
+    km = 0.0  # kmax from the second step on: the first solve has no slopes to borrow
     iterations, line_search = range(_NEWTON_MAX_ITER), _LINE_SEARCH
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
     cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
@@ -245,9 +253,13 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
         rnorm = r2 if r2 > rnorm else -r2 if -r2 > rnorm else rnorm
         rnorm = r3 if r3 > rnorm else -r3 if -r3 > rnorm else rnorm
         rnorm = r4 if r4 > rnorm else -r4 if -r4 > rnorm else rnorm
-        # the quotient slopes at v = w, where h = 0 takes the analytic form
-        e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
-        e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
+        # the quotient slopes at v = w, where h = 0 takes the analytic form,
+        # unless the first update may leave |k b| <= 1: then those that the
+        # previous solve last used, still in e1..e5
+        borrowed, km = rnorm * km > 1.0, kmax
+        if not borrowed:
+            e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
+            e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
         for _ in (() if rnorm <= tol else iterations):  # none if v = w solves
             j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
             j21, j32, j43 = sub * e1, sub * e2, sub * e3
@@ -296,10 +308,16 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
                     z4, z5, r1 = f4, f5, o1
                     r2, r3, r4 = o2, o3, o4
                     break
-            else:  # the line search stalled: the solve gives up
-                break
+            else:  # the line search stalled
+                if borrowed:  # retry the first iteration from the slopes at v = w
+                    borrowed = False
+                    e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
+                    e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
+                    continue
+                break  # the solve gives up
             if rnorm <= tol:
                 break
+            borrowed = False
             # the quotient slopes at the new iterate u = w + h, from its tanh,
             # analytic within dcut * max(m_i, |u_i|)
             u1, u2, u3 = w1 + h1, w2 + h2, w3 + h3

@@ -60,6 +60,42 @@ def test_eig_rejects_out_of_range_r(capsys):
     assert "r" in err
 
 
+@pytest.mark.parametrize("args, field, work", [
+    (("eig", "--omega0", "1e308", "--r", "0.5"), "--omega0", ("spectral", "eigvals_closed_form")),
+    (("gradcheck", "--points", str(cli._MAX_GRID_POINTS + 1)), "--points",
+     ("experiments", "run_gradcheck")),
+    (("simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0", "--dt", "0.1",
+      "--steps", "99999999999999999999999"), "--steps", ("integrators", "simulate")),
+    (("simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0", "--dt", "0.1",
+      "--steps", str(cli._MAX_STEPS + 1)), "--steps", ("integrators", "simulate")),
+])
+def test_oversized_arguments_rejected_up_front(capsys, monkeypatch, args, field, work):
+    # each is rejected under its own field before the work it sizes starts,
+    # and with no numpy overflow warning
+    monkeypatch.setattr(getattr(cli, work[0]), work[1], None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} ")
+
+
+def test_size_caps_admit_their_limit(capsys, monkeypatch):
+    # a size at its cap reaches the work it sizes
+    sizes = []
+    monkeypatch.setattr(experiments, "run_gradcheck", lambda seed, n: sizes.append(n) or 0.0)
+    assert run(capsys, "gradcheck", "--points", str(cli._MAX_GRID_POINTS))[0] == 0
+
+    def simulate(x0, p, cfg, n_steps):
+        sizes.append(n_steps)
+        raise cli.IntegrationError("stopped before the first step")
+
+    monkeypatch.setattr(cli.integrators, "simulate", simulate)
+    assert run(capsys, "simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0",
+               "--dt", "0.1", "--steps", str(cli._MAX_STEPS))[0] == 3
+    assert sizes == [cli._MAX_GRID_POINTS, cli._MAX_STEPS]
+
+
 def test_eig_json_round_trip(capsys):
     code, out, _ = run(capsys, "eig", "--omega0", "2.5", "--r", "0.3", "--format", "json")
     assert code == 0
@@ -435,8 +471,9 @@ def test_simulate_evaluates_rate_once(capsys, monkeypatch, method, fmt):
     assert rows == [21]
 
 
-# sha256 of the README's two simulate commands, recorded from the array-based
-# integrator that preceded the float-tuple RK4 kernel.
+# sha256 of the README's two simulate commands: RK4 recorded from the
+# array-based integrator that preceded the float-tuple RK4 kernel, DG from the
+# kernel whose stiff solves start from the previous step's quotient slopes.
 README_SIMULATE = {
     "dg": ["--omega0", "100", "--r", "0.9", "--x0", "1,1,-1,0.5", "--dt", "0.1",
            "--steps", "1000", "--method", "dg"],
@@ -444,9 +481,9 @@ README_SIMULATE = {
             "--steps", "5000", "--method", "rk4"],
 }
 README_DIGESTS = {
-    ("dg", "csv"): "58d72f304324a1dd1a46d7f82d1561a5c3f9fef99fa83b139d3e25ce7273b325",
+    ("dg", "csv"): "f29b05d183b99c130238191e221193013cba506d61df0505ffef577138401e5b",
     ("rk4", "csv"): "5c4d543f1ad87e1a0974d88c89e985f806e47c6ea58d5f6facccb6e1683b6ec2",
-    ("dg", "json"): "eaaecb36f32b53df5891735719c2834c9738bbd621e290b15fcbf982e254e658",
+    ("dg", "json"): "0002caa607a64d2e5eb2edf8b28010202029513934b1ccd4ced2864380bdea9f",
     ("rk4", "json"): "885fc4b1c1d9c4535a9d1bac83174501fdff0113e3740974501f31d88c630fd6",
 }
 
