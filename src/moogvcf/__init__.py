@@ -31,12 +31,10 @@ from .lyapunov import (
     MatrixFamily,
     Verdict,
     V_nonlinear,
-    V_quadratic_x,
     V_zero_feedback,
     Vdot_nonlinear,
     certify,
     definiteness_threshold,
-    grad_V,
     structure_max_eigenvalue,
     sym_eigvals,
     symmetrize,
@@ -62,7 +60,6 @@ from .spectral import (
     Spectrum,
     eigvals_closed_form,
     eigvals_numeric,
-    stability_margin,
 )
 
 __version__ = "0.1.0"

@@ -28,9 +28,13 @@ SCHEMA_VERSION = 1
 # Largest number of points --r-grid may expand to, and of gradcheck --points;
 # checked before any work.
 _MAX_GRID_POINTS = 10 ** 6
-# Largest simulate --steps: simulate holds every recorded step, about 0.46 KB
-# each, before the first row is written, so 10^6 steps take about 460 MB.
-_MAX_STEPS = 10 ** 6
+# Largest simulate --steps, the sweep spec's n_steps cap.
+_MAX_STEPS = experiments._MAX_STEPS
+# Largest eig --omega0.  The numeric spectrum's root iteration works on the
+# characteristic coefficients, up to omega0^4 (1 + 4r), and on fourth powers
+# of its iterates, which overflow a float from about omega0 = 6e74 at some r;
+# 2^224 leaves those fourth powers a factor 2^128 of headroom.
+_MAX_EIG_OMEGA0 = 2.0 ** 224
 # simulate renders and writes CSV rows in blocks of this many.
 _BLOCK_ROWS = 1024
 
@@ -79,9 +83,9 @@ def _parse_families(raw: str) -> list[MatrixFamily]:
 
 def _cmd_eig(args) -> int:
     p = model.make_params(args.omega0, args.r)
-    if not math.isfinite(p.omega0 * max(1.0, p.feedback_gain)):  # the largest entry of A
-        raise ValueError(f"--omega0 {args.omega0!r} overflows the linearization "
-                         "omega0 * max(1, 4r)")
+    if p.omega0 > _MAX_EIG_OMEGA0:
+        raise ValueError(f"--omega0 {args.omega0!r} is more than {_MAX_EIG_OMEGA0!r}: "
+                         "beyond it the numeric spectrum's float arithmetic may overflow")
     closed = spectral.eigvals_closed_form(p)
     numeric = spectral.eigvals_numeric(model.linearized_matrix(p))
     if args.format == "json":

@@ -15,6 +15,14 @@ from .integrators import IntegrationError, Method, StepConfig, simulate
 from .lyapunov import Verdict
 from .rng import substream
 
+# Largest n_steps of one trajectory: simulate holds every recorded step, about
+# 0.46 KB each, so 10^6 steps take about 460 MB.
+_MAX_STEPS = 10 ** 6
+# Largest number of steps a sweep takes in all, trajectories times n_steps:
+# at the full-range sweep's 12-17 us per DG step on a 2-vCPU Xeon, 10^8 steps
+# take 20-30 minutes.
+_MAX_SWEEP_STEPS = 10 ** 8
+
 # Initial states are drawn with |x_i| <= 5, deep into tanh saturation, so
 # decay studies exercise the genuinely nonlinear regime.
 _STATE_RANGE = 5.0
@@ -121,6 +129,13 @@ class SweepSpec:
             t_end = math.inf
         if t_end == math.inf:
             raise SpecValidationError("dt", f"dt * n_steps must be finite, got dt = {dt!r}")
+        if n_steps > _MAX_STEPS:
+            raise SpecValidationError("n_steps", f"{n_steps} is more than {_MAX_STEPS}")
+        total = len(r_grid) * len(omega0_grid) * samples * n_steps
+        if total > _MAX_SWEEP_STEPS:
+            raise SpecValidationError("samples_per_point", (
+                f"{len(r_grid)} r x {len(omega0_grid)} omega0 x {samples} samples_per_point x "
+                f"{n_steps} n_steps = {total} steps is more than {_MAX_SWEEP_STEPS}"))
 
         known = {"r", "omega0", "families", "seed", "samples_per_point", "method", "dt", "n_steps"}
         for key in data:
@@ -266,7 +281,7 @@ def run_gradcheck(seed: int, n_points: int) -> float:
             stream = substream(seed, i)
             p = model.make_params(1.0, 1.0 - stream.uniform())
             w = np.array([stream.uniform(-10.0, 10.0) for _ in range(4)])
-        grad = lyapunov.grad_V(w, p)
+        grad = model.saturation_vector(w, p)
         rows, steps = [], [1e-6 * max(1.0, abs(u)) for u in w.tolist()]
         for k, h in enumerate(steps):
             hi, lo = w.tolist(), w.tolist()

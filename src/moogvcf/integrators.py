@@ -54,12 +54,8 @@ class IntegrationError(RuntimeError):
 
 
 class NewtonError(IntegrationError):
-    """Implicit solve failed, with its last residual.  Nothing raises it now (a
-    failed solve takes the stabilized step); bench/tracing.py still reads it."""
-
-    def __init__(self, message: str, residual: float, step: int | None = None):
-        self.residual = residual
-        super().__init__(f"{message} (residual {residual:.3e})", step)
+    """Implicit solve failed.  Nothing raises it now (a failed solve takes the
+    stabilized step); bench/tracing.py still reads it."""
 
 
 @dataclass(frozen=True)
@@ -117,14 +113,14 @@ def _check_finite(states: list) -> None:
 
 def _rk4_run(x, p: FilterParams, dt: float, n: int):
     """Take n classic fourth-order steps x + dt/6 (a + 2 b + 2 c + d) of
-    model.nonlinear_field from the float 4-tuple x.
+    model.rhs_nonlinear from the float 4-tuple x.
 
     Returns the n new states and their stage values model.stage_tanh(D x,
     model.stage_table(p)), each back to back in a flat list.  The field and
     the stage values are inline, with the operands and order of
-    nonlinear_field, the array form and stage_tanh, so they match those bit
-    for bit; the constants of (p, dt) are computed once per call, and
-    _check_finite checks the last state.
+    rhs_nonlinear and stage_tanh, so they match those bit for bit; the
+    constants of (p, dt) are computed once per call, and _check_finite
+    checks the last state.
     """
     (_, k1, _, _), (_, k2, _, _), (_, k3, _, _), (_, k4, _, _), (_, k5, _, _) = (
         model.stage_table(p))
@@ -408,7 +404,7 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     scale, table = _scale(p), model.stage_table(p)
     rk4 = cfg.method is Method.RK4
     w = tuple(map(mul, scale, x0.tolist()))
-    if not math.isfinite(lyapunov.lyapunov_value(w, p)):
+    if not math.isfinite(lyapunov.energy_column(w, p)[0]):
         raise ValueError(f"x0 must have a finite energy V(D x0), got {x0.tolist()}")
     u, t = (tuple(x0.tolist()) if rk4 else w), model.stage_tanh(w, table)  # u: x for RK4, w for DG
     us, ts = list(u), list(t)  # the initial row, then the kernel's n_steps rows

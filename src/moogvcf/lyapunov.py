@@ -1,10 +1,11 @@
 """Lyapunov candidates, their decay rates, and definiteness certification.
 
-Three candidate energies are implemented: the plain quadratic 0.5*x'x, the
-scaled quadratic 0.5*w'w, and the saturation energy built from log-cosh
-stage potentials whose gradient is exactly the saturation vector z.  A
-matrix family is certified negative (semi)definite through the eigenvalues
-of its omega0-normalized symmetrization.
+There are three candidate energies: the plain quadratic 0.5*x'x and the
+scaled quadratic 0.5*w'w, certified through the As and Bs families, and the
+saturation energy built from log-cosh stage potentials whose gradient is
+exactly the saturation vector z (model.saturation_vector).  A matrix family
+is certified negative (semi)definite through the eigenvalues of its
+omega0-normalized symmetrization.
 """
 
 import math
@@ -51,13 +52,6 @@ def log_cosh_diff(a: float, h: float, tanh_a: float) -> float:
     return u - v
 
 
-def V_quadratic_x(x) -> float:
-    """Quadratic energy 0.5 * v'v: the stored energy 0.5 * x'x on x, and the
-    scaled quadratic 0.5 * w'w = 0.5 * x' D^2 x on w."""
-    v = np.asarray(x, dtype=float)
-    return 0.5 * float(v @ v)
-
-
 def V_nonlinear(w, p: FilterParams) -> float:
     """Saturation energy in scaled coordinates (requires r > 0).
 
@@ -68,7 +62,7 @@ def V_nonlinear(w, p: FilterParams) -> float:
     """
     if p.r == 0.0:
         raise ValueError("V_nonlinear undefined for r=0; use V_zero_feedback")
-    return lyapunov_value(w, p)
+    return energy_column(w, p)[0]
 
 
 def V_zero_feedback(w) -> float:
@@ -76,30 +70,17 @@ def V_zero_feedback(w) -> float:
     return sum(log_cosh(float(v)) for v in w)
 
 
-def grad_V(w, p: FilterParams) -> np.ndarray:
-    """Gradient of V_nonlinear with respect to w; identically the
-    saturation vector z (same code path)."""
-    if p.r == 0.0:
-        raise ValueError("grad_V undefined for r=0; use tanh(w) on that branch")
-    return model.saturation_vector(w, p)
-
-
 def Vdot_nonlinear(w, p: FilterParams) -> float:
     """Decay rate of V_nonlinear along the flow: omega0 * z' sym(Q) z
     with the feedback ratio evaluated at w4."""
     if p.r == 0.0:
         raise ValueError("Vdot_nonlinear undefined for r=0; use Vdot_zero_feedback")
-    return lyapunov_rate(w, p)
+    return rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0]
 
 
 def Vdot_zero_feedback(w, p: FilterParams) -> float:
     """Decay rate of the feedback-free energy along the r = 0 cascade."""
-    return lyapunov_rate(w, p)
-
-
-def lyapunov_value(w, p: FilterParams) -> float:
-    """energy_column's V of the one state w: V_nonlinear, or V_zero_feedback at r = 0."""
-    return energy_column(w, p)[0]
+    return rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0]
 
 
 @model.per_params
@@ -113,16 +94,6 @@ def _rate_constants(p: FilterParams):
     m34 = -h + h * h * c / piv2
     l43 = m34 / piv3 if piv3 > 0.0 else 0.0
     return h, c, piv2, l32, l42, piv3, l43, c * c, h * c * l42, m34 * l43
-
-
-def lyapunov_rate(w, p: FilterParams) -> float:
-    """Decay rate of lyapunov_value: rate_of_gradients of model.stage_gradients."""
-    return rate_of_gradients(model.stage_gradients(w, model.stage_table(p)), p)
-
-
-def rate_of_gradients(z, p: FilterParams) -> float:
-    """rate_column's Vdot of the one row z = (z1, z2, z3, z4, du4) of stage gradients."""
-    return rate_column(z, p)[0]
 
 
 def energy_column(ws, p: FilterParams) -> list:

@@ -83,25 +83,20 @@ def make_params(omega0: float, r: float) -> FilterParams:
     return _derive(omega0, r)
 
 
-def nonlinear_field(x, p: FilterParams) -> tuple:
-    """Autonomous vector field dx/dt of the four-stage ladder on a float
-    4-tuple, the field that RK4 integrates.
+def rhs_nonlinear(x, p: FilterParams) -> np.ndarray:
+    """Autonomous vector field dx/dt of the four-stage ladder at a real
+    4-vector x, the field that RK4 integrates.
 
     dx/dt = omega0 * [-tanh(x1) - tanh(4r * x4),
                       -tanh(x2) + tanh(x1),
                       -tanh(x3) + tanh(x2),
                       -tanh(x4) + tanh(x3)]
     """
-    x1, x2, x3, x4 = x
+    x1, x2, x3, x4 = map(float, x)
     t1, t2, t3, t4 = math.tanh(x1), math.tanh(x2), math.tanh(x3), math.tanh(x4)
     fb = math.tanh(p.feedback_gain * x4)
     w0 = p.omega0
-    return (w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3))
-
-
-def rhs_nonlinear(x, p: FilterParams) -> np.ndarray:
-    """nonlinear_field at any real 4-vector x, as an array."""
-    return np.array(nonlinear_field(tuple(map(float, x)), p))
+    return np.array([w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)])
 
 
 def rhs_scaled(w, p: FilterParams) -> np.ndarray:

@@ -67,12 +67,6 @@ def eigvals_closed_form(p: FilterParams) -> Spectrum:
     ])
 
 
-def stability_margin(p: FilterParams) -> float:
-    """Distance of the rightmost eigenvalue from the imaginary axis:
-    omega0 * (1 - r^(1/4)) >= 0 for r <= 1."""
-    return p.omega0 * (1.0 - p.r ** 0.25)
-
-
 def _integer_matrix(M) -> tuple[list[list[int]], int]:
     """Exact integer form of a finite real 4x4 matrix: rows of integers A
     and an exponent E with M = A / 2**E.

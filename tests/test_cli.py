@@ -60,6 +60,29 @@ def test_eig_rejects_out_of_range_r(capsys):
     assert "r" in err
 
 
+@pytest.mark.parametrize("r", ["0", "0.5", "1"])
+def test_eig_rejects_omega0_beyond_float_range(capsys, r):
+    # omega0^4 (1 + 4r) does not fit a float: exit 2 under --omega0, not an
+    # OverflowError traceback from the numeric spectrum
+    code, out, err = run(capsys, "eig", "--omega0", "1e78", "--r", r)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --omega0 ")
+
+
+@pytest.mark.parametrize("r", ["0", "0.5", "1"])
+def test_eig_largest_omega0_prints_finite_spectrum(capsys, r):
+    cap = cli._MAX_EIG_OMEGA0
+    code, out, _ = run(capsys, "eig", "--omega0", repr(cap), "--r", r)
+    assert code == 0
+    _, rows = parse_csv(out)
+    spectra = {source: [complex(float(re), float(im)) for s, _, re, im in rows if s == source]
+               for source in ("closed", "numeric")}
+    assert all(math.isfinite(abs(z)) for zs in spectra.values() for z in zs)
+    assert max(map(abs, np.subtract(spectra["closed"], spectra["numeric"]))) <= 1e-9 * cap
+    above = run(capsys, "eig", "--omega0", repr(math.nextafter(cap, math.inf)), "--r", r)
+    assert above[0] == 2
+
+
 @pytest.mark.parametrize("args, field, work", [
     (("eig", "--omega0", "1e308", "--r", "0.5"), "--omega0", ("spectral", "eigvals_closed_form")),
     (("gradcheck", "--points", str(cli._MAX_GRID_POINTS + 1)), "--points",
@@ -365,10 +388,13 @@ def test_sweep_rejects_bad_resonance(tmp_path, capsys):
     ("dt", "1e400", "dt"),
     ("omega0", "[1.0, 1e400]", "omega0[1]"),
     ("r", "[0.0, 5e-324]", "r[1]"),
+    ("n_steps", "1000000000000", "n_steps"),
+    ("samples_per_point", "1000000000000000", "samples_per_point"),
 ])
 def test_sweep_rejects_non_finite_spec_up_front(tmp_path, capsys, monkeypatch, field, text, path):
     # JSON reads 1e400 as inf; the spec must be rejected before any
-    # certification, with the path of the offending entry
+    # certification, with the path of the offending entry, and so must sizes
+    # that would run for days
     monkeypatch.setattr(lyapunov, "certify", None)
     fields = {"r": "[0.5]", "omega0": "[1]", "families": '["As"]', "seed": "1",
               "samples_per_point": "1", field: text}
@@ -520,10 +546,10 @@ def test_certify_expect_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_gradcheck_detects_broken_gradient(capsys, monkeypatch):
-    from moogvcf import lyapunov
+    from moogvcf import model
     from moogvcf.model import saturation_vector
 
-    monkeypatch.setattr(lyapunov, "grad_V", lambda w, p: -saturation_vector(w, p))
+    monkeypatch.setattr(model, "saturation_vector", lambda w, p: -saturation_vector(w, p))
     code, out, _ = run(capsys, "gradcheck", "--seed", "42", "--points", "20")
     assert code == 1
 

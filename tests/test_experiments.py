@@ -73,6 +73,9 @@ def test_spec_from_dict_minimal():
     ({"families": ["As", "As"]}, "families[1]"),
     ({"dt": 1e308, "n_steps": 10}, "dt"),
     ({"n_steps": 10 ** 400}, "dt"),
+    ({"n_steps": 10 ** 12}, "n_steps"),
+    ({"n_steps": experiments._MAX_STEPS + 1}, "n_steps"),
+    ({"samples_per_point": 10 ** 15}, "samples_per_point"),
 ])
 def test_spec_validation_paths(patch, path):
     data = {"r": [0.5], "omega0": [1], "families": ["As"],
@@ -81,6 +84,17 @@ def test_spec_validation_paths(patch, path):
     with pytest.raises(SpecValidationError) as exc:
         SweepSpec.from_dict(data)
     assert exc.value.path == path
+
+
+def test_spec_size_caps_admit_their_limit():
+    # n_steps at experiments._MAX_STEPS and trajectories x n_steps at
+    # _MAX_SWEEP_STEPS pass validation, which starts no run
+    data = {"r": [0.5, 1.0], "omega0": [1.0], "families": ["As"], "seed": 1,
+            "samples_per_point": 50, "n_steps": experiments._MAX_STEPS}
+    assert SweepSpec.from_dict(data).n_steps == experiments._MAX_STEPS
+    with pytest.raises(SpecValidationError) as exc:
+        SweepSpec.from_dict({**data, "samples_per_point": 51})
+    assert exc.value.path == "samples_per_point"
 
 
 def test_definiteness_sweep_verdict_flip():
@@ -302,7 +316,8 @@ def test_decay_study_evaluates_no_rate(monkeypatch, method):
 
 
 def test_negated_gradient_fails_gradcheck(monkeypatch):
+    from moogvcf import model
     from moogvcf.model import saturation_vector
 
-    monkeypatch.setattr(lyapunov, "grad_V", lambda w, p: -saturation_vector(w, p))
+    monkeypatch.setattr(model, "saturation_vector", lambda w, p: -saturation_vector(w, p))
     assert run_gradcheck(seed=42, n_points=50) > 1e-5

@@ -28,6 +28,16 @@ coords = st.lists(st.floats(min_value=-20, max_value=20), min_size=4, max_size=4
 resonances = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
 
 
+def _energy(w, p):
+    """V of the one state w, by lyapunov.energy_column."""
+    return lyapunov.energy_column(w, p)[0]
+
+
+def _rate(w, p):
+    """Vdot of the one state w: lyapunov.rate_column of its stage gradients."""
+    return lyapunov.rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0]
+
+
 # The discrete-gradient kernel as it stood before the flat float rewrite:
 # list-building helpers over the (scale, inner) columns of model.stage_table
 # and over model.stage_field.  The rewrite must reproduce it bit for bit,
@@ -190,23 +200,22 @@ def _ref_step(w, p, dt, carry=None):
 def _ref_trajectory(x0, p, dt, n_steps):
     """simulate's discrete-gradient columns (times, states, V, Vdot) as bytes
     from the frozen solve, which carries its slopes from step to step, with the
-    stabilized step where it gives up, and lyapunov_value and lyapunov_rate at
-    each state."""
+    stabilized step where it gives up, and V and Vdot of each state on its own."""
     w = tuple(model.to_scaled(x0, p.d).tolist())
     states, energy, rates, carry = [], [], [], []
     for k in range(n_steps + 1):
         if k:
             w = _ref_step(w, p, dt, carry)[0]
         states.append(model.from_scaled(w, p.d))
-        energy.append(lyapunov.lyapunov_value(w, p))
-        rates.append(lyapunov.lyapunov_rate(w, p))
+        energy.append(_energy(w, p))
+        rates.append(_rate(w, p))
     times = np.arange(n_steps + 1, dtype=float) * dt
     return (times.tobytes(), np.array(states).tobytes(), np.array(energy).tobytes(),
             np.array(rates).tobytes())
 
 
-# simulate's RK4 path before it ran in one kernel frame: model.nonlinear_field,
-# the _rk4 step in the array form's order, and model.stage_tanh of w = D x per
+# simulate's RK4 path before it ran in one kernel frame: the field of
+# model.rhs_nonlinear, the _rk4 step in the array form's order, and model.stage_tanh of w = D x per
 # recorded state, one call each, as they stood.  The kernel must reproduce its
 # states and stage values bit for bit.
 
@@ -377,7 +386,7 @@ def test_discrete_gradient_telescopes(r, w, v):
     *zbar, _ = _ref_stage_quotients(tuple(w), tuple(v), _ref_table(p))
     w = np.array(w)
     v = np.array(v)
-    change = lyapunov.lyapunov_value(v, p) - lyapunov.lyapunov_value(w, p)
+    change = _energy(v, p) - _energy(w, p)
     assert abs(change - float(np.array(zbar) @ (v - w))) < 1e-12
 
 
@@ -487,7 +496,7 @@ def test_stabilized_step_never_raises_energy(inputs):
     with mock.patch.multiple(integrators, _NEWTON_MAX_ITER=0, _NEWTON_TOL=-1.0):
         v, stabilized, _ = _kernel(w, p, dt_omega)
     assert stabilized and all(map(math.isfinite, v))
-    before, after = lyapunov.lyapunov_value(w, p), lyapunov.lyapunov_value(v, p)
+    before, after = _energy(w, p), _energy(v, p)
     assert after - before <= 1e-15 * max(1.0, before)
 
 
@@ -623,13 +632,13 @@ def test_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x0, n
 )
 @settings(max_examples=100, deadline=None)
 def test_rk4_energy_columns_bit_identical_to_per_state_energy(r, omega0, dt_omega, x0):
-    # simulate's RK4 V and Vdot are lyapunov_value and lyapunov_rate of
-    # w = D x at each recorded state, bit for bit
+    # simulate's RK4 V and Vdot are those of w = D x at each recorded state
+    # on its own, bit for bit
     p = make_params(omega0, r)
     traj = simulate(np.array(x0), p, StepConfig(dt=dt_omega / omega0, method=Method.RK4), 4)
     ws = [model.to_scaled(x, p.d) for x in traj.states]
-    assert traj.V.tobytes() == np.array([lyapunov.lyapunov_value(w, p) for w in ws]).tobytes()
-    assert traj.Vdot.tobytes() == np.array([lyapunov.lyapunov_rate(w, p) for w in ws]).tobytes()
+    assert traj.V.tobytes() == np.array([_energy(w, p) for w in ws]).tobytes()
+    assert traj.Vdot.tobytes() == np.array([_rate(w, p) for w in ws]).tobytes()
 
 
 @given(
@@ -640,14 +649,14 @@ def test_rk4_energy_columns_bit_identical_to_per_state_energy(r, omega0, dt_omeg
 )
 @settings(max_examples=50, deadline=None)
 def test_dg_vdot_bit_identical_to_per_state_rate(r, omega0, dt_omega, x0):
-    # simulate's DG Vdot, evaluated on first read, is lyapunov_rate at each
-    # w the kernel recorded, as the test above checks for RK4 at w = D x
+    # simulate's DG Vdot, evaluated on first read, is the rate at each w the
+    # kernel recorded on its own, as the test above checks for RK4 at w = D x
     p, dt = make_params(omega0, r), dt_omega / omega0
     traj = simulate(np.array(x0), p, StepConfig(dt=dt), 4)
     w = tuple(map(operator.mul, integrators._scale(p), x0))
     flat = [*w, *integrators._dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, dt, 4)[0]]
     ws = [flat[i:i + 4] for i in range(0, len(flat), 4)]
-    assert traj.Vdot.tobytes() == np.array([lyapunov.lyapunov_rate(w, p) for w in ws]).tobytes()
+    assert traj.Vdot.tobytes() == np.array([_rate(w, p) for w in ws]).tobytes()
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -903,7 +912,7 @@ def test_discrete_gradient_telescopes_on_every_step(r, bound, dt_omega, n_steps,
             continue
         *zbar, _ = _ref_stage_quotients(w, v, _ref_table(p))
         terms = list(map(operator.mul, zbar, map(operator.sub, v, w)))
-        before, after = lyapunov.lyapunov_value(w, p), lyapunov.lyapunov_value(v, p)
+        before, after = _energy(w, p), _energy(v, p)
         scale = max(1.0, abs(before), sum(map(abs, terms)))
         assert abs(after - before - math.fsum(terms)) <= 1e-13 * scale
 
@@ -920,6 +929,18 @@ def test_discrete_gradient_order_two(r):
     errs = [np.linalg.norm(simulate(x0, p, StepConfig(dt=dt), round(1.0 / dt)).states[-1] - ref)
             for dt in dts]
     assert np.polyfit(np.log(dts), np.log(errs), 1)[0] >= 1.9
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_discrete_gradient_agrees_with_rk4(r):
+    # the two kernels, written independently for one field, agree at t = 1
+    # from a saturated state: DG's distance from a fine RK4 run shrinks at
+    # order 2 as dt halves (1.997 to 1.999 on each halving)
+    p, x0 = make_params(1.0, r), np.array([4.0, -3.0, 2.0, 1.5])
+    ref = simulate(x0, p, StepConfig(dt=1e-3, method=Method.RK4), 1000).states[-1]
+    errs = [np.linalg.norm(simulate(x0, p, StepConfig(dt=dt), round(1.0 / dt)).states[-1] - ref)
+            for dt in (0.1, 0.05, 0.025)]
+    assert min(math.log2(a / b) for a, b in zip(errs, errs[1:])) >= 1.9
 
 
 def test_failed_solve_costs_one_stabilized_step(monkeypatch):
@@ -1004,9 +1025,9 @@ def test_simulate_rk4_energy_decay_small_steps():
 
 
 def test_simulate_rk4_decays_to_origin():
-    from moogvcf.spectral import stability_margin
+    from moogvcf.spectral import eigvals_closed_form
     p = make_params(1.0, 0.5)
-    t_end = 30.0 / stability_margin(p)
+    t_end = 30.0 / -eigvals_closed_form(p).max_real_part
     dt = 0.05
     traj = simulate(np.array([1.0, 0.0, 0.0, 0.0]), p,
                     StepConfig(dt=dt, method=Method.RK4), int(round(t_end / dt)))

@@ -12,12 +12,10 @@ from moogvcf.lyapunov import (
     MatrixFamily,
     Verdict,
     V_nonlinear,
-    V_quadratic_x,
     V_zero_feedback,
     Vdot_nonlinear,
     certify,
     definiteness_threshold,
-    grad_V,
     log_cosh,
     log_cosh_diff,
     structure_max_eigenvalue,
@@ -29,6 +27,11 @@ from moogvcf.model import make_params
 # r = 0, then (0, 1] down to 1e-300 (make_params rejects subnormal r)
 resonances = st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0)
 coords = st.lists(st.floats(min_value=-20, max_value=20), min_size=4, max_size=4)
+
+
+def _rate(w, p):
+    """Vdot of the one state w: rate_column of its stage gradients."""
+    return lyapunov.rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0]
 
 
 def test_log_cosh_matches_naive():
@@ -50,15 +53,22 @@ def test_log_cosh_diff_consistent(a, h):
 
 
 def test_quadratic_energies():
-    assert V_quadratic_x(np.zeros(4)) == 0.0
-    assert V_quadratic_x(np.ones(4)) == 2.0
-    assert V_quadratic_x([3.0, 0.0, 0.0, 0.0]) == 4.5
-    # the scaled quadratic energy 0.5 w'w is V_quadratic_x applied to w
-    assert V_quadratic_x(model.to_scaled(np.zeros(4), math.sqrt(2.0))) == 0.0
-    w = model.to_scaled([1.0, 1.0, 0.0, 0.0], math.sqrt(2.0))
-    assert V_quadratic_x(w) == pytest.approx(1.5, rel=1e-15)
-    x = np.array([0.2, -1.0, 3.0, 0.5])
-    assert V_quadratic_x(model.to_scaled(x, 1.0)) == V_quadratic_x(x)
+    # 0.5 x'x and 0.5 w'w change along the linearization v' = M v at v' M v,
+    # M the As or the Bs matrix: certify's eigenvalues bound that rate, which
+    # is negative below the family's boundary and positive somewhere above it
+    rng = np.random.default_rng(4)
+    for family, matrix, boundary in ((MatrixFamily.AS, model.linearized_matrix, 5.0 / 12.0),
+                                     (MatrixFamily.BS, model.scaled_linearized_matrix, 1.0)):
+        for r in (0.0, 0.3, 0.41, 0.9, 1.0):
+            p = make_params(1.0, r)
+            M, rep = matrix(p), certify(family, p)
+            for v in rng.normal(size=(50, 4)):
+                rate, norm2 = float(v @ M @ v), float(v @ v)
+                assert rep.min_eig * norm2 - 1e-12 <= rate <= rep.max_eig * norm2 + 1e-12
+                assert rate < 0.0 or r >= boundary
+            if r > boundary:
+                top = np.linalg.eigh(symmetrize(M))[1][:, -1]
+                assert float(top @ M @ top) > 0.0
 
 
 def test_V_nonlinear_zero_at_origin():
@@ -68,8 +78,6 @@ def test_V_nonlinear_zero_at_origin():
 def test_V_nonlinear_rejects_r0():
     with pytest.raises(ValueError):
         V_nonlinear(np.ones(4), make_params(1.0, 0.0))
-    with pytest.raises(ValueError):
-        grad_V(np.ones(4), make_params(1.0, 0.0))
     with pytest.raises(ValueError):
         Vdot_nonlinear(np.ones(4), make_params(1.0, 0.0))
 
@@ -110,17 +118,20 @@ def test_zero_feedback_energy():
 
 
 def test_grad_is_saturation_vector_bit_for_bit():
+    # the gradient z = saturation_vector is the stage gradients that
+    # rate_column reads, bit for bit
     rng = np.random.default_rng(8)
     for _ in range(50):
         p = make_params(1.0, rng.uniform(1e-3, 1.0))
         w = rng.uniform(-10, 10, size=4)
-        assert np.array_equal(grad_V(w, p), model.saturation_vector(w, p))
+        z = model.stage_gradients(w, model.stage_table(p))[:4]
+        assert model.saturation_vector(w, p).tobytes() == np.array(z).tobytes()
 
 
 def test_grad_component_hand_value():
     p = make_params(1.0, 0.9)
     w = np.array([0.0, p.d, 0.0, 0.0])
-    assert grad_V(w, p)[1] == pytest.approx(p.d * math.tanh(1.0), rel=1e-15)
+    assert model.saturation_vector(w, p)[1] == pytest.approx(p.d * math.tanh(1.0), rel=1e-15)
 
 
 def test_grad_matches_finite_differences():
@@ -128,7 +139,7 @@ def test_grad_matches_finite_differences():
     for _ in range(100):
         p = make_params(1.0, rng.uniform(1e-3, 1.0))
         w = rng.uniform(-10, 10, size=4)
-        grad = grad_V(w, p)
+        grad = model.saturation_vector(w, p)
         fd = np.empty(4)
         for k in range(4):
             h = 1e-6 * max(1.0, abs(w[k]))
@@ -160,7 +171,7 @@ def test_Vdot_equals_grad_dot_field():
     for _ in range(200):
         p = make_params(rng.choice([0.1, 1.0, 100.0]), rng.uniform(1e-3, 1.0))
         w = rng.uniform(-20, 20, size=4)
-        inner = float(grad_V(w, p) @ model.rhs_scaled(w, p))
+        inner = float(model.saturation_vector(w, p) @ model.rhs_scaled(w, p))
         assert abs(Vdot_nonlinear(w, p) - inner) < 1e-12
 
 
@@ -168,7 +179,7 @@ def test_Vdot_equals_grad_dot_field():
 @settings(max_examples=500)
 def test_Vdot_nonpositive(r, w):
     p = make_params(1.0, r)
-    assert lyapunov.lyapunov_rate(np.array(w), p) <= 0.0
+    assert _rate(np.array(w), p) <= 0.0
 
 
 def test_Vdot_nonpositive_along_null_direction():
@@ -180,12 +191,11 @@ def test_Vdot_nonpositive_along_null_direction():
     for s in np.linspace(1e-4, 0.999, 2000):
         w = (math.atanh(s), d * math.atanh(math.sqrt(2.0) * s / d),
              d * d * math.atanh(s / (d * d)), 0.0)
-        assert lyapunov.lyapunov_rate(w, p) <= 0.0
+        assert Vdot_nonlinear(w, p) <= 0.0
 
 
-# lyapunov_value and rate_of_gradients as they stood before energy_column and
-# rate_column evaluated whole trajectories.  The scalar names now wrap those
-# loops, so they cannot serve as their own reference.
+# V and Vdot of one state as they stood before energy_column and rate_column
+# evaluated whole trajectories, the loops that every energy and rate now runs.
 
 
 def _ref_lyapunov_value(w, p):
@@ -261,7 +271,7 @@ def _rows(*states):
                                         0.7071067811865477]))
 @settings(max_examples=300)
 def test_energy_columns_bit_identical_to_frozen_reference(r, omega0, rows):
-    # every row of both columns, and the one-row wrappers, bit for bit
+    # every row of both columns, and each row on its own, bit for bit
     p = make_params(omega0, r)
     table = model.stage_table(p)
     ws = [w for w, _ in rows]
@@ -272,10 +282,8 @@ def test_energy_columns_bit_identical_to_frozen_reference(r, omega0, rows):
     energy = lyapunov.energy_column([u for w in ws for u in w], p)
     rates = lyapunov.rate_column([g for z in zs for g in z], p)
     assert (_bits(energy), _bits(rates)) == (want_v, want_vdot)
-    assert _bits([lyapunov.lyapunov_value(w, p) for w in ws]) == want_v
-    assert _bits([lyapunov.rate_of_gradients(z, p) for z in zs]) == want_vdot
-    assert (_bits([lyapunov.lyapunov_rate(w, p) for w in ws])
-            == _bits([_ref_rate_of_gradients(g, p) for g in gradients]))
+    assert _bits([lyapunov.energy_column(w, p)[0] for w in ws]) == want_v
+    assert _bits([lyapunov.rate_column(z, p)[0] for z in zs]) == want_vdot
     # at the origin the stage gradients are 0 and the rate is +0.0; a row of
     # given quotients there has a rate of either sign
     assert all(math.copysign(1.0, v) == 1.0
@@ -283,9 +291,9 @@ def test_energy_columns_bit_identical_to_frozen_reference(r, omega0, rows):
 
 
 @pytest.mark.parametrize("call", [
-    lambda p: lyapunov.lyapunov_value((1.0, 2.0, 3.0), p),
-    lambda p: lyapunov.lyapunov_value((1.0, 2.0, 3.0, 4.0, 5.0), p),
-    lambda p: lyapunov.rate_of_gradients((1.0, 2.0, 3.0, 4.0), p),
+    lambda p: lyapunov.energy_column((1.0, 2.0, 3.0), p),  # a partial state only
+    lambda p: lyapunov.energy_column((1.0, 2.0, 3.0, 4.0, 5.0), p),
+    lambda p: lyapunov.rate_column((1.0, 2.0, 3.0, 4.0), p),  # a partial row only
     lambda p: lyapunov.energy_column([0.0] * 5, p),  # one state and a partial one
     lambda p: lyapunov.rate_column([0.0] * 6, p),  # one gradient row and a partial one
 ], ids=["value-3", "value-5", "rate-4", "energy-5", "rates-6"])
@@ -303,33 +311,33 @@ def test_Vdot_zero_feedback_nonpositive():
 
 
 def test_branch_dispatchers():
+    # energy_column and rate_column take both branches: the feedback-free
+    # energy and rate at r = 0, the saturation energy and its rate above
     p0 = make_params(2.0, 0.0)
     w = np.array([1.0, -1.0, 0.5, 2.0])
-    assert lyapunov.lyapunov_value(w, p0) == V_zero_feedback(w)
-    assert lyapunov.lyapunov_rate(w, p0) == lyapunov.Vdot_zero_feedback(w, p0)
+    assert lyapunov.energy_column(w, p0) == [V_zero_feedback(w)]
+    assert _rate(w, p0) == lyapunov.Vdot_zero_feedback(w, p0)
     p1 = make_params(2.0, 0.5)
-    assert lyapunov.lyapunov_value(w, p1) == V_nonlinear(w, p1)
-    assert lyapunov.lyapunov_rate(w, p1) == Vdot_nonlinear(w, p1)
+    assert lyapunov.energy_column(w, p1) == [V_nonlinear(w, p1)]
+    assert _rate(w, p1) == Vdot_nonlinear(w, p1)
 
 
 def test_candidate_dispatch():
-    # each of the three candidate energies, evaluated through the names the
-    # toolkit uses for it, against its defining formula: 0.5 x'x, 0.5 w'w,
-    # and the log-cosh stage energy, which lyapunov_value dispatches to the
-    # feedback-free sum at r = 0
+    # the saturation energy, evaluated through the names the toolkit uses
+    # for it, against its defining formula: the log-cosh stage energy, which
+    # energy_column takes to the feedback-free sum at r = 0 (the quadratic
+    # energies are test_quadratic_energies')
     p = make_params(1.0, 0.5)
     x = np.array([1.0, -1.0, 0.5, 2.0])
     w = model.to_scaled(x, p.d)
-    assert V_quadratic_x(x) == 0.5 * float(x @ x)
-    assert V_quadratic_x(w) == 0.5 * float(w @ w)
-    assert lyapunov.lyapunov_value(w, p) == V_nonlinear(w, p)
+    assert lyapunov.energy_column(w, p) == [V_nonlinear(w, p)]
     d = p.d
     assert V_nonlinear(w, p) == pytest.approx(
         math.log(math.cosh(w[0])) + d ** 2 * math.log(math.cosh(w[1] / d))
         + d ** 4 * math.log(math.cosh(w[2] / d ** 2))
         + d ** 2 / (4 * p.r) * math.log(math.cosh(4 * p.r * w[3] / d ** 3)), rel=1e-14)
     p0 = make_params(1.0, 0.0)
-    assert lyapunov.lyapunov_value(x, p0) == V_zero_feedback(x)
+    assert lyapunov.energy_column(x, p0) == [V_zero_feedback(x)]
     assert V_zero_feedback(x) == pytest.approx(sum(math.log(math.cosh(u)) for u in x), rel=1e-15)
 
 
@@ -555,9 +563,9 @@ def test_case_split_by_resonance():
 def test_energy_constants_are_kept_per_params():
     p = make_params(2.0, 0.7)
     w = (0.5, -1.0, 2.0, -0.25)
-    first = (lyapunov.lyapunov_value(w, p), lyapunov.lyapunov_rate(w, p))
+    first = (lyapunov.energy_column(w, p), _rate(w, p))
     assert model.stage_table(p) is model.stage_table(p)
     assert lyapunov._rate_constants(p) is lyapunov._rate_constants(p)
     fresh = make_params(2.0, 0.7)  # nothing cached on it yet
     assert fresh == p and hash(fresh) == hash(p) and repr(fresh) == repr(p)
-    assert (lyapunov.lyapunov_value(w, fresh), lyapunov.lyapunov_rate(w, fresh)) == first
+    assert (lyapunov.energy_column(w, fresh), _rate(w, fresh)) == first

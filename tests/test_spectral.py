@@ -13,7 +13,6 @@ from moogvcf.spectral import (
     characteristic_coeffs,
     eigvals_closed_form,
     eigvals_numeric,
-    stability_margin,
 )
 
 
@@ -137,20 +136,23 @@ def test_characteristic_coeffs_exact():
 
 
 def test_stability_margin_values():
-    assert stability_margin(make_params(1.0, 1.0)) == 0.0
-    assert stability_margin(make_params(3.0, 0.0)) == 3.0
-    assert stability_margin(make_params(1.0, 1.0 / 16.0)) == pytest.approx(0.5, rel=1e-15)
+    # the distance of the rightmost eigenvalue from the imaginary axis,
+    # omega0 * (1 - r^(1/4))
+    assert -eigvals_closed_form(make_params(1.0, 1.0)).max_real_part == 0.0
+    assert -eigvals_closed_form(make_params(3.0, 0.0)).max_real_part == 3.0
+    assert -eigvals_closed_form(make_params(1.0, 1.0 / 16.0)).max_real_part == pytest.approx(
+        0.5, rel=1e-15)
 
 
 def test_stability_margin_nonnegative():
     for r in np.linspace(0.0, 1.0, 101):
-        assert stability_margin(make_params(7.0, r)) >= 0.0
+        assert eigvals_closed_form(make_params(7.0, r)).max_real_part <= 0.0
 
 
 def test_margin_agrees_with_closed_form():
     for r in (0.0, 0.2, 0.77, 1.0):
         p = make_params(2.5, r)
-        assert stability_margin(p) == -eigvals_closed_form(p).max_real_part
+        assert -eigvals_closed_form(p).max_real_part == p.omega0 * (1.0 - p.r ** 0.25)
 
 
 def test_root_finding_error_carries_residual():
