@@ -123,14 +123,10 @@ class SweepSpec:
         n_steps = data.get("n_steps", SweepSpec.n_steps)
         if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
             raise SpecValidationError("n_steps", "must be a positive integer")
-        try:
-            t_end = dt * n_steps  # run_sweep's decay horizon
-        except OverflowError:  # an n_steps beyond the float range
-            t_end = math.inf
-        if t_end == math.inf:
-            raise SpecValidationError("dt", f"dt * n_steps must be finite, got dt = {dt!r}")
         if n_steps > _MAX_STEPS:
             raise SpecValidationError("n_steps", f"{n_steps} is more than {_MAX_STEPS}")
+        if dt * n_steps == math.inf:  # run_sweep's decay horizon
+            raise SpecValidationError("dt", f"dt * n_steps must be finite, got dt = {dt!r}")
         total = len(r_grid) * len(omega0_grid) * samples * n_steps
         if total > _MAX_SWEEP_STEPS:
             raise SpecValidationError("samples_per_point", (

@@ -5,7 +5,9 @@ scaled quadratic 0.5*w'w, certified through the As and Bs families, and the
 saturation energy built from log-cosh stage potentials whose gradient is
 exactly the saturation vector z (model.saturation_vector).  A matrix family
 is certified negative (semi)definite through the eigenvalues of its
-omega0-normalized symmetrization.
+omega0-normalized symmetrization: one LAPACK eigvalsh call on a matrix that
+is symmetric by construction.  sym_eigvals is the checked entry point for
+matrices from outside.
 """
 
 import math
@@ -152,7 +154,8 @@ def symmetrize(M) -> np.ndarray:
 
 
 def sym_eigvals(M, tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of a symmetric 4x4 matrix, ascending (LAPACK eigvalsh).
+    """Eigenvalues of a symmetric 4x4 matrix, ascending (LAPACK eigvalsh):
+    the checked entry point for matrices from outside.
 
     Rejects matrices with ||M - M'||_inf >= tol; the symmetric part is
     what gets decomposed.
@@ -236,23 +239,35 @@ class CertificateReport:
     tol: float
 
 
-def _normalized_family_matrix(family: MatrixFamily, r: float) -> np.ndarray:
-    """Symmetrized family member at resonance r, divided by omega0.
+def _family_matrix(family: MatrixFamily, p: FilterParams) -> np.ndarray:
+    """Symmetrized family member at p's resonance, divided by omega0, built
+    from one ladder pattern:
 
-    Accepts r slightly above 1 so threshold bisection can bracket the
-    boundary of the valid range.
+        [[-1,   s/2, 0,   -c/2],
+         [s/2,  -1,  s/2, 0   ],
+         [0,    s/2, -1,  s/2 ],
+         [-c/2, 0,   s/2, -g  ]]
+
+    with (s, c, g) = (1, 4r, 1) for As and for QsWorstCase at r = 0,
+    (alpha, alpha, 1) for Bs, and (d, d, g_lo) for QsWorstCase, g_lo the
+    smallest attainable feedback ratio.  Each entry is rounded as symmetrize
+    rounds it, so the matrix is bit for bit symmetrize of the model's
+    linearized_matrix, scaled_linearized_matrix or coupling_matrix at
+    omega0 = 1.  p may sit slightly above r = 1, so that threshold bisection
+    can bracket the boundary of the valid range.
     """
-    p = model._derive(1.0, r)
-    if family is MatrixFamily.AS:
-        return symmetrize(model.linearized_matrix(p))
-    if family is MatrixFamily.BS:
-        return symmetrize(model.scaled_linearized_matrix(p))
-    if family is MatrixFamily.QS_WORST_CASE:
-        if r == 0.0:
-            return symmetrize(model.linearized_matrix(p))
-        g_lo, _ = model.feedback_ratio_bounds(p)
-        return symmetrize(model.coupling_matrix(p, g_lo))
-    raise ValueError(f"unknown family {family!r}")
+    if family is MatrixFamily.AS or (family is MatrixFamily.QS_WORST_CASE and p.r == 0.0):
+        s, c, g = 1.0, p.feedback_gain, 1.0
+    elif family is MatrixFamily.BS:
+        s = c = p.alpha
+        g = 1.0
+    elif family is MatrixFamily.QS_WORST_CASE:
+        s = c = p.d
+        g = model.feedback_ratio_bounds(p)[0]
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    h, k = 0.5 * s, 0.5 * (0.0 - c)  # 0.0 - c: +0.0, not -0.0, at c = 0
+    return np.array([[-1.0, h, 0.0, k], [h, -1.0, h, 0.0], [0.0, h, -1.0, h], [k, 0.0, h, -g]])
 
 
 def _check_tol(name: str, value: float, positive: bool = False) -> None:
@@ -271,11 +286,14 @@ def certify(family: MatrixFamily, p: FilterParams, tol: float = 1e-10) -> Certif
     with a minus sign, a negative-definite verdict there covers every
     attainable ratio (larger ratios subtract a positive rank-one term).
     At r = 0 there is no feedback ratio; QsWorstCase then certifies the
-    feedback-free cascade, the matrix of Vdot_zero_feedback.  Raises
-    ValueError naming tol unless it is finite and >= 0.
+    feedback-free cascade, the matrix of Vdot_zero_feedback.  The
+    certificate is one eigvalsh call on the family matrix, which is
+    symmetric by construction; sym_eigvals is the checked entry point for
+    matrices from outside.  Raises ValueError naming tol unless it is
+    finite and >= 0.
     """
     _check_tol("tol", tol)
-    eigs = sym_eigvals(_normalized_family_matrix(family, p.r), tol=1e-8)
+    eigs = np.linalg.eigvalsh(_family_matrix(family, p))
     max_eig = float(eigs[-1])
     return CertificateReport(
         omega0=p.omega0,
@@ -302,19 +320,30 @@ def definiteness_threshold(
     sit slightly above 1 to bracket a boundary at r = 1 itself.  Bisection
     stops when the bracket is at most tol wide, or when it can shrink no
     further in floating point.  Raises ValueError naming tol unless it is
-    finite and > 0, and naming verdict_tol unless it is finite and >= 0.
+    finite and > 0, naming verdict_tol unless it is finite and >= 0, and
+    naming r_lo or r_hi if the family matrix there has a non-finite entry:
+    at r = inf, or once 4r overflows, past about 4.5e307.
     """
     _check_tol("tol", tol, positive=True)
     _check_tol("verdict_tol", verdict_tol)
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"need 0 <= r_lo < r_hi, got ({r_lo}, {r_hi})")
 
-    def is_definite(r: float) -> bool:
-        eigs = sym_eigvals(_normalized_family_matrix(family, r), tol=1e-8)
-        return float(eigs[-1]) < -verdict_tol
+    def is_definite(M: np.ndarray) -> bool:
+        return float(np.linalg.eigvalsh(M)[-1]) < -verdict_tol
 
-    lo_def = is_definite(r_lo)
-    if lo_def == is_definite(r_hi):
+    # Entries overflow only at large r, so a matrix finite at r_hi is finite inside.
+    ends = []
+    for name, r in (("r_lo", r_lo), ("r_hi", r_hi)):
+        try:
+            M = _family_matrix(family, model._derive(1.0, r))
+        except OverflowError:  # d ** 4 in QsWorstCase's feedback ratio bound
+            M = None
+        if M is None or not np.isfinite(M).all():
+            raise ValueError(f"{name} = {r!r} gives a non-finite {family.value} matrix entry")
+        ends.append(M)
+    lo_def = is_definite(ends[0])
+    if lo_def == is_definite(ends[1]):
         raise ValueError(
             f"no definiteness change for {family.value} on [{r_lo}, {r_hi}]"
         )
@@ -323,7 +352,7 @@ def definiteness_threshold(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if is_definite(mid) == lo_def:
+        if is_definite(_family_matrix(family, model._derive(1.0, mid))) == lo_def:
             lo = mid
         else:
             hi = mid

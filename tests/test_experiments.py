@@ -72,7 +72,7 @@ def test_spec_from_dict_minimal():
     ({"families": ["As", "Bs", "As"]}, "families[2]"),
     ({"families": ["As", "As"]}, "families[1]"),
     ({"dt": 1e308, "n_steps": 10}, "dt"),
-    ({"n_steps": 10 ** 400}, "dt"),
+    ({"n_steps": 10 ** 400}, "n_steps"),
     ({"n_steps": 10 ** 12}, "n_steps"),
     ({"n_steps": experiments._MAX_STEPS + 1}, "n_steps"),
     ({"samples_per_point": 10 ** 15}, "samples_per_point"),

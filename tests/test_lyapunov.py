@@ -1,5 +1,7 @@
 import math
 import struct
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -463,6 +465,91 @@ def test_certify_qs_r0_is_feedback_free_cascade():
     assert rep.min_eig == pytest.approx(-1.0 + math.cos(4.0 * math.pi / 5.0), abs=1e-14)
 
 
+def _reference_family_matrix(family, r):
+    """The family matrix from the model matrices: symmetrize of the
+    linearization, scaled linearization or worst-case coupling matrix at
+    omega0 = 1."""
+    p = model._derive(1.0, r)
+    if family is MatrixFamily.AS or (family is MatrixFamily.QS_WORST_CASE and r == 0.0):
+        return symmetrize(model.linearized_matrix(p))
+    if family is MatrixFamily.BS:
+        return symmetrize(model.scaled_linearized_matrix(p))
+    return symmetrize(model.coupling_matrix(p, model.feedback_ratio_bounds(p)[0]))
+
+
+_FIVE_TWELFTHS = 5.0 / 12.0
+_FAMILY_RS = [0.0, sys.float_info.min, 1e-300, 1e-12, math.nextafter(_FIVE_TWELFTHS, 0.0),
+              _FIVE_TWELFTHS, math.nextafter(_FIVE_TWELFTHS, 1.0), 0.5, 1.0, 1.0 + 1e-9, 1.5]
+
+
+def _check_family_matrix(family, r):
+    got = lyapunov._family_matrix(family, model._derive(2.5, r))
+    ref = _reference_family_matrix(family, r)
+    # bytes, so that -0.0 against 0.0 counts as a mismatch
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    rep = certify(family, model._derive(2.5, r))
+    eigs = sym_eigvals(ref)
+    assert (rep.min_eig, rep.max_eig) == (eigs[0], eigs[-1])
+
+
+@pytest.mark.parametrize("family", list(MatrixFamily))
+@pytest.mark.parametrize("r", _FAMILY_RS)
+def test_family_matrix_is_symmetrized_model_matrix(family, r):
+    _check_family_matrix(family, r)
+
+
+@pytest.mark.parametrize("family", list(MatrixFamily))
+@given(r=st.floats(min_value=0.0, max_value=1.5))
+@settings(max_examples=200)
+def test_family_matrix_is_symmetrized_model_matrix_drawn(family, r):
+    _check_family_matrix(family, r)
+
+
+def _reference_threshold(family, r_lo, r_hi, tol, verdict_tol=1e-10):
+    """definiteness_threshold's bisection on the reference family matrix."""
+    def is_definite(r):
+        return sym_eigvals(_reference_family_matrix(family, r))[-1] < -verdict_tol
+
+    lo_def = is_definite(r_lo)
+    assert lo_def != is_definite(r_hi)
+    lo, hi = r_lo, r_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if is_definite(mid) == lo_def:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("family", list(MatrixFamily))
+@pytest.mark.parametrize("r_lo", [0.0, 0.003, 0.25])
+@pytest.mark.parametrize("tol", [1e-10, 5e-324])
+def test_threshold_matches_reference_bisection(family, r_lo, tol):
+    r_hi = 1.0 if family is MatrixFamily.AS else 1.0001
+    got = definiteness_threshold(family, r_lo, r_hi, tol=tol)
+    assert got == _reference_threshold(family, r_lo, r_hi, tol)
+
+
+@pytest.mark.parametrize("family, r_lo, r_hi, name", [
+    (MatrixFamily.AS, 0.1, math.inf, "r_hi"),
+    (MatrixFamily.QS_WORST_CASE, 0.5, math.inf, "r_hi"),
+    (MatrixFamily.AS, 0.0, 1e308, "r_hi"),  # 4r overflows
+    (MatrixFamily.QS_WORST_CASE, 0.5, 1e308, "r_hi"),  # and so does d ** 4
+    (MatrixFamily.AS, 1e308, 1.5e308, "r_lo"),
+])
+def test_threshold_rejects_ends_it_cannot_evaluate(monkeypatch, family, r_lo, r_hi, name):
+    calls = _limit_eigensolves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            definiteness_threshold(family, r_lo, r_hi)
+    assert not calls
+
+
 def test_threshold_as_recovers_five_twelfths():
     r_star = definiteness_threshold(MatrixFamily.AS, 0.0, 1.0, tol=1e-8)
     assert abs(r_star - 5.0 / 12.0) < 1e-6
@@ -481,9 +568,9 @@ def test_threshold_requires_sign_change():
 
 
 def _limit_eigensolves(monkeypatch, limit=500):
-    """Make sym_eigvals raise after limit calls, so that a bisection that
-    never ends fails the test instead of hanging the suite."""
-    real = lyapunov.sym_eigvals
+    """Make np.linalg.eigvalsh raise after limit calls, so that a bisection
+    that never ends fails the test instead of hanging the suite."""
+    real = np.linalg.eigvalsh
     calls = []
 
     def counted(*args, **kwargs):
@@ -492,7 +579,7 @@ def _limit_eigensolves(monkeypatch, limit=500):
             raise RuntimeError(f"more than {limit} eigensolves")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lyapunov, "sym_eigvals", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
 
 
