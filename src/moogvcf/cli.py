@@ -2,10 +2,10 @@
 and gradient checks, emitted as CSV or JSON.
 
 Exit codes: 0 success / all checks passed, 1 a requested check failed,
-2 usage or specification error, 3 numerical failure (a simulated state that
-is not finite, or an eigenvalue root finder that fails), 141 (128 + SIGPIPE)
-the reader closed stdout.  Floats are rendered with the shortest round-trip
-decimal representation.
+2 usage or specification error (an --out that cannot be opened included),
+3 numerical failure (a simulated state that is not finite, or an eigenvalue
+root finder that fails), 141 (128 + SIGPIPE) the reader closed stdout.
+Floats are rendered with the shortest round-trip decimal representation.
 """
 
 import argparse
@@ -43,9 +43,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _check_out(path: str) -> None:
+    """ValueError naming --out if path is a directory or its directory does
+    not exist, so that a command fails before it does any work."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--out {path!r}: no such directory")
+
+
 def _emit(text, out_path: str | None) -> None:
-    """Write text, a string or an iterable of strings, to out_path or stdout."""
-    with open(out_path, "w", newline="") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+    """Write text, a string or an iterable of strings, to out_path or stdout;
+    ValueError naming --out if out_path cannot be opened."""
+    try:
+        target = open(out_path, "w", newline="") if out_path else contextlib.nullcontext(sys.stdout)
+    except OSError as err:
+        raise ValueError(f"--out cannot be opened: {err}") from None
+    with target as fh:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
@@ -327,6 +341,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.out:
+            _check_out(args.out)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -44,6 +44,18 @@ class SpecValidationError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _spec_float(value, path: str) -> float:
+    """value as a float; SpecValidationError under path unless it is a JSON
+    number (not a bool) within the float range, which a JSON integer such as
+    10**400 is not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SpecValidationError(path, "must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecValidationError(path, "must be within the float range") from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid and sampling plan for a combined certification/decay sweep."""
@@ -72,9 +84,7 @@ class SweepSpec:
                 raise SpecValidationError(key, "must be a non-empty array of numbers")
             out = []
             for i, v in enumerate(values):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise SpecValidationError(f"{key}[{i}]", "must be a number")
-                v = float(v)
+                v = _spec_float(v, f"{key}[{i}]")
                 try:
                     check(v)
                 except model.ParameterRangeError as err:
@@ -116,8 +126,8 @@ class SweepSpec:
         except ValueError:
             raise SpecValidationError("method", f"unknown method {method_name!r}") from None
 
-        dt = data.get("dt", SweepSpec.dt)
-        if not isinstance(dt, (int, float)) or isinstance(dt, bool) or not 0.0 < dt < math.inf:
+        dt = _spec_float(data.get("dt", SweepSpec.dt), "dt")
+        if not 0.0 < dt < math.inf:
             raise SpecValidationError("dt", "must be a positive finite number")
 
         n_steps = data.get("n_steps", SweepSpec.n_steps)
@@ -145,7 +155,7 @@ class SweepSpec:
             seed=seed,
             samples_per_point=samples,
             method=method,
-            dt=float(dt),
+            dt=dt,
             n_steps=n_steps,
         )
 

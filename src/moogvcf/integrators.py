@@ -35,6 +35,15 @@ _DERIVATIVE_CUTOFF = 1e-7
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 
+# Once an accepted iterate's residual norm is at most _CHORD_TOL, the next
+# Newton iteration reuses the quotient slopes it last used and tries the full
+# update alone (a chord step).  Newton converges quadratically, so those slopes
+# came from an iterate whose residual, and distance from the root, was about
+# sqrt(1e-8) = 1e-4: they are off by about 1e-4 times the stage curvature, and
+# the chord step leaves a residual of about 1e-4 * 1e-8 = _NEWTON_TOL.  It so
+# ends the solve as a fresh iteration would, without five tanh calls and secants.
+_CHORD_TOL = 1e-8
+
 # The line search's trial factors: the Newton update and its 8 halvings.
 _LINE_SEARCH = tuple(0.5 ** i for i in range(9))
 
@@ -76,8 +85,8 @@ class Trajectory:
     length with strictly increasing times, and the decay rate Vdot of each state.
 
     Vdot is evaluated by lyapunov.rate_column from the kernel's flat stage
-    values, 5 per state, on its first read and kept: a caller that reads only
-    V, as a decay study does, never pays for it.
+    values, 5 per state, times the stage gains, on its first read and kept: a
+    caller that reads only V, as a decay study does, never pays for it.
     """
 
     times: np.ndarray
@@ -88,8 +97,8 @@ class Trajectory:
 
     @cached_property
     def Vdot(self) -> np.ndarray:
-        gains = cycle([g for _, _, g, _ in model.stage_table(self.p)])
-        return np.array(lyapunov.rate_column(map(mul, self.stages, gains), self.p))
+        gains = np.array([g for _, _, g, _ in model.stage_table(self.p)])
+        return lyapunov.rate_column(np.array(self.stages).reshape(-1, 5) * gains, self.p)
 
 
 def _finite_state(x, name: str) -> np.ndarray:
@@ -194,11 +203,14 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
     step, unless the step is not the call's first and the residual norm at w
     times max(k_i) exceeds 1: that update may leave the |k b| <= 1 region, and
     a saturated stage's slope at w, near 0, would shoot far past the root.
-    The first iteration then uses the slopes that the previous solve last used,
-    and if its line search stalls, it is retried once from the slopes at w,
-    after which the solve takes the iterates of one started there.  Each
-    iteration takes the first of the update and its 8 halvings that lowers the
-    residual's infinity norm.  A solve gives up if none does, or if
+    The first iteration then uses the slopes that the previous solve last used.
+    A later iteration uses the slopes at the iterate, unless that iterate's
+    residual norm is at most _CHORD_TOL: it then reuses the slopes it has (a
+    chord step).  An iteration takes the first of the update and its 8 halvings
+    (a chord step: the update alone) that lowers the residual's infinity norm.
+    If none does, an iteration with reused slopes is retried once from the
+    slopes at its iterate (at v = w, those a solve started there uses), and one
+    with fresh slopes makes the solve give up.  It also gives up if
     _NEWTON_MAX_ITER iterations (a retried one counted twice) do not reach
     _NEWTON_TOL (a NaN residual included).  Its step is then the stabilized
     step delta = dt*omega0*Q(g)(z + L delta): z the stage gradients at w,
@@ -211,9 +223,10 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
     (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
         model.stage_table(p))
     ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
+    ctol = _CHORD_TOL
     sub, hf, dcut, kmax = -ho * d, ho * fc, _DERIVATIVE_CUTOFF, max(k1, k2, k3, k4, k5)
     km = 0.0  # kmax from the second step on: the first solve has no slopes to borrow
-    iterations, line_search = range(_NEWTON_MAX_ITER), _LINE_SEARCH
+    iterations, line_search, chord = range(_NEWTON_MAX_ITER), _LINE_SEARCH, _LINE_SEARCH[:1]
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
     cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
     glo, ghi = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
@@ -252,8 +265,8 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
         # the quotient slopes at v = w, where h = 0 takes the analytic form,
         # unless the first update may leave |k b| <= 1: then those that the
         # previous solve last used, still in e1..e5
-        borrowed, km = rnorm * km > 1.0, kmax
-        if not borrowed:
+        stale, km, search = rnorm * km > 1.0, kmax, line_search  # stale: not from the iterate
+        if not stale:
             e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
             e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
         for _ in (() if rnorm <= tol else iterations):  # none if v = w solves
@@ -267,7 +280,7 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
             q3 = -j32 * q2 / j33
             n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
             n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
-            for lam in line_search:
+            for lam in search:
                 trials += 1
                 x1, x2, x3 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3
                 x4 = v4 + lam * n4
@@ -303,19 +316,20 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
                     z1, z2, z3 = f1, f2, f3
                     z4, z5, r1 = f4, f5, o1
                     r2, r3, r4 = o2, o3, o4
+                    stale = cnorm <= ctol  # the next iteration is a chord step
                     break
             else:  # the line search stalled
-                if borrowed:  # retry the first iteration from the slopes at v = w
-                    borrowed = False
-                    e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
-                    e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
-                    continue
-                break  # the solve gives up
+                if not stale:
+                    break  # the solve gives up
+                stale = False  # retry from the slopes at the iterate
             if rnorm <= tol:
                 break
-            borrowed = False
-            # the quotient slopes at the new iterate u = w + h, from its tanh,
-            # analytic within dcut * max(m_i, |u_i|)
+            if stale:  # a chord step, which takes the full update or none
+                search = chord
+                continue
+            search = line_search
+            # the quotient slopes at the iterate u = w + h, from its tanh,
+            # analytic within dcut * max(m_i, |u_i|), so at u = w those at w
             u1, u2, u3 = w1 + h1, w2 + h2, w3 + h3
             u4 = w4 + h4
             th1, th2, th3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)

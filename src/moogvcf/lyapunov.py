@@ -77,12 +77,12 @@ def Vdot_nonlinear(w, p: FilterParams) -> float:
     with the feedback ratio evaluated at w4."""
     if p.r == 0.0:
         raise ValueError("Vdot_nonlinear undefined for r=0; use Vdot_zero_feedback")
-    return rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0]
+    return float(rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0])
 
 
 def Vdot_zero_feedback(w, p: FilterParams) -> float:
     """Decay rate of the feedback-free energy along the r = 0 cascade."""
-    return rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0]
+    return float(rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0])
 
 
 @model.per_params
@@ -123,9 +123,9 @@ def energy_column(ws, p: FilterParams) -> list:
     return energy
 
 
-def rate_column(zs, p: FilterParams) -> list:
-    """Vdot of each row of stage gradients z = (z1, z2, z3, z4, du4) in zs, back
-    to back (else ValueError).
+def rate_column(zs, p: FilterParams) -> np.ndarray:
+    """Vdot of each row of stage gradients z = (z1, z2, z3, z4, du4) in zs, the
+    rows back to back, flat or as an (n, 5) array (else ValueError).
 
     Vdot is omega0 * z' model.stage_field(z), for r > 0 omega0 * z' sym(Q) z
     (z4 du4 = g z4^2, g the feedback ratio at w4), evaluated as -omega0 * y' D y
@@ -133,18 +133,23 @@ def rate_column(zs, p: FilterParams) -> list:
     [0, -h, 1, -h], [c, 0, -h, g]], h = d/2, c = p.feedback_coeff/2 (h, or 0 at
     r = 0) and g = du4/z4.  The pivots are clamped at 0, so Vdot <= 0, also on
     the null direction of -sym(Q) at r = 1.
+
+    One numpy expression over all rows, whose +, -, * and / round as Python
+    floats do: the fourth pivot's term is added only where z4 != 0, and a
+    pivot that is not > 0 (NaN included) counts as 0, so each row's Vdot is
+    bit for bit that of the row on its own in Python floats.
     """
     h, c, piv2, l32, l42, piv3, l43, cc, hcl42, ml43 = _rate_constants(p)
-    omega0, rates, zi = p.omega0, [], iter(zs)
-    # at most three targets per assignment, as in integrators._dg_run
-    for z1, z2, z3, z4, du4 in zip(zi, zi, zi, zi, zi, strict=True):
+    z = np.asarray(zs, dtype=float)
+    if z.size % 5:
+        raise ValueError(f"stage gradients come 5 per row, got {z.size} values")
+    z1, z2, z3, z4, du4 = z.reshape(-1, 5).T
+    with np.errstate(all="ignore"):  # du4/z4 at z4 = 0, and inf or NaN rows, as floats
         y1, y2, y3 = z1 - h * z2 + c * z4, z2 + l32 * z3 + l42 * z4, z3 + l43 * z4
         quad = y1 * y1 + piv2 * y2 * y2 + piv3 * y3 * y3
-        if z4 != 0.0:
-            piv4 = du4 / z4 - cc - hcl42 - ml43
-            quad += (piv4 if piv4 > 0.0 else 0.0) * z4 * z4  # max(0.0, piv4), NaN included
-        rates.append(0.0 - omega0 * quad)  # not -(...): the origin gives 0.0, not -0.0
-    return rates
+        piv4 = du4 / z4 - cc - hcl42 - ml43
+        quad = np.where(z4 != 0.0, quad + np.where(piv4 > 0.0, piv4, 0.0) * z4 * z4, quad)
+        return 0.0 - p.omega0 * quad  # not -(...): the origin gives 0.0, not -0.0
 
 
 def symmetrize(M) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moogvcf import cli, experiments, lyapunov
+from moogvcf import cli, experiments, integrators, lyapunov, spectral
 from moogvcf.cli import main
 from moogvcf.lyapunov import MatrixFamily
 
@@ -390,11 +390,12 @@ def test_sweep_rejects_bad_resonance(tmp_path, capsys):
     ("r", "[0.0, 5e-324]", "r[1]"),
     ("n_steps", "1000000000000", "n_steps"),
     ("samples_per_point", "1000000000000000", "samples_per_point"),
+    ("dt", "1" + "0" * 400, "dt"),
 ])
 def test_sweep_rejects_non_finite_spec_up_front(tmp_path, capsys, monkeypatch, field, text, path):
-    # JSON reads 1e400 as inf; the spec must be rejected before any
-    # certification, with the path of the offending entry, and so must sizes
-    # that would run for days
+    # JSON reads 1e400 as inf, and 10^400 written out as an integer no float
+    # holds; the spec must be rejected before any certification, with the
+    # path of the offending entry, and so must sizes that would run for days
     monkeypatch.setattr(lyapunov, "certify", None)
     fields = {"r": "[0.5]", "omega0": "[1]", "families": '["As"]', "seed": "1",
               "samples_per_point": "1", field: text}
@@ -418,9 +419,45 @@ def test_sweep_missing_file(capsys):
     assert code == 2
 
 
-# sha256 of `moogvcf sweep --spec specs/fullrange.json`, recorded before the
-# list-backed trajectory recorder; the sweep's bytes must not move.
-FULLRANGE_SWEEP_DIGEST = "5ca93e9dc0035f87e56786166857412648ca9f0fc77ad1322a10be2b2345be2b"
+# one valid invocation of each subcommand, without --out
+OUT_COMMANDS = {
+    "eig": ["--omega0", "1", "--r", "0.5"],
+    "certify": ["--families", "As", "--r-grid", "0:1:0.5"],
+    "simulate": ["--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0", "--dt", "0.1",
+                 "--steps", "3"],
+    "sweep": ["--spec", "spec.json"],
+    "gradcheck": ["--points", "3"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_out_that_cannot_be_opened_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           command, target):
+    # each command's numerical work is removed: the --out check runs first
+    for module, name in [(spectral, "eigvals_closed_form"), (experiments, "run_definiteness_sweep"),
+                         (integrators, "simulate"), (experiments, "run_sweep"),
+                         (experiments, "run_gradcheck")]:
+        monkeypatch.setattr(module, name, None)
+    out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    code, stdout, err = run(capsys, command, *OUT_COMMANDS[command], "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: --out {str(out)!r}")
+
+
+def test_out_that_fails_to_open_exits_2(tmp_path, capsys):
+    # a name too long for the file system passes the up-front check, and
+    # open's error is reported under --out
+    out = tmp_path / ("x" * 300)
+    code, stdout, err = run(capsys, "eig", *OUT_COMMANDS["eig"], "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --out cannot be opened: ")
+
+
+# sha256 of `moogvcf sweep --spec specs/fullrange.json`, recorded from the
+# discrete-gradient kernel that takes chord steps near the root; the sweep's
+# bytes must not move.
+FULLRANGE_SWEEP_DIGEST = "6ad16bcc596fdadc2c82b47f1e7e065d5e0500a8529ea68a90564fb368dde879"
 
 
 def test_sweep_bundled_fullrange_spec(tmp_path):
@@ -499,7 +536,7 @@ def test_simulate_evaluates_rate_once(capsys, monkeypatch, method, fmt):
 
 # sha256 of the README's two simulate commands: RK4 recorded from the
 # array-based integrator that preceded the float-tuple RK4 kernel, DG from the
-# kernel whose stiff solves start from the previous step's quotient slopes.
+# kernel that takes chord steps near the root.
 README_SIMULATE = {
     "dg": ["--omega0", "100", "--r", "0.9", "--x0", "1,1,-1,0.5", "--dt", "0.1",
            "--steps", "1000", "--method", "dg"],
@@ -507,9 +544,9 @@ README_SIMULATE = {
             "--steps", "5000", "--method", "rk4"],
 }
 README_DIGESTS = {
-    ("dg", "csv"): "f29b05d183b99c130238191e221193013cba506d61df0505ffef577138401e5b",
+    ("dg", "csv"): "40e108727d6a120a6c336858c5c7e9012d3223d04b71350746454c4080579fb0",
     ("rk4", "csv"): "5c4d543f1ad87e1a0974d88c89e985f806e47c6ea58d5f6facccb6e1683b6ec2",
-    ("dg", "json"): "0002caa607a64d2e5eb2edf8b28010202029513934b1ccd4ced2864380bdea9f",
+    ("dg", "json"): "0c825ee0fc489aa68b43ced121bdae3f5adf2e2d3180decda7100040eaa3d138",
     ("rk4", "json"): "885fc4b1c1d9c4535a9d1bac83174501fdff0113e3740974501f31d88c630fd6",
 }
 

@@ -76,6 +76,9 @@ def test_spec_from_dict_minimal():
     ({"n_steps": 10 ** 12}, "n_steps"),
     ({"n_steps": experiments._MAX_STEPS + 1}, "n_steps"),
     ({"samples_per_point": 10 ** 15}, "samples_per_point"),
+    ({"dt": 10 ** 400}, "dt"),  # JSON integers beyond the float range
+    ({"omega0": [10 ** 400]}, "omega0[0]"),
+    ({"r": [10 ** 400]}, "r[0]"),
 ])
 def test_spec_validation_paths(patch, path):
     data = {"r": [0.5], "omega0": [1], "families": ["As"],

@@ -42,11 +42,11 @@ def _rate(w, p):
 # list-building helpers over the (scale, inner) columns of model.stage_table
 # and over model.stage_field.  The rewrite must reproduce it bit for bit,
 # line-search trial counts included.  Its solve gives up as the kernel's does,
-# when no line-search trial lowers the residual, and within a run it starts a
-# stiff solve from the previous solve's slopes as the kernel does.  The
-# kernel keeps its quotients, slopes and Newton step inline, so the tests of
-# those properties (telescoping, coincidence limit, feedback ratio, dense
-# solve) run here.
+# when no line-search trial lowers the residual, within a run it starts a stiff
+# solve from the previous solve's slopes, and it takes the kernel's chord
+# steps.  The kernel keeps its quotients, slopes and Newton step inline, so the
+# tests of those properties (telescoping, coincidence limit, feedback ratio,
+# dense solve) run here.
 # Its log-cosh difference is the two-argument formula of that time, which
 # evaluated tanh(a) itself.
 
@@ -127,22 +127,25 @@ def _ref_newton_dg(w, p, dt, carry=None):
     """(the converged iterate, or None if the solve gives up; its line-search
     trials).  carry, a list across the steps of one run, holds the quotient
     slopes that the previous solve last used: the first iteration uses them
-    when the residual at v = w has norm times max(k_i) above 1, and is retried
-    once from the slopes at v = w if its line search stalls.  The solve leaves
-    its own last slopes in carry."""
+    when the residual at v = w has norm times max(k_i) above 1.  An iteration
+    after an accepted iterate with residual norm at most _CHORD_TOL reuses the
+    slopes it has and tries the full update alone (a chord step).  An
+    iteration with reused slopes whose line search stalls is retried once from
+    the slopes at its iterate.  The solve leaves its own last slopes in carry."""
     dt_omega = dt * p.omega0
     table = _ref_table(p)
     v, trials = w, 0
     res, zbar = _ref_residual(w, v, p, table, dt_omega)
     rnorm = max(abs(r) for r in res)
-    borrowed = bool(carry) and rnorm * max(inner for _, inner in table) > 1.0
-    slopes = carry[0] if borrowed else _ref_slopes(w, v, table, zbar)
+    stale = bool(carry) and rnorm * max(inner for _, inner in table) > 1.0
+    chord = False
+    slopes = carry[0] if stale else _ref_slopes(w, v, table, zbar)
     for _ in range(integrators._NEWTON_MAX_ITER):
         if rnorm <= integrators._NEWTON_TOL:
             break
         step = _ref_newton_step(_ref_jacobian(w, v, p, table, zbar, dt_omega, slopes), res)
         lam = 1.0
-        for _halving in range(9):
+        for _halving in range(1 if chord else 9):
             trials += 1
             cand = (v[0] + lam * step[0], v[1] + lam * step[1],
                     v[2] + lam * step[2], v[3] + lam * step[3])
@@ -150,15 +153,14 @@ def _ref_newton_dg(w, p, dt, carry=None):
             cnorm = max(abs(r) for r in cres)
             if cnorm < rnorm:
                 rnorm, v, res, zbar = cnorm, cand, cres, czbar
+                stale = chord = rnorm <= integrators._CHORD_TOL
                 break
             lam *= 0.5
         else:
-            if not borrowed:
+            if not stale:
                 break
-            borrowed, slopes = False, _ref_slopes(w, v, table, zbar)  # v = w still
-            continue
-        borrowed = False
-        if rnorm > integrators._NEWTON_TOL:
+            stale = chord = False
+        if rnorm > integrators._NEWTON_TOL and not stale:
             slopes = _ref_slopes(w, v, table, zbar)
     if carry is not None:
         carry[:] = [slopes]
@@ -262,7 +264,7 @@ def _ref_rk4_trajectory(x0, p, dt, n_steps):
         xs.extend(x)
         ts.extend(_ref_stage_tanh(tuple(map(operator.mul, scale, x)), table))
     energy = lyapunov.energy_column(map(operator.mul, xs, cycle(scale)), p)
-    rates = lyapunov.rate_column(map(operator.mul, ts, cycle([g for _, _, g, _ in table])), p)
+    rates = lyapunov.rate_column(list(map(operator.mul, ts, cycle([g for _, _, g, _ in table]))), p)
     times = np.arange(n_steps + 1, dtype=float) * dt
     columns = (times.tobytes(), np.array(xs).reshape(n_steps + 1, 4).tobytes(),
                np.array(energy).tobytes(), np.array(rates).tobytes())

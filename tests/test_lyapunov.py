@@ -298,10 +298,57 @@ def test_energy_columns_bit_identical_to_frozen_reference(r, omega0, rows):
     lambda p: lyapunov.rate_column((1.0, 2.0, 3.0, 4.0), p),  # a partial row only
     lambda p: lyapunov.energy_column([0.0] * 5, p),  # one state and a partial one
     lambda p: lyapunov.rate_column([0.0] * 6, p),  # one gradient row and a partial one
-], ids=["value-3", "value-5", "rate-4", "energy-5", "rates-6"])
+    lambda p: lyapunov.rate_column(np.zeros((2, 4)), p),  # rows of four
+], ids=["value-3", "value-5", "rate-4", "energy-5", "rates-6", "rates-2x4"])
 def test_energy_rejects_partial_rows(call):
     with pytest.raises(ValueError):
         call(make_params(1.0, 0.5))
+
+
+def _long_rows(n=10_000, seed=5):
+    """n rows of stage gradients from a seeded generator: magnitudes from
+    1e-300 to 1e300, every tenth z4 = +-0.0, and some NaN and inf entries."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-300, 301, (n, 5))
+    rows[::10, 3] = np.where(rng.random(n // 10) < 0.5, 0.0, -0.0)
+    rows[rng.integers(0, n, 50), rng.integers(0, 5, 50)] = math.nan
+    rows[rng.integers(0, n, 50), rng.integers(0, 5, 50)] = math.inf
+    rows[rng.integers(0, n, 50), rng.integers(0, 5, 50)] = -math.inf
+    return rows.tolist()
+
+
+# any float, with NaN as the one quiet NaN that Python floats produce
+gradient_value = (st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+                  | st.floats(allow_nan=False))
+null_rows = st.floats(min_value=-1e3, max_value=1e3).map(
+    lambda s: [s, s * math.sqrt(2.0), s, 0.0, s])
+
+
+@given(
+    r=st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(min_value=1e-3, max_value=1.0),
+    omega0=st.sampled_from([1.0, 100.0]),
+    rows=st.lists(st.lists(gradient_value, min_size=5, max_size=5) | null_rows,
+                  min_size=1, max_size=8),
+)
+@example(r=1.0, omega0=1.0, rows=[[1.0, math.sqrt(2.0), 1.0, 0.0, 0.0]])  # -sym(Q)'s null direction
+@example(r=1.0, omega0=1.0, rows=[[-0.5, -0.5 * math.sqrt(2.0), -0.5, -0.0, 1.0]])
+@example(r=0.0, omega0=1.0, rows=[[0.0, 0.0, 0.0, -0.0, 0.0], [1.0, 2.0, 3.0, 0.0, math.nan]])
+@example(r=0.5, omega0=100.0, rows=[[1.0, 1.0, 1.0, 1.0, math.nan], [1.0, 1.0, 1.0, math.inf, 1.0]])
+@example(r=0.5, omega0=1.0, rows=_long_rows())
+@example(r=1.0, omega0=100.0, rows=_long_rows(seed=6))
+@settings(max_examples=300, deadline=None)
+def test_rate_column_bit_identical_to_frozen_row_loop(r, omega0, rows):
+    # the numpy column, from flat values and from an (n, 5) array, against the
+    # frozen Python-float formula of each row; numpy may not warn where
+    # Python floats do not
+    p = make_params(omega0, r)
+    want = _bits([_ref_rate_of_gradients(z, p) for z in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = lyapunov.rate_column([g for z in rows for g in z], p)
+        array = lyapunov.rate_column(np.array(rows), p)
+    assert _bits(flat.tolist()) == want
+    assert _bits(array.tolist()) == want
 
 
 def test_Vdot_zero_feedback_nonpositive():
