@@ -14,6 +14,7 @@ is done when recording trajectories.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -22,7 +23,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from . import lyapunov, model
+from . import lyapunov, model, native
 from .model import FilterParams
 
 # Relative |w_i' - w_i| below which the discrete gradient uses the analytic
@@ -120,7 +121,7 @@ def _check_finite(states: list) -> None:
         raise IntegrationError(f"integration failed at step {step}: state not finite", step)
 
 
-def _rk4_run(x, p: FilterParams, dt: float, n: int):
+def _rk4_run_python(x, p: FilterParams, dt: float, n: int):
     """Take n classic fourth-order steps x + dt/6 (a + 2 b + 2 c + d) of
     model.rhs_nonlinear from the float 4-tuple x.
 
@@ -178,7 +179,7 @@ def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     return np.array(_rk4_run(tuple(_finite_state(x, "x").tolist()), p, dt, 1)[0])
 
 
-def _dg_run(w, t, p: FilterParams, dt: float, n: int):
+def _dg_run_python(w, t, p: FilterParams, dt: float, n: int):
     """Take n discrete-gradient steps of length dt from the float 4-tuple w
     with its stage values t = model.stage_tanh(w, model.stage_table(p)).
 
@@ -383,6 +384,49 @@ def _dg_run(w, t, p: FilterParams, dt: float, n: int):
     return states, stages, stabilized, trials
 
 
+def _buffers(n: int, state, stage_values):
+    """The state and stage-value arrays of n + 1 rows (1 for n < 1) that a kernel
+    of _kernels.c reads its first rows from and writes the others to, each row
+    a copy of the first; ValueError unless a row has 4 and 5 values, as the
+    Python kernels raise on unpacking, for the C side reads that many."""
+    rows = max(n, 0) + 1
+    states, stages = array("d", state) * rows, array("d", stage_values) * rows
+    if (len(states), len(stages)) != (4 * rows, 5 * rows):
+        raise ValueError(f"expected a state of 4 values and 5 stage values, got "
+                         f"{tuple(state)} and {tuple(stage_values)}")
+    return states, stages
+
+
+def _rk4_run_native(x, p: FilterParams, dt: float, n: int):
+    """_rk4_run_python, run by rk4_run of _kernels.c."""
+    states, stages = _buffers(n, x, (0.0,) * 5)  # the first stage row is not read
+    native.lib.rk4_run(native.constants(p).buffer_info()[0], dt, n, states.buffer_info()[0],
+                       stages.buffer_info()[0])
+    states = states[4:].tolist()
+    _check_finite(states)
+    return states, stages[5:].tolist()
+
+
+def _dg_run_native(w, t, p: FilterParams, dt: float, n: int):
+    """_dg_run_python, run by dg_run of _kernels.c with this module's solver
+    constants as they stand at the call."""
+    (states, stages), work, search = _buffers(n, w, t), array("l", (0, 0)), array("d", _LINE_SEARCH)
+    if native.lib.dg_run(native.constants(p).buffer_info()[0], dt, n, _NEWTON_MAX_ITER,
+                         _NEWTON_TOL, _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
+                         search.buffer_info()[0], len(search), lyapunov._LN2,
+                         states.buffer_info()[0], stages.buffer_info()[0], work.buffer_info()[0]):
+        raise ZeroDivisionError("float division by zero")  # where _dg_run_python raises it
+    states = states[4:].tolist()
+    _check_finite(states)
+    return states, stages[5:].tolist(), work[0], work[1]
+
+
+# The kernels simulate runs: those of _kernels.c if native loaded them, else
+# the Python ones, which give the same bits.
+_dg_run, _rk4_run = ((_dg_run_python, _rk4_run_python) if native.lib is None
+                     else (_dg_run_native, _rk4_run_native))
+
+
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x,
     taken as simulate takes it: a failed Newton solve takes the stabilized step."""
@@ -402,7 +446,8 @@ def _scale(p: FilterParams) -> tuple:
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     """Integrate n_steps steps from x0 and record (t, x, V), with Vdot on first read.
 
-    ValueError names x0 unless it is finite with a finite energy V(D x0).
+    ValueError names dt if the last time dt * n_steps overflows, and x0 unless
+    it is finite with a finite energy V(D x0).
     The states (x for RK4, w for discrete gradient) and their stage values
     model.stage_tanh go to flat lists from one _rk4_run or _dg_run call, whose
     IntegrationError names the first step that is not finite.
@@ -414,6 +459,8 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if cfg.dt * n_steps == math.inf:  # the last recorded time
+        raise ValueError(f"dt * n_steps must be finite, got dt = {cfg.dt!r} and n_steps = {n_steps}")
     x0 = _finite_state(x0, "x0")
     scale, table = _scale(p), model.stage_table(p)
     rk4 = cfg.method is Method.RK4

@@ -11,12 +11,13 @@ matrices from outside.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import model
+from . import model, native
 from .model import FilterParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -98,7 +99,7 @@ def _rate_constants(p: FilterParams):
     return h, c, piv2, l32, l42, piv3, l43, c * c, h * c * l42, m34 * l43
 
 
-def energy_column(ws, p: FilterParams) -> list:
+def _energy_column_python(ws, p: FilterParams) -> list:
     """V of each state (w1, w2, w3, w4) in ws, back to back (else ValueError):
     V = sum_i S_i lncosh(k_i w_i) over model.stage_table."""
     (s1, k1, _, _), (s2, k2, _, _), (s3, k3, _, _), (s4, k4, _, _), _ = model.stage_table(p)
@@ -121,6 +122,22 @@ def energy_column(ws, p: FilterParams) -> list:
               else a4 + log1p(exp(-2.0 * a4)) - ln2)
         energy.append(s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4)
     return energy
+
+
+def _energy_column_native(ws, p: FilterParams) -> list:
+    """_energy_column_python, run by energy_column of _kernels.c."""
+    ws = array("d", ws)
+    n, partial = divmod(len(ws), 4)
+    if partial:
+        raise ValueError(f"states come 4 values each, got {len(ws)} values")
+    energy = array("d", bytes(8 * n))
+    native.lib.energy_column(native.constants(p).buffer_info()[0], ws.buffer_info()[0], n, _LN2,
+                             energy.buffer_info()[0])
+    return energy.tolist()
+
+
+# the kernel of _kernels.c if native loaded it, else the Python one: the same bits
+energy_column = _energy_column_python if native.lib is None else _energy_column_native
 
 
 def rate_column(zs, p: FilterParams) -> np.ndarray:

@@ -315,8 +315,9 @@ def test_simulate_rejects_x0_of_infinite_energy(capsys, method, x0):
     assert out == ""
 
 
-def test_simulate_integrator_failure_exit_code(capsys, monkeypatch):
-    # a NaN injected into either kernel: tanh returns NaN from its 20th call on
+def test_simulate_integrator_failure_exit_code(capsys, monkeypatch, python_kernels):
+    # a NaN injected into either Python kernel: tanh returns NaN from its 20th
+    # call on
     real_tanh = math.tanh
     for method in ("dg", "rk4"):
         calls = []
@@ -331,6 +332,27 @@ def test_simulate_integrator_failure_exit_code(capsys, monkeypatch):
         assert code == 3
         assert out == ""
         assert "state not finite" in err
+
+
+def test_simulate_non_finite_state_exit_code(capsys, kernels):
+    # omega0*dt = inf: the first discrete-gradient step is not finite, on
+    # either kernel, with no value injected
+    code, out, err = run(capsys, "simulate", "--omega0", "1e300", "--r", "0.5", "--x0", "1,2,3,4",
+                         "--dt", "1e300", "--steps", "3")
+    assert code == 3
+    assert out == ""
+    assert "integration failed at step 1: state not finite" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_rejects_overflowing_time_column(capsys, fmt):
+    # the last time dt * n_steps = 2e308 overflows: rejected under dt before
+    # the kernel runs, with no inf row nor an Infinity token written
+    code, out, err = run(capsys, "simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0",
+                         "--dt", "1e308", "--steps", "2", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "dt * n_steps must be finite" in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -694,9 +694,9 @@ def test_rk4_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x
     assert _bits(states + stages) == flat
 
 
-def test_rk4_tanh_calls_per_step():
+def test_rk4_tanh_calls_per_step(python_kernels):
     # 20 for the four field evaluations and 5 for the new state's stage
-    # values, after the 5 of the initial state
+    # values, after the 5 of the initial state, counted on the Python kernel
     p, x0, dt, n_steps = make_params(1.0, 1.0), np.array([1.0, -2.0, 0.5, 3.0]), 0.05, 100
     want, _ = _ref_rk4_trajectory(x0, p, dt, n_steps)
     calls, real_tanh = [], math.tanh
@@ -711,7 +711,7 @@ def test_rk4_tanh_calls_per_step():
     assert len(calls) == 5 + 25 * n_steps
 
 
-def test_rk4_non_finite_state_names_its_step():
+def test_rk4_overflow_names_its_step(kernels):
     # the first step overflows, and so does a lone step
     p, x0 = make_params(1e300, 0.5), [1.0, 2.0, 3.0, 4.0]
     with pytest.raises(IntegrationError, match="step 1:") as exc:
@@ -719,9 +719,12 @@ def test_rk4_non_finite_state_names_its_step():
     assert exc.value.step == 1 and not isinstance(exc.value, NewtonError)
     with pytest.raises(IntegrationError, match="step 1:"):
         step_rk4(x0, p, 1e10)
-    # a NaN injected into the first tanh of step k spreads to later steps,
-    # and the error names step k
-    p, real_tanh = make_params(1.0, 0.5), math.tanh
+
+
+def test_rk4_non_finite_state_names_its_step(python_kernels):
+    # a NaN injected into the first tanh of step k of the Python kernel
+    # spreads to later steps, and the error names step k
+    p, x0, real_tanh = make_params(1.0, 0.5), [1.0, 2.0, 3.0, 4.0], math.tanh
     for k in (2, 5, 10):
         calls = []
 
@@ -1095,10 +1098,10 @@ def test_simulate_stabilized_step_recovers():
         assert np.diff(traj.V).max() <= 1e-10
 
 
-def test_dg_non_finite_state_names_its_step():
-    # a NaN injected into the first stage value tanh(w1) of state k - 1
-    # makes state k NaN, whatever the solve does with it, and the error
-    # names step k
+def test_dg_non_finite_state_names_its_step(python_kernels):
+    # a NaN injected into the first stage value tanh(w1) of state k - 1 (by
+    # the Python kernel from k = 2 on) makes state k NaN, whatever the solve
+    # does with it, and the error names step k
     x0, p, dt, n_steps = [1.0, -2.0, 0.5, 3.0], make_params(1.0, 0.5), 0.1, 10
     states, real_tanh = _dg_work(x0, p, dt, n_steps)[0], math.tanh
     for k in (1, 2, 5, 10):
