@@ -13,13 +13,11 @@ All discrete-gradient stepping happens in w coordinates; conversion to x
 is done when recording trajectories.
 """
 
+import ctypes
 import math
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import cycle
-from operator import mul, truediv
 
 import numpy as np
 
@@ -85,21 +83,21 @@ class Trajectory:
     """Sampled solution: times, states in x coordinates and energy V, of equal
     length with strictly increasing times, and the decay rate Vdot of each state.
 
-    Vdot is evaluated by lyapunov.rate_column from the kernel's flat stage
-    values, 5 per state, times the stage gains, on its first read and kept: a
+    Vdot is evaluated by lyapunov.rate_column from the kernel's (n, 5) array
+    of stage values times the stage gains, on its first read and kept: a
     caller that reads only V, as a decay study does, never pays for it.
     """
 
     times: np.ndarray
     states: np.ndarray
     V: np.ndarray
-    stages: list = field(repr=False)
+    stages: np.ndarray = field(repr=False)
     p: FilterParams = field(repr=False)
 
     @cached_property
     def Vdot(self) -> np.ndarray:
         gains = np.array([g for _, _, g, _ in model.stage_table(self.p)])
-        return lyapunov.rate_column(np.array(self.stages).reshape(-1, 5) * gains, self.p)
+        return lyapunov.rate_column(self.stages * gains, self.p)
 
 
 def _finite_state(x, name: str) -> np.ndarray:
@@ -112,34 +110,43 @@ def _finite_state(x, name: str) -> np.ndarray:
     return x
 
 
-def _check_finite(states: list) -> None:
-    """IntegrationError naming the first step whose state is not finite, if the
-    last of the flat list states is not: each kernel adds an increment to the
+def _steps(states: np.ndarray, stages: np.ndarray) -> int:
+    """The number of steps n of a kernel call on states and stages; ValueError
+    unless they are writable, C-ordered float64 arrays of n + 1 >= 1 rows of 4
+    and 5 values, as the kernels of _kernels.c read and write them."""
+    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape[1:] == (width,)
+                and a.flags.c_contiguous and a.flags.writeable
+                for a, width in ((states, 4), (stages, 5))) and 0 < len(states) == len(stages)):
+        raise ValueError("states and stages must be writable, C-ordered float64 arrays of the "
+                         f"same rows, at least 1, of 4 and 5 values, got {states!r} and {stages!r}")
+    return len(states) - 1
+
+
+def _check_finite(states: np.ndarray) -> None:
+    """IntegrationError naming the first step whose row of states is not
+    finite, if the last step's is not: each kernel adds an increment to the
     state, so a component that is not finite stays so in every later step."""
-    if not all(map(math.isfinite, states[-4:])):
-        step = list(map(math.isfinite, states)).index(False) // 4 + 1
+    if len(states) > 1 and not all(map(math.isfinite, states[-1].tolist())):
+        step = int(np.isfinite(states[1:]).all(axis=1).argmin()) + 1
         raise IntegrationError(f"integration failed at step {step}: state not finite", step)
 
 
-def _rk4_run_python(x, p: FilterParams, dt: float, n: int):
+def _rk4_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float) -> None:
     """Take n classic fourth-order steps x + dt/6 (a + 2 b + 2 c + d) of
-    model.rhs_nonlinear from the float 4-tuple x.
-
-    Returns the n new states and their stage values model.stage_tanh(D x,
-    model.stage_table(p)), each back to back in a flat list.  The field and
-    the stage values are inline, with the operands and order of
-    rhs_nonlinear and stage_tanh, so they match those bit for bit; the
-    constants of (p, dt) are computed once per call, and _check_finite
-    checks the last state.
-    """
+    model.rhs_nonlinear from row 0 of states into its rows 1..n, and write their
+    stage values model.stage_tanh(D x, model.stage_table(p)) to rows 1..n of
+    stages.  The field and the stage values are inline, with the operands and
+    order of rhs_nonlinear and stage_tanh, so they match those bit for bit; the
+    constants of (p, dt) are computed once per call, and _check_finite checks
+    the last state."""
+    n = _steps(states, stages)
     (_, k1, _, _), (_, k2, _, _), (_, k3, _, _), (_, k4, _, _), (_, k5, _, _) = (
         model.stage_table(p))
-    _, sc2, sc3, sc4 = _scale(p)  # D's first entry is 1, so w1 = x1
+    _, sc2, sc3, sc4 = _scale(p).tolist()  # D's first entry is 1, so w1 = x1
     w0, g, h, s, tanh = p.omega0, p.feedback_gain, 0.5 * dt, dt / 6.0, math.tanh
-    x1, x2, x3, x4 = x
-    states, stages = [], []
+    x1, x2, x3, x4 = states[0].tolist()
     # at most three targets per assignment, as in _dg_run
-    for _ in range(n):
+    for step in range(1, n + 1):
         t1, t2, t3 = tanh(x1), tanh(x2), tanh(x3)
         t4, fb = tanh(x4), tanh(g * x4)
         a1, a2, a3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
@@ -165,28 +172,20 @@ def _rk4_run_python(x, p: FilterParams, dt: float, n: int):
         x1, x2 = x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1), x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
         x3, x4 = x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3), x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
         w4 = sc4 * x4
-        states += (x1, x2, x3, x4)
-        stages += (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)), tanh(k4 * w4),
-                   tanh(k5 * w4))
+        states[step] = x1, x2, x3, x4
+        stages[step] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)),
+                        tanh(k4 * w4), tanh(k5 * w4))
     _check_finite(states)
-    return states, stages
 
 
-def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
-    """Classic fourth-order one-step update of rhs_nonlinear, taken as
-    simulate takes it."""
-    StepConfig(dt)  # validates dt
-    return np.array(_rk4_run(tuple(_finite_state(x, "x").tolist()), p, dt, 1)[0])
+def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float):
+    """Take n discrete-gradient steps of length dt from row 0 of states, w, with
+    its stage values t = model.stage_tanh(w, model.stage_table(p)) in row 0 of
+    stages, into rows 1..n of both: the new states v and their tanh(k_i v_i).
 
-
-def _dg_run_python(w, t, p: FilterParams, dt: float, n: int):
-    """Take n discrete-gradient steps of length dt from the float 4-tuple w
-    with its stage values t = model.stage_tanh(w, model.stage_table(p)).
-
-    Returns the n new states and their stage values tanh(k_i v_i), each back
-    to back in a flat list, the number of stabilized steps and that of
-    line-search trials, the residual evaluations with quotients.  The constants
-    of (p, dt) are computed once per call, and _check_finite checks the last state.
+    Returns the number of stabilized steps and that of line-search trials, the
+    residual evaluations with quotients.  The constants of (p, dt) are computed
+    once per call, and _check_finite checks the last state.
 
     A step solves v = w + dt*omega0*Fbar(w, v), Fbar being model.stage_field
     of the stage quotients zbar of the table's rows (rows 4 and 5 along w4):
@@ -221,6 +220,7 @@ def _dg_run_python(w, t, p: FilterParams, dt: float, n: int):
     <= z'delta + delta'L delta/2 = dt*omega0*y'Q(g)y - delta'L delta/2 <= 0, as
     the QsWorstCase certificate makes sym(Q(g)) <= 0 within the bounds.
     """
+    n = _steps(states, stages)
     (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
         model.stage_table(p))
     ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
@@ -231,8 +231,8 @@ def _dg_run_python(w, t, p: FilterParams, dt: float, n: int):
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
     cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
     glo, ghi = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
-    (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = w, t
-    states, stages, stabilized, trials = [], [], 0, 0
+    (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = states[0].tolist(), stages[0].tolist()
+    stabilized, trials = 0, 0
     # The loops below keep three rules, as CPython 3.11 runs them.  An
     # assignment has at most three targets: four or more build and unpack a
     # tuple.  No builtin is called: |b| < c is written -c < b < c, and a max of
@@ -240,7 +240,7 @@ def _dg_run_python(w, t, p: FilterParams, dt: float, n: int):
     # does, keeps a NaN first term and skips a NaN later one.  Constants are
     # read into locals before the loop.  Each float operation keeps the
     # operands and order it had with abs(), so no result changes by a bit.
-    for _ in range(n):
+    for step in range(1, n + 1):
         y1, y2, y3 = g1 * t1, g2 * t2, g3 * t3
         y4, y5 = g4 * t4, g5 * t5
         # m_i = max(1, |w_i|), the coincidence cutoffs cut_i and nc_i = -cut_i
@@ -378,47 +378,31 @@ def _dg_run_python(w, t, p: FilterParams, dt: float, n: int):
         w4 = v4
         t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
         t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
-        states += (w1, w2, w3, w4)
-        stages += (t1, t2, t3, t4, t5)
+        states[step] = w1, w2, w3, w4
+        stages[step] = t1, t2, t3, t4, t5
     _check_finite(states)
-    return states, stages, stabilized, trials
+    return stabilized, trials
 
 
-def _buffers(n: int, state, stage_values):
-    """The state and stage-value arrays of n + 1 rows (1 for n < 1) that a kernel
-    of _kernels.c reads its first rows from and writes the others to, each row
-    a copy of the first; ValueError unless a row has 4 and 5 values, as the
-    Python kernels raise on unpacking, for the C side reads that many."""
-    rows = max(n, 0) + 1
-    states, stages = array("d", state) * rows, array("d", stage_values) * rows
-    if (len(states), len(stages)) != (4 * rows, 5 * rows):
-        raise ValueError(f"expected a state of 4 values and 5 stage values, got "
-                         f"{tuple(state)} and {tuple(stage_values)}")
-    return states, stages
-
-
-def _rk4_run_native(x, p: FilterParams, dt: float, n: int):
+def _rk4_run_native(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float) -> None:
     """_rk4_run_python, run by rk4_run of _kernels.c."""
-    states, stages = _buffers(n, x, (0.0,) * 5)  # the first stage row is not read
-    native.lib.rk4_run(native.constants(p).buffer_info()[0], dt, n, states.buffer_info()[0],
-                       stages.buffer_info()[0])
-    states = states[4:].tolist()
+    n = _steps(states, stages)
+    native.lib.rk4_run(native.constants(p).ctypes.data, dt, n, states.ctypes.data,
+                       stages.ctypes.data)
     _check_finite(states)
-    return states, stages[5:].tolist()
 
 
-def _dg_run_native(w, t, p: FilterParams, dt: float, n: int):
+def _dg_run_native(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float):
     """_dg_run_python, run by dg_run of _kernels.c with this module's solver
     constants as they stand at the call."""
-    (states, stages), work, search = _buffers(n, w, t), array("l", (0, 0)), array("d", _LINE_SEARCH)
-    if native.lib.dg_run(native.constants(p).buffer_info()[0], dt, n, _NEWTON_MAX_ITER,
-                         _NEWTON_TOL, _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
-                         search.buffer_info()[0], len(search), lyapunov._LN2,
-                         states.buffer_info()[0], stages.buffer_info()[0], work.buffer_info()[0]):
+    n, work, search = _steps(states, stages), (ctypes.c_long * 2)(), _LINE_SEARCH
+    if native.lib.dg_run(native.constants(p).ctypes.data, dt, n, _NEWTON_MAX_ITER, _NEWTON_TOL,
+                         _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
+                         (ctypes.c_double * len(search))(*search), len(search),
+                         lyapunov._LN2, states.ctypes.data, stages.ctypes.data, work):
         raise ZeroDivisionError("float division by zero")  # where _dg_run_python raises it
-    states = states[4:].tolist()
     _check_finite(states)
-    return states, stages[5:].tolist(), work[0], work[1]
+    return work[0], work[1]
 
 
 # The kernels simulate runs: those of _kernels.c if native loaded them, else
@@ -427,20 +411,37 @@ _dg_run, _rk4_run = ((_dg_run_python, _rk4_run_python) if native.lib is None
                      else (_dg_run_native, _rk4_run_native))
 
 
+@model.per_params
+def _scale(p: FilterParams) -> np.ndarray:
+    """The diagonal (1, d, d^2, d^3) of model.scaling_matrix(p.d), so that
+    w = D x and x = D^-1 w are taken entry by entry; a read-only view."""
+    return model.scaling_matrix(p.d).diagonal()
+
+
+def _start(x: np.ndarray, p: FilterParams, n: int, rk4: bool):
+    """The (n + 1, 4) and (n + 1, 5) arrays of a kernel call of n steps from x,
+    row 0 x (RK4) or w = D x (DG) and the stage values at w; and w."""
+    w = [s * u for s, u in zip(_scale(p).tolist(), x.tolist())]  # in floats: no overflow warning
+    states, stages = np.empty((n + 1, 4)), np.empty((n + 1, 5))
+    states[0], stages[0] = x if rk4 else w, model.stage_tanh(w, model.stage_table(p))
+    return states, stages, w
+
+
+def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
+    """Classic fourth-order one-step update of rhs_nonlinear, taken as
+    simulate takes it."""
+    StepConfig(dt)  # validates dt
+    states, stages, _ = _start(_finite_state(x, "x"), p, 1, rk4=True)
+    _rk4_run(states, stages, p, dt)
+    return states[1]
+
+
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x,
     taken as simulate takes it: a failed Newton solve takes the stabilized step."""
-    scale = _scale(p)
-    w = tuple(map(mul, scale, _finite_state(x, "x").tolist()))
-    w = _dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, cfg.dt, 1)[0]
-    return np.array(tuple(map(truediv, w, scale)))
-
-
-@model.per_params
-def _scale(p: FilterParams) -> tuple:
-    """The diagonal (1, d, d^2, d^3) of model.scaling_matrix(p.d) as floats,
-    so that w = D x and x = D^-1 w are taken entry by entry."""
-    return tuple(model.scaling_matrix(p.d).diagonal().tolist())
+    states, stages, _ = _start(_finite_state(x, "x"), p, 1, rk4=False)
+    _dg_run(states, stages, p, cfg.dt)
+    return states[1] / _scale(p)
 
 
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
@@ -448,34 +449,29 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
 
     ValueError names dt if the last time dt * n_steps overflows, and x0 unless
     it is finite with a finite energy V(D x0).
-    The states (x for RK4, w for discrete gradient) and their stage values
-    model.stage_tanh go to flat lists from one _rk4_run or _dg_run call, whose
-    IntegrationError names the first step that is not finite.
-    lyapunov.energy_column then evaluates V, the saturation energy with
-    d = max(1, alpha), once per trajectory, and the Trajectory keeps the stage
-    values for its rate; DG states become x = D^-1 w in one array division,
-    which rounds as the entry-by-entry float division does.
+    One _rk4_run or _dg_run call writes the states (x for RK4, w for discrete
+    gradient) and their stage values to the arrays of _start, whose rows the
+    Trajectory keeps; its IntegrationError names the first step that is not
+    finite.  lyapunov.energy_column then evaluates V, the saturation energy
+    with d = max(1, alpha), of all w rows at once; DG states become x = D^-1 w
+    in one in-place division, which rounds as a float division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if cfg.dt * n_steps == math.inf:  # the last recorded time
         raise ValueError(f"dt * n_steps must be finite, got dt = {cfg.dt!r} and n_steps = {n_steps}")
-    x0 = _finite_state(x0, "x0")
-    scale, table = _scale(p), model.stage_table(p)
-    rk4 = cfg.method is Method.RK4
-    w = tuple(map(mul, scale, x0.tolist()))
+    x0, rk4 = _finite_state(x0, "x0"), cfg.method is Method.RK4
+    states, stages, w = _start(x0, p, n_steps, rk4)
     if not math.isfinite(lyapunov.energy_column(w, p)[0]):
         raise ValueError(f"x0 must have a finite energy V(D x0), got {x0.tolist()}")
-    u, t = (tuple(x0.tolist()) if rk4 else w), model.stage_tanh(w, table)  # u: x for RK4, w for DG
-    us, ts = list(u), list(t)  # the initial row, then the kernel's n_steps rows
     if rk4:
-        us[4:], ts[5:] = _rk4_run(u, p, cfg.dt, n_steps)
+        _rk4_run(states, stages, p, cfg.dt)
+        with np.errstate(over="ignore"):
+            energy = lyapunov.energy_column(states * _scale(p), p)
     else:
-        us[4:], ts[5:], _, _ = _dg_run(u, t, p, cfg.dt, n_steps)
-    ws = map(mul, us, cycle(scale)) if rk4 else us  # w = D x, entry by entry
-    energy = lyapunov.energy_column(ws, p)
-    states = np.array(us).reshape(n_steps + 1, 4)
-    return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt,
-                      states=states if rk4 else states / np.array(scale),
-                      V=np.array(energy), stages=ts, p=p)
+        _dg_run(states, stages, p, cfg.dt)
+        energy = lyapunov.energy_column(states, p)
+        states /= _scale(p)
+    return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt, states=states,
+                      V=energy, stages=stages, p=p)

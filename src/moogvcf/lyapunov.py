@@ -11,7 +11,6 @@ matrices from outside.
 """
 
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,7 +64,7 @@ def V_nonlinear(w, p: FilterParams) -> float:
     """
     if p.r == 0.0:
         raise ValueError("V_nonlinear undefined for r=0; use V_zero_feedback")
-    return energy_column(w, p)[0]
+    return float(energy_column(w, p)[0])
 
 
 def V_zero_feedback(w) -> float:
@@ -99,14 +98,15 @@ def _rate_constants(p: FilterParams):
     return h, c, piv2, l32, l42, piv3, l43, c * c, h * c * l42, m34 * l43
 
 
-def _energy_column_python(ws, p: FilterParams) -> list:
-    """V of each state (w1, w2, w3, w4) in ws, back to back (else ValueError):
+def _energy_column_python(ws, p: FilterParams) -> np.ndarray:
+    """V of each state (w1, w2, w3, w4) in ws, an (n, 4) array or the rows
+    back to back (else ValueError, from the reshape):
     V = sum_i S_i lncosh(k_i w_i) over model.stage_table."""
     (s1, k1, _, _), (s2, k2, _, _), (s3, k3, _, _), (s4, k4, _, _), _ = model.stage_table(p)
     log1p, sinh, exp, ln2 = math.log1p, math.sinh, math.exp, _LN2
-    energy, wi = [], iter(ws)
+    energy = []
     # no abs call and at most three targets per assignment, as in integrators._dg_run
-    for w1, w2, w3, w4 in zip(wi, wi, wi, wi, strict=True):
+    for w1, w2, w3, w4 in np.ascontiguousarray(ws, dtype=float).reshape(-1, 4).tolist():
         # log_cosh(k_i w_i) of a_i = |k_i w_i| (0.0 - a: +0.0 at a = -0.0, as abs gives), inline
         a1 = a if (a := k1 * w1) > 0.0 else 0.0 - a
         a1 = (log1p(2.0 * (sh := sinh(0.5 * a1)) * sh) if a1 <= 1.0
@@ -121,19 +121,16 @@ def _energy_column_python(ws, p: FilterParams) -> list:
         a4 = (log1p(2.0 * (sh := sinh(0.5 * a4)) * sh) if a4 <= 1.0
               else a4 + log1p(exp(-2.0 * a4)) - ln2)
         energy.append(s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4)
-    return energy
+    return np.array(energy, dtype=float)
 
 
-def _energy_column_native(ws, p: FilterParams) -> list:
+def _energy_column_native(ws, p: FilterParams) -> np.ndarray:
     """_energy_column_python, run by energy_column of _kernels.c."""
-    ws = array("d", ws)
-    n, partial = divmod(len(ws), 4)
-    if partial:
-        raise ValueError(f"states come 4 values each, got {len(ws)} values")
-    energy = array("d", bytes(8 * n))
-    native.lib.energy_column(native.constants(p).buffer_info()[0], ws.buffer_info()[0], n, _LN2,
-                             energy.buffer_info()[0])
-    return energy.tolist()
+    ws = np.ascontiguousarray(ws, dtype=float).reshape(-1, 4)
+    energy = np.empty(len(ws))
+    native.lib.energy_column(native.constants(p).ctypes.data, ws.ctypes.data, len(ws), _LN2,
+                             energy.ctypes.data)
+    return energy
 
 
 # the kernel of _kernels.c if native loaded it, else the Python one: the same bits

@@ -2,14 +2,16 @@
 
 _kernels.c transcribes integrators._dg_run_python, integrators._rk4_run_python
 and lyapunov._energy_column_python statement by statement, so both kernels
-give the same bits.  On first import it is compiled with the system C
+give the same bits, on the rows of the same caller-owned numpy arrays, passed
+to C as ndarray.ctypes.data.  On first import it is compiled with the system C
 compiler (the CC environment variable, else sysconfig's CC) and the flags of
 FLAGS: -ffp-contract=off keeps multiplies and adds from fusing into FMAs,
 which round once instead of twice.  The library is cached in
 $XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf), under a name keyed by the sha256
 of the source, the compiler, the flags and the platform, and loaded through
-ctypes.  The cache directory must belong to the user and be writable by no
-one else, since a library planted there would run as the user.
+ctypes; a cache miss deletes the libraries of every other key.  The cache
+directory must belong to the user and be writable by no one else, since a
+library planted there would run as the user.
 
 Any failure (no compiler, a compile error or timeout, a cache directory that
 fails its check, a library that does not load) leaves lib None, and the
@@ -27,8 +29,9 @@ import sys
 import sysconfig
 import time
 import types
-from array import array
 from pathlib import Path
+
+import numpy as np
 
 from . import model
 
@@ -47,7 +50,7 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
 COMPILE_TIMEOUT = 120.0  # seconds
 
 _log = logging.getLogger("moogvcf")
-# Every array argument is the address of an array.array of C doubles or longs.
+# Every array argument is the address of a C-ordered array of C doubles or longs.
 _ptr, _double, _long = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
 _SIGNATURES = {
     "dg_run": (ctypes.c_int, [_ptr, _double, _long, _long, _double, _double, _double, _double,
@@ -110,6 +113,9 @@ def load() -> ctypes.CDLL:
         start = time.perf_counter()
         compile_library(cc, target)
         _log.debug("compiled %s in %.3f s", target, time.perf_counter() - start)
+        for stale in cache.glob("_kernels-*.so"):  # built from another source or compiler
+            if stale != target:
+                stale.unlink(missing_ok=True)
     check_private(target)
     lib = ctypes.CDLL(str(target))
     for name, (restype, argtypes) in _SIGNATURES.items():
@@ -120,15 +126,14 @@ def load() -> ctypes.CDLL:
 
 
 @model.per_params
-def constants(p: model.FilterParams) -> array:
+def constants(p: model.FilterParams) -> np.ndarray:
     """The per-parameter constants of _kernels.c: the stage table's rows, d,
     feedback_coeff, the feedback-ratio bounds (1, 1 at r = 0), omega0,
     feedback_gain and the diagonal of model.scaling_matrix."""
     bounds = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
-    values = array("d", [v for row in model.stage_table(p) for v in row])
-    values.extend([p.d, p.feedback_coeff, *bounds, p.omega0, p.feedback_gain])
-    values.extend(model.scaling_matrix(p.d).diagonal().tolist())
-    return values
+    return np.concatenate((np.ravel(model.stage_table(p)),
+                           [p.d, p.feedback_coeff, *bounds, p.omega0, p.feedback_gain],
+                           model.scaling_matrix(p.d).diagonal()))
 
 
 try:

@@ -46,7 +46,7 @@ def test_contract_campaign(seed):
 
     def counted_run(*args):
         out = real_run(*args)
-        stabilized.append(out[2])
+        stabilized.append(out[0])
         return out
 
     failures = []

@@ -254,7 +254,7 @@ def _ref_rk4_trajectory(x0, p, dt, n_steps):
     """simulate's RK4 columns (times, states, V, Vdot) as bytes from the frozen
     step and stage values, V by lyapunov.energy_column and Vdot by
     lyapunov.rate_column as simulate and Trajectory evaluate them; and the bytes
-    of the flat states and stage values after x0."""
+    of the states and stage values, x0's included, row by row."""
     scale = tuple(model.scaling_matrix(p.d).diagonal().tolist())
     table = model.stage_table(p)
     x, xs, ts = tuple(map(float, x0)), [], []
@@ -263,12 +263,12 @@ def _ref_rk4_trajectory(x0, p, dt, n_steps):
             x = _ref_rk4(x, p, dt)
         xs.extend(x)
         ts.extend(_ref_stage_tanh(tuple(map(operator.mul, scale, x)), table))
-    energy = lyapunov.energy_column(map(operator.mul, xs, cycle(scale)), p)
+    energy = lyapunov.energy_column(np.array(xs).reshape(-1, 4) * np.array(scale), p)
     rates = lyapunov.rate_column(list(map(operator.mul, ts, cycle([g for _, _, g, _ in table]))), p)
     times = np.arange(n_steps + 1, dtype=float) * dt
     columns = (times.tobytes(), np.array(xs).reshape(n_steps + 1, 4).tobytes(),
                np.array(energy).tobytes(), np.array(rates).tobytes())
-    return columns, _bits(xs[4:] + ts[5:])
+    return columns, _bits(xs + ts)
 
 
 def _columns(traj):
@@ -279,18 +279,23 @@ def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def _dg_rows(w, p, dt, n_steps):
+    """_dg_run's state and stage-value arrays, row 0 w and its stage values,
+    and its (stabilized steps, trials) over n_steps."""
+    states, stages = np.empty((n_steps + 1, 4)), np.empty((n_steps + 1, 5))
+    states[0], stages[0] = w, model.stage_tanh(w, model.stage_table(p))
+    return (states, stages, *integrators._dg_run(states, stages, p, dt))
+
+
 def _kernel(w, p, dt):
     """One _dg_run step from w with its stage values, as _ref_step returns it."""
-    v, _, stabilized, trials = integrators._dg_run(
-        w, model.stage_tanh(w, model.stage_table(p)), p, dt, 1)
-    return tuple(v), stabilized == 1, trials
+    states, _, stabilized, trials = _dg_rows(w, p, dt, 1)
+    return tuple(states[1].tolist()), stabilized == 1, trials
 
 
 def _dg_work(x0, p, dt, n_steps):
-    """_dg_run's (states, stages, stabilized steps, trials) over n_steps from
-    x0, started as simulate starts it."""
-    w = tuple(map(operator.mul, integrators._scale(p), x0))
-    return integrators._dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, dt, n_steps)
+    """_dg_rows over n_steps from x0, started as simulate starts it."""
+    return _dg_rows(tuple(map(operator.mul, integrators._scale(p).tolist(), x0)), p, dt, n_steps)
 
 
 def _dg_columns(x0, p, dt, n_steps):
@@ -513,8 +518,8 @@ def test_newton_work_per_step(dt_omega, max_per_step):
     states, stages, stabilized, trials = _dg_work(x0, p, cfg.dt, n_steps)
     assert stabilized == 0
     assert 0 < n_steps + trials <= max_per_step * n_steps
-    assert all(type(u) is float for u in states + stages)
-    want = np.array(states).reshape(n_steps, 4) / np.array(integrators._scale(p))
+    assert (states.shape, stages.shape) == ((n_steps + 1, 4), (n_steps + 1, 5))
+    want = states[1:] / integrators._scale(p)
     assert simulate(x0, p, cfg, n_steps).states[1:].tobytes() == want.tobytes()
 
 
@@ -540,11 +545,11 @@ def test_stalled_borrowed_iteration_retries_from_analytic_slopes():
     # slopes at v = w, and the step then takes the iterates of a solve that
     # starts there: that of the frozen single-step reference from the same w.
     x0, p, dt = [-3.0, -2.0, -2.0, 5.0], make_params(1.0, 1.0), 10.0
-    (w1, _, _, trials1), (states, _, stabilized, trials2) = (
+    (first, _, _, trials1), (states, _, stabilized, trials2) = (
         _dg_work(x0, p, dt, 1), _dg_work(x0, p, dt, 2))
-    v, ref_stabilized, ref_trials = _ref_step(tuple(w1), p, dt)
+    v, ref_stabilized, ref_trials = _ref_step(tuple(first[1].tolist()), p, dt)
     assert stabilized == 0 and not ref_stabilized
-    assert _bits(states[4:]) == _bits(v)
+    assert _bits(states[2]) == _bits(v)
     assert trials2 - trials1 == 9 + ref_trials
 
 
@@ -655,9 +660,7 @@ def test_dg_vdot_bit_identical_to_per_state_rate(r, omega0, dt_omega, x0):
     # kernel recorded on its own, as the test above checks for RK4 at w = D x
     p, dt = make_params(omega0, r), dt_omega / omega0
     traj = simulate(np.array(x0), p, StepConfig(dt=dt), 4)
-    w = tuple(map(operator.mul, integrators._scale(p), x0))
-    flat = [*w, *integrators._dg_run(w, model.stage_tanh(w, model.stage_table(p)), p, dt, 4)[0]]
-    ws = [flat[i:i + 4] for i in range(0, len(flat), 4)]
+    ws = _dg_work(x0, p, dt, 4)[0].tolist()
     assert traj.Vdot.tobytes() == np.array([_rate(w, p) for w in ws]).tobytes()
 
 
@@ -690,8 +693,9 @@ def test_rk4_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x
     columns, flat = _ref_rk4_trajectory(x0, p, dt, n_steps)
     traj = simulate(np.array(x0), p, StepConfig(dt=dt, method=Method.RK4), n_steps)
     assert _columns(traj) == columns
-    states, stages = integrators._rk4_run(tuple(map(float, x0)), p, dt, n_steps)
-    assert _bits(states + stages) == flat
+    states, stages, _ = integrators._start(np.array(x0), p, n_steps, rk4=True)
+    integrators._rk4_run(states, stages, p, dt)
+    assert _bits([*states.ravel(), *stages.ravel()]) == flat
 
 
 def test_rk4_tanh_calls_per_step(python_kernels):
@@ -858,12 +862,10 @@ def _run_steps(r, bound, dt_omega, n_steps, data):
     x0 = data.draw(st.lists(st.floats(min_value=-bound, max_value=bound),
                             min_size=4, max_size=4), label="x0")
     states, stages, stabilized, _ = _dg_work(x0, p, dt_omega, n_steps)
-    w = tuple(map(operator.mul, integrators._scale(p), x0))
-    run = [(w, model.stage_tanh(w, model.stage_table(p)), 0.0)]
-    for k in range(n_steps):
-        v = tuple(states[4 * k:4 * k + 4])
-        res, _ = _ref_residual(run[-1][0], v, p, _ref_table(p), dt_omega)
-        run.append((v, tuple(stages[5 * k:5 * k + 5]), max(map(abs, res))))
+    run = [(tuple(states[0].tolist()), tuple(stages[0].tolist()), 0.0)]
+    for v, t in zip(states[1:].tolist(), stages[1:].tolist()):
+        res, _ = _ref_residual(run[-1][0], tuple(v), p, _ref_table(p), dt_omega)
+        run.append((tuple(v), tuple(t), max(map(abs, res))))
     return p, run, stabilized
 
 
@@ -890,7 +892,9 @@ def test_discrete_gradient_time_reversal(r, bound, dt_omega, n_steps, data):
         if stabilized and rnorm > tol:  # a stabilized step
             continue
         try:
-            u, _, back_stabilized, _ = integrators._dg_run(v, t, p, -dt_omega, 1)
+            back, back_stages = np.array([v, v]), np.array([t, t])
+            back_stabilized, _ = integrators._dg_run(back, back_stages, p, -dt_omega)
+            u = back[1].tolist()
         except ZeroDivisionError:  # with -dt, a Newton or stabilized pivot 1 - dt*omega0*e_i
             assert q > 0.5  # can be 0 only beyond the contraction range
             continue
@@ -1105,7 +1109,7 @@ def test_dg_non_finite_state_names_its_step(python_kernels):
     x0, p, dt, n_steps = [1.0, -2.0, 0.5, 3.0], make_params(1.0, 0.5), 0.1, 10
     states, real_tanh = _dg_work(x0, p, dt, n_steps)[0], math.tanh
     for k in (1, 2, 5, 10):
-        target, injected = x0[0] if k == 1 else states[4 * (k - 2)], []  # w1 = x1
+        target, injected = states[k - 1, 0], []  # w1 of state k - 1
 
         def tanh(u):
             if u == target and not injected:

@@ -7,15 +7,17 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moogvcf import integrators, lyapunov, model, native
-from moogvcf.integrators import IntegrationError
+from moogvcf.integrators import IntegrationError, Method, StepConfig, simulate
 from moogvcf.model import make_params
 
 SRC = Path(native.__file__).resolve().parent.parent
@@ -27,14 +29,17 @@ def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def _outcome(run, *args):
-    """A kernel's result with its floats as bits, or the exception it raised
+def _outcome(run, u, p, dt, n):
+    """A kernel's n steps from the state u: the bytes of the state and
+    stage-value rows it wrote and what it returned, or the exception it raised
     with the step an IntegrationError names."""
+    states, stages = np.empty((n + 1, 4)), np.empty((n + 1, 5))
+    states[0], stages[0] = u, model.stage_tanh(u, model.stage_table(p))
     try:
-        out = run(*args)
+        out = run(states, stages, p, dt)
     except (IntegrationError, ZeroDivisionError) as err:
         return type(err), getattr(err, "step", None)
-    return (_bits(out[0]), _bits(out[1]), *out[2:])
+    return states.tobytes(), stages.tobytes(), out
 
 
 # The extreme-input ranges: r at its ends and in between, |w_i| from 1e-14 to
@@ -71,13 +76,11 @@ def test_dg_run_native_bit_identical_to_python(r, omega0, dt_omega, sign, w, n, 
     # states, stage values, (stabilized, trials), or the exception and the
     # step it names, with the solver constants patched as the tests patch them
     p, dt = make_params(omega0, r), sign * dt_omega / omega0
-    w = tuple(w)
-    t = model.stage_tanh(w, model.stage_table(p))
     with mock.patch.multiple(integrators, _NEWTON_MAX_ITER=max_iter, _NEWTON_TOL=tol,
                              _COINCIDENCE_CUTOFF=cutoffs[0], _DERIVATIVE_CUTOFF=cutoffs[1],
                              _LINE_SEARCH=search):
-        want = _outcome(integrators._dg_run_python, w, t, p, dt, n)
-        got = _outcome(integrators._dg_run_native, w, t, p, dt, n)
+        want = _outcome(integrators._dg_run_python, w, p, dt, n)
+        got = _outcome(integrators._dg_run_native, w, p, dt, n)
     assert got == want
 
 
@@ -92,9 +95,38 @@ def test_dg_run_native_bit_identical_to_python(r, omega0, dt_omega, sign, w, n, 
 @settings(max_examples=500, deadline=None)
 def test_rk4_run_native_bit_identical_to_python(r, omega0, dt_omega, x, n):
     p, dt = make_params(omega0, r), dt_omega / omega0
-    x = tuple(x)
     assert _outcome(integrators._rk4_run_native, x, p, dt, n) == _outcome(
         integrators._rk4_run_python, x, p, dt, n)
+
+
+def _read_only(rows):
+    rows.setflags(write=False)
+    return rows
+
+
+_bad_rows = {
+    "float32": (np.zeros((3, 4), np.float32), np.zeros((3, 5))),
+    "Fortran-ordered": (np.asfortranarray(np.zeros((3, 4))), np.zeros((3, 5))),
+    "1-D": (np.zeros(4), np.zeros((1, 5))),
+    "mismatched rows": (np.zeros((3, 4)), np.zeros((2, 5))),
+    "no rows": (np.zeros((0, 4)), np.zeros((0, 5))),
+    "swapped widths": (np.zeros((3, 5)), np.zeros((3, 4))),
+    "read-only": (np.zeros((3, 4)), _read_only(np.zeros((3, 5)))),
+    "a list": ([[0.0] * 4] * 3, np.zeros((3, 5))),
+}
+
+
+@pytest.mark.parametrize("kernel", ["_dg_run_python", "_dg_run_native", "_rk4_run_python",
+                                    "_rk4_run_native"])
+@pytest.mark.parametrize("case", list(_bad_rows))
+def test_kernels_check_their_arrays_before_the_library(kernel, case):
+    # each kernel takes writable, C-ordered float64 arrays of the same rows,
+    # 4 and 5 wide; anything else is a ValueError that never reaches the library
+    states, stages = _bad_rows[case]
+    with mock.patch.object(native, "lib", mock.Mock()) as lib:
+        with pytest.raises(ValueError):
+            getattr(integrators, kernel)(states, stages, make_params(1.0, 0.5), 0.1)
+    assert lib.mock_calls == []
 
 
 energy_entries = st.one_of(
@@ -116,17 +148,19 @@ def test_energy_column_native_bit_identical_to_python(r, ws):
 
 @needs_native
 def test_energy_column_native_takes_what_python_takes():
-    # a tuple, a map, a numpy array and integers give the same bits; a
-    # partial state is a ValueError
-    import numpy as np
-
+    # a tuple, integers, a list of rows, the rows back to back, and C-ordered,
+    # Fortran-ordered and strided arrays give the same bits; a partial state
+    # is a ValueError
     p = make_params(1.0, 0.5)
-    for ws in ((1.0, -2.0, 0.5, 3.0), np.array([1.0, -2.0, 0.5, 3.0]), [1, -2, 0, 3]):
-        assert lyapunov._energy_column_native(ws, p) == lyapunov._energy_column_python(ws, p)
-    assert lyapunov._energy_column_native(map(float, range(8)), p) == (
-        lyapunov._energy_column_python(map(float, range(8)), p))
-    with pytest.raises(ValueError):
-        lyapunov._energy_column_native([0.0] * 5, p)
+    rows = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 4.0, -1.0, 2.5], [-3.0, 0.25, 7.0, -0.5]])
+    for ws in ((1.0, -2.0, 0.5, 3.0), [1, -2, 0, 3], rows.tolist(), rows.ravel(), rows,
+               np.asfortranarray(rows), rows[::2], rows.astype(np.float32)):
+        got, want = lyapunov._energy_column_native(ws, p), lyapunov._energy_column_python(ws, p)
+        assert type(got) is type(want) is np.ndarray and got.tobytes() == want.tobytes()
+    for partial in ([0.0] * 5, (1.0, 2.0, 3.0), np.zeros((2, 3))):
+        for energy_column in (lyapunov._energy_column_native, lyapunov._energy_column_python):
+            with pytest.raises(ValueError):
+                energy_column(partial, p)
 
 
 def test_kernel_names_the_selection_and_is_read_only():
@@ -176,6 +210,39 @@ def test_cache_miss_compiles_once_into_a_private_directory(tmp_path):
     assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
     (library,) = cache.iterdir()
     assert any(str(library) in line for line in second)
+
+
+@needs_native
+def test_cache_miss_deletes_stale_libraries(tmp_path):
+    # a library of another key (an older source or another compiler) is
+    # deleted once the new one is in place; other names are left alone
+    cache = tmp_path / "moogvcf"
+    cache.mkdir(mode=0o700)
+    stale, kept = cache / f"_kernels-{'0' * 32}.so", [cache / "notes.txt", cache / ".build-x.so"]
+    for path in (stale, *kept):
+        path.write_bytes(b"")
+    lines = _import_in_child(tmp_path)
+    assert lines[-1] == "native"
+    assert not stale.exists() and all(path.exists() for path in kept)
+    assert len(list(cache.glob("_kernels-*.so"))) == 1
+
+
+@needs_native
+@pytest.mark.parametrize("method", list(Method))
+def test_simulate_peak_memory_is_near_its_output(method):
+    # the kernels write into the arrays the Trajectory keeps, so the peak of
+    # a long simulate, V and the x = D^-1 w division included, stays within
+    # 1.5x the bytes of the arrays it returns
+    p, x0, cfg = make_params(1.0, 0.9), [1.0, -2.0, 0.5, 3.0], StepConfig(0.05, method)
+    simulate(x0, p, cfg, 10)  # the per-parameter constants, as a second run finds them
+    tracemalloc.start()
+    try:
+        traj = simulate(x0, p, cfg, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (traj.times, traj.states, traj.V, traj.stages))
+    assert peak < 1.5 * returned
 
 
 def test_check_private_refuses_writable_files(tmp_path):
