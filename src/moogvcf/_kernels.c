@@ -1,5 +1,7 @@
 /* C transcriptions of the three per-state loops: integrators._dg_run_python,
- * integrators._rk4_run_python and lyapunov._energy_column_python.
+ * integrators._rk4_run_python and lyapunov._energy_column_python.  The two
+ * integrators run a batch of independent trajectories in one call, each from
+ * its own row 0, with nothing carried from one to the next.
  *
  * Each statement keeps the operands, the order of operations and the libm
  * calls (tanh, sinh, log1p, exp) of the Python line it transcribes, and the
@@ -50,13 +52,13 @@ static double max_abs(double u, double m)
     return u > m ? u : -u > m ? -u : m;
 }
 
-/* integrators._dg_run_python: n steps from the state states[0..3] with its
+/* One trajectory of dg_run: n steps from the state states[0..3] with its
  * stage values stages[0..4]; step j's state goes to states[4 j..4 j + 3] and
- * its stage values to stages[5 j..5 j + 4].  work[0] counts the stabilized
- * steps and work[1] the line-search trials. */
-int dg_run(const double *pc, double dt, long n, long max_iter, double tol, double ctol,
-           double cut, double dcut, const double *line_search, long n_search, double ln2,
-           double *states, double *stages, long *work)
+ * its stage values to stages[5 j..5 j + 4].  The stabilized steps are added
+ * to work[0] and the line-search trials to work[1]. */
+static int dg_trajectory(const double *pc, double dt, long n, long max_iter, double tol,
+                         double ctol, double cut, double dcut, const double *line_search,
+                         long n_search, double ln2, double *states, double *stages, long *work)
 {
     const double s1 = pc[0], k1 = pc[1], g1 = pc[2], c1 = pc[3];
     const double s2 = pc[4], k2 = pc[5], g2 = pc[6], c2 = pc[7];
@@ -278,15 +280,35 @@ int dg_run(const double *pc, double dt, long n, long max_iter, double tol, doubl
         stages[5 * step + 3] = t4;
         stages[5 * step + 4] = t5;
     }
-    work[0] = stabilized;
-    work[1] = trials;
+    work[0] += stabilized;
+    work[1] += trials;
     return 0;
 }
 
-/* integrators._rk4_run_python: n steps from the state states[0..3]; step j's
+/* integrators._dg_run_python: the n_traj trajectories of n steps each, one
+ * after another, trajectory m's n + 1 states at states[4 (n + 1) m..] and its
+ * stage values at stages[5 (n + 1) m..], as dg_trajectory reads and writes
+ * them.  work[0] counts the stabilized steps and work[1] the line-search
+ * trials of all of them. */
+int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, double tol,
+           double ctol, double cut, double dcut, const double *line_search, long n_search,
+           double ln2, double *states, double *stages, long *work)
+{
+    long m;
+
+    work[0] = 0;
+    work[1] = 0;
+    for (m = 0; m < n_traj; m++)
+        if (dg_trajectory(pc, dt, n, max_iter, tol, ctol, cut, dcut, line_search, n_search, ln2,
+                          states + 4 * (n + 1) * m, stages + 5 * (n + 1) * m, work))
+            return ZERO_DIVISION;
+    return 0;
+}
+
+/* One trajectory of rk4_run: n steps from the state states[0..3]; step j's
  * state goes to states[4 j..4 j + 3] and its stage values to
  * stages[5 j..5 j + 4] (stages[0..4] are not read). */
-void rk4_run(const double *pc, double dt, long n, double *states, double *stages)
+static void rk4_trajectory(const double *pc, double dt, long n, double *states, double *stages)
 {
     const double k1 = pc[1], k2 = pc[5], k3 = pc[9], k4 = pc[13], k5 = pc[17];
     const double w0 = pc[24], g = pc[25], sc2 = pc[27], sc3 = pc[28], sc4 = pc[29];
@@ -324,6 +346,16 @@ void rk4_run(const double *pc, double dt, long n, double *states, double *stages
         stages[5 * step + 3] = tanh(k4 * w4);
         stages[5 * step + 4] = tanh(k5 * w4);
     }
+}
+
+/* integrators._rk4_run_python: the n_traj trajectories of n steps each, laid
+ * out as dg_run's. */
+void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, double *stages)
+{
+    long m;
+
+    for (m = 0; m < n_traj; m++)
+        rk4_trajectory(pc, dt, n, states + 4 * (n + 1) * m, stages + 5 * (n + 1) * m);
 }
 
 /* lyapunov._energy_column_python: V of the n states ws[4 j..4 j + 3] into

@@ -14,6 +14,7 @@ is done when recording trajectories.
 """
 
 import ctypes
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,6 +46,14 @@ _CHORD_TOL = 1e-8
 
 # The line search's trial factors: the Newton update and its 8 halvings.
 _LINE_SEARCH = tuple(0.5 ** i for i in range(9))
+
+# The largest |omega0 * dt| a discrete-gradient step takes.  The residual and
+# the stabilized step's right-hand side are omega0 * dt times sums of stage
+# gradients, and from about 2.5e307 (at r >= 0.9; 3.5e307 at r = 0.7, 1e308 at
+# r <= 0.3) they lose the step: V rises, or the state overflows.  Up to 1e306
+# no step of 6,400 trajectories (|x_i| from 1e-12 to 1e300, r from 0 to 1)
+# raised V.
+MAX_DG_OMEGA0_DT = 1e306
 
 
 class Method(Enum):
@@ -110,82 +119,99 @@ def _finite_state(x, name: str) -> np.ndarray:
     return x
 
 
-def _steps(states: np.ndarray, stages: np.ndarray) -> int:
+def _steps(states: np.ndarray, stages: np.ndarray, omega0: float = 0.0, dt: float = 0.0) -> int:
     """The number of steps n of a kernel call on states and stages; ValueError
-    unless they are writable, C-ordered float64 arrays of n + 1 >= 1 rows of 4
-    and 5 values, as the kernels of _kernels.c read and write them."""
-    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape[1:] == (width,)
-                and a.flags.c_contiguous and a.flags.writeable
-                for a, width in ((states, 4), (stages, 5))) and 0 < len(states) == len(stages)):
+    unless they are writable, C-ordered float64 arrays of N >= 1 trajectories
+    of n + 1 >= 1 rows of 4 and 5 values, as the kernels of _kernels.c read and
+    write them.  A discrete-gradient call passes omega0 and dt: ValueError
+    names dt unless |omega0 * dt| is at most MAX_DG_OMEGA0_DT."""
+    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 3
+                and a.shape[2] == width and a.flags.c_contiguous and a.flags.writeable
+                for a, width in ((states, 4), (stages, 5)))
+            and states.shape[:2] == stages.shape[:2] and 0 not in states.shape):
         raise ValueError("states and stages must be writable, C-ordered float64 arrays of the "
-                         f"same rows, at least 1, of 4 and 5 values, got {states!r} and {stages!r}")
-    return len(states) - 1
+                         "same trajectories, at least 1, of the same rows, at least 1, of 4 and "
+                         f"5 values, got {states!r} and {stages!r}")
+    if not abs(omega0 * dt) <= MAX_DG_OMEGA0_DT:
+        raise ValueError(f"dt = {dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more than "
+                         f"{MAX_DG_OMEGA0_DT:g}, the discrete-gradient limit")
+    return states.shape[1] - 1
 
 
-def _check_finite(states: np.ndarray) -> None:
-    """IntegrationError naming the first step whose row of states is not
-    finite, if the last step's is not: each kernel adds an increment to the
-    state, so a component that is not finite stays so in every later step."""
-    if len(states) > 1 and not all(map(math.isfinite, states[-1].tolist())):
-        step = int(np.isfinite(states[1:]).all(axis=1).argmin()) + 1
-        raise IntegrationError(f"integration failed at step {step}: state not finite", step)
+def _failures(states: np.ndarray) -> list:
+    """For each trajectory of a kernel call's states, None if its last row is
+    finite, else the IntegrationError naming its first step whose row is not:
+    each kernel adds an increment to the state, so a component that is not
+    finite stays so in every later step, and the finite rows count the steps
+    before the first that is not."""
+    last = states[:, -1].tolist()
+    if all(map(math.isfinite, itertools.chain.from_iterable(last))):
+        return [None] * len(last)
+    n, finite = len(states[0]) - 1, np.isfinite(states[:, 1:]).all(axis=2).sum(axis=1)
+    return [None if k == n else
+            IntegrationError(f"integration failed at step {k + 1}: state not finite", k + 1)
+            for k in finite.tolist()]
 
 
 def _rk4_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float) -> None:
-    """Take n classic fourth-order steps x + dt/6 (a + 2 b + 2 c + d) of
-    model.rhs_nonlinear from row 0 of states into its rows 1..n, and write their
-    stage values model.stage_tanh(D x, model.stage_table(p)) to rows 1..n of
-    stages.  The field and the stage values are inline, with the operands and
-    order of rhs_nonlinear and stage_tanh, so they match those bit for bit; the
-    constants of (p, dt) are computed once per call, and _check_finite checks
-    the last state."""
+    """For each trajectory of states and stages, take n classic fourth-order
+    steps x + dt/6 (a + 2 b + 2 c + d) of model.rhs_nonlinear from its row 0
+    of states into its rows 1..n, and write their stage values
+    model.stage_tanh(D x, model.stage_table(p)) to its rows 1..n of stages.
+    The field and the stage values are inline, with the operands and order of
+    rhs_nonlinear and stage_tanh, so they match those bit for bit; the
+    constants of (p, dt) are computed once per call."""
     n = _steps(states, stages)
     (_, k1, _, _), (_, k2, _, _), (_, k3, _, _), (_, k4, _, _), (_, k5, _, _) = (
         model.stage_table(p))
     _, sc2, sc3, sc4 = _scale(p).tolist()  # D's first entry is 1, so w1 = x1
     w0, g, h, s, tanh = p.omega0, p.feedback_gain, 0.5 * dt, dt / 6.0, math.tanh
-    x1, x2, x3, x4 = states[0].tolist()
     # at most three targets per assignment, as in _dg_run
-    for step in range(1, n + 1):
-        t1, t2, t3 = tanh(x1), tanh(x2), tanh(x3)
-        t4, fb = tanh(x4), tanh(g * x4)
-        a1, a2, a3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
-        a4 = w0 * (-t4 + t3)
-        y1, y2, y3 = x1 + h * a1, x2 + h * a2, x3 + h * a3
-        y4 = x4 + h * a4
-        t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
-        t4, fb = tanh(y4), tanh(g * y4)
-        b1, b2, b3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
-        b4 = w0 * (-t4 + t3)
-        y1, y2, y3 = x1 + h * b1, x2 + h * b2, x3 + h * b3
-        y4 = x4 + h * b4
-        t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
-        t4, fb = tanh(y4), tanh(g * y4)
-        c1, c2, c3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
-        c4 = w0 * (-t4 + t3)
-        y1, y2, y3 = x1 + dt * c1, x2 + dt * c2, x3 + dt * c3
-        y4 = x4 + dt * c4
-        t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
-        t4, fb = tanh(y4), tanh(g * y4)
-        d1, d2, d3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
-        d4 = w0 * (-t4 + t3)
-        x1, x2 = x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1), x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        x3, x4 = x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3), x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-        w4 = sc4 * x4
-        states[step] = x1, x2, x3, x4
-        stages[step] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)),
+    for xs, ts in zip(states, stages):  # one trajectory: its (n + 1, 4) and (n + 1, 5) rows
+        x1, x2, x3, x4 = xs[0].tolist()
+        for step in range(1, n + 1):
+            t1, t2, t3 = tanh(x1), tanh(x2), tanh(x3)
+            t4, fb = tanh(x4), tanh(g * x4)
+            a1, a2, a3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
+            a4 = w0 * (-t4 + t3)
+            y1, y2, y3 = x1 + h * a1, x2 + h * a2, x3 + h * a3
+            y4 = x4 + h * a4
+            t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
+            t4, fb = tanh(y4), tanh(g * y4)
+            b1, b2, b3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
+            b4 = w0 * (-t4 + t3)
+            y1, y2, y3 = x1 + h * b1, x2 + h * b2, x3 + h * b3
+            y4 = x4 + h * b4
+            t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
+            t4, fb = tanh(y4), tanh(g * y4)
+            c1, c2, c3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
+            c4 = w0 * (-t4 + t3)
+            y1, y2, y3 = x1 + dt * c1, x2 + dt * c2, x3 + dt * c3
+            y4 = x4 + dt * c4
+            t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
+            t4, fb = tanh(y4), tanh(g * y4)
+            d1, d2, d3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
+            d4 = w0 * (-t4 + t3)
+            x1, x2 = (x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                      x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
+            x3, x4 = (x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                      x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+            w4 = sc4 * x4
+            xs[step] = x1, x2, x3, x4
+            ts[step] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)),
                         tanh(k4 * w4), tanh(k5 * w4))
-    _check_finite(states)
 
 
 def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float):
-    """Take n discrete-gradient steps of length dt from row 0 of states, w, with
-    its stage values t = model.stage_tanh(w, model.stage_table(p)) in row 0 of
-    stages, into rows 1..n of both: the new states v and their tanh(k_i v_i).
+    """For each trajectory of states and stages, take n discrete-gradient steps
+    of length dt from its row 0 of states, w, with its stage values
+    t = model.stage_tanh(w, model.stage_table(p)) in its row 0 of stages, into
+    its rows 1..n of both: the new states v and their tanh(k_i v_i).  Nothing
+    carries over from one trajectory to the next.
 
     Returns the number of stabilized steps and that of line-search trials, the
-    residual evaluations with quotients.  The constants of (p, dt) are computed
-    once per call, and _check_finite checks the last state.
+    residual evaluations with quotients, of all the trajectories.  The
+    constants of (p, dt) are computed once per call.
 
     A step solves v = w + dt*omega0*Fbar(w, v), Fbar being model.stage_field
     of the stage quotients zbar of the table's rows (rows 4 and 5 along w4):
@@ -200,7 +226,7 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: 
 
     Newton starts at v = w, where every quotient is analytic.  The first
     iteration uses the slopes there, so its iterate is the linearly implicit
-    step, unless the step is not the call's first and the residual norm at w
+    step, unless the step is not its trajectory's first and the residual norm at w
     times max(k_i) exceeds 1: that update may leave the |k b| <= 1 region, and
     a saturated stage's slope at w, near 0, would shoot far past the root.
     The first iteration then uses the slopes that the previous solve last used.
@@ -220,18 +246,16 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: 
     <= z'delta + delta'L delta/2 = dt*omega0*y'Q(g)y - delta'L delta/2 <= 0, as
     the QsWorstCase certificate makes sym(Q(g)) <= 0 within the bounds.
     """
-    n = _steps(states, stages)
+    n = _steps(states, stages, p.omega0, dt)
     (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
         model.stage_table(p))
     ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
     ctol = _CHORD_TOL
     sub, hf, dcut, kmax = -ho * d, ho * fc, _DERIVATIVE_CUTOFF, max(k1, k2, k3, k4, k5)
-    km = 0.0  # kmax from the second step on: the first solve has no slopes to borrow
     iterations, line_search, chord = range(_NEWTON_MAX_ITER), _LINE_SEARCH, _LINE_SEARCH[:1]
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
     cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
     glo, ghi = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
-    (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = states[0].tolist(), stages[0].tolist()
     stabilized, trials = 0, 0
     # The loops below keep three rules, as CPython 3.11 runs them.  An
     # assignment has at most three targets: four or more build and unpack a
@@ -240,173 +264,173 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: 
     # does, keeps a NaN first term and skips a NaN later one.  Constants are
     # read into locals before the loop.  Each float operation keeps the
     # operands and order it had with abs(), so no result changes by a bit.
-    for step in range(1, n + 1):
-        y1, y2, y3 = g1 * t1, g2 * t2, g3 * t3
-        y4, y5 = g4 * t4, g5 * t5
-        # m_i = max(1, |w_i|), the coincidence cutoffs cut_i and nc_i = -cut_i
-        m1 = w1 if w1 > 1.0 else -w1 if -w1 > 1.0 else 1.0
-        m2 = w2 if w2 > 1.0 else -w2 if -w2 > 1.0 else 1.0
-        m3 = w3 if w3 > 1.0 else -w3 if -w3 > 1.0 else 1.0
-        m4 = w4 if w4 > 1.0 else -w4 if -w4 > 1.0 else 1.0
-        cut1, cut2, cut3 = cut * m1, cut * m2, cut * m3
-        cut4, nc1, nc2 = cut * m4, -cut1, -cut2
-        nc3, nc4 = -cut3, -cut4
-        # the iterate v, h = v - w, its quotients z, residual r and norm
-        v1, v2, v3 = w1, w2, w3
-        v4, h1, h2 = w4, 0.0, 0.0
-        h3, h4 = 0.0, 0.0
-        z1, z2, z3 = y1, y2, y3
-        z4, z5 = y4, y5
-        r1, r2 = 0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2)
-        r3, r4 = 0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5)
-        rnorm = -r1 if r1 < 0.0 else r1
-        rnorm = r2 if r2 > rnorm else -r2 if -r2 > rnorm else rnorm
-        rnorm = r3 if r3 > rnorm else -r3 if -r3 > rnorm else rnorm
-        rnorm = r4 if r4 > rnorm else -r4 if -r4 > rnorm else rnorm
-        # the quotient slopes at v = w, where h = 0 takes the analytic form,
-        # unless the first update may leave |k b| <= 1: then those that the
-        # previous solve last used, still in e1..e5
-        stale, km, search = rnorm * km > 1.0, kmax, line_search  # stale: not from the iterate
-        if not stale:
-            e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
-            e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
-        for _ in (() if rnorm <= tol else iterations):  # none if v = w solves
-            j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
-            j21, j32, j43 = sub * e1, sub * e2, sub * e3
-            p1 = -r1 / j11
-            q1 = hf * e4 / j11
-            p2 = (-r2 - j21 * p1) / j22
-            q2 = -j21 * q1 / j22
-            p3 = (-r3 - j32 * p2) / j33
-            q3 = -j32 * q2 / j33
-            n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
-            n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
-            for lam in search:
-                trials += 1
-                x1, x2, x3 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3
-                x4 = v4 + lam * n4
-                b1, b2, b3 = x1 - w1, x2 - w2, x3 - w3
-                b4 = x4 - w4
-                # a quotient S log_cosh_diff(k w, q, tanh(k w)) / b with q = k b
-                f1 = y1 if nc1 < b1 < cut1 else s1 * (
-                    log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t1)
-                    if -1.0 <= (q := k1 * b1) <= 1.0 else lcd(k1 * w1, q, t1)) / b1
-                f2 = y2 if nc2 < b2 < cut2 else s2 * (
-                    log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t2)
-                    if -1.0 <= (q := k2 * b2) <= 1.0 else lcd(k2 * w2, q, t2)) / b2
-                f3 = y3 if nc3 < b3 < cut3 else s3 * (
-                    log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t3)
-                    if -1.0 <= (q := k3 * b3) <= 1.0 else lcd(k3 * w3, q, t3)) / b3
-                if nc4 < b4 < cut4:
-                    f4, f5 = y4, y5
-                else:
-                    f4 = s4 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t4)
-                               if -1.0 <= (q := k4 * b4) <= 1.0 else lcd(k4 * w4, q, t4)) / b4
-                    f5 = s5 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t5)
-                               if -1.0 <= (q := k5 * b4) <= 1.0 else lcd(k5 * w4, q, t5)) / b4
-                o1, o2 = b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2)
-                o3, o4 = b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5)
-                cnorm = -o1 if o1 < 0.0 else o1
-                cnorm = o2 if o2 > cnorm else -o2 if -o2 > cnorm else cnorm
-                cnorm = o3 if o3 > cnorm else -o3 if -o3 > cnorm else cnorm
-                cnorm = o4 if o4 > cnorm else -o4 if -o4 > cnorm else cnorm
-                if cnorm < rnorm:
-                    v1, v2, v3 = x1, x2, x3
-                    v4, h1, h2 = x4, b1, b2
-                    h3, h4, rnorm = b3, b4, cnorm
-                    z1, z2, z3 = f1, f2, f3
-                    z4, z5, r1 = f4, f5, o1
-                    r2, r3, r4 = o2, o3, o4
-                    stale = cnorm <= ctol  # the next iteration is a chord step
+    for ws, ts in zip(states, stages):  # one trajectory: its (n + 1, 4) and (n + 1, 5) rows
+        (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = ws[0].tolist(), ts[0].tolist()
+        km = 0.0  # kmax from the second step on: the first solve has no slopes to borrow
+        for step in range(1, n + 1):
+            y1, y2, y3 = g1 * t1, g2 * t2, g3 * t3
+            y4, y5 = g4 * t4, g5 * t5
+            # m_i = max(1, |w_i|), the coincidence cutoffs cut_i and nc_i = -cut_i
+            m1 = w1 if w1 > 1.0 else -w1 if -w1 > 1.0 else 1.0
+            m2 = w2 if w2 > 1.0 else -w2 if -w2 > 1.0 else 1.0
+            m3 = w3 if w3 > 1.0 else -w3 if -w3 > 1.0 else 1.0
+            m4 = w4 if w4 > 1.0 else -w4 if -w4 > 1.0 else 1.0
+            cut1, cut2, cut3 = cut * m1, cut * m2, cut * m3
+            cut4, nc1, nc2 = cut * m4, -cut1, -cut2
+            nc3, nc4 = -cut3, -cut4
+            # the iterate v, h = v - w, its quotients z, residual r and norm
+            v1, v2, v3 = w1, w2, w3
+            v4, h1, h2 = w4, 0.0, 0.0
+            h3, h4 = 0.0, 0.0
+            z1, z2, z3 = y1, y2, y3
+            z4, z5 = y4, y5
+            r1, r2 = 0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2)
+            r3, r4 = 0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5)
+            rnorm = -r1 if r1 < 0.0 else r1
+            rnorm = r2 if r2 > rnorm else -r2 if -r2 > rnorm else rnorm
+            rnorm = r3 if r3 > rnorm else -r3 if -r3 > rnorm else rnorm
+            rnorm = r4 if r4 > rnorm else -r4 if -r4 > rnorm else rnorm
+            # the quotient slopes at v = w, where h = 0 takes the analytic form,
+            # unless the first update may leave |k b| <= 1: then those that the
+            # previous solve last used, still in e1..e5
+            stale, km, search = rnorm * km > 1.0, kmax, line_search  # stale: not from the iterate
+            if not stale:
+                e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
+                e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
+            for _ in (() if rnorm <= tol else iterations):  # none if v = w solves
+                j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
+                j21, j32, j43 = sub * e1, sub * e2, sub * e3
+                p1 = -r1 / j11
+                q1 = hf * e4 / j11
+                p2 = (-r2 - j21 * p1) / j22
+                q2 = -j21 * q1 / j22
+                p3 = (-r3 - j32 * p2) / j33
+                q3 = -j32 * q2 / j33
+                n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
+                n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
+                for lam in search:
+                    trials += 1
+                    x1, x2, x3 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3
+                    x4 = v4 + lam * n4
+                    b1, b2, b3 = x1 - w1, x2 - w2, x3 - w3
+                    b4 = x4 - w4
+                    # a quotient S log_cosh_diff(k w, q, tanh(k w)) / b with q = k b
+                    f1 = y1 if nc1 < b1 < cut1 else s1 * (
+                        log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t1)
+                        if -1.0 <= (q := k1 * b1) <= 1.0 else lcd(k1 * w1, q, t1)) / b1
+                    f2 = y2 if nc2 < b2 < cut2 else s2 * (
+                        log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t2)
+                        if -1.0 <= (q := k2 * b2) <= 1.0 else lcd(k2 * w2, q, t2)) / b2
+                    f3 = y3 if nc3 < b3 < cut3 else s3 * (
+                        log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t3)
+                        if -1.0 <= (q := k3 * b3) <= 1.0 else lcd(k3 * w3, q, t3)) / b3
+                    if nc4 < b4 < cut4:
+                        f4, f5 = y4, y5
+                    else:
+                        f4 = s4 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t4)
+                                   if -1.0 <= (q := k4 * b4) <= 1.0 else lcd(k4 * w4, q, t4)) / b4
+                        f5 = s5 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t5)
+                                   if -1.0 <= (q := k5 * b4) <= 1.0 else lcd(k5 * w4, q, t5)) / b4
+                    o1, o2 = b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2)
+                    o3, o4 = b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5)
+                    cnorm = -o1 if o1 < 0.0 else o1
+                    cnorm = o2 if o2 > cnorm else -o2 if -o2 > cnorm else cnorm
+                    cnorm = o3 if o3 > cnorm else -o3 if -o3 > cnorm else cnorm
+                    cnorm = o4 if o4 > cnorm else -o4 if -o4 > cnorm else cnorm
+                    if cnorm < rnorm:
+                        v1, v2, v3 = x1, x2, x3
+                        v4, h1, h2 = x4, b1, b2
+                        h3, h4, rnorm = b3, b4, cnorm
+                        z1, z2, z3 = f1, f2, f3
+                        z4, z5, r1 = f4, f5, o1
+                        r2, r3, r4 = o2, o3, o4
+                        stale = cnorm <= ctol  # the next iteration is a chord step
+                        break
+                else:  # the line search stalled
+                    if not stale:
+                        break  # the solve gives up
+                    stale = False  # retry from the slopes at the iterate
+                if rnorm <= tol:
                     break
-            else:  # the line search stalled
-                if not stale:
-                    break  # the solve gives up
-                stale = False  # retry from the slopes at the iterate
-            if rnorm <= tol:
-                break
-            if stale:  # a chord step, which takes the full update or none
-                search = chord
-                continue
-            search = line_search
-            # the quotient slopes at the iterate u = w + h, from its tanh,
-            # analytic within dcut * max(m_i, |u_i|), so at u = w those at w
-            u1, u2, u3 = w1 + h1, w2 + h2, w3 + h3
-            u4 = w4 + h4
-            th1, th2, th3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
-            th4, th5 = tanh(k4 * u4), tanh(k5 * u4)
-            dc = dcut * (u1 if u1 > m1 else -u1 if -u1 > m1 else m1)
-            if -dc < h1 < dc:
-                e1 = c1 * (1.0 - th1 * th1)
-            else:
-                e1 = (g1 * th1 - z1) / h1
-                e1 = e1 if e1 > 0.0 else 0.0
-            dc = dcut * (u2 if u2 > m2 else -u2 if -u2 > m2 else m2)
-            if -dc < h2 < dc:
-                e2 = c2 * (1.0 - th2 * th2)
-            else:
-                e2 = (g2 * th2 - z2) / h2
-                e2 = e2 if e2 > 0.0 else 0.0
-            dc = dcut * (u3 if u3 > m3 else -u3 if -u3 > m3 else m3)
-            if -dc < h3 < dc:
-                e3 = c3 * (1.0 - th3 * th3)
-            else:
-                e3 = (g3 * th3 - z3) / h3
-                e3 = e3 if e3 > 0.0 else 0.0
-            dc = dcut * (u4 if u4 > m4 else -u4 if -u4 > m4 else m4)
-            if -dc < h4 < dc:
-                e4, e5 = c4 * (1.0 - th4 * th4), c5 * (1.0 - th5 * th5)
-            else:
-                e4, e5 = (g4 * th4 - z4) / h4, (g5 * th5 - z5) / h4
-                e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
-        if not rnorm <= tol:  # gave up (NaN included): the stabilized step from w
-            g = y5 / y4 if y4 else g0
-            g = glo if g < glo else ghi if g > ghi else g
-            j11, j22, j33 = 1.0 + ho * cb1, 1.0 + ho * cb2, 1.0 + ho * cb3
-            j21, j32, j43 = sub * cb1, sub * cb2, sub * cb3
-            p1 = ho * (-y1 - fc * y4) / j11
-            q1 = hf * cb4 / j11
-            p2 = (ho * (d * y1 - y2) - j21 * p1) / j22
-            q2 = -j21 * q1 / j22
-            p3 = (ho * (d * y2 - y3) - j32 * p2) / j33
-            q3 = -j32 * q2 / j33
-            n4 = (ho * (d * y3 - g * y4) - j43 * p3) / (1.0 + ho * (g * cb4) - j43 * q3)
-            v1, v2, v3 = w1 + (p1 - q1 * n4), w2 + (p2 - q2 * n4), w3 + (p3 - q3 * n4)
-            v4 = w4 + n4
-            stabilized += 1
-        w1, w2, w3 = v1, v2, v3
-        w4 = v4
-        t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
-        t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
-        states[step] = w1, w2, w3, w4
-        stages[step] = t1, t2, t3, t4, t5
-    _check_finite(states)
+                if stale:  # a chord step, which takes the full update or none
+                    search = chord
+                    continue
+                search = line_search
+                # the quotient slopes at the iterate u = w + h, from its tanh,
+                # analytic within dcut * max(m_i, |u_i|), so at u = w those at w
+                u1, u2, u3 = w1 + h1, w2 + h2, w3 + h3
+                u4 = w4 + h4
+                th1, th2, th3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
+                th4, th5 = tanh(k4 * u4), tanh(k5 * u4)
+                dc = dcut * (u1 if u1 > m1 else -u1 if -u1 > m1 else m1)
+                if -dc < h1 < dc:
+                    e1 = c1 * (1.0 - th1 * th1)
+                else:
+                    e1 = (g1 * th1 - z1) / h1
+                    e1 = e1 if e1 > 0.0 else 0.0
+                dc = dcut * (u2 if u2 > m2 else -u2 if -u2 > m2 else m2)
+                if -dc < h2 < dc:
+                    e2 = c2 * (1.0 - th2 * th2)
+                else:
+                    e2 = (g2 * th2 - z2) / h2
+                    e2 = e2 if e2 > 0.0 else 0.0
+                dc = dcut * (u3 if u3 > m3 else -u3 if -u3 > m3 else m3)
+                if -dc < h3 < dc:
+                    e3 = c3 * (1.0 - th3 * th3)
+                else:
+                    e3 = (g3 * th3 - z3) / h3
+                    e3 = e3 if e3 > 0.0 else 0.0
+                dc = dcut * (u4 if u4 > m4 else -u4 if -u4 > m4 else m4)
+                if -dc < h4 < dc:
+                    e4, e5 = c4 * (1.0 - th4 * th4), c5 * (1.0 - th5 * th5)
+                else:
+                    e4, e5 = (g4 * th4 - z4) / h4, (g5 * th5 - z5) / h4
+                    e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
+            if not rnorm <= tol:  # gave up (NaN included): the stabilized step from w
+                g = y5 / y4 if y4 else g0
+                g = glo if g < glo else ghi if g > ghi else g
+                j11, j22, j33 = 1.0 + ho * cb1, 1.0 + ho * cb2, 1.0 + ho * cb3
+                j21, j32, j43 = sub * cb1, sub * cb2, sub * cb3
+                p1 = ho * (-y1 - fc * y4) / j11
+                q1 = hf * cb4 / j11
+                p2 = (ho * (d * y1 - y2) - j21 * p1) / j22
+                q2 = -j21 * q1 / j22
+                p3 = (ho * (d * y2 - y3) - j32 * p2) / j33
+                q3 = -j32 * q2 / j33
+                n4 = (ho * (d * y3 - g * y4) - j43 * p3) / (1.0 + ho * (g * cb4) - j43 * q3)
+                v1, v2, v3 = w1 + (p1 - q1 * n4), w2 + (p2 - q2 * n4), w3 + (p3 - q3 * n4)
+                v4 = w4 + n4
+                stabilized += 1
+            w1, w2, w3 = v1, v2, v3
+            w4 = v4
+            t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
+            t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
+            ws[step] = w1, w2, w3, w4
+            ts[step] = t1, t2, t3, t4, t5
     return stabilized, trials
 
 
 def _rk4_run_native(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float) -> None:
     """_rk4_run_python, run by rk4_run of _kernels.c."""
-    n = _steps(states, stages)
-    native.lib.rk4_run(native.constants(p).ctypes.data, dt, n, states.ctypes.data,
-                       stages.ctypes.data)
-    _check_finite(states)
+    n, double = _steps(states, stages), ctypes.c_double.from_buffer  # from_buffer: a cheap pointer
+    native.lib.rk4_run(native.constants(p), dt, len(states), n, double(states), double(stages))
 
 
 def _dg_run_native(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float):
     """_dg_run_python, run by dg_run of _kernels.c with this module's solver
     constants as they stand at the call."""
-    n, work, search = _steps(states, stages), (ctypes.c_long * 2)(), _LINE_SEARCH
-    if native.lib.dg_run(native.constants(p).ctypes.data, dt, n, _NEWTON_MAX_ITER, _NEWTON_TOL,
+    n, double, work = _steps(states, stages, p.omega0, dt), ctypes.c_double.from_buffer, (
+        ctypes.c_long * 2)()
+    if native.lib.dg_run(native.constants(p), dt, len(states), n, _NEWTON_MAX_ITER, _NEWTON_TOL,
                          _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
-                         (ctypes.c_double * len(search))(*search), len(search),
-                         lyapunov._LN2, states.ctypes.data, stages.ctypes.data, work):
+                         native.doubles(_LINE_SEARCH), len(_LINE_SEARCH), lyapunov._LN2,
+                         double(states), double(stages), work):
         raise ZeroDivisionError("float division by zero")  # where _dg_run_python raises it
-    _check_finite(states)
     return work[0], work[1]
 
 
-# The kernels simulate runs: those of _kernels.c if native loaded them, else
-# the Python ones, which give the same bits.
+# The kernels simulate_batch runs: those of _kernels.c if native loaded them,
+# else the Python ones, which give the same bits.
 _dg_run, _rk4_run = ((_dg_run_python, _rk4_run_python) if native.lib is None
                      else (_dg_run_native, _rk4_run_native))
 
@@ -418,53 +442,69 @@ def _scale(p: FilterParams) -> np.ndarray:
     return model.scaling_matrix(p.d).diagonal()
 
 
-def _start(x: np.ndarray, p: FilterParams, n: int, rk4: bool):
-    """The (n + 1, 4) and (n + 1, 5) arrays of a kernel call of n steps from x,
-    row 0 x (RK4) or w = D x (DG) and the stage values at w; and w."""
-    w = [s * u for s, u in zip(_scale(p).tolist(), x.tolist())]  # in floats: no overflow warning
-    states, stages = np.empty((n + 1, 4)), np.empty((n + 1, 5))
-    states[0], stages[0] = x if rk4 else w, model.stage_tanh(w, model.stage_table(p))
-    return states, stages, w
+def _start(xs: np.ndarray, p: FilterParams, n: int, rk4: bool):
+    """The (N, n + 1, 4) and (N, n + 1, 5) arrays of a kernel call of n steps
+    from each of the N rows x of xs: row 0 x (RK4) or w = D x (DG), and the
+    stage values at w."""
+    scale, table = _scale(p).tolist(), model.stage_table(p)
+    ws = [[s * u for s, u in zip(scale, x)] for x in xs.tolist()]  # in floats: no overflow warning
+    states, stages = np.empty((len(ws), n + 1, 4)), np.empty((len(ws), n + 1, 5))
+    states[:, 0], stages[:, 0] = xs if rk4 else ws, [model.stage_tanh(w, table) for w in ws]
+    return states, stages
+
+
+def _step(x, p: FilterParams, dt: float, rk4: bool) -> np.ndarray:
+    """The state after one kernel step of length dt from the state x, x for
+    RK4 and w = D x for DG; the step's IntegrationError if it is not finite."""
+    states, stages = _start(_finite_state(x, "x")[None], p, 1, rk4)
+    (_rk4_run if rk4 else _dg_run)(states, stages, p, dt)
+    (error,) = _failures(states)
+    if error:
+        raise error
+    return states[0, 1]
 
 
 def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     """Classic fourth-order one-step update of rhs_nonlinear, taken as
     simulate takes it."""
     StepConfig(dt)  # validates dt
-    states, stages, _ = _start(_finite_state(x, "x"), p, 1, rk4=True)
-    _rk4_run(states, stages, p, dt)
-    return states[1]
+    return _step(x, p, dt, rk4=True)
 
 
 def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     """One implicit discrete-gradient step of length cfg.dt from state x,
     taken as simulate takes it: a failed Newton solve takes the stabilized step."""
-    states, stages, _ = _start(_finite_state(x, "x"), p, 1, rk4=False)
-    _dg_run(states, stages, p, cfg.dt)
-    return states[1] / _scale(p)
+    return _step(x, p, cfg.dt, rk4=False) / _scale(p)
 
 
-def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
-    """Integrate n_steps steps from x0 and record (t, x, V), with Vdot on first read.
+def simulate_batch(x0s, p: FilterParams, cfg: StepConfig, n_steps: int):
+    """Integrate n_steps steps from each row of x0s, an (N, 4) array, in one
+    kernel call, and return the (N, n_steps + 1, 4) states in x coordinates,
+    their (N, n_steps + 1) energies V and (N, n_steps + 1, 5) stage values,
+    and for each trajectory None or the IntegrationError naming its first step
+    that is not finite (its rows from there on are not finite).
 
-    ValueError names dt if the last time dt * n_steps overflows, and x0 unless
-    it is finite with a finite energy V(D x0).
+    ValueError names dt if the last time dt * n_steps overflows, or if
+    |omega0 * dt| is more than MAX_DG_OMEGA0_DT for the discrete-gradient
+    method, and x0 unless each row is finite with a finite energy V(D x0).
     One _rk4_run or _dg_run call writes the states (x for RK4, w for discrete
-    gradient) and their stage values to the arrays of _start, whose rows the
-    Trajectory keeps; its IntegrationError names the first step that is not
-    finite.  lyapunov.energy_column then evaluates V, the saturation energy
-    with d = max(1, alpha), of all w rows at once; DG states become x = D^-1 w
-    in one in-place division, which rounds as a float division does.
+    gradient) and their stage values to the arrays of _start.  One
+    lyapunov.energy_column call then evaluates V, the saturation energy with
+    d = max(1, alpha), of all w rows at once; DG states become x = D^-1 w in
+    one in-place division, which rounds as a float division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if cfg.dt * n_steps == math.inf:  # the last recorded time
         raise ValueError(f"dt * n_steps must be finite, got dt = {cfg.dt!r} and n_steps = {n_steps}")
-    x0, rk4 = _finite_state(x0, "x0"), cfg.method is Method.RK4
-    states, stages, w = _start(x0, p, n_steps, rk4)
-    if not math.isfinite(lyapunov.energy_column(w, p)[0]):
-        raise ValueError(f"x0 must have a finite energy V(D x0), got {x0.tolist()}")
+    x0s, rk4 = np.asarray(x0s, dtype=float), cfg.method is Method.RK4
+    if x0s.ndim != 2 or x0s.shape[1] != 4 or not len(x0s):
+        raise ValueError(f"x0s must be an (N, 4) array with N >= 1, got shape {x0s.shape}")
+    if not np.isfinite(x0s).all():
+        bad = np.isfinite(x0s).all(axis=1).argmin()
+        raise ValueError(f"x0 must be finite, got {x0s[bad].tolist()}")
+    states, stages = _start(x0s, p, n_steps, rk4)
     if rk4:
         _rk4_run(states, stages, p, cfg.dt)
         with np.errstate(over="ignore"):
@@ -473,5 +513,20 @@ def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
         _dg_run(states, stages, p, cfg.dt)
         energy = lyapunov.energy_column(states, p)
         states /= _scale(p)
-    return Trajectory(times=np.arange(n_steps + 1, dtype=float) * cfg.dt, states=states,
-                      V=energy, stages=stages, p=p)
+    energy = np.asarray(energy).reshape(states.shape[:2])
+    if not np.isfinite(energy[:, 0]).all():
+        bad = np.isfinite(energy[:, 0]).argmin()
+        raise ValueError(f"x0 must have a finite energy V(D x0), got {x0s[bad].tolist()}")
+    return states, energy, stages, _failures(states)
+
+
+def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:
+    """Integrate n_steps steps from x0 and record (t, x, V), with Vdot on first
+    read: simulate_batch of the one row x0, whose IntegrationError it raises.
+    ValueError also names x0 unless it is a finite 4-vector."""
+    states, energy, stages, (error,) = simulate_batch(_finite_state(x0, "x0")[None], p, cfg,
+                                                      n_steps)
+    if error:
+        raise error
+    return Trajectory(times=np.arange(energy.shape[1], dtype=float) * cfg.dt, states=states[0],
+                      V=energy[0], stages=stages[0], p=p)

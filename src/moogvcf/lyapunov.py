@@ -128,7 +128,7 @@ def _energy_column_native(ws, p: FilterParams) -> np.ndarray:
     """_energy_column_python, run by energy_column of _kernels.c."""
     ws = np.ascontiguousarray(ws, dtype=float).reshape(-1, 4)
     energy = np.empty(len(ws))
-    native.lib.energy_column(native.constants(p).ctypes.data, ws.ctypes.data, len(ws), _LN2,
+    native.lib.energy_column(native.constants(p), ws.ctypes.data, len(ws), _LN2,
                              energy.ctypes.data)
     return energy
 

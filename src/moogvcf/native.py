@@ -2,16 +2,16 @@
 
 _kernels.c transcribes integrators._dg_run_python, integrators._rk4_run_python
 and lyapunov._energy_column_python statement by statement, so both kernels
-give the same bits, on the rows of the same caller-owned numpy arrays, passed
-to C as ndarray.ctypes.data.  On first import it is compiled with the system C
-compiler (the CC environment variable, else sysconfig's CC) and the flags of
-FLAGS: -ffp-contract=off keeps multiplies and adds from fusing into FMAs,
-which round once instead of twice.  The library is cached in
-$XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf), under a name keyed by the sha256
-of the source, the compiler, the flags and the platform, and loaded through
-ctypes; a cache miss deletes the libraries of every other key.  The cache
-directory must belong to the user and be writable by no one else, since a
-library planted there would run as the user.
+give the same bits, on the rows of the same caller-owned numpy arrays.  On
+first import it is compiled with the system C compiler (the CC environment
+variable, else sysconfig's CC) and the flags of FLAGS: -ffp-contract=off
+keeps multiplies and adds from fusing into FMAs, which round once instead of
+twice.  The library is cached in $XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf),
+under a name keyed by the sha256 of the source, the compiler, the flags and
+the platform, and loaded through ctypes; a cache miss deletes the libraries
+of every other key.  The cache directory must belong to the user and be
+writable by no one else, since a library planted there would run as the
+user.
 
 Any failure (no compiler, a compile error or timeout, a cache directory that
 fails its check, a library that does not load) leaves lib None, and the
@@ -22,6 +22,7 @@ time on a cache miss and the reason for a fallback.
 
 import contextlib
 import ctypes
+import functools
 import logging
 import os
 import shlex
@@ -50,13 +51,18 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
 COMPILE_TIMEOUT = 120.0  # seconds
 
 _log = logging.getLogger("moogvcf")
-# Every array argument is the address of a C-ordered array of C doubles or longs.
-_ptr, _double, _long = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
+# The constants, line search, states and stage values are passed as ctypes
+# doubles (c_double.from_buffer of a C-ordered float64 array, or a ctypes
+# array), whose address ctypes takes without the 1.5-2.5 us of an
+# ndarray.ctypes.data read; the energy rows, which may be read-only, by address.
+_doubles, _ptr = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+_double, _long = ctypes.c_double, ctypes.c_long
 _SIGNATURES = {
-    "dg_run": (ctypes.c_int, [_ptr, _double, _long, _long, _double, _double, _double, _double,
-                              _ptr, _long, _double, _ptr, _ptr, _ptr]),
-    "rk4_run": (None, [_ptr, _double, _long, _ptr, _ptr]),
-    "energy_column": (None, [_ptr, _ptr, _long, _double, _ptr]),
+    "dg_run": (ctypes.c_int, [_doubles, _double, _long, _long, _long, _double, _double, _double,
+                              _double, _doubles, _long, _double, _doubles, _doubles,
+                              ctypes.POINTER(_long)]),
+    "rk4_run": (None, [_doubles, _double, _long, _long, _doubles, _doubles]),
+    "energy_column": (None, [_doubles, _ptr, _long, _double, _ptr]),
 }
 
 
@@ -126,14 +132,22 @@ def load() -> ctypes.CDLL:
 
 
 @model.per_params
-def constants(p: model.FilterParams) -> np.ndarray:
-    """The per-parameter constants of _kernels.c: the stage table's rows, d,
-    feedback_coeff, the feedback-ratio bounds (1, 1 at r = 0), omega0,
-    feedback_gain and the diagonal of model.scaling_matrix."""
+def constants(p: model.FilterParams) -> ctypes.Array:
+    """The per-parameter constants of _kernels.c, as a ctypes array of
+    doubles: the stage table's rows, d, feedback_coeff, the feedback-ratio
+    bounds (1, 1 at r = 0), omega0, feedback_gain and the diagonal of
+    model.scaling_matrix."""
     bounds = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
-    return np.concatenate((np.ravel(model.stage_table(p)),
-                           [p.d, p.feedback_coeff, *bounds, p.omega0, p.feedback_gain],
-                           model.scaling_matrix(p.d).diagonal()))
+    values = (*np.ravel(model.stage_table(p)).tolist(), p.d, p.feedback_coeff, *bounds,
+              p.omega0, p.feedback_gain, *model.scaling_matrix(p.d).diagonal().tolist())
+    return (_double * len(values))(*values)
+
+
+@functools.lru_cache(maxsize=16)
+def doubles(values: tuple) -> ctypes.Array:
+    """The floats of the tuple values as a ctypes array of doubles, made once
+    per tuple (integrators' line search); the kernels only read it."""
+    return (_double * len(values))(*values)
 
 
 try:

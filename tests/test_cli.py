@@ -334,14 +334,30 @@ def test_simulate_integrator_failure_exit_code(capsys, monkeypatch, python_kerne
         assert "state not finite" in err
 
 
-def test_simulate_non_finite_state_exit_code(capsys, kernels):
-    # omega0*dt = inf: the first discrete-gradient step is not finite, on
-    # either kernel, with no value injected
-    code, out, err = run(capsys, "simulate", "--omega0", "1e300", "--r", "0.5", "--x0", "1,2,3,4",
-                         "--dt", "1e300", "--steps", "3")
-    assert code == 3
+@pytest.mark.parametrize("dt", ["1e8", "1e300"])
+def test_simulate_dg_step_above_the_limit_exit_code(capsys, kernels, dt):
+    # omega0*dt = 1e308 or inf, whose discrete-gradient steps would not be
+    # finite: rejected under dt before the kernel runs, on either kernel
+    code, out, err = run(capsys, "simulate", "--omega0", "1e300", "--r", "0.5", "--x0",
+                         "1,-2,0.5,3", "--dt", dt, "--steps", "3")
+    assert code == 2
     assert out == ""
-    assert "integration failed at step 1: state not finite" in err
+    assert err.startswith(f"error: dt = {float(dt)!r} at omega0 = 1e+300 makes |omega0 * dt| ")
+
+
+def test_sweep_rejects_dg_step_above_the_limit(tmp_path, capsys, monkeypatch):
+    # dt times the largest omega0 above integrators.MAX_DG_OMEGA0_DT: the
+    # spec is rejected under dt before any certification; RK4 has no limit
+    monkeypatch.setattr(lyapunov, "certify", None)
+    spec = tmp_path / "spec.json"
+    fields = {"r": [0.5], "omega0": [1.0, 1e300], "families": ["As"], "seed": 1,
+              "samples_per_point": 1, "dt": 1e7, "n_steps": 3}
+    spec.write_text(json.dumps(fields))
+    code, out, err = run(capsys, "sweep", "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dt: omega0 * dt must be at most 1e+306")
+    assert experiments.SweepSpec.from_dict({**fields, "method": "rk4"}).dt == 1e7
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

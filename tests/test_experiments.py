@@ -79,6 +79,7 @@ def test_spec_from_dict_minimal():
     ({"dt": 10 ** 400}, "dt"),  # JSON integers beyond the float range
     ({"omega0": [10 ** 400]}, "omega0[0]"),
     ({"r": [10 ** 400]}, "r[0]"),
+    ({"omega0": [1.0, 1e300], "dt": 1.01e6}, "dt"),  # omega0 * dt above MAX_DG_OMEGA0_DT
 ])
 def test_spec_validation_paths(patch, path):
     data = {"r": [0.5], "omega0": [1], "families": ["As"],

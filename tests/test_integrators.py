@@ -280,11 +280,11 @@ def _bits(values):
 
 
 def _dg_rows(w, p, dt, n_steps):
-    """_dg_run's state and stage-value arrays, row 0 w and its stage values,
-    and its (stabilized steps, trials) over n_steps."""
-    states, stages = np.empty((n_steps + 1, 4)), np.empty((n_steps + 1, 5))
-    states[0], stages[0] = w, model.stage_tanh(w, model.stage_table(p))
-    return (states, stages, *integrators._dg_run(states, stages, p, dt))
+    """The state and stage-value rows of a _dg_run call on one trajectory, row
+    0 w and its stage values, and its (stabilized steps, trials) over n_steps."""
+    states, stages = np.empty((1, n_steps + 1, 4)), np.empty((1, n_steps + 1, 5))
+    states[0, 0], stages[0, 0] = w, model.stage_tanh(w, model.stage_table(p))
+    return (states[0], stages[0], *integrators._dg_run(states, stages, p, dt))
 
 
 def _kernel(w, p, dt):
@@ -693,7 +693,7 @@ def test_rk4_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x
     columns, flat = _ref_rk4_trajectory(x0, p, dt, n_steps)
     traj = simulate(np.array(x0), p, StepConfig(dt=dt, method=Method.RK4), n_steps)
     assert _columns(traj) == columns
-    states, stages, _ = integrators._start(np.array(x0), p, n_steps, rk4=True)
+    states, stages = integrators._start(np.array([x0]), p, n_steps, rk4=True)
     integrators._rk4_run(states, stages, p, dt)
     assert _bits([*states.ravel(), *stages.ravel()]) == flat
 
@@ -892,9 +892,9 @@ def test_discrete_gradient_time_reversal(r, bound, dt_omega, n_steps, data):
         if stabilized and rnorm > tol:  # a stabilized step
             continue
         try:
-            back, back_stages = np.array([v, v]), np.array([t, t])
+            back, back_stages = np.array([[v, v]]), np.array([[t, t]])
             back_stabilized, _ = integrators._dg_run(back, back_stages, p, -dt_omega)
-            u = back[1].tolist()
+            u = back[0, 1].tolist()
         except ZeroDivisionError:  # with -dt, a Newton or stabilized pivot 1 - dt*omega0*e_i
             assert q > 0.5  # can be 0 only beyond the contraction range
             continue
@@ -1135,3 +1135,30 @@ def test_stress_matrix_dissipation_sample():
                 x0 = np.array([stream.uniform(-5, 5) for _ in range(4)])
                 traj = simulate(x0, p, cfg, 50)
                 assert np.diff(traj.V).max() <= 10.0 * integrators._NEWTON_TOL
+
+
+@given(
+    r=property_resonances,
+    omega0=st.sampled_from([1.0, 1e300]),
+    log_omega_dt=st.floats(min_value=0.0, max_value=306.0) | st.just(306.0),
+    x0=st.lists(amplitude | st.sampled_from([1e100, -1e300]), min_size=4, max_size=4),
+    n_steps=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_dg_steps_up_to_the_limit_are_finite_and_dissipative(r, omega0, log_omega_dt, x0,
+                                                            n_steps):
+    # omega0*dt up to MAX_DG_OMEGA0_DT: finite states, and V rises by at most
+    # 1e-10 (relative to max(1, V)) in any step; just above it, or at an
+    # omega0*dt that overflows, simulate and step_discrete_gradient raise
+    # ValueError naming dt before any step
+    p, limit = make_params(omega0, r), integrators.MAX_DG_OMEGA0_DT
+    cfg = StepConfig(dt=min(10.0 ** log_omega_dt, limit) / omega0)
+    traj = simulate(x0, p, cfg, n_steps)
+    assert np.isfinite(traj.states).all()
+    assert (np.diff(traj.V) / np.maximum(1.0, np.abs(traj.V[:-1]))).max() <= 1e-10
+    for above in (1.0000001 * limit, 1e308, math.inf):
+        cfg = StepConfig(dt=min(above / omega0, sys.float_info.max))
+        with pytest.raises(ValueError, match="^dt = .* discrete-gradient limit"):
+            simulate(x0, p, cfg, 1)
+        with pytest.raises(ValueError, match="^dt = .* discrete-gradient limit"):
+            step_discrete_gradient(x0, p, cfg)
