@@ -1,7 +1,13 @@
 /* C transcriptions of the three per-state loops: integrators._dg_run_python,
  * integrators._rk4_run_python and lyapunov._energy_column_python.  The two
  * integrators run a batch of independent trajectories in one call, each from
- * its own row 0, with nothing carried from one to the next.
+ * its own row 0, with nothing carried from one to the next, through one
+ * driver (run_batch) that spreads the trajectories over threads: as many as
+ * the batch has trajectories and the process's affinity mask has CPUs, the
+ * calling thread among them.  Each thread takes the next trajectory from an
+ * atomic counter and runs it alone, and new threads inherit the caller's
+ * floating-point environment, so every row and the summed work counts are
+ * the same at any thread count.  A batch of one runs on the calling thread.
  *
  * Each statement keeps the operands, the order of operations and the libm
  * calls (tanh, sinh, log1p, exp) of the Python line it transcribes, and the
@@ -18,9 +24,34 @@
  *   and the solver's tolerances, cutoffs, line search and ln 2 at each call.
  */
 
+#define _GNU_SOURCE  /* sched_getaffinity and CPU_COUNT */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 
 #define ZERO_DIVISION 1
+
+/* A batch of n_traj trajectories of n steps, trajectory m's n + 1 states at
+ * states[4 (n + 1) m..] and its stage values at stages[5 (n + 1) m..], with
+ * the arguments of dg_run (rk4_run leaves the solver's unset): run_batch
+ * calls trajectory(batch, m, work) once for each m. */
+struct batch {
+    int (*trajectory)(const struct batch *b, long m, long *work);
+    const double *pc, *line_search;
+    double dt, tol, ctol, cut, dcut, ln2;
+    long n_traj, n, max_iter, n_search;
+    double *states, *stages;
+    atomic_long next;   /* the next trajectory to take */
+    atomic_int failed;  /* a trajectory returned ZERO_DIVISION */
+};
+
+/* One thread of run_batch and the work counts of the trajectories it ran. */
+struct worker {
+    struct batch *b;
+    pthread_t thread;
+    long work[2];
+};
 
 /* ln(cosh(a)) of a = |u| >= 0 (or NaN), as lyapunov.log_cosh takes it. */
 static double log_cosh_abs(double a, double ln2)
@@ -285,24 +316,86 @@ static int dg_trajectory(const double *pc, double dt, long n, long max_iter, dou
     return 0;
 }
 
-/* integrators._dg_run_python: the n_traj trajectories of n steps each, one
- * after another, trajectory m's n + 1 states at states[4 (n + 1) m..] and its
- * stage values at stages[5 (n + 1) m..], as dg_trajectory reads and writes
- * them.  work[0] counts the stabilized steps and work[1] the line-search
- * trials of all of them. */
+/* Take trajectories from b->next and run them until none is left or one
+ * has returned ZERO_DIVISION. */
+static void *take_trajectories(void *arg)
+{
+    struct worker *w = arg;
+    struct batch *b = w->b;
+    long m;
+
+    while (!atomic_load_explicit(&b->failed, memory_order_relaxed)
+           && (m = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_traj)
+        if (b->trajectory(b, m, w->work))
+            atomic_store_explicit(&b->failed, 1, memory_order_relaxed);
+    return NULL;
+}
+
+/* The number of threads for a batch of n_traj trajectories: n_traj or the
+ * CPUs this process may run on, whichever is fewer; 1 for a batch of one. */
+static long batch_threads(long n_traj)
+{
+    cpu_set_t cpus;
+    long count;
+
+    if (n_traj < 2 || sched_getaffinity(0, sizeof cpus, &cpus))
+        return 1;
+    count = CPU_COUNT(&cpus);
+    return count < n_traj ? count : n_traj;
+}
+
+/* Run every trajectory of b, spread over batch_threads(b->n_traj) threads,
+ * the calling thread among them; if a thread cannot be started, those
+ * running take its share.  Every thread is joined before the return.  The
+ * work counts of all trajectories are summed into work[0..1]; ZERO_DIVISION
+ * if any trajectory returned it, else 0. */
+static int run_batch(struct batch *b, long *work)
+{
+    const long threads = batch_threads(b->n_traj);
+    struct worker workers[threads];
+    long i, started;
+
+    atomic_init(&b->next, 0);
+    atomic_init(&b->failed, 0);
+    for (i = 0; i < threads; i++) {
+        workers[i].b = b;
+        workers[i].work[0] = 0;
+        workers[i].work[1] = 0;
+    }
+    for (started = 1; started < threads; started++)
+        if (pthread_create(&workers[started].thread, NULL, take_trajectories, &workers[started]))
+            break;
+    take_trajectories(&workers[0]);
+    work[0] = workers[0].work[0];
+    work[1] = workers[0].work[1];
+    for (i = 1; i < started; i++) {
+        pthread_join(workers[i].thread, NULL);
+        work[0] += workers[i].work[0];
+        work[1] += workers[i].work[1];
+    }
+    return atomic_load(&b->failed) ? ZERO_DIVISION : 0;
+}
+
+static int dg_member(const struct batch *b, long m, long *work)
+{
+    return dg_trajectory(b->pc, b->dt, b->n, b->max_iter, b->tol, b->ctol, b->cut, b->dcut,
+                         b->line_search, b->n_search, b->ln2, b->states + 4 * (b->n + 1) * m,
+                         b->stages + 5 * (b->n + 1) * m, work);
+}
+
+/* integrators._dg_run_python: the n_traj trajectories of n steps each, laid
+ * out as struct batch has them, by run_batch.  work[0] counts the stabilized
+ * steps and work[1] the line-search trials of all of them. */
 int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, double tol,
            double ctol, double cut, double dcut, const double *line_search, long n_search,
            double ln2, double *states, double *stages, long *work)
 {
-    long m;
+    struct batch b = {.trajectory = dg_member, .pc = pc, .line_search = line_search, .dt = dt,
+                      .tol = tol, .ctol = ctol, .cut = cut, .dcut = dcut, .ln2 = ln2,
+                      .n_traj = n_traj, .n = n, .max_iter = max_iter, .n_search = n_search,
+                      .states = states, .stages = stages};
 
-    work[0] = 0;
-    work[1] = 0;
-    for (m = 0; m < n_traj; m++)
-        if (dg_trajectory(pc, dt, n, max_iter, tol, ctol, cut, dcut, line_search, n_search, ln2,
-                          states + 4 * (n + 1) * m, stages + 5 * (n + 1) * m, work))
-            return ZERO_DIVISION;
-    return 0;
+    return run_batch(&b, work);
 }
 
 /* One trajectory of rk4_run: n steps from the state states[0..3]; step j's
@@ -348,14 +441,23 @@ static void rk4_trajectory(const double *pc, double dt, long n, double *states, 
     }
 }
 
+static int rk4_member(const struct batch *b, long m, long *work)
+{
+    (void)work;
+    rk4_trajectory(b->pc, b->dt, b->n, b->states + 4 * (b->n + 1) * m,
+                   b->stages + 5 * (b->n + 1) * m);
+    return 0;
+}
+
 /* integrators._rk4_run_python: the n_traj trajectories of n steps each, laid
- * out as dg_run's. */
+ * out as struct batch has them, by run_batch. */
 void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, double *stages)
 {
-    long m;
+    struct batch b = {.trajectory = rk4_member, .pc = pc, .dt = dt, .n_traj = n_traj, .n = n,
+                      .states = states, .stages = stages};
+    long work[2];
 
-    for (m = 0; m < n_traj; m++)
-        rk4_trajectory(pc, dt, n, states + 4 * (n + 1) * m, stages + 5 * (n + 1) * m);
+    run_batch(&b, work);
 }
 
 /* lyapunov._energy_column_python: V of the n states ws[4 j..4 j + 3] into

@@ -19,8 +19,9 @@ from .rng import substream
 # 0.19 KB each with the CLI's rendering, so 10^6 steps take about 190 MB.
 _MAX_STEPS = 10 ** 6
 # Largest number of steps a sweep takes in all, trajectories times n_steps:
-# at the full-range sweep's 12-17 us per DG step on a 2-vCPU Xeon, 10^8 steps
-# take 20-30 minutes.
+# the full-range sweep at 32 samples per point and 2,000 steps takes 0.55-0.8
+# us per DG step on the C kernel, pinned to one CPU of a 2-vCPU Xeon (about 0.5
+# us of wall time on both), so 10^8 steps take one to two minutes on one CPU.
 _MAX_SWEEP_STEPS = 10 ** 8
 
 # Largest number of recorded rows of one simulate_batch call in a decay study:

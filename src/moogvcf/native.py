@@ -2,16 +2,21 @@
 
 _kernels.c transcribes integrators._dg_run_python, integrators._rk4_run_python
 and lyapunov._energy_column_python statement by statement, so both kernels
-give the same bits, on the rows of the same caller-owned numpy arrays.  On
-first import it is compiled with the system C compiler (the CC environment
-variable, else sysconfig's CC) and the flags of FLAGS: -ffp-contract=off
-keeps multiplies and adds from fusing into FMAs, which round once instead of
-twice.  The library is cached in $XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf),
-under a name keyed by the sha256 of the source, the compiler, the flags and
-the platform, and loaded through ctypes; a cache miss deletes the libraries
-of every other key.  The cache directory must belong to the user and be
-writable by no one else, since a library planted there would run as the
-user.
+give the same bits for every trajectory that stays finite, on the rows of
+the same caller-owned numpy arrays.  Its dg_run and rk4_run spread a batch's
+trajectories over as many threads as the batch has trajectories and the
+process's CPU affinity mask has CPUs, which changes no bit; nothing else
+sets the number.  On first import it is compiled with the system C compiler
+(the CC environment variable, else sysconfig's CC) and the flags of FLAGS:
+-ffp-contract=off keeps multiplies and adds from fusing into FMAs, which
+round once instead of twice.  The library is cached in
+$XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf), under a name keyed by the sha256
+of the source, the compiler, the flags and the platform, and loaded through
+ctypes.  Each load refreshes the library's mtime, and a cache miss keeps the
+CACHE_KEEP most recently loaded libraries and deletes the rest, so checkouts
+that share the cache keep their own.  The cache directory must belong to the
+user and be writable by no one else, since a library planted there would
+run as the user.
 
 Any failure (no compiler, a compile error or timeout, a cache directory that
 fails its check, a library that does not load) leaves lib None, and the
@@ -47,8 +52,9 @@ except ImportError:
         from hashlib import sha256
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
+FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-pthread", "-fPIC", "-shared")
 COMPILE_TIMEOUT = 120.0  # seconds
+CACHE_KEEP = 4  # libraries a cache miss keeps, the most recently loaded
 
 _log = logging.getLogger("moogvcf")
 # The constants, line search, states and stage values are passed as ctypes
@@ -119,10 +125,15 @@ def load() -> ctypes.CDLL:
         start = time.perf_counter()
         compile_library(cc, target)
         _log.debug("compiled %s in %.3f s", target, time.perf_counter() - start)
-        for stale in cache.glob("_kernels-*.so"):  # built from another source or compiler
-            if stale != target:
-                stale.unlink(missing_ok=True)
+        loaded = {}  # the libraries of every key, by when each was last loaded
+        for library in cache.glob("_kernels-*.so"):
+            with contextlib.suppress(FileNotFoundError):  # deleted by another loader
+                loaded[library] = library.stat().st_mtime_ns
+        for stale in sorted(loaded, key=loaded.get, reverse=True)[CACHE_KEEP:]:
+            stale.unlink(missing_ok=True)
     check_private(target)
+    with contextlib.suppress(OSError):  # the mtime only orders the cleanup above
+        os.utime(target)
     lib = ctypes.CDLL(str(target))
     for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)

@@ -6,6 +6,8 @@ import stat
 import struct
 import subprocess
 import sys
+import sysconfig
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -139,6 +141,167 @@ def test_batch_member_solves_start_from_its_own_slopes(kernel):
     assert members == alone[0][0] + alone[1][0]
     assert work == tuple(map(sum, zip(alone[0][1], alone[1][1])))
     assert IntegrationError not in {member[0] for member in members}
+
+
+def _mixed_batch(method):
+    """A kernel name, its (p, dt), n and a 33-member batch of starts whose
+    members meet different fates.  DG at r = 0.99 and omega0*dt = 10: finite
+    members with stabilized steps, and three that are not finite from step 1.
+    RK4 at r = 0 and omega0*dt = 9e307: members that overflow at steps 1, 2
+    and 3, and two that stay finite."""
+    rng = np.random.default_rng(29)
+    if method is Method.DISCRETE_GRADIENT:
+        p = make_params(1.0, 0.99)
+        us = (rng.uniform(-5.0, 5.0, (30, 4)) * integrators._scale(p)).tolist()
+        return "_dg_run", p, 10.0, 30, us + [[math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, -math.inf, 1.0],
+                                             [1e308, -1e308, 1e308, 1e308]]
+    return "_rk4_run", make_params(1e300, 0.0), 9e7, 30, DIFFERENT_STEPS + rng.uniform(
+        -5.0, 5.0, (29, 4)).tolist()
+
+
+@needs_native
+@pytest.mark.parametrize("method", list(Method))
+def test_threaded_batch_matches_python_member_for_member(method):
+    # however the threads share out the 33 members, each one's rows (or the
+    # step its error names) are the Python kernel's, and so are the summed
+    # work counts
+    kernel, p, dt, n, us = _mixed_batch(method)
+    (members, work), want = _outcome(getattr(integrators, kernel + "_native"), us, p, dt, n), (
+        _outcome(getattr(integrators, kernel + "_python"), us, p, dt, n))
+    assert (members, work) == want
+    steps = {member[1] for member in members if member[0] is IntegrationError}
+    assert len(steps) < len(members)  # some members stay finite
+    if method is Method.DISCRETE_GRADIENT:
+        assert steps == {1} and work[0] > 0
+    else:
+        assert steps == {1, 2, 3}
+
+
+@needs_native
+def test_concurrent_calls_keep_their_own_batches():
+    # four Python threads call the DG kernel at once (ctypes releases the GIL),
+    # so the batches' threads outnumber the cores: each call's rows and work
+    # counts are still those of the Python kernel on its own batch
+    _, p, dt, n, us = _mixed_batch(Method.DISCRETE_GRADIENT)
+    batches = [us[i:] + us[:i] for i in range(0, 32, 8)]
+    want = [_outcome(integrators._dg_run_python, batch, p, dt, n) for batch in batches]
+    got = [None] * len(batches)
+
+    def run(i):
+        for _ in range(5):
+            got[i] = _outcome(integrators._dg_run_native, batches[i], p, dt, n)
+            if got[i] != want[i]:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+# Runs a batch of _mixed_batch in a fresh interpreter pinned to one CPU, whose
+# kernel must then run it on the calling thread alone: argv[1] holds the
+# starts, argv[2] receives the rows and work counts.
+_PINNED_RUN = """\
+import os, sys
+import numpy as np
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert len(os.sched_getaffinity(0)) == 1
+from moogvcf import integrators, model, native
+assert native.KERNEL == "native", native.KERNEL
+batch = np.load(sys.argv[1])
+states, stages = batch["states"], batch["stages"]
+out = getattr(integrators, str(batch["kernel"]))(states, stages, model.make_params(
+    *batch["params"].tolist()), float(batch["dt"]))
+np.savez(sys.argv[2], states=states, stages=stages, work=np.array(out or (0, 0)))
+"""
+
+
+@needs_native
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+@pytest.mark.parametrize("method", list(Method))
+def test_batch_on_one_cpu_gives_the_same_bytes(tmp_path, method):
+    # every byte of every row, non-finite ones included, and the work counts
+    # are those of a run on all the CPUs this process may use
+    kernel, p, dt, n, us = _mixed_batch(method)
+    table, run = model.stage_table(p), getattr(integrators, kernel + "_native")
+    states, stages = np.zeros((len(us), n + 1, 4)), np.zeros((len(us), n + 1, 5))
+    for u, rows, stage_rows in zip(us, states, stages):
+        rows[0], stage_rows[0] = u, model.stage_tanh(u, table)
+    np.savez(tmp_path / "batch.npz", states=states, stages=stages, kernel=kernel + "_native",
+             params=[p.omega0, p.r], dt=dt)
+    work = run(states, stages, p, dt) or (0, 0)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-c", _PINNED_RUN, str(tmp_path / "batch.npz"),
+                    str(tmp_path / "pinned.npz")], env=env, check=True, timeout=300)
+    pinned = np.load(tmp_path / "pinned.npz")
+    assert pinned["states"].tobytes() == states.tobytes()
+    assert pinned["stages"].tobytes() == stages.tobytes()
+    assert tuple(pinned["work"].tolist()) == tuple(work)
+
+
+@pytest.mark.parametrize("kernel", ["_dg_run_python", "_dg_run_native"])
+def test_one_member_dividing_by_zero_fails_a_large_batch(kernel):
+    # at r = 0 with a zero coincidence cutoff, a member with w1 = 0 takes a
+    # Newton update whose first component is exactly 0, where _dg_run_python
+    # divides by zero: the whole 41-member call raises, as the 40 members
+    # without it do not
+    if kernel.endswith("native") and native.lib is None:
+        pytest.skip("the C kernels did not load")
+    run, p = getattr(integrators, kernel), make_params(1.0, 0.0)
+    us = (np.random.default_rng(29).uniform(-5.0, 5.0, (40, 4)) * integrators._scale(p)).tolist()
+    with mock.patch.object(integrators, "_COINCIDENCE_CUTOFF", 0.0):
+        assert _outcome(run, us, p, 0.1, 20) is not ZeroDivisionError
+        assert _outcome(run, us[:17] + [[0.0, 1.0, -2.0, 0.5]] + us[17:], p, 0.1, 20) is (
+            ZeroDivisionError)
+
+
+# Runs a batch of 64 stiff DG trajectories on a second thread of a fresh
+# interpreter, pinned to one CPU if argv[1] is "1", and prints the CPUs it may
+# use and the most threads the process had at once beyond its two.
+_THREAD_COUNT = """\
+import os, sys, threading
+import numpy as np
+from moogvcf import integrators, model, native
+assert native.KERNEL == "native", native.KERNEL
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+p = model.make_params(1.0, 0.99)
+x0s = np.random.default_rng(1).uniform(-5.0, 5.0, (64, 4))
+tasks = len(os.listdir("/proc/self/task"))
+run = threading.Thread(target=integrators.simulate_batch,
+                       args=(x0s, p, integrators.StepConfig(10.0), 2000))
+run.start()
+most = tasks + 1
+while run.is_alive():
+    most = max(most, len(os.listdir("/proc/self/task")))
+run.join()
+print(len(os.sched_getaffinity(0)), most - tasks - 1)
+"""
+
+
+@needs_native
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("pinned", [False, True])
+def test_batch_threads_never_outnumber_the_usable_cpus(pinned):
+    # the calling thread is one of the batch's threads, so a call adds at
+    # most one fewer than the CPUs the process may use, and none on one CPU;
+    # with more than one, it adds some
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", _THREAD_COUNT, str(int(pinned))], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    cpus, added = map(int, out.stdout.split())
+    assert cpus == 1 if pinned else cpus == len(os.sched_getaffinity(0))
+    assert added <= cpus - 1
+    assert added >= 1 or cpus == 1
 
 
 # (p, cfg, n_steps) of simulate_batch runs: stiff DG steps, RK4 steps, and
@@ -343,17 +506,40 @@ def test_cache_miss_compiles_once_into_a_private_directory(tmp_path):
 
 @needs_native
 def test_cache_miss_deletes_stale_libraries(tmp_path):
-    # a library of another key (an older source or another compiler) is
-    # deleted once the new one is in place; other names are left alone
+    # once the new library is in place, a cache miss keeps the CACHE_KEEP most
+    # recently loaded libraries, itself among them, and deletes the older
+    # ones of other keys (an older source or another compiler); other names
+    # are left alone
     cache = tmp_path / "moogvcf"
     cache.mkdir(mode=0o700)
-    stale, kept = cache / f"_kernels-{'0' * 32}.so", [cache / "notes.txt", cache / ".build-x.so"]
-    for path in (stale, *kept):
+    stale = [cache / f"_kernels-{i:032d}.so" for i in range(native.CACHE_KEEP + 1)]
+    kept = [cache / "notes.txt", cache / ".build-x.so"]
+    for age, path in enumerate(stale + kept):
         path.write_bytes(b"")
+        os.utime(path, (time.time() - 1000 * (age + 1),) * 2)  # stale[0] loaded last
     lines = _import_in_child(tmp_path)
     assert lines[-1] == "native"
-    assert not stale.exists() and all(path.exists() for path in kept)
-    assert len(list(cache.glob("_kernels-*.so"))) == 1
+    assert all(path.exists() for path in stale[:native.CACHE_KEEP - 1] + kept)
+    assert not any(path.exists() for path in stale[native.CACHE_KEEP - 1:])
+    assert len(list(cache.glob("_kernels-*.so"))) == native.CACHE_KEEP
+
+
+@needs_native
+def test_alternating_keys_compile_once_each(tmp_path):
+    # two checkouts or compilers that share a cache, imported in turn, each
+    # compile their library once: a miss keeps the other's, and a load
+    # refreshes a library's mtime, so the cleanup keeps what is in use
+    default = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    keys = [{}, {"CC": f"{default} -DMOOGVCF_SECOND_KEY"}]
+    runs = [_import_in_child(tmp_path, **env) for env in keys + keys]
+    assert [run[-1] for run in runs] == ["native"] * 4
+    assert [any("compiled" in line for line in run) for run in runs] == [True, True, False, False]
+    libraries = list((tmp_path / "moogvcf").glob("_kernels-*.so"))
+    assert len(libraries) == 2
+    for library in libraries:
+        os.utime(library, (1.0, 1.0))
+    _import_in_child(tmp_path)
+    assert sorted(library.stat().st_mtime > 1.0 for library in libraries) == [False, True]
 
 
 @needs_native
@@ -431,16 +617,17 @@ def _asan_runtime():
 def test_asan_build_reports_an_out_of_bounds_write(tmp_path, past_the_end):
     # The CI step that runs the kernels under AddressSanitizer catches a
     # kernel that steps outside its arrays: built with -fsanitize=address, a
-    # copy of _kernels.c whose rk4_run runs one trajectory past the end of a
-    # two-trajectory batch aborts with an ASan report, and the source as it
-    # stands runs the same call clean.
+    # copy of _kernels.c whose batch driver runs one trajectory past the end
+    # of a two-trajectory rk4_run batch, on whichever thread takes it, aborts
+    # with an ASan report, and the source as it stands runs the same call
+    # clean.
     runtime = _asan_runtime()
     if runtime is None:
         pytest.skip("needs gcc and its AddressSanitizer runtime")
-    source, loop = native.SOURCE.read_text(), "for (m = 0; m < n_traj; m++)\n        rk4_trajectory("
-    assert source.count(loop) == 1
+    source, take = native.SOURCE.read_text(), "memory_order_relaxed)) < b->n_traj)"
+    assert source.count(take) == 1
     if past_the_end:
-        source = source.replace(loop, loop.replace("m < n_traj", "m <= n_traj"))
+        source = source.replace(take, take.replace("<", "<="))
     (tmp_path / "kernels.c").write_text(source)
     library = tmp_path / "kernels.so"
     subprocess.run(["gcc", "-fsanitize=address", "-fno-omit-frame-pointer", *native.FLAGS, "-o",
