@@ -1,12 +1,14 @@
 /* C transcriptions of the three per-state loops: integrators._dg_run_python,
  * integrators._rk4_run_python and lyapunov._energy_column_python.  The two
  * integrators run a batch of independent trajectories in one call, each from
- * its own row 0, with nothing carried from one to the next, through one
- * driver (run_batch) that spreads the trajectories over threads: as many as
- * the batch has trajectories and the process's affinity mask has CPUs, the
- * calling thread among them.  Each thread takes the next trajectory from an
- * atomic counter and runs it alone, and new threads inherit the caller's
- * floating-point environment, so every row and the summed work counts are
+ * its own row 0, with nothing carried from one to the next: dg_run and rk4_run
+ * put their arguments in a struct batch, and one driver (run_batch) calls
+ * dg_trajectory(batch, m) or rk4_trajectory(batch, m) for each trajectory m,
+ * spread over as many threads as the batch has trajectories and the process's
+ * affinity mask has CPUs, the calling thread among them.  Each thread takes
+ * the next m from an atomic counter and runs it alone, new threads inherit
+ * the caller's floating-point environment, and each DG trajectory adds its
+ * work counts to two atomic sums of the batch, so every row and both sums are
  * the same at any thread count.  A batch of one runs on the calling thread.
  *
  * Each statement keeps the operands, the order of operations and the libm
@@ -15,16 +17,17 @@
  * results match the Python kernels bit for bit.  Where Python would raise
  * ZeroDivisionError, a kernel returns ZERO_DIVISION and the caller raises.
  *
- * The file holds no tunables.  Every constant comes from the caller:
- *   pc, packed once per FilterParams by native.constants:
+ * The file holds no tunables.  Every constant but ln 2 (M_LN2, the double
+ * nearest ln 2, which math.log(2.0) is too) comes from the caller: the
+ * solver's tolerances, cutoffs and line search at each call, and pc, packed
+ * once per FilterParams by native.constants, which the Python kernels unpack:
  *     pc[0..19]  the rows (S, k, S k, S k^2 / 2) of model.stage_table,
  *     pc[20..25] d, feedback_coeff, the feedback-ratio bounds glo and ghi
  *                (1, 1 at r = 0), omega0 and feedback_gain,
- *     pc[26..29] the scale entries 1, d, d^2, d^3 of w = D x;
- *   and the solver's tolerances, cutoffs, line search and ln 2 at each call.
+ *     pc[26..29] the scale entries 1, d, d^2, d^3 of w = D x.
  */
 
-#define _GNU_SOURCE  /* sched_getaffinity and CPU_COUNT */
+#define _GNU_SOURCE  /* sched_getaffinity, CPU_COUNT and M_LN2 */
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -35,46 +38,40 @@
 /* A batch of n_traj trajectories of n steps, trajectory m's n + 1 states at
  * states[4 (n + 1) m..] and its stage values at stages[5 (n + 1) m..], with
  * the arguments of dg_run (rk4_run leaves the solver's unset): run_batch
- * calls trajectory(batch, m, work) once for each m. */
+ * calls trajectory(batch, m) once for each m. */
 struct batch {
-    int (*trajectory)(const struct batch *b, long m, long *work);
+    int (*trajectory)(struct batch *b, long m);
     const double *pc, *line_search;
-    double dt, tol, ctol, cut, dcut, ln2;
+    double dt, tol, ctol, cut, dcut;
     long n_traj, n, max_iter, n_search;
     double *states, *stages;
-    atomic_long next;   /* the next trajectory to take */
-    atomic_int failed;  /* a trajectory returned ZERO_DIVISION */
-};
-
-/* One thread of run_batch and the work counts of the trajectories it ran. */
-struct worker {
-    struct batch *b;
-    pthread_t thread;
-    long work[2];
+    atomic_long next;                /* the next trajectory to take */
+    atomic_int failed;               /* a trajectory returned ZERO_DIVISION */
+    atomic_long stabilized, trials;  /* dg_trajectory's work counts, summed */
 };
 
 /* ln(cosh(a)) of a = |u| >= 0 (or NaN), as lyapunov.log_cosh takes it. */
-static double log_cosh_abs(double a, double ln2)
+static double log_cosh_abs(double a)
 {
     double sh;
     if (a <= 1.0) {
         sh = sinh(0.5 * a);
         return log1p(2.0 * sh * sh);
     }
-    return a + log1p(exp(-2.0 * a)) - ln2;
+    return a + log1p(exp(-2.0 * a)) - M_LN2;
 }
 
 /* A discrete-gradient quotient S log_cosh_diff(k w, k b, t) / b, b != 0, as
  * _dg_run_python writes it: the |k b| <= 1 branch of lyapunov.log_cosh_diff
  * inline, else (NaN included) its difference of two log_cosh values. */
-static double quotient(double s, double k, double w, double b, double t, double ln2)
+static double quotient(double s, double k, double w, double b, double t)
 {
     double q = k * b, a = k * w, sh;
     if (-1.0 <= q && q <= 1.0) {
         sh = sinh(0.5 * q);
         return s * log1p(2.0 * sh * sh + sinh(q) * t) / b;
     }
-    return s * (log_cosh_abs(fabs(a + q), ln2) - log_cosh_abs(fabs(a), ln2)) / b;
+    return s * (log_cosh_abs(fabs(a + q)) - log_cosh_abs(fabs(a))) / b;
 }
 
 /* max(m, |u|) as the chain of comparisons of _dg_run_python */
@@ -83,14 +80,16 @@ static double max_abs(double u, double m)
     return u > m ? u : -u > m ? -u : m;
 }
 
-/* One trajectory of dg_run: n steps from the state states[0..3] with its
- * stage values stages[0..4]; step j's state goes to states[4 j..4 j + 3] and
- * its stage values to stages[5 j..5 j + 4].  The stabilized steps are added
- * to work[0] and the line-search trials to work[1]. */
-static int dg_trajectory(const double *pc, double dt, long n, long max_iter, double tol,
-                         double ctol, double cut, double dcut, const double *line_search,
-                         long n_search, double ln2, double *states, double *stages, long *work)
+/* Trajectory m of a dg_run batch: n steps from the state states[0..3] with
+ * its stage values stages[0..4], those of its rows; step j's state goes to
+ * states[4 j..4 j + 3] and its stage values to stages[5 j..5 j + 4].  Its
+ * stabilized steps and line-search trials are added to the batch's. */
+static int dg_trajectory(struct batch *b, long m)
 {
+    const double *pc = b->pc, *line_search = b->line_search;
+    const double dt = b->dt, tol = b->tol, ctol = b->ctol, cut = b->cut, dcut = b->dcut;
+    const long n = b->n, max_iter = b->max_iter, n_search = b->n_search;
+    double *states = b->states + 4 * (n + 1) * m, *stages = b->stages + 5 * (n + 1) * m;
     const double s1 = pc[0], k1 = pc[1], g1 = pc[2], c1 = pc[3];
     const double s2 = pc[4], k2 = pc[5], g2 = pc[6], c2 = pc[7];
     const double s3 = pc[8], k3 = pc[9], g3 = pc[10], c3 = pc[11];
@@ -177,15 +176,15 @@ static int dg_trajectory(const double *pc, double dt, long n, long max_iter, dou
                     || (b3 == 0.0 && !(nc3 < b3 && b3 < cut3))
                     || (b4 == 0.0 && !(nc4 < b4 && b4 < cut4)))
                     return ZERO_DIVISION;
-                f1 = nc1 < b1 && b1 < cut1 ? y1 : quotient(s1, k1, w1, b1, t1, ln2);
-                f2 = nc2 < b2 && b2 < cut2 ? y2 : quotient(s2, k2, w2, b2, t2, ln2);
-                f3 = nc3 < b3 && b3 < cut3 ? y3 : quotient(s3, k3, w3, b3, t3, ln2);
+                f1 = nc1 < b1 && b1 < cut1 ? y1 : quotient(s1, k1, w1, b1, t1);
+                f2 = nc2 < b2 && b2 < cut2 ? y2 : quotient(s2, k2, w2, b2, t2);
+                f3 = nc3 < b3 && b3 < cut3 ? y3 : quotient(s3, k3, w3, b3, t3);
                 if (nc4 < b4 && b4 < cut4) {
                     f4 = y4;
                     f5 = y5;
                 } else {
-                    f4 = quotient(s4, k4, w4, b4, t4, ln2);
-                    f5 = quotient(s5, k5, w4, b4, t5, ln2);
+                    f4 = quotient(s4, k4, w4, b4, t4);
+                    f5 = quotient(s5, k5, w4, b4, t5);
                 }
                 o1 = b1 - ho * (-f1 - fc * f4);
                 o2 = b2 - ho * (d * f1 - f2);
@@ -311,8 +310,8 @@ static int dg_trajectory(const double *pc, double dt, long n, long max_iter, dou
         stages[5 * step + 3] = t4;
         stages[5 * step + 4] = t5;
     }
-    work[0] += stabilized;
-    work[1] += trials;
+    atomic_fetch_add_explicit(&b->stabilized, stabilized, memory_order_relaxed);
+    atomic_fetch_add_explicit(&b->trials, trials, memory_order_relaxed);
     return 0;
 }
 
@@ -320,13 +319,12 @@ static int dg_trajectory(const double *pc, double dt, long n, long max_iter, dou
  * has returned ZERO_DIVISION. */
 static void *take_trajectories(void *arg)
 {
-    struct worker *w = arg;
-    struct batch *b = w->b;
+    struct batch *b = arg;
     long m;
 
     while (!atomic_load_explicit(&b->failed, memory_order_relaxed)
            && (m = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_traj)
-        if (b->trajectory(b, m, w->work))
+        if (b->trajectory(b, m))
             atomic_store_explicit(&b->failed, 1, memory_order_relaxed);
     return NULL;
 }
@@ -346,41 +344,25 @@ static long batch_threads(long n_traj)
 
 /* Run every trajectory of b, spread over batch_threads(b->n_traj) threads,
  * the calling thread among them; if a thread cannot be started, those
- * running take its share.  Every thread is joined before the return.  The
- * work counts of all trajectories are summed into work[0..1]; ZERO_DIVISION
- * if any trajectory returned it, else 0. */
-static int run_batch(struct batch *b, long *work)
+ * running take its share.  Every thread is joined before the return.
+ * ZERO_DIVISION if any trajectory returned it, else 0. */
+static int run_batch(struct batch *b)
 {
     const long threads = batch_threads(b->n_traj);
-    struct worker workers[threads];
+    pthread_t thread[threads];  /* thread[0] stays unset: the calling thread is the first */
     long i, started;
 
     atomic_init(&b->next, 0);
     atomic_init(&b->failed, 0);
-    for (i = 0; i < threads; i++) {
-        workers[i].b = b;
-        workers[i].work[0] = 0;
-        workers[i].work[1] = 0;
-    }
+    atomic_init(&b->stabilized, 0);
+    atomic_init(&b->trials, 0);
     for (started = 1; started < threads; started++)
-        if (pthread_create(&workers[started].thread, NULL, take_trajectories, &workers[started]))
+        if (pthread_create(&thread[started], NULL, take_trajectories, b))
             break;
-    take_trajectories(&workers[0]);
-    work[0] = workers[0].work[0];
-    work[1] = workers[0].work[1];
-    for (i = 1; i < started; i++) {
-        pthread_join(workers[i].thread, NULL);
-        work[0] += workers[i].work[0];
-        work[1] += workers[i].work[1];
-    }
+    take_trajectories(b);
+    for (i = 1; i < started; i++)
+        pthread_join(thread[i], NULL);
     return atomic_load(&b->failed) ? ZERO_DIVISION : 0;
-}
-
-static int dg_member(const struct batch *b, long m, long *work)
-{
-    return dg_trajectory(b->pc, b->dt, b->n, b->max_iter, b->tol, b->ctol, b->cut, b->dcut,
-                         b->line_search, b->n_search, b->ln2, b->states + 4 * (b->n + 1) * m,
-                         b->stages + 5 * (b->n + 1) * m, work);
 }
 
 /* integrators._dg_run_python: the n_traj trajectories of n steps each, laid
@@ -388,24 +370,29 @@ static int dg_member(const struct batch *b, long m, long *work)
  * steps and work[1] the line-search trials of all of them. */
 int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, double tol,
            double ctol, double cut, double dcut, const double *line_search, long n_search,
-           double ln2, double *states, double *stages, long *work)
+           double *states, double *stages, long *work)
 {
-    struct batch b = {.trajectory = dg_member, .pc = pc, .line_search = line_search, .dt = dt,
-                      .tol = tol, .ctol = ctol, .cut = cut, .dcut = dcut, .ln2 = ln2,
+    struct batch b = {.trajectory = dg_trajectory, .pc = pc, .line_search = line_search,
+                      .dt = dt, .tol = tol, .ctol = ctol, .cut = cut, .dcut = dcut,
                       .n_traj = n_traj, .n = n, .max_iter = max_iter, .n_search = n_search,
                       .states = states, .stages = stages};
+    const int status = run_batch(&b);
 
-    return run_batch(&b, work);
+    work[0] = atomic_load(&b.stabilized);
+    work[1] = atomic_load(&b.trials);
+    return status;
 }
 
-/* One trajectory of rk4_run: n steps from the state states[0..3]; step j's
- * state goes to states[4 j..4 j + 3] and its stage values to
- * stages[5 j..5 j + 4] (stages[0..4] are not read). */
-static void rk4_trajectory(const double *pc, double dt, long n, double *states, double *stages)
+/* Trajectory m of an rk4_run batch: n steps from the state states[0..3], that
+ * of its rows; step j's state goes to states[4 j..4 j + 3] and its stage
+ * values to stages[5 j..5 j + 4] (stages[0..4] are not read). */
+static int rk4_trajectory(struct batch *b, long m)
 {
+    const double *pc = b->pc, dt = b->dt, h = 0.5 * dt, s = dt / 6.0;
+    const long n = b->n;
+    double *states = b->states + 4 * (n + 1) * m, *stages = b->stages + 5 * (n + 1) * m;
     const double k1 = pc[1], k2 = pc[5], k3 = pc[9], k4 = pc[13], k5 = pc[17];
     const double w0 = pc[24], g = pc[25], sc2 = pc[27], sc3 = pc[28], sc4 = pc[29];
-    const double h = 0.5 * dt, s = dt / 6.0;
     double x1 = states[0], x2 = states[1], x3 = states[2], x4 = states[3];
     long step;
 
@@ -439,13 +426,6 @@ static void rk4_trajectory(const double *pc, double dt, long n, double *states, 
         stages[5 * step + 3] = tanh(k4 * w4);
         stages[5 * step + 4] = tanh(k5 * w4);
     }
-}
-
-static int rk4_member(const struct batch *b, long m, long *work)
-{
-    (void)work;
-    rk4_trajectory(b->pc, b->dt, b->n, b->states + 4 * (b->n + 1) * m,
-                   b->stages + 5 * (b->n + 1) * m);
     return 0;
 }
 
@@ -453,16 +433,14 @@ static int rk4_member(const struct batch *b, long m, long *work)
  * out as struct batch has them, by run_batch. */
 void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, double *stages)
 {
-    struct batch b = {.trajectory = rk4_member, .pc = pc, .dt = dt, .n_traj = n_traj, .n = n,
-                      .states = states, .stages = stages};
-    long work[2];
+    struct batch b = {.trajectory = rk4_trajectory, .pc = pc, .dt = dt, .n_traj = n_traj,
+                      .n = n, .states = states, .stages = stages};
 
-    run_batch(&b, work);
+    run_batch(&b);
 }
 
-/* lyapunov._energy_column_python: V of the n states ws[4 j..4 j + 3] into
- * energy[j]. */
-void energy_column(const double *pc, const double *ws, long n, double ln2, double *energy)
+/* lyapunov._energy_column_python: V of the n states ws[4 j..4 j + 3] into energy[j]. */
+void energy_column(const double *pc, const double *ws, long n, double *energy)
 {
     const double s1 = pc[0], k1 = pc[1], s2 = pc[4], k2 = pc[5];
     const double s3 = pc[8], k3 = pc[9], s4 = pc[12], k4 = pc[13];
@@ -474,13 +452,13 @@ void energy_column(const double *pc, const double *ws, long n, double ln2, doubl
 
         /* 0.0 - a: +0.0 at a = -0.0, as abs gives */
         a = k1 * w[0];
-        a1 = log_cosh_abs(a > 0.0 ? a : 0.0 - a, ln2);
+        a1 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
         a = k2 * w[1];
-        a2 = log_cosh_abs(a > 0.0 ? a : 0.0 - a, ln2);
+        a2 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
         a = k3 * w[2];
-        a3 = log_cosh_abs(a > 0.0 ? a : 0.0 - a, ln2);
+        a3 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
         a = k4 * w[3];
-        a4 = log_cosh_abs(a > 0.0 ? a : 0.0 - a, ln2);
+        a4 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
         energy[j] = s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4;
     }
 }

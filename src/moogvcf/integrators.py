@@ -160,12 +160,12 @@ def _rk4_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt:
     model.stage_tanh(D x, model.stage_table(p)) to its rows 1..n of stages.
     The field and the stage values are inline, with the operands and order of
     rhs_nonlinear and stage_tanh, so they match those bit for bit; the
-    constants of (p, dt) are computed once per call."""
-    n = _steps(states, stages)
-    (_, k1, _, _), (_, k2, _, _), (_, k3, _, _), (_, k4, _, _), (_, k5, _, _) = (
-        model.stage_table(p))
-    _, sc2, sc3, sc4 = _scale(p).tolist()  # D's first entry is 1, so w1 = x1
-    w0, g, h, s, tanh = p.omega0, p.feedback_gain, 0.5 * dt, dt / 6.0, math.tanh
+    constants of p are those of native.constants, as rk4_run of _kernels.c
+    reads them, and those of dt are computed once per call."""
+    n, pc = _steps(states, stages), native.constants(p)
+    k1, k2, k3, k4, k5 = pc[1:20:4]  # the stage table's k column
+    w0, g, _, sc2, sc3, sc4 = pc[24:30]  # D's first entry is 1, so w1 = x1
+    h, s, tanh = 0.5 * dt, dt / 6.0, math.tanh
     # at most three targets per assignment, as in _dg_run
     for xs, ts in zip(states, stages):  # one trajectory: its (n + 1, 4) and (n + 1, 5) rows
         x1, x2, x3, x4 = xs[0].tolist()
@@ -211,7 +211,8 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: 
 
     Returns the number of stabilized steps and that of line-search trials, the
     residual evaluations with quotients, of all the trajectories.  The
-    constants of (p, dt) are computed once per call.
+    constants of p are those of native.constants, as dg_run of _kernels.c
+    reads them, and those of dt are computed once per call.
 
     A step solves v = w + dt*omega0*Fbar(w, v), Fbar being model.stage_field
     of the stage quotients zbar of the table's rows (rows 4 and 5 along w4):
@@ -247,15 +248,13 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: 
     the QsWorstCase certificate makes sym(Q(g)) <= 0 within the bounds.
     """
     n = _steps(states, stages, p.omega0, dt)
-    (s1, k1, g1, c1), (s2, k2, g2, c2), (s3, k3, g3, c3), (s4, k4, g4, c4), (s5, k5, g5, c5) = (
-        model.stage_table(p))
-    ho, d, fc, tol, cut = dt * p.omega0, p.d, p.feedback_coeff, _NEWTON_TOL, _COINCIDENCE_CUTOFF
-    ctol = _CHORD_TOL
+    (s1, k1, g1, c1, s2, k2, g2, c2, s3, k3, g3, c3, s4, k4, g4, c4, s5, k5, g5, c5,
+     d, fc, glo, ghi, omega0, *_) = native.constants(p)
+    ho, tol, cut, ctol = dt * omega0, _NEWTON_TOL, _COINCIDENCE_CUTOFF, _CHORD_TOL
     sub, hf, dcut, kmax = -ho * d, ho * fc, _DERIVATIVE_CUTOFF, max(k1, k2, k3, k4, k5)
     iterations, line_search, chord = range(_NEWTON_MAX_ITER), _LINE_SEARCH, _LINE_SEARCH[:1]
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
     cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
-    glo, ghi = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
     stabilized, trials = 0, 0
     # The loops below keep three rules, as CPython 3.11 runs them.  An
     # assignment has at most three targets: four or more build and unpack a
@@ -423,8 +422,8 @@ def _dg_run_native(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: 
         ctypes.c_long * 2)()
     if native.lib.dg_run(native.constants(p), dt, len(states), n, _NEWTON_MAX_ITER, _NEWTON_TOL,
                          _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
-                         native.doubles(_LINE_SEARCH), len(_LINE_SEARCH), lyapunov._LN2,
-                         double(states), double(stages), work):
+                         native.doubles(_LINE_SEARCH), len(_LINE_SEARCH), double(states),
+                         double(stages), work):
         raise ZeroDivisionError("float division by zero")  # where _dg_run_python raises it
     return work[0], work[1]
 

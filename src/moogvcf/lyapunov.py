@@ -101,8 +101,9 @@ def _rate_constants(p: FilterParams):
 def _energy_column_python(ws, p: FilterParams) -> np.ndarray:
     """V of each state (w1, w2, w3, w4) in ws, an (n, 4) array or the rows
     back to back (else ValueError, from the reshape):
-    V = sum_i S_i lncosh(k_i w_i) over model.stage_table."""
-    (s1, k1, _, _), (s2, k2, _, _), (s3, k3, _, _), (s4, k4, _, _), _ = model.stage_table(p)
+    V = sum_i S_i lncosh(k_i w_i) over model.stage_table, whose S and k are
+    read from native.constants, as energy_column of _kernels.c reads them."""
+    s1, k1, _, _, s2, k2, _, _, s3, k3, _, _, s4, k4 = native.constants(p)[:14]
     log1p, sinh, exp, ln2 = math.log1p, math.sinh, math.exp, _LN2
     energy = []
     # no abs call and at most three targets per assignment, as in integrators._dg_run
@@ -128,8 +129,7 @@ def _energy_column_native(ws, p: FilterParams) -> np.ndarray:
     """_energy_column_python, run by energy_column of _kernels.c."""
     ws = np.ascontiguousarray(ws, dtype=float).reshape(-1, 4)
     energy = np.empty(len(ws))
-    native.lib.energy_column(native.constants(p), ws.ctypes.data, len(ws), _LN2,
-                             energy.ctypes.data)
+    native.lib.energy_column(native.constants(p), ws.ctypes.data, len(ws), energy.ctypes.data)
     return energy
 
 

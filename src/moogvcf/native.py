@@ -3,20 +3,21 @@
 _kernels.c transcribes integrators._dg_run_python, integrators._rk4_run_python
 and lyapunov._energy_column_python statement by statement, so both kernels
 give the same bits for every trajectory that stays finite, on the rows of
-the same caller-owned numpy arrays.  Its dg_run and rk4_run spread a batch's
-trajectories over as many threads as the batch has trajectories and the
-process's CPU affinity mask has CPUs, which changes no bit; nothing else
-sets the number.  On first import it is compiled with the system C compiler
-(the CC environment variable, else sysconfig's CC) and the flags of FLAGS:
--ffp-contract=off keeps multiplies and adds from fusing into FMAs, which
-round once instead of twice.  The library is cached in
-$XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf), under a name keyed by the sha256
-of the source, the compiler, the flags and the platform, and loaded through
-ctypes.  Each load refreshes the library's mtime, and a cache miss keeps the
-CACHE_KEEP most recently loaded libraries and deletes the rest, so checkouts
-that share the cache keep their own.  The cache directory must belong to the
-user and be writable by no one else, since a library planted there would
-run as the user.
+the same caller-owned numpy arrays and from the same per-parameter
+constants, the array of constants; C's M_LN2 is math.log(2.0).  Its dg_run
+and rk4_run spread a batch's trajectories over as many threads as the batch
+has trajectories and the process's CPU affinity mask has CPUs, which
+changes no bit; nothing else sets the number.  On first import it is
+compiled with the system C compiler (the CC environment variable, else
+sysconfig's CC) and the flags of FLAGS: -ffp-contract=off keeps multiplies
+and adds from fusing into FMAs, which round once instead of twice.  The
+library is cached in $XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf), under a
+name keyed by the sha256 of the source, the compiler, the flags and the
+platform, and loaded through ctypes.  Each load refreshes the library's
+mtime, and a cache miss keeps the CACHE_KEEP most recently loaded libraries
+and deletes the rest, so checkouts that share the cache keep their own.
+The cache directory must belong to the user and be writable by no one else,
+since a library planted there would run as the user.
 
 Any failure (no compiler, a compile error or timeout, a cache directory that
 fails its check, a library that does not load) leaves lib None, and the
@@ -65,10 +66,9 @@ _doubles, _ptr = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
 _double, _long = ctypes.c_double, ctypes.c_long
 _SIGNATURES = {
     "dg_run": (ctypes.c_int, [_doubles, _double, _long, _long, _long, _double, _double, _double,
-                              _double, _doubles, _long, _double, _doubles, _doubles,
-                              ctypes.POINTER(_long)]),
+                              _double, _doubles, _long, _doubles, _doubles, ctypes.POINTER(_long)]),
     "rk4_run": (None, [_doubles, _double, _long, _long, _doubles, _doubles]),
-    "energy_column": (None, [_doubles, _ptr, _long, _double, _ptr]),
+    "energy_column": (None, [_doubles, _ptr, _long, _ptr]),
 }
 
 
@@ -144,10 +144,10 @@ def load() -> ctypes.CDLL:
 
 @model.per_params
 def constants(p: model.FilterParams) -> ctypes.Array:
-    """The per-parameter constants of _kernels.c, as a ctypes array of
-    doubles: the stage table's rows, d, feedback_coeff, the feedback-ratio
-    bounds (1, 1 at r = 0), omega0, feedback_gain and the diagonal of
-    model.scaling_matrix."""
+    """The per-parameter constants of both kernels, as a ctypes array of 30
+    doubles that the C kernels read and the Python kernels unpack: the stage
+    table's rows, d, feedback_coeff, the feedback-ratio bounds (1, 1 at r = 0),
+    omega0, feedback_gain and the diagonal of model.scaling_matrix."""
     bounds = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
     values = (*np.ravel(model.stage_table(p)).tolist(), p.d, p.feedback_coeff, *bounds,
               p.omega0, p.feedback_gain, *model.scaling_matrix(p.d).diagonal().tolist())

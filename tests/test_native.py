@@ -1,7 +1,9 @@
 """The C kernels against the Python ones, and the loader that builds them."""
 
+import ctypes
 import math
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -460,6 +462,27 @@ def test_kernel_names_the_selection_and_is_read_only():
     assert (integrators._dg_run is integrators._dg_run_native) == (native.KERNEL == "native")
     with pytest.raises(AttributeError):
         native.KERNEL = "python"
+
+
+def test_ctypes_signatures_match_the_c_definitions():
+    # Each exported definition of _kernels.c against its restype and argtypes
+    # in native._SIGNATURES, read from the source, so that the test needs no
+    # compiler: a parameter dropped on one side only, or a long passed as a
+    # double, would hand C the wrong arguments without an error.
+    argtypes = {"double": {ctypes.c_double}, "long": {ctypes.c_long},
+                "double *": {native._doubles, ctypes.c_void_p},
+                "long *": {ctypes.POINTER(ctypes.c_long)}}
+    defined = re.findall(r"^(int|void) (\w+)\(([^)]*)\)\n\{", native.SOURCE.read_text(),
+                         re.MULTILINE)
+    assert sorted(name for _, name, _ in defined) == sorted(native._SIGNATURES)
+    for c_restype, name, params in defined:
+        restype, types = native._SIGNATURES[name]
+        assert restype is (ctypes.c_int if c_restype == "int" else None), name
+        params = [re.fullmatch(r"(?:const )?(double|long) (\*?)\w+", " ".join(param.split()))
+                  for param in params.split(",")]
+        assert all(params) and len(params) == len(types), name
+        for i, (param, argtype) in enumerate(zip(params, types)):
+            assert argtype in argtypes[f"{param[1]} {param[2]}".strip()], (name, i)
 
 
 def _import_in_child(cache, **env):
