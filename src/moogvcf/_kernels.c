@@ -1,15 +1,17 @@
 /* C transcriptions of the three per-state loops: integrators._dg_run_python,
- * integrators._rk4_run_python and lyapunov._energy_column_python.  The two
- * integrators run a batch of independent trajectories in one call, each from
- * its own row 0, with nothing carried from one to the next: dg_run and rk4_run
- * put their arguments in a struct batch, and one driver (run_batch) calls
- * dg_trajectory(batch, m) or rk4_trajectory(batch, m) for each trajectory m,
- * spread over as many threads as the batch has trajectories and the process's
- * affinity mask has CPUs, the calling thread among them.  Each thread takes
- * the next m from an atomic counter and runs it alone, new threads inherit
- * the caller's floating-point environment, and each DG trajectory adds its
- * work counts to two atomic sums of the batch, so every row and both sums are
- * the same at any thread count.  A batch of one runs on the calling thread.
+ * integrators._rk4_run_python and lyapunov._energy_rows.  The two integrators
+ * run a batch of independent trajectories in one call, each from its own row
+ * 0 and with its own row of constants, with nothing carried from one to the
+ * next: dg_run and rk4_run put their arguments in a struct batch, and one
+ * driver (run_batch) calls dg_trajectory(batch, m) or rk4_trajectory(batch, m)
+ * for each trajectory m, spread over as many threads as the batch has
+ * trajectories and the process's affinity mask has CPUs, the calling thread
+ * among them.  Each thread takes the next m from an atomic counter and runs
+ * it alone, steps and then the energy V of each of its rows (state_energy,
+ * which energy_column also calls), new threads inherit the caller's
+ * floating-point environment, and each DG trajectory adds its work counts to
+ * two atomic sums of the batch, so every row and both sums are the same at
+ * any thread count.  A batch of one runs on the calling thread.
  *
  * Each statement keeps the operands, the order of operations and the libm
  * calls (tanh, sinh, log1p, exp) of the Python line it transcribes, and the
@@ -19,8 +21,10 @@
  *
  * The file holds no tunables.  Every constant but ln 2 (M_LN2, the double
  * nearest ln 2, which math.log(2.0) is too) comes from the caller: the
- * solver's tolerances, cutoffs and line search at each call, and pc, packed
- * once per FilterParams by native.constants, which the Python kernels unpack:
+ * solver's tolerances, cutoffs and line search at each call, and the 30
+ * doubles of a row pc of native.constants, packed once per FilterParams and
+ * unpacked by the Python kernels too.  A batch reads an (n_traj, 30) table of
+ * them, trajectory m the row at pc + 30 m, and energy_column one row:
  *     pc[0..19]  the rows (S, k, S k, S k^2 / 2) of model.stage_table,
  *     pc[20..25] d, feedback_coeff, the feedback-ratio bounds glo and ghi
  *                (1, 1 at r = 0), omega0 and feedback_gain,
@@ -35,16 +39,17 @@
 
 #define ZERO_DIVISION 1
 
-/* A batch of n_traj trajectories of n steps, trajectory m's n + 1 states at
- * states[4 (n + 1) m..] and its stage values at stages[5 (n + 1) m..], with
- * the arguments of dg_run (rk4_run leaves the solver's unset): run_batch
- * calls trajectory(batch, m) once for each m. */
+/* A batch of n_traj trajectories of n steps, trajectory m's constants at
+ * pc[30 m..], its n + 1 states at states[4 (n + 1) m..], its stage values at
+ * stages[5 (n + 1) m..] and their energies at energy[(n + 1) m..], with the
+ * arguments of dg_run (rk4_run leaves the solver's unset): run_batch calls
+ * trajectory(batch, m) once for each m. */
 struct batch {
     int (*trajectory)(struct batch *b, long m);
     const double *pc, *line_search;
     double dt, tol, ctol, cut, dcut;
     long n_traj, n, max_iter, n_search;
-    double *states, *stages;
+    double *states, *stages, *energy;
     atomic_long next;                /* the next trajectory to take */
     atomic_int failed;               /* a trajectory returned ZERO_DIVISION */
     atomic_long stabilized, trials;  /* dg_trajectory's work counts, summed */
@@ -59,6 +64,26 @@ static double log_cosh_abs(double a)
         return log1p(2.0 * sh * sh);
     }
     return a + log1p(exp(-2.0 * a)) - M_LN2;
+}
+
+/* V = sum_i S_i ln(cosh(k_i w_i)) of the state w over the first four rows of
+ * pc's stage table, as lyapunov._energy_rows sums it. */
+static double state_energy(const double *pc, double w1, double w2, double w3, double w4)
+{
+    const double s1 = pc[0], k1 = pc[1], s2 = pc[4], k2 = pc[5];
+    const double s3 = pc[8], k3 = pc[9], s4 = pc[12], k4 = pc[13];
+    double a, a1, a2, a3, a4;
+
+    /* 0.0 - a: +0.0 at a = -0.0, as abs gives */
+    a = k1 * w1;
+    a1 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
+    a = k2 * w2;
+    a2 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
+    a = k3 * w3;
+    a3 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
+    a = k4 * w4;
+    a4 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
+    return s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4;
 }
 
 /* A discrete-gradient quotient S log_cosh_diff(k w, k b, t) / b, b != 0, as
@@ -81,15 +106,17 @@ static double max_abs(double u, double m)
 }
 
 /* Trajectory m of a dg_run batch: n steps from the state states[0..3] with
- * its stage values stages[0..4], those of its rows; step j's state goes to
- * states[4 j..4 j + 3] and its stage values to stages[5 j..5 j + 4].  Its
- * stabilized steps and line-search trials are added to the batch's. */
+ * its stage values stages[0..4], those of its rows, with the constants pc of
+ * its row; step j's state goes to states[4 j..4 j + 3] and its stage values
+ * to stages[5 j..5 j + 4], and then the energy of each state j to energy[j].
+ * Its stabilized steps and line-search trials are added to the batch's. */
 static int dg_trajectory(struct batch *b, long m)
 {
-    const double *pc = b->pc, *line_search = b->line_search;
+    const double *pc = b->pc + 30 * m, *line_search = b->line_search;
     const double dt = b->dt, tol = b->tol, ctol = b->ctol, cut = b->cut, dcut = b->dcut;
     const long n = b->n, max_iter = b->max_iter, n_search = b->n_search;
     double *states = b->states + 4 * (n + 1) * m, *stages = b->stages + 5 * (n + 1) * m;
+    double *energy = b->energy + (n + 1) * m;
     const double s1 = pc[0], k1 = pc[1], g1 = pc[2], c1 = pc[3];
     const double s2 = pc[4], k2 = pc[5], g2 = pc[6], c2 = pc[7];
     const double s3 = pc[8], k3 = pc[9], g3 = pc[10], c3 = pc[11];
@@ -310,6 +337,9 @@ static int dg_trajectory(struct batch *b, long m)
         stages[5 * step + 3] = t4;
         stages[5 * step + 4] = t5;
     }
+    for (step = 0; step <= n; step++)
+        energy[step] = state_energy(pc, states[4 * step], states[4 * step + 1],
+                                    states[4 * step + 2], states[4 * step + 3]);
     atomic_fetch_add_explicit(&b->stabilized, stabilized, memory_order_relaxed);
     atomic_fetch_add_explicit(&b->trials, trials, memory_order_relaxed);
     return 0;
@@ -370,12 +400,12 @@ static int run_batch(struct batch *b)
  * steps and work[1] the line-search trials of all of them. */
 int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, double tol,
            double ctol, double cut, double dcut, const double *line_search, long n_search,
-           double *states, double *stages, long *work)
+           double *states, double *stages, double *energy, long *work)
 {
     struct batch b = {.trajectory = dg_trajectory, .pc = pc, .line_search = line_search,
                       .dt = dt, .tol = tol, .ctol = ctol, .cut = cut, .dcut = dcut,
                       .n_traj = n_traj, .n = n, .max_iter = max_iter, .n_search = n_search,
-                      .states = states, .stages = stages};
+                      .states = states, .stages = stages, .energy = energy};
     const int status = run_batch(&b);
 
     work[0] = atomic_load(&b.stabilized);
@@ -384,15 +414,19 @@ int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, doub
 }
 
 /* Trajectory m of an rk4_run batch: n steps from the state states[0..3], that
- * of its rows; step j's state goes to states[4 j..4 j + 3] and its stage
- * values to stages[5 j..5 j + 4] (stages[0..4] are not read). */
+ * of its rows, with the constants pc of its row; step j's state goes to
+ * states[4 j..4 j + 3] and its stage values to stages[5 j..5 j + 4]
+ * (stages[0..4] are not read), and then the energy of each state j, at
+ * w = D x, to energy[j]. */
 static int rk4_trajectory(struct batch *b, long m)
 {
-    const double *pc = b->pc, dt = b->dt, h = 0.5 * dt, s = dt / 6.0;
+    const double *pc = b->pc + 30 * m, dt = b->dt, h = 0.5 * dt, s = dt / 6.0;
     const long n = b->n;
     double *states = b->states + 4 * (n + 1) * m, *stages = b->stages + 5 * (n + 1) * m;
+    double *energy = b->energy + (n + 1) * m;
     const double k1 = pc[1], k2 = pc[5], k3 = pc[9], k4 = pc[13], k5 = pc[17];
-    const double w0 = pc[24], g = pc[25], sc2 = pc[27], sc3 = pc[28], sc4 = pc[29];
+    const double w0 = pc[24], g = pc[25];
+    const double sc1 = pc[26], sc2 = pc[27], sc3 = pc[28], sc4 = pc[29];
     double x1 = states[0], x2 = states[1], x3 = states[2], x4 = states[3];
     long step;
 
@@ -426,15 +460,19 @@ static int rk4_trajectory(struct batch *b, long m)
         stages[5 * step + 3] = tanh(k4 * w4);
         stages[5 * step + 4] = tanh(k5 * w4);
     }
+    for (step = 0; step <= n; step++)
+        energy[step] = state_energy(pc, sc1 * states[4 * step], sc2 * states[4 * step + 1],
+                                    sc3 * states[4 * step + 2], sc4 * states[4 * step + 3]);
     return 0;
 }
 
 /* integrators._rk4_run_python: the n_traj trajectories of n steps each, laid
  * out as struct batch has them, by run_batch. */
-void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, double *stages)
+void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, double *stages,
+             double *energy)
 {
     struct batch b = {.trajectory = rk4_trajectory, .pc = pc, .dt = dt, .n_traj = n_traj,
-                      .n = n, .states = states, .stages = stages};
+                      .n = n, .states = states, .stages = stages, .energy = energy};
 
     run_batch(&b);
 }
@@ -442,23 +480,8 @@ void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, d
 /* lyapunov._energy_column_python: V of the n states ws[4 j..4 j + 3] into energy[j]. */
 void energy_column(const double *pc, const double *ws, long n, double *energy)
 {
-    const double s1 = pc[0], k1 = pc[1], s2 = pc[4], k2 = pc[5];
-    const double s3 = pc[8], k3 = pc[9], s4 = pc[12], k4 = pc[13];
     long j;
 
-    for (j = 0; j < n; j++) {
-        const double *w = ws + 4 * j;
-        double a, a1, a2, a3, a4;
-
-        /* 0.0 - a: +0.0 at a = -0.0, as abs gives */
-        a = k1 * w[0];
-        a1 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
-        a = k2 * w[1];
-        a2 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
-        a = k3 * w[2];
-        a3 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
-        a = k4 * w[3];
-        a4 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
-        energy[j] = s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4;
-    }
+    for (j = 0; j < n; j++)
+        energy[j] = state_energy(pc, ws[4 * j], ws[4 * j + 1], ws[4 * j + 2], ws[4 * j + 3]);
 }

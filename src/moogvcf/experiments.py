@@ -5,6 +5,7 @@ index, so results are deterministic regardless of execution order, and
 outputs are listed in canonical (grid, state) order.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,9 +25,12 @@ _MAX_STEPS = 10 ** 6
 # us of wall time on both), so 10^8 steps take one to two minutes on one CPU.
 _MAX_SWEEP_STEPS = 10 ** 8
 
-# Largest number of recorded rows of one simulate_batch call in a decay study:
-# 2^16 rows take about 5 MB of states, stage values and energies, so a study
-# of long trajectories holds about as much at once as one trajectory does.
+# Largest number of recorded rows of one simulate_batch call in a decay study
+# or a sweep, whose starts go through it in blocks of whole trajectories, the
+# sweep's across (omega0, r) points: 2^16 rows take about 5 MB of states,
+# stage values and energies, so a study of long trajectories holds about as
+# much at once as one trajectory does, and the bundled full-range sweep (100
+# trajectories of 201 rows) makes one kernel call.
 _BATCH_ROWS = 2 ** 16
 
 # Initial states are drawn with |x_i| <= 5, deep into tanh saturation, so
@@ -234,6 +238,46 @@ def run_definiteness_sweep(families, omega0_grid, r_grid, tol: float = 1e-10) ->
     return result
 
 
+def _draw_start(seed: int, i: int) -> tuple:
+    """Initial state i of a decay study seeded with seed."""
+    stream = substream(seed, i)
+    return tuple(stream.uniform(-_STATE_RANGE, _STATE_RANGE) for _ in range(4))
+
+
+def _decay_summaries(points, n_states: int, cfg: StepConfig, t_end: float) -> list:
+    """The TrajectorySummary of each of n_states seeded initial states at each
+    (p, seed) of points, in point order and then state order, simulated to
+    t_end.
+
+    The states go through integrators.simulate_batch together, each with its
+    point's p, in blocks of at most _BATCH_ROWS recorded rows (a block may
+    span points), so that a study or sweep of short trajectories makes one
+    kernel call.  A state passes when its largest per-step increase stays at
+    or below the method's tolerance.  Integrator failures are recorded in the
+    summary, not raised.
+    """
+    tol = _DECAY_TOLERANCE[cfg.method]
+    n_steps = max(1, int(round(t_end / cfg.dt)))
+    starts = ((p, i, _draw_start(seed, i)) for p, seed in points for i in range(n_states))
+    summaries = []
+    while block := list(itertools.islice(starts, max(1, _BATCH_ROWS // (n_steps + 1)))):
+        ps, indices, x0s = zip(*block)
+        states, energy, _, errors = simulate_batch(x0s, ps, cfg, n_steps)
+        max_incs = np.diff(energy, axis=1).max(axis=1).tolist()
+        for p, i, x0, x, max_inc, error in zip(ps, indices, x0s, states[:, -1], max_incs, errors):
+            if error is None:
+                final_norm = float(np.linalg.norm(x))
+            else:
+                max_inc = final_norm = math.nan
+                error = str(error)
+            summaries.append(TrajectorySummary(
+                omega0=p.omega0, r=p.r, method=cfg.method.value, dt=cfg.dt,
+                state_index=i, x0=x0, max_v_increase=max_inc,
+                final_norm=final_norm, passed=max_inc <= tol, error=error,
+            ))
+    return summaries
+
+
 def run_decay_study(
     p: model.FilterParams,
     seed: int,
@@ -242,43 +286,16 @@ def run_decay_study(
     t_end: float,
 ) -> SweepResult:
     """Simulate seeded random initial states and record the worst per-step
-    energy increase and the final state norm for each.
-
-    The states go through integrators.simulate_batch together, in blocks of
-    at most _BATCH_ROWS recorded rows, so that a study of short trajectories
-    makes one kernel call.  A state passes when its largest per-step increase
-    stays at or below the method's tolerance.  Integrator failures are
-    recorded in the summary, not raised.  ValueError names n_states unless it
-    is >= 1, and t_end unless it is positive and finite.
+    energy increase and the final state norm for each: the one-point case of
+    _decay_summaries.  ValueError names n_states unless it is >= 1, and t_end
+    unless it is positive and finite.
     """
     n_states = int(n_states)
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    tol = _DECAY_TOLERANCE[cfg.method]
-    n_steps = max(1, int(round(t_end / cfg.dt)))
-    x0s = []
-    for i in range(n_states):
-        stream = substream(seed, i)
-        x0s.append(tuple(stream.uniform(-_STATE_RANGE, _STATE_RANGE) for _ in range(4)))
-    result = SweepResult()
-    block = max(1, _BATCH_ROWS // (n_steps + 1))
-    for first in range(0, n_states, block):
-        states, energy, _, errors = simulate_batch(x0s[first:first + block], p, cfg, n_steps)
-        max_incs = np.diff(energy, axis=1).max(axis=1).tolist()
-        for i, (x, max_inc, error) in enumerate(zip(states[:, -1], max_incs, errors), first):
-            if error is None:
-                final_norm = float(np.linalg.norm(x))
-            else:
-                max_inc = final_norm = math.nan
-                error = str(error)
-            result.summaries.append(TrajectorySummary(
-                omega0=p.omega0, r=p.r, method=cfg.method.value, dt=cfg.dt,
-                state_index=i, x0=x0s[i], max_v_increase=max_inc,
-                final_norm=final_norm, passed=max_inc <= tol, error=error,
-            ))
-    return result
+    return SweepResult(summaries=_decay_summaries([(p, seed)], n_states, cfg, t_end))
 
 
 def run_gradcheck(seed: int, n_points: int) -> float:
@@ -316,16 +333,13 @@ def run_gradcheck(seed: int, n_points: int) -> float:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Full sweep backing the CLI: certification plus per-grid-point decay
-    studies with spec.samples_per_point seeded states each."""
+    studies with spec.samples_per_point seeded states each, whose states go
+    through _decay_summaries together."""
     result = run_definiteness_sweep(spec.families, spec.omega0_grid, spec.r_grid)
-    cfg = StepConfig(dt=spec.dt, method=spec.method)
-    t_end = spec.dt * spec.n_steps
-    point_index = 0
-    for omega0 in spec.omega0_grid:
-        for r in spec.r_grid:
-            p = model.make_params(omega0, r)
-            point_seed = substream(spec.seed, point_index).next_u64()
-            decay = run_decay_study(p, point_seed, spec.samples_per_point, cfg, t_end)
-            result.summaries.extend(decay.summaries)
-            point_index += 1
+    points = [(model.make_params(omega0, r), substream(spec.seed, point_index).next_u64())
+              for point_index, (omega0, r) in enumerate(
+                  itertools.product(spec.omega0_grid, spec.r_grid))]
+    result.summaries = _decay_summaries(points, spec.samples_per_point,
+                                        StepConfig(dt=spec.dt, method=spec.method),
+                                        spec.dt * spec.n_steps)
     return result

@@ -119,21 +119,29 @@ def _finite_state(x, name: str) -> np.ndarray:
     return x
 
 
-def _steps(states: np.ndarray, stages: np.ndarray, omega0: float = 0.0, dt: float = 0.0) -> int:
-    """The number of steps n of a kernel call on states and stages; ValueError
-    unless they are writable, C-ordered float64 arrays of N >= 1 trajectories
-    of n + 1 >= 1 rows of 4 and 5 values, as the kernels of _kernels.c read and
-    write them.  A discrete-gradient call passes omega0 and dt: ValueError
-    names dt unless |omega0 * dt| is at most MAX_DG_OMEGA0_DT."""
-    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 3
-                and a.shape[2] == width and a.flags.c_contiguous and a.flags.writeable
-                for a, width in ((states, 4), (stages, 5)))
-            and states.shape[:2] == stages.shape[:2] and 0 not in states.shape):
-        raise ValueError("states and stages must be writable, C-ordered float64 arrays of the "
-                         "same trajectories, at least 1, of the same rows, at least 1, of 4 and "
-                         f"5 values, got {states!r} and {stages!r}")
-    if not abs(omega0 * dt) <= MAX_DG_OMEGA0_DT:
-        raise ValueError(f"dt = {dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more than "
+def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, constants: np.ndarray,
+           dg_dt: float = 0.0) -> int:
+    """The number of steps n of a kernel call on its four arrays; ValueError
+    unless they are writable, C-ordered float64 arrays of the same N >= 1
+    trajectories, as the kernels of _kernels.c read and write them: n + 1 >= 1
+    rows of 4 states, of 5 stage values and of 1 energy each, and one row of
+    30 native.constants each.  A discrete-gradient call passes its dt as dg_dt:
+    ValueError names dt unless |omega0 * dt| is at most MAX_DG_OMEGA0_DT at
+    the largest omega0 of constants."""
+    arrays = (states, stages, energy, constants)
+    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.writeable for a in arrays)
+            and (states.ndim, stages.ndim, energy.ndim, constants.ndim) == (3, 3, 2, 2)
+            and states.shape[:2] == stages.shape[:2] == energy.shape
+            and (states.shape[2], stages.shape[2]) == (4, 5)
+            and constants.shape == (len(states), 30) and 0 not in energy.shape):
+        raise ValueError("states, stages, energy and constants must be writable, C-ordered "
+                         "float64 arrays of the same trajectories, at least 1, the first three "
+                         "of the same rows, at least 1, of 4, 5 and 1 values, and constants of "
+                         f"30 values, got {states!r}, {stages!r}, {energy!r} and {constants!r}")
+    omega0 = constants[:, 24].max().item()
+    if not abs(omega0 * dg_dt) <= MAX_DG_OMEGA0_DT:
+        raise ValueError(f"dt = {dg_dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more than "
                          f"{MAX_DG_OMEGA0_DT:g}, the discrete-gradient limit")
     return states.shape[1] - 1
 
@@ -153,21 +161,23 @@ def _failures(states: np.ndarray) -> list:
             for k in finite.tolist()]
 
 
-def _rk4_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float) -> None:
-    """For each trajectory of states and stages, take n classic fourth-order
-    steps x + dt/6 (a + 2 b + 2 c + d) of model.rhs_nonlinear from its row 0
-    of states into its rows 1..n, and write their stage values
-    model.stage_tanh(D x, model.stage_table(p)) to its rows 1..n of stages.
-    The field and the stage values are inline, with the operands and order of
-    rhs_nonlinear and stage_tanh, so they match those bit for bit; the
-    constants of p are those of native.constants, as rk4_run of _kernels.c
-    reads them, and those of dt are computed once per call."""
-    n, pc = _steps(states, stages), native.constants(p)
-    k1, k2, k3, k4, k5 = pc[1:20:4]  # the stage table's k column
-    w0, g, _, sc2, sc3, sc4 = pc[24:30]  # D's first entry is 1, so w1 = x1
-    h, s, tanh = 0.5 * dt, dt / 6.0, math.tanh
+def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
+                    constants: np.ndarray, dt: float) -> None:
+    """For each trajectory of states and stages, with the parameters p of its
+    row of constants, take n classic fourth-order steps x + dt/6 (a + 2 b +
+    2 c + d) of model.rhs_nonlinear from its row 0 of states into its rows
+    1..n, and write their stage values model.stage_tanh(D x,
+    model.stage_table(p)) to its rows 1..n of stages; then the energy V(D x)
+    of each of its rows 0..n, with D x rounded as x * _scale(p) rounds, to its
+    row of energy.  The field and the stage values are inline, with the
+    operands and order of rhs_nonlinear and stage_tanh, so they match those
+    bit for bit; the constants are native.constants(p), as rk4_run of
+    _kernels.c reads them, and those of dt are computed once per call."""
+    n, h, s, tanh = _steps(states, stages, energy, constants), 0.5 * dt, dt / 6.0, math.tanh
     # at most three targets per assignment, as in _dg_run
-    for xs, ts in zip(states, stages):  # one trajectory: its (n + 1, 4) and (n + 1, 5) rows
+    for xs, ts, vs, pc in zip(states, stages, energy, constants.tolist()):  # one trajectory
+        k1, k2, k3, k4, k5 = pc[1:20:4]  # the stage table's k column
+        w0, g, sc1, sc2, sc3, sc4 = pc[24:30]
         x1, x2, x3, x4 = xs[0].tolist()
         for step in range(1, n + 1):
             t1, t2, t3 = tanh(x1), tanh(x2), tanh(x3)
@@ -200,19 +210,24 @@ def _rk4_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt:
             xs[step] = x1, x2, x3, x4
             ts[step] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)),
                         tanh(k4 * w4), tanh(k5 * w4))
+        vs[:] = lyapunov._energy_rows(pc, [[sc1 * x1, sc2 * x2, sc3 * x3, sc4 * x4]
+                                           for x1, x2, x3, x4 in xs.tolist()])
 
 
-def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float):
-    """For each trajectory of states and stages, take n discrete-gradient steps
-    of length dt from its row 0 of states, w, with its stage values
-    t = model.stage_tanh(w, model.stage_table(p)) in its row 0 of stages, into
-    its rows 1..n of both: the new states v and their tanh(k_i v_i).  Nothing
-    carries over from one trajectory to the next.
+def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
+                   constants: np.ndarray, dt: float):
+    """For each trajectory of states and stages, with the parameters p of its
+    row of constants, take n discrete-gradient steps of length dt from its row
+    0 of states, w, with its stage values t = model.stage_tanh(w,
+    model.stage_table(p)) in its row 0 of stages, into its rows 1..n of both:
+    the new states v and their tanh(k_i v_i); then the energy V of each of its
+    rows 0..n to its row of energy.  Nothing carries over from one trajectory
+    to the next.
 
     Returns the number of stabilized steps and that of line-search trials, the
     residual evaluations with quotients, of all the trajectories.  The
-    constants of p are those of native.constants, as dg_run of _kernels.c
-    reads them, and those of dt are computed once per call.
+    constants are native.constants(p), as dg_run of _kernels.c reads them,
+    and those of (p, dt) are computed once per trajectory.
 
     A step solves v = w + dt*omega0*Fbar(w, v), Fbar being model.stage_field
     of the stage quotients zbar of the table's rows (rows 4 and 5 along w4):
@@ -247,23 +262,24 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: 
     <= z'delta + delta'L delta/2 = dt*omega0*y'Q(g)y - delta'L delta/2 <= 0, as
     the QsWorstCase certificate makes sym(Q(g)) <= 0 within the bounds.
     """
-    n = _steps(states, stages, p.omega0, dt)
-    (s1, k1, g1, c1, s2, k2, g2, c2, s3, k3, g3, c3, s4, k4, g4, c4, s5, k5, g5, c5,
-     d, fc, glo, ghi, omega0, *_) = native.constants(p)
-    ho, tol, cut, ctol = dt * omega0, _NEWTON_TOL, _COINCIDENCE_CUTOFF, _CHORD_TOL
-    sub, hf, dcut, kmax = -ho * d, ho * fc, _DERIVATIVE_CUTOFF, max(k1, k2, k3, k4, k5)
+    n = _steps(states, stages, energy, constants, dt)
+    tol, cut, ctol, dcut = _NEWTON_TOL, _COINCIDENCE_CUTOFF, _CHORD_TOL, _DERIVATIVE_CUTOFF
     iterations, line_search, chord = range(_NEWTON_MAX_ITER), _LINE_SEARCH, _LINE_SEARCH[:1]
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
-    cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
     stabilized, trials = 0, 0
     # The loops below keep three rules, as CPython 3.11 runs them.  An
     # assignment has at most three targets: four or more build and unpack a
     # tuple.  No builtin is called: |b| < c is written -c < b < c, and a max of
     # absolute values is a chain of comparisons that, as max(map(abs, ...))
     # does, keeps a NaN first term and skips a NaN later one.  Constants are
-    # read into locals before the loop.  Each float operation keeps the
-    # operands and order it had with abs(), so no result changes by a bit.
-    for ws, ts in zip(states, stages):  # one trajectory: its (n + 1, 4) and (n + 1, 5) rows
+    # read into locals before a trajectory's steps.  Each float operation keeps
+    # the operands and order it had with abs(), so no result changes by a bit.
+    for ws, ts, vs, pc in zip(states, stages, energy, constants.tolist()):  # one trajectory
+        (s1, k1, g1, c1, s2, k2, g2, c2, s3, k3, g3, c3, s4, k4, g4, c4, s5, k5, g5, c5,
+         d, fc, glo, ghi, omega0, *_) = pc
+        ho = dt * omega0
+        sub, hf, kmax = -ho * d, ho * fc, max(k1, k2, k3, k4, k5)
+        cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
         (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = ws[0].tolist(), ts[0].tolist()
         km = 0.0  # kmax from the second step on: the first solve has no slopes to borrow
         for step in range(1, n + 1):
@@ -406,24 +422,29 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: 
             t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
             ws[step] = w1, w2, w3, w4
             ts[step] = t1, t2, t3, t4, t5
+        vs[:] = lyapunov._energy_rows(pc, ws.tolist())
     return stabilized, trials
 
 
-def _rk4_run_native(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float) -> None:
+def _rk4_run_native(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
+                    constants: np.ndarray, dt: float) -> None:
     """_rk4_run_python, run by rk4_run of _kernels.c."""
-    n, double = _steps(states, stages), ctypes.c_double.from_buffer  # from_buffer: a cheap pointer
-    native.lib.rk4_run(native.constants(p), dt, len(states), n, double(states), double(stages))
+    n = _steps(states, stages, energy, constants)
+    double = ctypes.c_double.from_buffer  # a cheap pointer
+    native.lib.rk4_run(double(constants), dt, len(states), n, double(states), double(stages),
+                       double(energy))
 
 
-def _dg_run_native(states: np.ndarray, stages: np.ndarray, p: FilterParams, dt: float):
+def _dg_run_native(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
+                   constants: np.ndarray, dt: float):
     """_dg_run_python, run by dg_run of _kernels.c with this module's solver
     constants as they stand at the call."""
-    n, double, work = _steps(states, stages, p.omega0, dt), ctypes.c_double.from_buffer, (
+    n, double, work = _steps(states, stages, energy, constants, dt), ctypes.c_double.from_buffer, (
         ctypes.c_long * 2)()
-    if native.lib.dg_run(native.constants(p), dt, len(states), n, _NEWTON_MAX_ITER, _NEWTON_TOL,
+    if native.lib.dg_run(double(constants), dt, len(states), n, _NEWTON_MAX_ITER, _NEWTON_TOL,
                          _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
                          native.doubles(_LINE_SEARCH), len(_LINE_SEARCH), double(states),
-                         double(stages), work):
+                         double(stages), double(energy), work):
         raise ZeroDivisionError("float division by zero")  # where _dg_run_python raises it
     return work[0], work[1]
 
@@ -434,29 +455,32 @@ _dg_run, _rk4_run = ((_dg_run_python, _rk4_run_python) if native.lib is None
                      else (_dg_run_native, _rk4_run_native))
 
 
-@model.per_params
 def _scale(p: FilterParams) -> np.ndarray:
     """The diagonal (1, d, d^2, d^3) of model.scaling_matrix(p.d), so that
-    w = D x and x = D^-1 w are taken entry by entry; a read-only view."""
-    return model.scaling_matrix(p.d).diagonal()
+    w = D x and x = D^-1 w are taken entry by entry; a read-only view of the
+    last four native.constants."""
+    return native.constants(p)[26:]
 
 
-def _start(xs: np.ndarray, p: FilterParams, n: int, rk4: bool):
-    """The (N, n + 1, 4) and (N, n + 1, 5) arrays of a kernel call of n steps
-    from each of the N rows x of xs: row 0 x (RK4) or w = D x (DG), and the
-    stage values at w."""
-    scale, table = _scale(p).tolist(), model.stage_table(p)
-    ws = [[s * u for s, u in zip(scale, x)] for x in xs.tolist()]  # in floats: no overflow warning
+def _start(xs: np.ndarray, params: list, n: int, rk4: bool):
+    """The four arrays of a kernel call of n steps from each of the N rows x of
+    xs, trajectory m with the parameters params[m]: the (N, n + 1, 4) states,
+    row 0 x (RK4) or w = D x (DG), the (N, n + 1, 5) stage values, row 0 those
+    at w, the (N, n + 1) energies, and the (N, 30) table of native.constants."""
+    constants = np.array([native.constants(p) for p in params])
+    ws = [[s * u for s, u in zip(scale, x)]  # in floats: no overflow warning
+          for scale, x in zip(constants[:, 26:].tolist(), xs.tolist())]
     states, stages = np.empty((len(ws), n + 1, 4)), np.empty((len(ws), n + 1, 5))
-    states[:, 0], stages[:, 0] = xs if rk4 else ws, [model.stage_tanh(w, table) for w in ws]
-    return states, stages
+    states[:, 0] = xs if rk4 else ws
+    stages[:, 0] = [model.stage_tanh(w, model.stage_table(p)) for p, w in zip(params, ws)]
+    return states, stages, np.empty(states.shape[:2]), constants
 
 
 def _step(x, p: FilterParams, dt: float, rk4: bool) -> np.ndarray:
     """The state after one kernel step of length dt from the state x, x for
     RK4 and w = D x for DG; the step's IntegrationError if it is not finite."""
-    states, stages = _start(_finite_state(x, "x")[None], p, 1, rk4)
-    (_rk4_run if rk4 else _dg_run)(states, stages, p, dt)
+    arrays = states, _, _, _ = _start(_finite_state(x, "x")[None], [p], 1, rk4)
+    (_rk4_run if rk4 else _dg_run)(*arrays, dt)
     (error,) = _failures(states)
     if error:
         raise error
@@ -476,21 +500,24 @@ def step_discrete_gradient(x, p: FilterParams, cfg: StepConfig) -> np.ndarray:
     return _step(x, p, cfg.dt, rk4=False) / _scale(p)
 
 
-def simulate_batch(x0s, p: FilterParams, cfg: StepConfig, n_steps: int):
+def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
     """Integrate n_steps steps from each row of x0s, an (N, 4) array, in one
-    kernel call, and return the (N, n_steps + 1, 4) states in x coordinates,
-    their (N, n_steps + 1) energies V and (N, n_steps + 1, 5) stage values,
-    and for each trajectory None or the IntegrationError naming its first step
-    that is not finite (its rows from there on are not finite).
+    kernel call, with the FilterParams p for every row, or with p[m] for row m
+    if p is a sequence of N of them, and return the (N, n_steps + 1, 4) states
+    in x coordinates, their (N, n_steps + 1) energies V and (N, n_steps + 1, 5)
+    stage values, and for each trajectory None or the IntegrationError naming
+    its first step that is not finite (its rows from there on are not finite).
 
     ValueError names dt if the last time dt * n_steps overflows, or if
-    |omega0 * dt| is more than MAX_DG_OMEGA0_DT for the discrete-gradient
-    method, and x0 unless each row is finite with a finite energy V(D x0).
-    One _rk4_run or _dg_run call writes the states (x for RK4, w for discrete
-    gradient) and their stage values to the arrays of _start.  One
-    lyapunov.energy_column call then evaluates V, the saturation energy with
-    d = max(1, alpha), of all w rows at once; DG states become x = D^-1 w in
-    one in-place division, which rounds as a float division does.
+    |omega0 * dt| is more than MAX_DG_OMEGA0_DT at the batch's largest omega0
+    for the discrete-gradient method, p unless it has one FilterParams per
+    row, and x0 unless each row is finite with a finite energy V(D x0).  One
+    _rk4_run or _dg_run call writes, for each trajectory and on the thread
+    that steps it, the states (x for RK4, w for discrete gradient), their stage
+    values and their energies V, the saturation energy with d = max(1, alpha)
+    at w, to the arrays of _start.  DG states then become x = D^-1 w in one
+    in-place division by each row's own scale, which rounds as a float
+    division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
@@ -503,16 +530,16 @@ def simulate_batch(x0s, p: FilterParams, cfg: StepConfig, n_steps: int):
     if not np.isfinite(x0s).all():
         bad = np.isfinite(x0s).all(axis=1).argmin()
         raise ValueError(f"x0 must be finite, got {x0s[bad].tolist()}")
-    states, stages = _start(x0s, p, n_steps, rk4)
+    params = [p] * len(x0s) if isinstance(p, FilterParams) else list(p)
+    if len(params) != len(x0s):
+        raise ValueError(f"p must be one FilterParams or one per row of x0s, got {len(params)} "
+                         f"for {len(x0s)} rows")
+    arrays = states, stages, energy, constants = _start(x0s, params, n_steps, rk4)
     if rk4:
-        _rk4_run(states, stages, p, cfg.dt)
-        with np.errstate(over="ignore"):
-            energy = lyapunov.energy_column(states * _scale(p), p)
+        _rk4_run(*arrays, cfg.dt)
     else:
-        _dg_run(states, stages, p, cfg.dt)
-        energy = lyapunov.energy_column(states, p)
-        states /= _scale(p)
-    energy = np.asarray(energy).reshape(states.shape[:2])
+        _dg_run(*arrays, cfg.dt)
+        states /= constants[:, None, 26:]
     if not np.isfinite(energy[:, 0]).all():
         bad = np.isfinite(energy[:, 0]).argmin()
         raise ValueError(f"x0 must have a finite energy V(D x0), got {x0s[bad].tolist()}")

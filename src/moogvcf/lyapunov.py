@@ -98,16 +98,16 @@ def _rate_constants(p: FilterParams):
     return h, c, piv2, l32, l42, piv3, l43, c * c, h * c * l42, m34 * l43
 
 
-def _energy_column_python(ws, p: FilterParams) -> np.ndarray:
-    """V of each state (w1, w2, w3, w4) in ws, an (n, 4) array or the rows
-    back to back (else ValueError, from the reshape):
+def _energy_rows(pc, rows) -> list:
+    """V of each state (w1, w2, w3, w4) of rows, a list of 4-lists of floats:
     V = sum_i S_i lncosh(k_i w_i) over model.stage_table, whose S and k are
-    read from native.constants, as energy_column of _kernels.c reads them."""
-    s1, k1, _, _, s2, k2, _, _, s3, k3, _, _, s4, k4 = native.constants(p)[:14]
+    read from pc, a native.constants row as a list of floats, as state_energy
+    of _kernels.c reads them."""
+    s1, k1, _, _, s2, k2, _, _, s3, k3, _, _, s4, k4 = pc[:14]
     log1p, sinh, exp, ln2 = math.log1p, math.sinh, math.exp, _LN2
     energy = []
     # no abs call and at most three targets per assignment, as in integrators._dg_run
-    for w1, w2, w3, w4 in np.ascontiguousarray(ws, dtype=float).reshape(-1, 4).tolist():
+    for w1, w2, w3, w4 in rows:
         # log_cosh(k_i w_i) of a_i = |k_i w_i| (0.0 - a: +0.0 at a = -0.0, as abs gives), inline
         a1 = a if (a := k1 * w1) > 0.0 else 0.0 - a
         a1 = (log1p(2.0 * (sh := sinh(0.5 * a1)) * sh) if a1 <= 1.0
@@ -122,14 +122,22 @@ def _energy_column_python(ws, p: FilterParams) -> np.ndarray:
         a4 = (log1p(2.0 * (sh := sinh(0.5 * a4)) * sh) if a4 <= 1.0
               else a4 + log1p(exp(-2.0 * a4)) - ln2)
         energy.append(s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4)
-    return np.array(energy, dtype=float)
+    return energy
+
+
+def _energy_column_python(ws, p: FilterParams) -> np.ndarray:
+    """V of each state (w1, w2, w3, w4) in ws, an (n, 4) array or the rows
+    back to back (else ValueError, from the reshape), by _energy_rows."""
+    rows = np.ascontiguousarray(ws, dtype=float).reshape(-1, 4).tolist()
+    return np.array(_energy_rows(native.constants(p).tolist(), rows), dtype=float)
 
 
 def _energy_column_native(ws, p: FilterParams) -> np.ndarray:
     """_energy_column_python, run by energy_column of _kernels.c."""
     ws = np.ascontiguousarray(ws, dtype=float).reshape(-1, 4)
     energy = np.empty(len(ws))
-    native.lib.energy_column(native.constants(p), ws.ctypes.data, len(ws), energy.ctypes.data)
+    native.lib.energy_column(native.constants(p).ctypes.data, ws.ctypes.data, len(ws),
+                             energy.ctypes.data)
     return energy
 
 

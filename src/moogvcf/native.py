@@ -1,12 +1,14 @@
 """Build and load the C kernels of _kernels.c, or leave the Python kernels in use.
 
 _kernels.c transcribes integrators._dg_run_python, integrators._rk4_run_python
-and lyapunov._energy_column_python statement by statement, so both kernels
-give the same bits for every trajectory that stays finite, on the rows of
-the same caller-owned numpy arrays and from the same per-parameter
-constants, the array of constants; C's M_LN2 is math.log(2.0).  Its dg_run
-and rk4_run spread a batch's trajectories over as many threads as the batch
-has trajectories and the process's CPU affinity mask has CPUs, which
+and lyapunov._energy_rows statement by statement, so both kernels give the
+same bits for every trajectory that stays finite, on the rows of the same
+caller-owned numpy arrays and from the same per-parameter constants, one
+row of constants per trajectory (an (N, 30) table of them for a batch of N,
+whose members may have different parameters); C's M_LN2 is math.log(2.0).
+Its dg_run and rk4_run spread a batch's trajectories over as many threads
+as the batch has trajectories and the process's CPU affinity mask has CPUs,
+each thread evaluating the energies V of the trajectories it steps, which
 changes no bit; nothing else sets the number.  On first import it is
 compiled with the system C compiler (the CC environment variable, else
 sysconfig's CC) and the flags of FLAGS: -ffp-contract=off keeps multiplies
@@ -58,17 +60,19 @@ COMPILE_TIMEOUT = 120.0  # seconds
 CACHE_KEEP = 4  # libraries a cache miss keeps, the most recently loaded
 
 _log = logging.getLogger("moogvcf")
-# The constants, line search, states and stage values are passed as ctypes
-# doubles (c_double.from_buffer of a C-ordered float64 array, or a ctypes
-# array), whose address ctypes takes without the 1.5-2.5 us of an
-# ndarray.ctypes.data read; the energy rows, which may be read-only, by address.
+# A kernel call's arrays (constants, states, stage values and energies) and
+# the line search are passed as ctypes doubles (c_double.from_buffer of a
+# writable, C-ordered float64 array, or a ctypes array), whose address ctypes
+# takes without the 1.5-2.5 us of an ndarray.ctypes.data read; energy_column's
+# arrays, which may be read-only, by address.
 _doubles, _ptr = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
 _double, _long = ctypes.c_double, ctypes.c_long
 _SIGNATURES = {
     "dg_run": (ctypes.c_int, [_doubles, _double, _long, _long, _long, _double, _double, _double,
-                              _double, _doubles, _long, _doubles, _doubles, ctypes.POINTER(_long)]),
-    "rk4_run": (None, [_doubles, _double, _long, _long, _doubles, _doubles]),
-    "energy_column": (None, [_doubles, _ptr, _long, _ptr]),
+                              _double, _doubles, _long, _doubles, _doubles, _doubles,
+                              ctypes.POINTER(_long)]),
+    "rk4_run": (None, [_doubles, _double, _long, _long, _doubles, _doubles, _doubles]),
+    "energy_column": (None, [_ptr, _ptr, _long, _ptr]),
 }
 
 
@@ -143,15 +147,16 @@ def load() -> ctypes.CDLL:
 
 
 @model.per_params
-def constants(p: model.FilterParams) -> ctypes.Array:
-    """The per-parameter constants of both kernels, as a ctypes array of 30
-    doubles that the C kernels read and the Python kernels unpack: the stage
-    table's rows, d, feedback_coeff, the feedback-ratio bounds (1, 1 at r = 0),
-    omega0, feedback_gain and the diagonal of model.scaling_matrix."""
+def constants(p: model.FilterParams) -> np.ndarray:
+    """The per-parameter constants of both kernels, a read-only row of 30
+    float64 values that the C kernels read and the Python kernels unpack: the
+    stage table's rows, d, feedback_coeff, the feedback-ratio bounds (1, 1 at
+    r = 0), omega0, feedback_gain and the diagonal of model.scaling_matrix."""
     bounds = model.feedback_ratio_bounds(p) if p.r != 0.0 else (1.0, 1.0)
-    values = (*np.ravel(model.stage_table(p)).tolist(), p.d, p.feedback_coeff, *bounds,
-              p.omega0, p.feedback_gain, *model.scaling_matrix(p.d).diagonal().tolist())
-    return (_double * len(values))(*values)
+    row = np.array([*np.ravel(model.stage_table(p)).tolist(), p.d, p.feedback_coeff, *bounds,
+                    p.omega0, p.feedback_gain, *model.scaling_matrix(p.d).diagonal().tolist()])
+    row.setflags(write=False)
+    return row
 
 
 @functools.lru_cache(maxsize=16)

@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from moogvcf import integrators, lyapunov, native
+from moogvcf import integrators, native
 
 # Under CI a failing property test prints its reproduce blob, so that the
 # counterexample can be replayed locally with @reproduce_failure.  The
@@ -21,7 +21,6 @@ def python_kernels(monkeypatch):
     through math.tanh reaches."""
     monkeypatch.setattr(integrators, "_dg_run", integrators._dg_run_python)
     monkeypatch.setattr(integrators, "_rk4_run", integrators._rk4_run_python)
-    monkeypatch.setattr(lyapunov, "energy_column", lyapunov._energy_column_python)
 
 
 @pytest.fixture(params=["native", "python"])

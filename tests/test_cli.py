@@ -517,9 +517,14 @@ def test_sweep_bundled_fullrange_spec(tmp_path):
 
 def test_sweep_exit_1_on_failed_decay(tmp_path, capsys, monkeypatch):
     # harness meta-test: a sign-flipped energy must fail the sweep
-    # (simulate's V column comes from lyapunov.energy_column)
-    real = lyapunov.energy_column
-    monkeypatch.setattr(lyapunov, "energy_column", lambda ws, p: [-v for v in real(ws, p)])
+    # (a decay study's V comes from the kernel, through simulate_batch)
+    real = experiments.simulate_batch
+
+    def negated(*args):
+        states, energy, stages, errors = real(*args)
+        return states, -energy, stages, errors
+
+    monkeypatch.setattr(experiments, "simulate_batch", negated)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "r": [0.5], "omega0": [1], "families": ["As"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moogvcf import experiments, lyapunov
+from moogvcf import experiments, integrators, lyapunov
 from moogvcf.experiments import (
     SpecValidationError,
     SweepSpec,
@@ -297,11 +297,40 @@ def test_sweep_summaries_canonical_order():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_sweep_blocks_give_the_summaries_of_per_point_studies(kernels, monkeypatch, method):
+    # a sweep runs the starts of all its (omega0, r) points through the
+    # kernel together, in blocks of _BATCH_ROWS rows: here 5 trajectories of
+    # 11 rows, so that the 12 starts of 4 points make 3 kernel calls and the
+    # first block boundary cuts the second point's 3 samples; its summaries
+    # are those of a decay study per point, byte for byte
+    spec = SweepSpec.from_dict({"r": [0.0, 0.9], "omega0": [1.0, 30.0], "families": ["As"],
+                                "seed": 5, "samples_per_point": 3, "method": method.value,
+                                "dt": 0.1, "n_steps": 10})
+    cfg, t_end = StepConfig(spec.dt, method), spec.dt * spec.n_steps
+    want = []
+    for k, (omega0, r) in enumerate((w, r) for w in spec.omega0_grid for r in spec.r_grid):
+        point_seed = substream(spec.seed, k).next_u64()
+        want += run_decay_study(make_params(omega0, r), point_seed, 3, cfg, t_end).summaries
+    kernel = "_rk4_run" if method is Method.RK4 else "_dg_run"
+    calls, real = [], getattr(integrators, kernel)
+    monkeypatch.setattr(integrators, kernel, lambda *args: calls.append(len(args[0])) or real(*args))
+    monkeypatch.setattr(experiments, "_BATCH_ROWS", 5 * 11 + 10)
+    got = run_sweep(spec).summaries
+    assert repr(got) == repr(want)
+    assert calls == [5, 5, 2]
+
+
 def test_negated_energy_fails_decay_study(monkeypatch):
     # harness meta-test: a sign-flipped V must be caught on every state
-    # (simulate's V column comes from lyapunov.energy_column)
-    real = lyapunov.energy_column
-    monkeypatch.setattr(lyapunov, "energy_column", lambda ws, p: [-v for v in real(ws, p)])
+    # (a decay study's V comes from the kernel, through simulate_batch)
+    real = experiments.simulate_batch
+
+    def negated(*args):
+        states, energy, stages, errors = real(*args)
+        return states, -energy, stages, errors
+
+    monkeypatch.setattr(experiments, "simulate_batch", negated)
     p = make_params(1.0, 0.5)
     result = run_decay_study(p, seed=3, n_states=8, cfg=StepConfig(dt=0.1), t_end=5.0)
     assert all(not s.passed for s in result.summaries)

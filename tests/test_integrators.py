@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moogvcf import integrators, lyapunov, model
+from moogvcf import integrators, lyapunov, model, native
 from moogvcf.integrators import (
     IntegrationError,
     Method,
@@ -284,7 +284,8 @@ def _dg_rows(w, p, dt, n_steps):
     0 w and its stage values, and its (stabilized steps, trials) over n_steps."""
     states, stages = np.empty((1, n_steps + 1, 4)), np.empty((1, n_steps + 1, 5))
     states[0, 0], stages[0, 0] = w, model.stage_tanh(w, model.stage_table(p))
-    return (states[0], stages[0], *integrators._dg_run(states, stages, p, dt))
+    return (states[0], stages[0], *integrators._dg_run(states, stages, np.empty((1, n_steps + 1)),
+                                                       np.array([native.constants(p)]), dt))
 
 
 def _kernel(w, p, dt):
@@ -693,8 +694,8 @@ def test_rk4_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x
     columns, flat = _ref_rk4_trajectory(x0, p, dt, n_steps)
     traj = simulate(np.array(x0), p, StepConfig(dt=dt, method=Method.RK4), n_steps)
     assert _columns(traj) == columns
-    states, stages = integrators._start(np.array([x0]), p, n_steps, rk4=True)
-    integrators._rk4_run(states, stages, p, dt)
+    arrays = states, stages, _, _ = integrators._start(np.array([x0]), [p], n_steps, rk4=True)
+    integrators._rk4_run(*arrays, dt)
     assert _bits([*states.ravel(), *stages.ravel()]) == flat
 
 
@@ -893,7 +894,8 @@ def test_discrete_gradient_time_reversal(r, bound, dt_omega, n_steps, data):
             continue
         try:
             back, back_stages = np.array([[v, v]]), np.array([[t, t]])
-            back_stabilized, _ = integrators._dg_run(back, back_stages, p, -dt_omega)
+            back_stabilized, _ = integrators._dg_run(back, back_stages, np.empty((1, 2)),
+                                                     np.array([native.constants(p)]), -dt_omega)
             u = back[0, 1].tolist()
         except ZeroDivisionError:  # with -dt, a Newton or stabilized pivot 1 - dt*omega0*e_i
             assert q > 0.5  # can be 0 only beyond the contraction range

@@ -34,21 +34,32 @@ def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def _outcome(run, us, p, dt, n):
-    """A kernel's n steps from each state of us, in one call: for each
-    trajectory the bytes of the state and stage-value rows it wrote, or the
-    step that its IntegrationError names, and what the call returned; or the
-    exception the call raised."""
-    states, stages, table = np.empty((len(us), n + 1, 4)), np.empty((len(us), n + 1, 5)), (
-        model.stage_table(p))
-    for u, rows, stage_rows in zip(us, states, stages):
-        rows[0], stage_rows[0] = u, model.stage_tanh(u, table)
+def _arrays(us, ps, n):
+    """The four arrays of a kernel call of n steps from each state u of us,
+    with the FilterParams ps, or ps[m] for member m if ps is a list: row 0 of
+    its states u and of its stage values those at u."""
+    ps = ps if isinstance(ps, list) else [ps] * len(us)
+    states, stages = np.empty((len(us), n + 1, 4)), np.empty((len(us), n + 1, 5))
+    for u, p, rows, stage_rows in zip(us, ps, states, stages):
+        rows[0], stage_rows[0] = u, model.stage_tanh(u, model.stage_table(p))
+    return states, stages, np.empty((len(us), n + 1)), np.array([native.constants(p) for p in ps])
+
+
+def _outcome(run, us, ps, dt, n):
+    """A kernel's n steps from each state of us, in one call, with the
+    parameters of _arrays: for each trajectory the bytes of the state,
+    stage-value and energy rows it wrote, or the step that its
+    IntegrationError names, and what the call returned; or the exception the
+    call raised."""
+    states, stages, energy, constants = _arrays(us, ps, n)
     try:
-        out = run(states, stages, p, dt)
+        out = run(states, stages, energy, constants, dt)
     except ZeroDivisionError as err:
         return type(err)
-    return [(rows.tobytes(), stage_rows.tobytes()) if err is None else (IntegrationError, err.step)
-            for rows, stage_rows, err in zip(states, stages, integrators._failures(states))], out
+    return [(rows.tobytes(), stage_rows.tobytes(), vs.tobytes()) if err is None
+            else (IntegrationError, err.step)
+            for rows, stage_rows, vs, err in zip(states, stages, energy,
+                                                 integrators._failures(states))], out
 
 
 # The extreme-input ranges: r at its ends and in between, |w_i| from 1e-14 to
@@ -217,13 +228,13 @@ import os, sys
 import numpy as np
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 assert len(os.sched_getaffinity(0)) == 1
-from moogvcf import integrators, model, native
+from moogvcf import integrators, native
 assert native.KERNEL == "native", native.KERNEL
 batch = np.load(sys.argv[1])
-states, stages = batch["states"], batch["stages"]
-out = getattr(integrators, str(batch["kernel"]))(states, stages, model.make_params(
-    *batch["params"].tolist()), float(batch["dt"]))
-np.savez(sys.argv[2], states=states, stages=stages, work=np.array(out or (0, 0)))
+states, stages, energy = batch["states"], batch["stages"], batch["energy"]
+out = getattr(integrators, str(batch["kernel"]))(states, stages, energy, batch["constants"],
+                                                 float(batch["dt"]))
+np.savez(sys.argv[2], states=states, stages=stages, energy=energy, work=np.array(out or (0, 0)))
 """
 
 
@@ -234,19 +245,17 @@ def test_batch_on_one_cpu_gives_the_same_bytes(tmp_path, method):
     # every byte of every row, non-finite ones included, and the work counts
     # are those of a run on all the CPUs this process may use
     kernel, p, dt, n, us = _mixed_batch(method)
-    table, run = model.stage_table(p), getattr(integrators, kernel + "_native")
-    states, stages = np.zeros((len(us), n + 1, 4)), np.zeros((len(us), n + 1, 5))
-    for u, rows, stage_rows in zip(us, states, stages):
-        rows[0], stage_rows[0] = u, model.stage_tanh(u, table)
-    np.savez(tmp_path / "batch.npz", states=states, stages=stages, kernel=kernel + "_native",
-             params=[p.omega0, p.r], dt=dt)
-    work = run(states, stages, p, dt) or (0, 0)
+    states, stages, energy, constants = _arrays(us, p, n)
+    np.savez(tmp_path / "batch.npz", states=states, stages=stages, energy=energy,
+             constants=constants, kernel=kernel + "_native", dt=dt)
+    work = getattr(integrators, kernel + "_native")(states, stages, energy, constants, dt) or (0, 0)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     subprocess.run([sys.executable, "-c", _PINNED_RUN, str(tmp_path / "batch.npz"),
                     str(tmp_path / "pinned.npz")], env=env, check=True, timeout=300)
     pinned = np.load(tmp_path / "pinned.npz")
     assert pinned["states"].tobytes() == states.tobytes()
     assert pinned["stages"].tobytes() == stages.tobytes()
+    assert pinned["energy"].tobytes() == energy.tobytes()
     assert tuple(pinned["work"].tolist()) == tuple(work)
 
 
@@ -336,6 +345,65 @@ def test_simulate_batch_gives_the_bytes_of_simulate_calls(kernels, run):
         assert [0 if error is None else error.step for error in errors[:3]] == [2, 1, 0]
 
 
+def _member(states, energy, stages, error):
+    """One member's rows of a simulate_batch call as bytes, or its error."""
+    if error is not None:
+        return str(error), error.step
+    return states.tobytes(), energy.tobytes(), stages.tobytes()
+
+
+# r at 0, at 1, at the As boundary 5/12 and its neighbours, and anywhere
+# between (make_params takes r = 0 or a normal float up to 1)
+mixed_resonances = st.sampled_from([0.0, math.nextafter(5 / 12, 0.0), 5 / 12,
+                                    math.nextafter(5 / 12, 1.0), 1.0]) | st.floats(
+    2.2250738585072014e-308, 1.0)
+mixed_members = st.lists(st.tuples(
+    mixed_resonances, st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+    st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4)), min_size=1, max_size=5)
+# a start that overflows at RK4's first step at r = 0 and omega0*dt = 9e307
+OVERFLOWING = (make_params(1e300, 0.0), [3.0, -1.0, 2.0, -4.0], 9e7)
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+@given(members=mixed_members, method=st.sampled_from(list(Method)),
+       dt=st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e), n=st.integers(1, 6),
+       at=st.integers(0, 5), overflowing=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_mixed_parameter_batch_members_are_their_own_calls(kernel, members, method, dt, n, at,
+                                                           overflowing):
+    # each member of a batch with its own (omega0, r) gets the states, V and
+    # stage values of a call on it alone, or the same IntegrationError step:
+    # with the RK4 member that overflows at step 1, the others keep their
+    # bytes; and a DG batch whose largest omega0 alone takes |omega0 * dt|
+    # past MAX_DG_OMEGA0_DT is a ValueError naming dt
+    if kernel == "native" and native.lib is None:
+        pytest.skip("the C kernels did not load")
+    ps = [make_params(omega0, r) for r, omega0, _ in members]
+    x0s = [x0 for _, _, x0 in members]
+    at = min(at, len(ps))
+    if overflowing and method is Method.RK4:
+        ps.insert(at, OVERFLOWING[0])
+        x0s.insert(at, OVERFLOWING[1])
+        dt = OVERFLOWING[2]
+    cfg = StepConfig(dt, method)
+    with mock.patch.multiple(integrators, _dg_run=getattr(integrators, f"_dg_run_{kernel}"),
+                             _rk4_run=getattr(integrators, f"_rk4_run_{kernel}")):
+        batch = integrators.simulate_batch(np.array(x0s), ps, cfg, n)
+        for m, (p, x0) in enumerate(zip(ps, x0s)):
+            alone = integrators.simulate_batch(np.array([x0]), p, cfg, n)
+            assert _member(*(out[m] for out in batch)) == _member(*(out[0] for out in alone))
+        if overflowing and method is Method.RK4:
+            assert batch[3][at].step == 1
+        largest = max(p.omega0 for p in ps)
+        dt = integrators.MAX_DG_OMEGA0_DT / (2.0 * largest)  # the others' omega0*dt: at most half
+        with mock.patch.object(native, "lib", mock.Mock()) as lib:
+            with pytest.raises(ValueError, match="^dt = .* discrete-gradient limit"):
+                integrators.simulate_batch(np.array(x0s[:at] + [[1.0, 0.0, 0.0, 0.0]] + x0s[at:]),
+                                           ps[:at] + [make_params(4.0 * largest, 0.5)] + ps[at:],
+                                           StepConfig(dt), 1)
+        assert lib.mock_calls == []
+
+
 def _ref_decay_study(p, seed, n_states, cfg, t_end):
     """experiments.run_decay_study as it stood with one simulate call per state."""
     tol, n_steps = experiments._DECAY_TOLERANCE[cfg.method], max(1, int(round(t_end / cfg.dt)))
@@ -380,19 +448,37 @@ def _read_only(rows):
     return rows
 
 
+def _constants(n_traj):
+    return np.array([native.constants(make_params(1.0, 0.5))] * n_traj)
+
+
+# (states, stages, energy, constants) of a kernel call, each but the one
+# named wrong; the call of 2 trajectories of 3 rows is the right one
 _bad_rows = {
     "float32": (np.zeros((2, 3, 4), np.float32), np.zeros((2, 3, 5))),
     "Fortran-ordered": (np.asfortranarray(np.zeros((2, 3, 4))), np.zeros((2, 3, 5))),
-    "1-D": (np.zeros(4), np.zeros((1, 1, 5))),
-    "2-D": (np.zeros((3, 4)), np.zeros((3, 5))),
+    "1-D": (np.zeros(4), np.zeros((1, 1, 5)), np.zeros((1, 1)), _constants(1)),
+    "2-D": (np.zeros((3, 4)), np.zeros((3, 5)), np.zeros((3, 1)), _constants(3)),
     "mismatched rows": (np.zeros((2, 3, 4)), np.zeros((2, 2, 5))),
     "mismatched trajectories": (np.zeros((2, 3, 4)), np.zeros((1, 3, 5))),
-    "no rows": (np.zeros((2, 0, 4)), np.zeros((2, 0, 5))),
-    "no trajectories": (np.zeros((0, 3, 4)), np.zeros((0, 3, 5))),
+    "no rows": (np.zeros((2, 0, 4)), np.zeros((2, 0, 5)), np.zeros((2, 0))),
+    "no trajectories": (np.zeros((0, 3, 4)), np.zeros((0, 3, 5)), np.zeros((0, 3)),
+                        _constants(0).reshape(0, 30)),
     "strided trajectories": (np.zeros((4, 3, 4))[::2], np.zeros((2, 3, 5))),
     "swapped widths": (np.zeros((2, 3, 5)), np.zeros((2, 3, 4))),
     "read-only": (np.zeros((2, 3, 4)), _read_only(np.zeros((2, 3, 5)))),
-    "a list": ([[[0.0] * 4] * 3], np.zeros((1, 3, 5))),
+    "a list": ([[[0.0] * 4] * 3], np.zeros((1, 3, 5)), np.zeros((1, 3)), _constants(1)),
+    "energy of other rows": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 2))),
+    "energy of 3-D rows": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3, 1))),
+    "read-only energy": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), _read_only(np.zeros((2, 3)))),
+    "constants of other trajectories": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
+                                        _constants(3)),
+    "constants of 29 values": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
+                               _constants(2)[:, :29].copy()),
+    "strided constants": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
+                          _constants(4)[::2]),
+    "read-only constants": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
+                            _read_only(_constants(2))),
 }
 
 
@@ -401,12 +487,14 @@ _bad_rows = {
 @pytest.mark.parametrize("case", list(_bad_rows))
 def test_kernels_check_their_arrays_before_the_library(kernel, case):
     # each kernel takes writable, C-ordered float64 arrays of the same
-    # trajectories and rows, 4 and 5 wide; anything else is a ValueError that
-    # never reaches the library
-    states, stages = _bad_rows[case]
+    # trajectories: rows of 4 states, 5 stage values and 1 energy, the same
+    # number of each, and one row of 30 constants; anything else is a
+    # ValueError that never reaches the library
+    case = _bad_rows[case]
+    states, stages, energy, constants = case + (np.zeros((2, 3)), _constants(2))[len(case) - 2:]
     with mock.patch.object(native, "lib", mock.Mock()) as lib:
         with pytest.raises(ValueError):
-            getattr(integrators, kernel)(states, stages, make_params(1.0, 0.5), 0.1)
+            getattr(integrators, kernel)(states, stages, energy, constants, 0.1)
     assert lib.mock_calls == []
 
 
@@ -414,12 +502,14 @@ def test_kernels_check_their_arrays_before_the_library(kernel, case):
 @pytest.mark.parametrize("omega0, dt", [(1.0, 1.01e306), (1e300, -1e7), (1e300, 1e300),
                                         (1.0, math.nan)])
 def test_dg_kernels_check_omega0_dt_before_the_library(kernel, omega0, dt):
-    # |omega0 * dt| above MAX_DG_OMEGA0_DT (or NaN) is a ValueError naming dt
-    # that never reaches the library; the RK4 kernels have no such limit
-    states, stages = np.zeros((2, 3, 4)), np.zeros((2, 3, 5))
+    # |omega0 * dt| above MAX_DG_OMEGA0_DT (or NaN) at the batch's largest
+    # omega0, here its second member's, is a ValueError naming dt that never
+    # reaches the library; the RK4 kernels have no such limit
+    states, stages, energy = np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3))
+    constants = np.array([native.constants(make_params(w0, 0.5)) for w0 in (1e-300, omega0)])
     with mock.patch.object(native, "lib", mock.Mock()) as lib:
         with pytest.raises(ValueError, match="^dt = .* discrete-gradient limit"):
-            getattr(integrators, kernel)(states, stages, make_params(omega0, 0.5), dt)
+            getattr(integrators, kernel)(states, stages, energy, constants, dt)
     assert lib.mock_calls == []
 
 
@@ -657,11 +747,11 @@ def test_asan_build_reports_an_out_of_bounds_write(tmp_path, past_the_end):
                     str(library), str(tmp_path / "kernels.c"), "-lm"], check=True, timeout=300)
     call = ("import ctypes, sys\n"
             "import numpy as np\n"
-            "lib, double = ctypes.CDLL(sys.argv[1]), ctypes.c_double\n"
-            "states, stages = np.zeros((2, 3, 4)), np.zeros((2, 3, 5))\n"
-            "lib.rk4_run((double * 30)(*[1.0] * 30), double(0.1), ctypes.c_long(2), "
-            "ctypes.c_long(2), ctypes.c_void_p(states.ctypes.data), "
-            "ctypes.c_void_p(stages.ctypes.data))\n")
+            "lib, address = ctypes.CDLL(sys.argv[1]), lambda a: ctypes.c_void_p(a.ctypes.data)\n"
+            "constants, states = np.ones((2, 30)), np.zeros((2, 3, 4))\n"
+            "stages, energy = np.zeros((2, 3, 5)), np.zeros((2, 3))\n"
+            "lib.rk4_run(address(constants), ctypes.c_double(0.1), ctypes.c_long(2), "
+            "ctypes.c_long(2), address(states), address(stages), address(energy))\n")
     env = {**os.environ, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
     proc = subprocess.run([sys.executable, "-c", call, str(library)], env=env,
                           capture_output=True, text=True, timeout=300)
