@@ -1,17 +1,19 @@
-/* C transcriptions of the three per-state loops: integrators._dg_run_python,
- * integrators._rk4_run_python and lyapunov._energy_rows.  The two integrators
- * run a batch of independent trajectories in one call, each from its own row
- * 0 and with its own row of constants, with nothing carried from one to the
- * next: dg_run and rk4_run put their arguments in a struct batch, and one
- * driver (run_batch) calls dg_trajectory(batch, m) or rk4_trajectory(batch, m)
- * for each trajectory m, spread over as many threads as the batch has
- * trajectories and the process's affinity mask has CPUs, the calling thread
- * among them.  Each thread takes the next m from an atomic counter and runs
- * it alone, steps and then the energy V of each of its rows (state_energy,
- * which energy_column also calls), new threads inherit the caller's
- * floating-point environment, and each DG trajectory adds its work counts to
- * two atomic sums of the batch, so every row and both sums are the same at
- * any thread count.  A batch of one runs on the calling thread.
+/* C transcriptions of integrators._dg_run_python and _rk4_run_python, and of
+ * lyapunov._energy_rows, which both evaluate (state_energy); the library
+ * exports dg_run and rk4_run alone.  Each puts its arguments in a struct
+ * batch of independent trajectories, and one driver (run_batch) spreads
+ * dg_trajectory(batch, m) or rk4_trajectory(batch, m) over as many threads
+ * as the batch has trajectories and the process's affinity mask has CPUs,
+ * the calling thread among them, each taking the next m from an atomic
+ * counter, in the floating-point environment new threads inherit.
+ *
+ * Trajectory m writes its steps, the energy V of each of its rows and its row
+ * of an (n_traj, 3) record: its first row whose state is not finite (0 if
+ * none), its stabilized steps and its line-search trials (0 and 0 for RK4).
+ * It stops at that row, and its states, stage values and energies from there
+ * on are NAN, the positive quiet NaN that Python's math.nan is, as is any NaN
+ * energy.  So every byte is the same at any thread count and on the Python
+ * kernels, NaN rows included, and no count is shared between threads.
  *
  * Each statement keeps the operands, the order of operations and the libm
  * calls (tanh, sinh, log1p, exp) of the Python line it transcribes, and the
@@ -24,7 +26,7 @@
  * solver's tolerances, cutoffs and line search at each call, and the 30
  * doubles of a row pc of native.constants, packed once per FilterParams and
  * unpacked by the Python kernels too.  A batch reads an (n_traj, 30) table of
- * them, trajectory m the row at pc + 30 m, and energy_column one row:
+ * them, trajectory m the row at pc + 30 m:
  *     pc[0..19]  the rows (S, k, S k, S k^2 / 2) of model.stage_table,
  *     pc[20..25] d, feedback_coeff, the feedback-ratio bounds glo and ghi
  *                (1, 1 at r = 0), omega0 and feedback_gain,
@@ -39,20 +41,19 @@
 
 #define ZERO_DIVISION 1
 
-/* A batch of n_traj trajectories of n steps, trajectory m's constants at
- * pc[30 m..], its n + 1 states at states[4 (n + 1) m..], its stage values at
- * stages[5 (n + 1) m..] and their energies at energy[(n + 1) m..], with the
- * arguments of dg_run (rk4_run leaves the solver's unset): run_batch calls
- * trajectory(batch, m) once for each m. */
+/* n_traj trajectories of n steps, trajectory m's constants at pc[30 m..], its
+ * n + 1 states at states[4 (n + 1) m..], stage values at stages[5 (n + 1) m..],
+ * energies at energy[(n + 1) m..] and record at record[3 m..], with dg_run's
+ * arguments (rk4_run leaves the solver's unset), for run_batch. */
 struct batch {
     int (*trajectory)(struct batch *b, long m);
     const double *pc, *line_search;
     double dt, tol, ctol, cut, dcut;
     long n_traj, n, max_iter, n_search;
     double *states, *stages, *energy;
-    atomic_long next;                /* the next trajectory to take */
-    atomic_int failed;               /* a trajectory returned ZERO_DIVISION */
-    atomic_long stabilized, trials;  /* dg_trajectory's work counts, summed */
+    long *record;
+    atomic_long next;   /* the next trajectory to take */
+    atomic_int failed;  /* a trajectory returned ZERO_DIVISION */
 };
 
 /* ln(cosh(a)) of a = |u| >= 0 (or NaN), as lyapunov.log_cosh takes it. */
@@ -67,12 +68,12 @@ static double log_cosh_abs(double a)
 }
 
 /* V = sum_i S_i ln(cosh(k_i w_i)) of the state w over the first four rows of
- * pc's stage table, as lyapunov._energy_rows sums it. */
+ * pc's stage table, as lyapunov._energy_rows sums it; NAN for any NaN sum. */
 static double state_energy(const double *pc, double w1, double w2, double w3, double w4)
 {
     const double s1 = pc[0], k1 = pc[1], s2 = pc[4], k2 = pc[5];
     const double s3 = pc[8], k3 = pc[9], s4 = pc[12], k4 = pc[13];
-    double a, a1, a2, a3, a4;
+    double a, a1, a2, a3, a4, v;
 
     /* 0.0 - a: +0.0 at a = -0.0, as abs gives */
     a = k1 * w1;
@@ -83,7 +84,26 @@ static double state_energy(const double *pc, double w1, double w2, double w3, do
     a3 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
     a = k4 * w4;
     a4 = log_cosh_abs(a > 0.0 ? a : 0.0 - a);
-    return s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4;
+    v = s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4;
+    return v == v ? v : NAN;
+}
+
+/* The end of trajectory m of b at its row last (n + 1 if it stayed finite):
+ * NAN in every state, stage value and energy from that row on, and its record. */
+static void record_trajectory(struct batch *b, long m, long last, long stabilized, long trials)
+{
+    const long n = b->n, rows = (n + 1) * m;
+    long j;
+
+    for (j = 4 * last; j < 4 * (n + 1); j++)
+        b->states[4 * rows + j] = NAN;
+    for (j = 5 * last; j < 5 * (n + 1); j++)
+        b->stages[5 * rows + j] = NAN;
+    for (j = last; j <= n; j++)
+        b->energy[rows + j] = NAN;
+    b->record[3 * m] = last > n ? 0 : last;
+    b->record[3 * m + 1] = stabilized;
+    b->record[3 * m + 2] = trials;
 }
 
 /* A discrete-gradient quotient S log_cosh_diff(k w, k b, t) / b, b != 0, as
@@ -107,9 +127,8 @@ static double max_abs(double u, double m)
 
 /* Trajectory m of a dg_run batch: n steps from the state states[0..3] with
  * its stage values stages[0..4], those of its rows, with the constants pc of
- * its row; step j's state goes to states[4 j..4 j + 3] and its stage values
- * to stages[5 j..5 j + 4], and then the energy of each state j to energy[j].
- * Its stabilized steps and line-search trials are added to the batch's. */
+ * its row, into row j = 1..n of states and stages until a state is not
+ * finite; then the energy of each row written, and record_trajectory. */
 static int dg_trajectory(struct batch *b, long m)
 {
     const double *pc = b->pc + 30 * m, *line_search = b->line_search;
@@ -318,6 +337,8 @@ static int dg_trajectory(struct batch *b, long m)
             v4 = w4 + n4;
             stabilized++;
         }
+        if (!(isfinite(v1) && isfinite(v2) && isfinite(v3) && isfinite(v4)))
+            break;  /* the trajectory stops at its first row that is not finite */
         w1 = v1;
         w2 = v2;
         w3 = v3;
@@ -337,11 +358,10 @@ static int dg_trajectory(struct batch *b, long m)
         stages[5 * step + 3] = t4;
         stages[5 * step + 4] = t5;
     }
-    for (step = 0; step <= n; step++)
-        energy[step] = state_energy(pc, states[4 * step], states[4 * step + 1],
-                                    states[4 * step + 2], states[4 * step + 3]);
-    atomic_fetch_add_explicit(&b->stabilized, stabilized, memory_order_relaxed);
-    atomic_fetch_add_explicit(&b->trials, trials, memory_order_relaxed);
+    for (i = 0; i < step; i++)
+        energy[i] = state_energy(pc, states[4 * i], states[4 * i + 1], states[4 * i + 2],
+                                 states[4 * i + 3]);
+    record_trajectory(b, m, step, stabilized, trials);
     return 0;
 }
 
@@ -384,8 +404,6 @@ static int run_batch(struct batch *b)
 
     atomic_init(&b->next, 0);
     atomic_init(&b->failed, 0);
-    atomic_init(&b->stabilized, 0);
-    atomic_init(&b->trials, 0);
     for (started = 1; started < threads; started++)
         if (pthread_create(&thread[started], NULL, take_trajectories, b))
             break;
@@ -396,28 +414,23 @@ static int run_batch(struct batch *b)
 }
 
 /* integrators._dg_run_python: the n_traj trajectories of n steps each, laid
- * out as struct batch has them, by run_batch.  work[0] counts the stabilized
- * steps and work[1] the line-search trials of all of them. */
+ * out as struct batch has them, by run_batch. */
 int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, double tol,
            double ctol, double cut, double dcut, const double *line_search, long n_search,
-           double *states, double *stages, double *energy, long *work)
+           double *states, double *stages, double *energy, long *record)
 {
     struct batch b = {.trajectory = dg_trajectory, .pc = pc, .line_search = line_search,
                       .dt = dt, .tol = tol, .ctol = ctol, .cut = cut, .dcut = dcut,
                       .n_traj = n_traj, .n = n, .max_iter = max_iter, .n_search = n_search,
-                      .states = states, .stages = stages, .energy = energy};
-    const int status = run_batch(&b);
+                      .states = states, .stages = stages, .energy = energy, .record = record};
 
-    work[0] = atomic_load(&b.stabilized);
-    work[1] = atomic_load(&b.trials);
-    return status;
+    return run_batch(&b);
 }
 
 /* Trajectory m of an rk4_run batch: n steps from the state states[0..3], that
- * of its rows, with the constants pc of its row; step j's state goes to
- * states[4 j..4 j + 3] and its stage values to stages[5 j..5 j + 4]
- * (stages[0..4] are not read), and then the energy of each state j, at
- * w = D x, to energy[j]. */
+ * of its rows, with the constants pc of its row, into row j = 1..n of states
+ * and stages (row 0 not read) until a state is not finite; then the energy
+ * at w = D x of each row written, and record_trajectory with no work. */
 static int rk4_trajectory(struct batch *b, long m)
 {
     const double *pc = b->pc + 30 * m, dt = b->dt, h = 0.5 * dt, s = dt / 6.0;
@@ -428,7 +441,7 @@ static int rk4_trajectory(struct batch *b, long m)
     const double w0 = pc[24], g = pc[25];
     const double sc1 = pc[26], sc2 = pc[27], sc3 = pc[28], sc4 = pc[29];
     double x1 = states[0], x2 = states[1], x3 = states[2], x4 = states[3];
-    long step;
+    long step, j;
 
     for (step = 1; step <= n; step++) {
         double t1, t2, t3, t4, fb, y1, y2, y3, y4, w4;
@@ -449,6 +462,8 @@ static int rk4_trajectory(struct batch *b, long m)
         x2 = x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2);
         x3 = x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3);
         x4 = x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4);
+        if (!(isfinite(x1) && isfinite(x2) && isfinite(x3) && isfinite(x4)))
+            break;  /* the trajectory stops at its first row that is not finite */
         w4 = sc4 * x4;
         states[4 * step] = x1;
         states[4 * step + 1] = x2;
@@ -460,28 +475,21 @@ static int rk4_trajectory(struct batch *b, long m)
         stages[5 * step + 3] = tanh(k4 * w4);
         stages[5 * step + 4] = tanh(k5 * w4);
     }
-    for (step = 0; step <= n; step++)
-        energy[step] = state_energy(pc, sc1 * states[4 * step], sc2 * states[4 * step + 1],
-                                    sc3 * states[4 * step + 2], sc4 * states[4 * step + 3]);
+    for (j = 0; j < step; j++)
+        energy[j] = state_energy(pc, sc1 * states[4 * j], sc2 * states[4 * j + 1],
+                                 sc3 * states[4 * j + 2], sc4 * states[4 * j + 3]);
+    record_trajectory(b, m, step, 0, 0);
     return 0;
 }
 
 /* integrators._rk4_run_python: the n_traj trajectories of n steps each, laid
  * out as struct batch has them, by run_batch. */
 void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, double *stages,
-             double *energy)
+             double *energy, long *record)
 {
     struct batch b = {.trajectory = rk4_trajectory, .pc = pc, .dt = dt, .n_traj = n_traj,
-                      .n = n, .states = states, .stages = stages, .energy = energy};
+                      .n = n, .states = states, .stages = stages, .energy = energy,
+                      .record = record};
 
     run_batch(&b);
-}
-
-/* lyapunov._energy_column_python: V of the n states ws[4 j..4 j + 3] into energy[j]. */
-void energy_column(const double *pc, const double *ws, long n, double *energy)
-{
-    long j;
-
-    for (j = 0; j < n; j++)
-        energy[j] = state_energy(pc, ws[4 * j], ws[4 * j + 1], ws[4 * j + 2], ws[4 * j + 3]);
 }

@@ -14,7 +14,6 @@ is done when recording trajectories.
 """
 
 import ctypes
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -119,26 +118,27 @@ def _finite_state(x, name: str) -> np.ndarray:
     return x
 
 
-def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, constants: np.ndarray,
-           dg_dt: float = 0.0) -> int:
-    """The number of steps n of a kernel call on its four arrays; ValueError
-    unless they are writable, C-ordered float64 arrays of the same N >= 1
-    trajectories, as the kernels of _kernels.c read and write them: n + 1 >= 1
-    rows of 4 states, of 5 stage values and of 1 energy each, and one row of
+def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, record: np.ndarray,
+           constants: np.ndarray, dg_dt: float = 0.0) -> int:
+    """The number of steps n of a kernel call on its five arrays; ValueError
+    unless they are writable, C-ordered arrays of the same N >= 1 trajectories,
+    as _kernels.c reads and writes them: n + 1 >= 1 float64 rows of 4 states,
+    5 stage values and 1 energy each, an int64 record of 3 and a float64 row of
     30 native.constants each.  A discrete-gradient call passes its dt as dg_dt:
     ValueError names dt unless |omega0 * dt| is at most MAX_DG_OMEGA0_DT at
     the largest omega0 of constants."""
-    arrays = (states, stages, energy, constants)
-    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
-                and a.flags.writeable for a in arrays)
+    arrays = (states, stages, energy, record, constants)
+    if not (all(isinstance(a, np.ndarray) and a.flags.c_contiguous and a.flags.writeable
+                for a in arrays)
+            and [a.dtype for a in arrays] == [np.float64] * 3 + [np.int64, np.float64]
             and (states.ndim, stages.ndim, energy.ndim, constants.ndim) == (3, 3, 2, 2)
             and states.shape[:2] == stages.shape[:2] == energy.shape
             and (states.shape[2], stages.shape[2]) == (4, 5)
-            and constants.shape == (len(states), 30) and 0 not in energy.shape):
-        raise ValueError("states, stages, energy and constants must be writable, C-ordered "
-                         "float64 arrays of the same trajectories, at least 1, the first three "
-                         "of the same rows, at least 1, of 4, 5 and 1 values, and constants of "
-                         f"30 values, got {states!r}, {stages!r}, {energy!r} and {constants!r}")
+            and record.shape == (len(states), 3) and constants.shape == (len(states), 30)
+            and 0 not in energy.shape):
+        raise ValueError("kernel arrays must be writable, C-ordered and of the same trajectories, "
+                         "at least 1: float64 rows of 4, 5 and 1, at least 1, int64 records of 3 "
+                         f"and float64 constants of 30, got {arrays!r}")
     omega0 = constants[:, 24].max().item()
     if not abs(omega0 * dg_dt) <= MAX_DG_OMEGA0_DT:
         raise ValueError(f"dt = {dg_dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more than "
@@ -146,39 +146,34 @@ def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, constants
     return states.shape[1] - 1
 
 
-def _failures(states: np.ndarray) -> list:
-    """For each trajectory of a kernel call's states, None if its last row is
-    finite, else the IntegrationError naming its first step whose row is not:
-    each kernel adds an increment to the state, so a component that is not
-    finite stays so in every later step, and the finite rows count the steps
-    before the first that is not."""
-    last = states[:, -1].tolist()
-    if all(map(math.isfinite, itertools.chain.from_iterable(last))):
-        return [None] * len(last)
-    n, finite = len(states[0]) - 1, np.isfinite(states[:, 1:]).all(axis=2).sum(axis=1)
-    return [None if k == n else
-            IntegrationError(f"integration failed at step {k + 1}: state not finite", k + 1)
-            for k in finite.tolist()]
+def _failures(record: np.ndarray) -> list:
+    """For each trajectory of a kernel call's record, None if its states stayed
+    finite, else the IntegrationError naming its first step whose row is not."""
+    return [IntegrationError(f"integration failed at step {k}: state not finite", k) if k
+            else None for k in record[:, 0].tolist()]
 
 
 def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
-                    constants: np.ndarray, dt: float) -> None:
+                    record: np.ndarray, constants: np.ndarray, dt: float) -> None:
     """For each trajectory of states and stages, with the parameters p of its
     row of constants, take n classic fourth-order steps x + dt/6 (a + 2 b +
     2 c + d) of model.rhs_nonlinear from its row 0 of states into its rows
     1..n, and write their stage values model.stage_tanh(D x,
     model.stage_table(p)) to its rows 1..n of stages; then the energy V(D x)
-    of each of its rows 0..n, with D x rounded as x * _scale(p) rounds, to its
-    row of energy.  The field and the stage values are inline, with the
-    operands and order of rhs_nonlinear and stage_tanh, so they match those
-    bit for bit; the constants are native.constants(p), as rk4_run of
-    _kernels.c reads them, and those of dt are computed once per call."""
-    n, h, s, tanh = _steps(states, stages, energy, constants), 0.5 * dt, dt / 6.0, math.tanh
+    of each row, with D x rounded as x * _scale(p) rounds, to its row of
+    energy, and its record, stopping as _dg_run_python does, with no work.
+    The field and the stage values are inline, with the operands and order of
+    rhs_nonlinear and stage_tanh, so they match those bit for bit; the
+    constants are native.constants(p), as rk4_run of _kernels.c reads them,
+    and those of dt are computed once per call."""
+    n, h, s = _steps(states, stages, energy, record, constants), 0.5 * dt, dt / 6.0
+    tanh, isfinite = math.tanh, math.isfinite
     # at most three targets per assignment, as in _dg_run
-    for xs, ts, vs, pc in zip(states, stages, energy, constants.tolist()):  # one trajectory
+    for xs, ts, vs, rec, pc in zip(states, stages, energy, record, constants.tolist()):
         k1, k2, k3, k4, k5 = pc[1:20:4]  # the stage table's k column
         w0, g, sc1, sc2, sc3, sc4 = pc[24:30]
         x1, x2, x3, x4 = xs[0].tolist()
+        last = n + 1
         for step in range(1, n + 1):
             t1, t2, t3 = tanh(x1), tanh(x2), tanh(x3)
             t4, fb = tanh(x4), tanh(g * x4)
@@ -206,28 +201,32 @@ def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
                       x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
             x3, x4 = (x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
                       x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+            if not (isfinite(x1) and isfinite(x2) and isfinite(x3) and isfinite(x4)):
+                last = step  # the trajectory stops at its first row that is not finite
+                break
             w4 = sc4 * x4
             xs[step] = x1, x2, x3, x4
             ts[step] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)),
                         tanh(k4 * w4), tanh(k5 * w4))
-        vs[:] = lyapunov._energy_rows(pc, [[sc1 * x1, sc2 * x2, sc3 * x3, sc4 * x4]
-                                           for x1, x2, x3, x4 in xs.tolist()])
+        vs[:last] = lyapunov._energy_rows(pc, [[sc1 * x1, sc2 * x2, sc3 * x3, sc4 * x4]
+                                               for x1, x2, x3, x4 in xs[:last].tolist()])
+        xs[last:] = ts[last:] = vs[last:] = math.nan
+        rec[:] = (0 if last > n else last), 0, 0
 
 
 def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
-                   constants: np.ndarray, dt: float):
+                   record: np.ndarray, constants: np.ndarray, dt: float) -> None:
     """For each trajectory of states and stages, with the parameters p of its
     row of constants, take n discrete-gradient steps of length dt from its row
     0 of states, w, with its stage values t = model.stage_tanh(w,
     model.stage_table(p)) in its row 0 of stages, into its rows 1..n of both:
-    the new states v and their tanh(k_i v_i); then the energy V of each of its
-    rows 0..n to its row of energy.  Nothing carries over from one trajectory
-    to the next.
-
-    Returns the number of stabilized steps and that of line-search trials, the
-    residual evaluations with quotients, of all the trajectories.  The
-    constants are native.constants(p), as dg_run of _kernels.c reads them,
-    and those of (p, dt) are computed once per trajectory.
+    the new states v and their tanh(k_i v_i); then the energy V of each row to
+    its row of energy.  It stops at its first state that is not finite: every
+    value from that row on is math.nan, and its row of record holds that row
+    (0 if none), its stabilized steps and its line-search trials, the residual
+    evaluations with quotients.  Nothing carries over from one trajectory to
+    the next.  The constants are native.constants(p), as dg_run of _kernels.c
+    reads them, and those of (p, dt) are computed once per trajectory.
 
     A step solves v = w + dt*omega0*Fbar(w, v), Fbar being model.stage_field
     of the stage quotients zbar of the table's rows (rows 4 and 5 along w4):
@@ -262,11 +261,11 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
     <= z'delta + delta'L delta/2 = dt*omega0*y'Q(g)y - delta'L delta/2 <= 0, as
     the QsWorstCase certificate makes sym(Q(g)) <= 0 within the bounds.
     """
-    n = _steps(states, stages, energy, constants, dt)
+    n = _steps(states, stages, energy, record, constants, dt)
     tol, cut, ctol, dcut = _NEWTON_TOL, _COINCIDENCE_CUTOFF, _CHORD_TOL, _DERIVATIVE_CUTOFF
     iterations, line_search, chord = range(_NEWTON_MAX_ITER), _LINE_SEARCH, _LINE_SEARCH[:1]
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
-    stabilized, trials = 0, 0
+    isfinite = math.isfinite
     # The loops below keep three rules, as CPython 3.11 runs them.  An
     # assignment has at most three targets: four or more build and unpack a
     # tuple.  No builtin is called: |b| < c is written -c < b < c, and a max of
@@ -274,7 +273,7 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
     # does, keeps a NaN first term and skips a NaN later one.  Constants are
     # read into locals before a trajectory's steps.  Each float operation keeps
     # the operands and order it had with abs(), so no result changes by a bit.
-    for ws, ts, vs, pc in zip(states, stages, energy, constants.tolist()):  # one trajectory
+    for ws, ts, vs, rec, pc in zip(states, stages, energy, record, constants.tolist()):
         (s1, k1, g1, c1, s2, k2, g2, c2, s3, k3, g3, c3, s4, k4, g4, c4, s5, k5, g5, c5,
          d, fc, glo, ghi, omega0, *_) = pc
         ho = dt * omega0
@@ -282,6 +281,7 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
         cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
         (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = ws[0].tolist(), ts[0].tolist()
         km = 0.0  # kmax from the second step on: the first solve has no slopes to borrow
+        stabilized, trials, last = 0, 0, n + 1
         for step in range(1, n + 1):
             y1, y2, y3 = g1 * t1, g2 * t2, g3 * t3
             y4, y5 = g4 * t4, g5 * t5
@@ -416,37 +416,39 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
                 v1, v2, v3 = w1 + (p1 - q1 * n4), w2 + (p2 - q2 * n4), w3 + (p3 - q3 * n4)
                 v4 = w4 + n4
                 stabilized += 1
+            if not (isfinite(v1) and isfinite(v2) and isfinite(v3) and isfinite(v4)):
+                last = step  # the trajectory stops at its first row that is not finite
+                break
             w1, w2, w3 = v1, v2, v3
             w4 = v4
             t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
             t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
             ws[step] = w1, w2, w3, w4
             ts[step] = t1, t2, t3, t4, t5
-        vs[:] = lyapunov._energy_rows(pc, ws.tolist())
-    return stabilized, trials
+        vs[:last] = lyapunov._energy_rows(pc, ws[:last].tolist())
+        ws[last:] = ts[last:] = vs[last:] = math.nan
+        rec[:] = (0 if last > n else last), stabilized, trials
 
 
 def _rk4_run_native(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
-                    constants: np.ndarray, dt: float) -> None:
+                    record: np.ndarray, constants: np.ndarray, dt: float) -> None:
     """_rk4_run_python, run by rk4_run of _kernels.c."""
-    n = _steps(states, stages, energy, constants)
+    n = _steps(states, stages, energy, record, constants)
     double = ctypes.c_double.from_buffer  # a cheap pointer
     native.lib.rk4_run(double(constants), dt, len(states), n, double(states), double(stages),
-                       double(energy))
+                       double(energy), ctypes.c_long.from_buffer(record))
 
 
 def _dg_run_native(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
-                   constants: np.ndarray, dt: float):
+                   record: np.ndarray, constants: np.ndarray, dt: float) -> None:
     """_dg_run_python, run by dg_run of _kernels.c with this module's solver
     constants as they stand at the call."""
-    n, double, work = _steps(states, stages, energy, constants, dt), ctypes.c_double.from_buffer, (
-        ctypes.c_long * 2)()
+    n, double = _steps(states, stages, energy, record, constants, dt), ctypes.c_double.from_buffer
     if native.lib.dg_run(double(constants), dt, len(states), n, _NEWTON_MAX_ITER, _NEWTON_TOL,
                          _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
                          native.doubles(_LINE_SEARCH), len(_LINE_SEARCH), double(states),
-                         double(stages), double(energy), work):
+                         double(stages), double(energy), ctypes.c_long.from_buffer(record)):
         raise ZeroDivisionError("float division by zero")  # where _dg_run_python raises it
-    return work[0], work[1]
 
 
 # The kernels simulate_batch runs: those of _kernels.c if native loaded them,
@@ -463,25 +465,25 @@ def _scale(p: FilterParams) -> np.ndarray:
 
 
 def _start(xs: np.ndarray, params: list, n: int, rk4: bool):
-    """The four arrays of a kernel call of n steps from each of the N rows x of
+    """The five arrays of a kernel call of n steps from each of the N rows x of
     xs, trajectory m with the parameters params[m]: the (N, n + 1, 4) states,
     row 0 x (RK4) or w = D x (DG), the (N, n + 1, 5) stage values, row 0 those
-    at w, the (N, n + 1) energies, and the (N, 30) table of native.constants."""
+    at w, the (N, n + 1) energies, the (N, 3) record and N native.constants."""
     constants = np.array([native.constants(p) for p in params])
     ws = [[s * u for s, u in zip(scale, x)]  # in floats: no overflow warning
           for scale, x in zip(constants[:, 26:].tolist(), xs.tolist())]
     states, stages = np.empty((len(ws), n + 1, 4)), np.empty((len(ws), n + 1, 5))
     states[:, 0] = xs if rk4 else ws
     stages[:, 0] = [model.stage_tanh(w, model.stage_table(p)) for p, w in zip(params, ws)]
-    return states, stages, np.empty(states.shape[:2]), constants
+    return states, stages, np.empty(states.shape[:2]), np.empty((len(ws), 3), np.int64), constants
 
 
 def _step(x, p: FilterParams, dt: float, rk4: bool) -> np.ndarray:
     """The state after one kernel step of length dt from the state x, x for
     RK4 and w = D x for DG; the step's IntegrationError if it is not finite."""
-    arrays = states, _, _, _ = _start(_finite_state(x, "x")[None], [p], 1, rk4)
+    arrays = states, _, _, record, _ = _start(_finite_state(x, "x")[None], [p], 1, rk4)
     (_rk4_run if rk4 else _dg_run)(*arrays, dt)
-    (error,) = _failures(states)
+    (error,) = _failures(record)
     if error:
         raise error
     return states[0, 1]
@@ -506,7 +508,7 @@ def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
     if p is a sequence of N of them, and return the (N, n_steps + 1, 4) states
     in x coordinates, their (N, n_steps + 1) energies V and (N, n_steps + 1, 5)
     stage values, and for each trajectory None or the IntegrationError naming
-    its first step that is not finite (its rows from there on are not finite).
+    its first step that is not finite (its rows from there on are NaN).
 
     ValueError names dt if the last time dt * n_steps overflows, or if
     |omega0 * dt| is more than MAX_DG_OMEGA0_DT at the batch's largest omega0
@@ -514,10 +516,10 @@ def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
     row, and x0 unless each row is finite with a finite energy V(D x0).  One
     _rk4_run or _dg_run call writes, for each trajectory and on the thread
     that steps it, the states (x for RK4, w for discrete gradient), their stage
-    values and their energies V, the saturation energy with d = max(1, alpha)
-    at w, to the arrays of _start.  DG states then become x = D^-1 w in one
-    in-place division by each row's own scale, which rounds as a float
-    division does.
+    values, their energies V, the saturation energy with d = max(1, alpha)
+    at w, and its record, which names its error, to the arrays of _start.  DG
+    states then become x = D^-1 w in one in-place division by each row's own
+    scale, which rounds as a float division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
@@ -534,7 +536,7 @@ def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
     if len(params) != len(x0s):
         raise ValueError(f"p must be one FilterParams or one per row of x0s, got {len(params)} "
                          f"for {len(x0s)} rows")
-    arrays = states, stages, energy, constants = _start(x0s, params, n_steps, rk4)
+    arrays = states, stages, energy, record, constants = _start(x0s, params, n_steps, rk4)
     if rk4:
         _rk4_run(*arrays, cfg.dt)
     else:
@@ -543,7 +545,7 @@ def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
     if not np.isfinite(energy[:, 0]).all():
         bad = np.isfinite(energy[:, 0]).argmin()
         raise ValueError(f"x0 must have a finite energy V(D x0), got {x0s[bad].tolist()}")
-    return states, energy, stages, _failures(states)
+    return states, energy, stages, _failures(record)
 
 
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:

@@ -102,9 +102,10 @@ def _energy_rows(pc, rows) -> list:
     """V of each state (w1, w2, w3, w4) of rows, a list of 4-lists of floats:
     V = sum_i S_i lncosh(k_i w_i) over model.stage_table, whose S and k are
     read from pc, a native.constants row as a list of floats, as state_energy
-    of _kernels.c reads them."""
+    of _kernels.c reads them; math.nan if V is a NaN, whichever NaN the
+    additions kept."""
     s1, k1, _, _, s2, k2, _, _, s3, k3, _, _, s4, k4 = pc[:14]
-    log1p, sinh, exp, ln2 = math.log1p, math.sinh, math.exp, _LN2
+    log1p, sinh, exp, ln2, nan = math.log1p, math.sinh, math.exp, _LN2, math.nan
     energy = []
     # no abs call and at most three targets per assignment, as in integrators._dg_run
     for w1, w2, w3, w4 in rows:
@@ -121,28 +122,17 @@ def _energy_rows(pc, rows) -> list:
         a4 = a if (a := k4 * w4) > 0.0 else 0.0 - a
         a4 = (log1p(2.0 * (sh := sinh(0.5 * a4)) * sh) if a4 <= 1.0
               else a4 + log1p(exp(-2.0 * a4)) - ln2)
-        energy.append(s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4)
+        v = s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4
+        energy.append(v if v == v else nan)
     return energy
 
 
-def _energy_column_python(ws, p: FilterParams) -> np.ndarray:
+def energy_column(ws, p: FilterParams) -> np.ndarray:
     """V of each state (w1, w2, w3, w4) in ws, an (n, 4) array or the rows
-    back to back (else ValueError, from the reshape), by _energy_rows."""
+    back to back (else ValueError, from the reshape), by _energy_rows, whose
+    operations the kernels use for a trajectory's V."""
     rows = np.ascontiguousarray(ws, dtype=float).reshape(-1, 4).tolist()
     return np.array(_energy_rows(native.constants(p).tolist(), rows), dtype=float)
-
-
-def _energy_column_native(ws, p: FilterParams) -> np.ndarray:
-    """_energy_column_python, run by energy_column of _kernels.c."""
-    ws = np.ascontiguousarray(ws, dtype=float).reshape(-1, 4)
-    energy = np.empty(len(ws))
-    native.lib.energy_column(native.constants(p).ctypes.data, ws.ctypes.data, len(ws),
-                             energy.ctypes.data)
-    return energy
-
-
-# the kernel of _kernels.c if native loaded it, else the Python one: the same bits
-energy_column = _energy_column_python if native.lib is None else _energy_column_native
 
 
 def rate_column(zs, p: FilterParams) -> np.ndarray:

@@ -2,14 +2,17 @@
 
 _kernels.c transcribes integrators._dg_run_python, integrators._rk4_run_python
 and lyapunov._energy_rows statement by statement, so both kernels give the
-same bits for every trajectory that stays finite, on the rows of the same
-caller-owned numpy arrays and from the same per-parameter constants, one
-row of constants per trajectory (an (N, 30) table of them for a batch of N,
-whose members may have different parameters); C's M_LN2 is math.log(2.0).
-Its dg_run and rk4_run spread a batch's trajectories over as many threads
-as the batch has trajectories and the process's CPU affinity mask has CPUs,
-each thread evaluating the energies V of the trajectories it steps, which
-changes no bit; nothing else sets the number.  On first import it is
+same bits, NaN rows included, on the rows of the same caller-owned numpy
+arrays and from the same per-parameter constants, one row of constants per
+trajectory (an (N, 30) table of them for a batch of N, whose members may
+have different parameters); C's M_LN2 is math.log(2.0).  Each trajectory
+writes its row of an (N, 3) int64 record (its first row that is not finite,
+or 0, its stabilized steps and its line-search trials) and NaN from that
+row on.  The library exports dg_run and rk4_run alone, which spread a
+batch's trajectories over as many threads as the batch has trajectories and
+the process's CPU affinity mask has CPUs, each thread evaluating the
+energies V of the trajectories it steps, which changes no bit; nothing else
+sets the number.  On first import it is
 compiled with the system C compiler (the CC environment variable, else
 sysconfig's CC) and the flags of FLAGS: -ffp-contract=off keeps multiplies
 and adds from fusing into FMAs, which round once instead of twice.  The
@@ -60,19 +63,16 @@ COMPILE_TIMEOUT = 120.0  # seconds
 CACHE_KEEP = 4  # libraries a cache miss keeps, the most recently loaded
 
 _log = logging.getLogger("moogvcf")
-# A kernel call's arrays (constants, states, stage values and energies) and
-# the line search are passed as ctypes doubles (c_double.from_buffer of a
-# writable, C-ordered float64 array, or a ctypes array), whose address ctypes
-# takes without the 1.5-2.5 us of an ndarray.ctypes.data read; energy_column's
-# arrays, which may be read-only, by address.
-_doubles, _ptr = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+# A kernel call's arrays (constants, states, stage values, energies and the
+# int64 record) and the line search are passed as ctypes scalars (from_buffer
+# of a writable, C-ordered array, or a ctypes array), whose address ctypes
+# takes without the 1.5-2.5 us of an ndarray.ctypes.data read.
 _double, _long = ctypes.c_double, ctypes.c_long
+_doubles, _longs = ctypes.POINTER(_double), ctypes.POINTER(_long)
 _SIGNATURES = {
     "dg_run": (ctypes.c_int, [_doubles, _double, _long, _long, _long, _double, _double, _double,
-                              _double, _doubles, _long, _doubles, _doubles, _doubles,
-                              ctypes.POINTER(_long)]),
-    "rk4_run": (None, [_doubles, _double, _long, _long, _doubles, _doubles, _doubles]),
-    "energy_column": (None, [_ptr, _ptr, _long, _ptr]),
+                              _double, _doubles, _long, _doubles, _doubles, _doubles, _longs]),
+    "rk4_run": (None, [_doubles, _double, _long, _long, _doubles, _doubles, _doubles, _longs]),
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moogvcf import integrators, lyapunov, model, native
+from moogvcf import experiments, integrators, lyapunov, model, native
 from moogvcf.integrators import (
     IntegrationError,
     Method,
@@ -279,13 +279,24 @@ def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def _dg_record(ws, p, dt, n_steps):
+    """The states, stage values and record of a _dg_run call of n_steps from
+    each state w of ws, row 0 of each trajectory w and its stage values."""
+    states, stages = np.empty((len(ws), n_steps + 1, 4)), np.empty((len(ws), n_steps + 1, 5))
+    for w, rows, stage_rows in zip(ws, states, stages):
+        rows[0], stage_rows[0] = w, model.stage_tanh(w, model.stage_table(p))
+    record = np.empty((len(ws), 3), np.int64)
+    integrators._dg_run(states, stages, np.empty(states.shape[:2]), record,
+                        np.array([native.constants(p)] * len(ws)), dt)
+    return states, stages, record
+
+
 def _dg_rows(w, p, dt, n_steps):
     """The state and stage-value rows of a _dg_run call on one trajectory, row
-    0 w and its stage values, and its (stabilized steps, trials) over n_steps."""
-    states, stages = np.empty((1, n_steps + 1, 4)), np.empty((1, n_steps + 1, 5))
-    states[0, 0], stages[0, 0] = w, model.stage_tanh(w, model.stage_table(p))
-    return (states[0], stages[0], *integrators._dg_run(states, stages, np.empty((1, n_steps + 1)),
-                                                       np.array([native.constants(p)]), dt))
+    0 w and its stage values, and its (stabilized steps, trials) over n_steps,
+    the work columns of its record."""
+    states, stages, record = _dg_record([w], p, dt, n_steps)
+    return (states[0], stages[0], *record[:, 1:].sum(axis=0).tolist())
 
 
 def _kernel(w, p, dt):
@@ -540,6 +551,29 @@ def test_stiff_solves_start_from_previous_slopes():
     assert trials <= 4.0 * n_states * n_steps
 
 
+# (stabilized steps, line-search trials) of the 16 starts of a decay study
+# with seed 1 at each of decay_stiff's (r, omega0*dt) cells, 100 steps from
+# each, as the DG kernels counted them over a batch before they kept a
+# record per trajectory
+DECAY_STIFF_WORK = {
+    (0.1, 0.1): (0, 4265), (0.1, 1.0): (0, 1908), (0.1, 10.0): (2, 2780),
+    (0.5, 0.1): (0, 4681), (0.5, 1.0): (0, 3390), (0.5, 10.0): (0, 4314),
+    (0.99, 0.1): (0, 4784), (0.99, 1.0): (0, 5361), (0.99, 10.0): (0, 5946),
+    (1.0, 0.1): (0, 4784), (1.0, 1.0): (0, 5394), (1.0, 10.0): (0, 6017),
+}
+
+
+@pytest.mark.parametrize("cell", list(DECAY_STIFF_WORK))
+def test_record_work_sums_on_decay_stiff_cells(kernels, cell):
+    # each trajectory's work columns, summed over the batch, are the sums the
+    # kernels counted: on any thread count, since each row is one trajectory's
+    (r, dt), p = cell, make_params(1.0, cell[0])
+    ws = [np.array(experiments._draw_start(1, i)) * integrators._scale(p) for i in range(16)]
+    states, _, record = _dg_record(ws, p, dt, 100)
+    assert tuple(record[:, 1:].sum(axis=0).tolist()) == DECAY_STIFF_WORK[cell]
+    assert record[:, 0].tolist() == [0] * 16 and np.isfinite(states).all()
+
+
 def test_stalled_borrowed_iteration_retries_from_analytic_slopes():
     # The second step's first iteration, from the first solve's last slopes,
     # stalls in its line search (9 trials).  The iteration is retried from the
@@ -694,7 +728,7 @@ def test_rk4_trajectory_bit_identical_to_frozen_reference(r, omega0, dt_omega, x
     columns, flat = _ref_rk4_trajectory(x0, p, dt, n_steps)
     traj = simulate(np.array(x0), p, StepConfig(dt=dt, method=Method.RK4), n_steps)
     assert _columns(traj) == columns
-    arrays = states, stages, _, _ = integrators._start(np.array([x0]), [p], n_steps, rk4=True)
+    arrays = states, stages, _, _, _ = integrators._start(np.array([x0]), [p], n_steps, rk4=True)
     integrators._rk4_run(*arrays, dt)
     assert _bits([*states.ravel(), *stages.ravel()]) == flat
 
@@ -893,10 +927,11 @@ def test_discrete_gradient_time_reversal(r, bound, dt_omega, n_steps, data):
         if stabilized and rnorm > tol:  # a stabilized step
             continue
         try:
-            back, back_stages = np.array([[v, v]]), np.array([[t, t]])
-            back_stabilized, _ = integrators._dg_run(back, back_stages, np.empty((1, 2)),
-                                                     np.array([native.constants(p)]), -dt_omega)
-            u = back[0, 1].tolist()
+            back, back_stages, record = np.array([[v, v]]), np.array([[t, t]]), np.empty(
+                (1, 3), np.int64)
+            integrators._dg_run(back, back_stages, np.empty((1, 2)), record,
+                                np.array([native.constants(p)]), -dt_omega)
+            u, back_stabilized = back[0, 1].tolist(), record[0, 1]
         except ZeroDivisionError:  # with -dt, a Newton or stabilized pivot 1 - dt*omega0*e_i
             assert q > 0.5  # can be 0 only beyond the contraction range
             continue

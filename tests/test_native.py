@@ -35,31 +35,35 @@ def _bits(values):
 
 
 def _arrays(us, ps, n):
-    """The four arrays of a kernel call of n steps from each state u of us,
+    """The five arrays of a kernel call of n steps from each state u of us,
     with the FilterParams ps, or ps[m] for member m if ps is a list: row 0 of
     its states u and of its stage values those at u."""
     ps = ps if isinstance(ps, list) else [ps] * len(us)
     states, stages = np.empty((len(us), n + 1, 4)), np.empty((len(us), n + 1, 5))
     for u, p, rows, stage_rows in zip(us, ps, states, stages):
         rows[0], stage_rows[0] = u, model.stage_tanh(u, model.stage_table(p))
-    return states, stages, np.empty((len(us), n + 1)), np.array([native.constants(p) for p in ps])
+    return (states, stages, np.empty((len(us), n + 1)), np.empty((len(us), 3), np.int64),
+            np.array([native.constants(p) for p in ps]))
+
+
+def _members(states, stages, energy, record):
+    """For each trajectory of a kernel call, the bytes of every state,
+    stage-value and energy row, non-finite ones included, and its record
+    (first non-finite row, stabilized steps, line-search trials)."""
+    return [(rows.tobytes(), stage_rows.tobytes(), vs.tobytes(), tuple(rec))
+            for rows, stage_rows, vs, rec in zip(states, stages, energy, record.tolist())]
 
 
 def _outcome(run, us, ps, dt, n):
     """A kernel's n steps from each state of us, in one call, with the
-    parameters of _arrays: for each trajectory the bytes of the state,
-    stage-value and energy rows it wrote, or the step that its
-    IntegrationError names, and what the call returned; or the exception the
-    call raised."""
-    states, stages, energy, constants = _arrays(us, ps, n)
+    parameters of _arrays: _members of the call, which returns None, or the
+    exception it raised."""
+    states, stages, energy, record, constants = _arrays(us, ps, n)
     try:
-        out = run(states, stages, energy, constants, dt)
+        assert run(states, stages, energy, record, constants, dt) is None
     except ZeroDivisionError as err:
         return type(err)
-    return [(rows.tobytes(), stage_rows.tobytes(), vs.tobytes()) if err is None
-            else (IntegrationError, err.step)
-            for rows, stage_rows, vs, err in zip(states, stages, energy,
-                                                 integrators._failures(states))], out
+    return _members(states, stages, energy, record)
 
 
 # The extreme-input ranges: r at its ends and in between, |w_i| from 1e-14 to
@@ -82,6 +86,9 @@ batches = st.lists(states, min_size=1, max_size=4)
 dt_omegas = st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e) | st.floats(5e307, 1.7e308)
 DIFFERENT_STEPS = [[1.0, -2.0, 0.5, 3.0], [3.0, -1.0, 2.0, -4.0], [0.0, 0.0, 0.0, 1.0],
                    [math.nan, 0.0, 0.0, 0.0]]
+# the positive quiet NaN, math.nan, which fills a trajectory's rows from its
+# first non-finite one on
+NAN_BYTES = struct.pack("<d", math.nan)
 
 
 @needs_native
@@ -102,13 +109,17 @@ DIFFERENT_STEPS = [[1.0, -2.0, 0.5, 3.0], [3.0, -1.0, 2.0, -4.0], [0.0, 0.0, 0.0
          max_iter=50, tol=0.0, cutoffs=(1e-12, 1e-7), search=integrators._LINE_SEARCH)
 @example(r=0.0, omega0=1.0, dt_omega=9e307, sign=1.0, us=DIFFERENT_STEPS, n=5, max_iter=50,
          tol=integrators._NEWTON_TOL, cutoffs=(1e-12, 1e-7), search=integrators._LINE_SEARCH)
+# a NaN start, whose step 1 the C kernel once wrote as a negative NaN
+@example(r=0.0, omega0=1.0, dt_omega=1e8, sign=1.0, us=[[math.nan, 0.0, 0.0, 0.0]], n=5,
+         max_iter=50, tol=integrators._NEWTON_TOL, cutoffs=(1e-12, 1e-7),
+         search=integrators._LINE_SEARCH)
 @settings(max_examples=1500, deadline=None)
 def test_dg_run_native_bit_identical_to_python(r, omega0, dt_omega, sign, us, n, max_iter, tol,
                                                cutoffs, search):
-    # each trajectory's states and stage values or the step its error names,
-    # and (stabilized, trials) summed over the batch, or the exception, with
-    # the solver constants patched as the tests patch them and the omega0*dt
-    # limit lifted, so that the kernels also meet the steps it rejects
+    # every byte of each trajectory's rows, non-finite ones included, and its
+    # record, or the exception, with the solver constants patched as the
+    # tests patch them and the omega0*dt limit lifted, so that the kernels
+    # also meet the steps it rejects
     p, dt = make_params(omega0, r), sign * dt_omega / omega0
     with mock.patch.multiple(integrators, _NEWTON_MAX_ITER=max_iter, _NEWTON_TOL=tol,
                              _COINCIDENCE_CUTOFF=cutoffs[0], _DERIVATIVE_CUTOFF=cutoffs[1],
@@ -139,8 +150,8 @@ def test_batch_member_solves_start_from_its_own_slopes(kernel):
     # The second member's first solve is stiff: its residual norm at v = w
     # times max(k_i) exceeds 1, so a solve that came after the first member's
     # last would start from that one's slopes.  It is its trajectory's first
-    # step, though, and starts from the slopes at its own w: its rows are those
-    # of a call on it alone, and the work counters are the sums of the two.
+    # step, though, and starts from the slopes at its own w: its rows and
+    # record are those of a call on it alone.
     if kernel.endswith("native") and native.lib is None:
         pytest.skip("the C kernels did not load")
     run, p, dt, n = getattr(integrators, kernel), make_params(1.0, 0.99), 10.0, 20
@@ -149,11 +160,9 @@ def test_batch_member_solves_start_from_its_own_slopes(kernel):
                                                               [-4.0, 3.5, 4.5, -3.0]))
     field = model.stage_field(model.stage_gradients(second, table), p)
     assert dt * p.omega0 * max(map(abs, field)) * max(k for _, k, _, _ in table) > 1.0
-    (members, work), alone = _outcome(run, [first, second], p, dt, n), [
-        _outcome(run, [u], p, dt, n) for u in (first, second)]
-    assert members == alone[0][0] + alone[1][0]
-    assert work == tuple(map(sum, zip(alone[0][1], alone[1][1])))
-    assert IntegrationError not in {member[0] for member in members}
+    members = _outcome(run, [first, second], p, dt, n)
+    assert members == _outcome(run, [first], p, dt, n) + _outcome(run, [second], p, dt, n)
+    assert [member[3][0] for member in members] == [0, 0]
 
 
 def _mixed_batch(method):
@@ -175,26 +184,23 @@ def _mixed_batch(method):
 @needs_native
 @pytest.mark.parametrize("method", list(Method))
 def test_threaded_batch_matches_python_member_for_member(method):
-    # however the threads share out the 33 members, each one's rows (or the
-    # step its error names) are the Python kernel's, and so are the summed
-    # work counts
+    # however the threads share out the 33 members, every byte of each one's
+    # rows, non-finite ones included, and its record are the Python kernel's
     kernel, p, dt, n, us = _mixed_batch(method)
-    (members, work), want = _outcome(getattr(integrators, kernel + "_native"), us, p, dt, n), (
-        _outcome(getattr(integrators, kernel + "_python"), us, p, dt, n))
-    assert (members, work) == want
-    steps = {member[1] for member in members if member[0] is IntegrationError}
-    assert len(steps) < len(members)  # some members stay finite
+    members = _outcome(getattr(integrators, kernel + "_native"), us, p, dt, n)
+    assert members == _outcome(getattr(integrators, kernel + "_python"), us, p, dt, n)
+    steps = {member[3][0] for member in members}
     if method is Method.DISCRETE_GRADIENT:
-        assert steps == {1} and work[0] > 0
+        assert steps == {0, 1} and sum(member[3][1] for member in members) > 0
     else:
-        assert steps == {1, 2, 3}
+        assert steps == {0, 1, 2, 3}
 
 
 @needs_native
 def test_concurrent_calls_keep_their_own_batches():
     # four Python threads call the DG kernel at once (ctypes releases the GIL),
-    # so the batches' threads outnumber the cores: each call's rows and work
-    # counts are still those of the Python kernel on its own batch
+    # so the batches' threads outnumber the cores: each call's rows and
+    # records are still those of the Python kernel on its own batch
     _, p, dt, n, us = _mixed_batch(Method.DISCRETE_GRADIENT)
     batches = [us[i:] + us[:i] for i in range(0, 32, 8)]
     want = [_outcome(integrators._dg_run_python, batch, p, dt, n) for batch in batches]
@@ -222,7 +228,7 @@ def test_concurrent_calls_keep_their_own_batches():
 
 # Runs a batch of _mixed_batch in a fresh interpreter pinned to one CPU, whose
 # kernel must then run it on the calling thread alone: argv[1] holds the
-# starts, argv[2] receives the rows and work counts.
+# starts, argv[2] receives the rows and the record.
 _PINNED_RUN = """\
 import os, sys
 import numpy as np
@@ -231,10 +237,9 @@ assert len(os.sched_getaffinity(0)) == 1
 from moogvcf import integrators, native
 assert native.KERNEL == "native", native.KERNEL
 batch = np.load(sys.argv[1])
-states, stages, energy = batch["states"], batch["stages"], batch["energy"]
-out = getattr(integrators, str(batch["kernel"]))(states, stages, energy, batch["constants"],
-                                                 float(batch["dt"]))
-np.savez(sys.argv[2], states=states, stages=stages, energy=energy, work=np.array(out or (0, 0)))
+arrays = [batch[name] for name in ("states", "stages", "energy", "record", "constants")]
+getattr(integrators, str(batch["kernel"]))(*arrays, float(batch["dt"]))
+np.savez(sys.argv[2], **dict(zip(("states", "stages", "energy", "record"), arrays)))
 """
 
 
@@ -242,21 +247,19 @@ np.savez(sys.argv[2], states=states, stages=stages, energy=energy, work=np.array
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 @pytest.mark.parametrize("method", list(Method))
 def test_batch_on_one_cpu_gives_the_same_bytes(tmp_path, method):
-    # every byte of every row, non-finite ones included, and the work counts
-    # are those of a run on all the CPUs this process may use
+    # every byte of every row, non-finite ones included, and the record are
+    # those of the Python kernel, as a run on all the CPUs this process may
+    # use gives them
     kernel, p, dt, n, us = _mixed_batch(method)
-    states, stages, energy, constants = _arrays(us, p, n)
-    np.savez(tmp_path / "batch.npz", states=states, stages=stages, energy=energy,
+    states, stages, energy, record, constants = _arrays(us, p, n)
+    np.savez(tmp_path / "batch.npz", states=states, stages=stages, energy=energy, record=record,
              constants=constants, kernel=kernel + "_native", dt=dt)
-    work = getattr(integrators, kernel + "_native")(states, stages, energy, constants, dt) or (0, 0)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     subprocess.run([sys.executable, "-c", _PINNED_RUN, str(tmp_path / "batch.npz"),
                     str(tmp_path / "pinned.npz")], env=env, check=True, timeout=300)
     pinned = np.load(tmp_path / "pinned.npz")
-    assert pinned["states"].tobytes() == states.tobytes()
-    assert pinned["stages"].tobytes() == stages.tobytes()
-    assert pinned["energy"].tobytes() == energy.tobytes()
-    assert tuple(pinned["work"].tolist()) == tuple(work)
+    got = _members(*(pinned[name] for name in ("states", "stages", "energy", "record")))
+    assert got == _outcome(getattr(integrators, kernel + "_python"), us, p, dt, n)
 
 
 @pytest.mark.parametrize("kernel", ["_dg_run_python", "_dg_run_native"])
@@ -452,33 +455,45 @@ def _constants(n_traj):
     return np.array([native.constants(make_params(1.0, 0.5))] * n_traj)
 
 
-# (states, stages, energy, constants) of a kernel call, each but the one
-# named wrong; the call of 2 trajectories of 3 rows is the right one
+def _record(n_traj):
+    return np.zeros((n_traj, 3), np.int64)
+
+
+# (states, stages, energy, record, constants) of a kernel call, each but the
+# one named wrong; the call of 2 trajectories of 3 rows is the right one
 _bad_rows = {
     "float32": (np.zeros((2, 3, 4), np.float32), np.zeros((2, 3, 5))),
     "Fortran-ordered": (np.asfortranarray(np.zeros((2, 3, 4))), np.zeros((2, 3, 5))),
-    "1-D": (np.zeros(4), np.zeros((1, 1, 5)), np.zeros((1, 1)), _constants(1)),
-    "2-D": (np.zeros((3, 4)), np.zeros((3, 5)), np.zeros((3, 1)), _constants(3)),
+    "1-D": (np.zeros(4), np.zeros((1, 1, 5)), np.zeros((1, 1)), _record(1), _constants(1)),
+    "2-D": (np.zeros((3, 4)), np.zeros((3, 5)), np.zeros((3, 1)), _record(3), _constants(3)),
     "mismatched rows": (np.zeros((2, 3, 4)), np.zeros((2, 2, 5))),
     "mismatched trajectories": (np.zeros((2, 3, 4)), np.zeros((1, 3, 5))),
     "no rows": (np.zeros((2, 0, 4)), np.zeros((2, 0, 5)), np.zeros((2, 0))),
-    "no trajectories": (np.zeros((0, 3, 4)), np.zeros((0, 3, 5)), np.zeros((0, 3)),
+    "no trajectories": (np.zeros((0, 3, 4)), np.zeros((0, 3, 5)), np.zeros((0, 3)), _record(0),
                         _constants(0).reshape(0, 30)),
     "strided trajectories": (np.zeros((4, 3, 4))[::2], np.zeros((2, 3, 5))),
     "swapped widths": (np.zeros((2, 3, 5)), np.zeros((2, 3, 4))),
     "read-only": (np.zeros((2, 3, 4)), _read_only(np.zeros((2, 3, 5)))),
-    "a list": ([[[0.0] * 4] * 3], np.zeros((1, 3, 5)), np.zeros((1, 3)), _constants(1)),
+    "a list": ([[[0.0] * 4] * 3], np.zeros((1, 3, 5)), np.zeros((1, 3)), _record(1),
+               _constants(1)),
     "energy of other rows": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 2))),
     "energy of 3-D rows": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3, 1))),
     "read-only energy": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), _read_only(np.zeros((2, 3)))),
+    "int32 record": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
+                     np.zeros((2, 3), np.int32)),
+    "record of 2 values": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
+                           np.zeros((2, 2), np.int64)),
+    "read-only record": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
+                         _read_only(_record(2))),
+    "strided record": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)), _record(4)[::2]),
     "constants of other trajectories": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
-                                        _constants(3)),
+                                        _record(2), _constants(3)),
     "constants of 29 values": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
-                               _constants(2)[:, :29].copy()),
-    "strided constants": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
+                               _record(2), _constants(2)[:, :29].copy()),
+    "strided constants": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)), _record(2),
                           _constants(4)[::2]),
     "read-only constants": (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), np.zeros((2, 3)),
-                            _read_only(_constants(2))),
+                            _record(2), _read_only(_constants(2))),
 }
 
 
@@ -486,15 +501,15 @@ _bad_rows = {
                                     "_rk4_run_native"])
 @pytest.mark.parametrize("case", list(_bad_rows))
 def test_kernels_check_their_arrays_before_the_library(kernel, case):
-    # each kernel takes writable, C-ordered float64 arrays of the same
-    # trajectories: rows of 4 states, 5 stage values and 1 energy, the same
-    # number of each, and one row of 30 constants; anything else is a
-    # ValueError that never reaches the library
+    # each kernel takes writable, C-ordered arrays of the same trajectories:
+    # float64 rows of 4 states, 5 stage values and 1 energy, the same number
+    # of each, an int64 record of 3 values and a float64 row of 30 constants;
+    # anything else is a ValueError that never reaches the library
     case = _bad_rows[case]
-    states, stages, energy, constants = case + (np.zeros((2, 3)), _constants(2))[len(case) - 2:]
+    arrays = case + (np.zeros((2, 3)), _record(2), _constants(2))[len(case) - 2:]
     with mock.patch.object(native, "lib", mock.Mock()) as lib:
         with pytest.raises(ValueError):
-            getattr(integrators, kernel)(states, stages, energy, constants, 0.1)
+            getattr(integrators, kernel)(*arrays, 0.1)
     assert lib.mock_calls == []
 
 
@@ -509,42 +524,53 @@ def test_dg_kernels_check_omega0_dt_before_the_library(kernel, omega0, dt):
     constants = np.array([native.constants(make_params(w0, 0.5)) for w0 in (1e-300, omega0)])
     with mock.patch.object(native, "lib", mock.Mock()) as lib:
         with pytest.raises(ValueError, match="^dt = .* discrete-gradient limit"):
-            getattr(integrators, kernel)(states, stages, energy, constants, dt)
+            getattr(integrators, kernel)(states, stages, energy, _record(2), constants, dt)
     assert lib.mock_calls == []
 
 
+@pytest.mark.parametrize("kernel", ["_dg_run", "_rk4_run"])
+@pytest.mark.parametrize("side", ["python", "native"])
+def test_dead_trajectory_costs_one_step(kernel, side):
+    # a NaN start stops at row 1: its record for 1,000 steps is that for one,
+    # so a trajectory that is not finite costs one step, and every row from
+    # row 1 on is the positive quiet NaN
+    if side == "native" and native.lib is None:
+        pytest.skip("the C kernels did not load")
+    run, p = getattr(integrators, f"{kernel}_{side}"), make_params(1.0, 0.5)
+    (one,), (many,) = (_outcome(run, [[math.nan, 0.0, 0.0, 0.0]], p, 0.1, n) for n in (1, 1000))
+    assert many[3] == one[3] and one[3][0] == 1
+    assert many[0][32:] == NAN_BYTES * 4000 and many[1][40:] == NAN_BYTES * 5000
+    assert many[2] == NAN_BYTES * 1001
+
+
+# state_energy's inputs: signed zeros, overflowing and tiny amplitudes, and
+# NaNs and infinities, of any payload and sign
 energy_entries = st.one_of(
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300]),
     st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)).map(
         lambda se: se[0] * 10.0 ** se[1]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# a negative NaN with payload 1, which a sum with math.nan may keep
+NEGATIVE_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0]
 
 
 @needs_native
-@given(r=resonances, ws=st.lists(energy_entries, max_size=40).map(lambda v: v[:len(v) // 4 * 4]))
+@given(r=resonances, ws=st.lists(energy_entries, min_size=4, max_size=40).map(
+    lambda v: v[:len(v) // 4 * 4]))
+@example(r=0.0, ws=[NEGATIVE_NAN, math.nan, 0.0, 0.0])
+@example(r=0.3, ws=[1.0, -math.nan, NEGATIVE_NAN, math.inf])
 @settings(max_examples=1000, deadline=None)
-def test_energy_column_native_bit_identical_to_python(r, ws):
-    p = make_params(1.0, r)
-    assert _bits(lyapunov._energy_column_native(ws, p)) == _bits(
-        lyapunov._energy_column_python(ws, p))
-
-
-@needs_native
-def test_energy_column_native_takes_what_python_takes():
-    # a tuple, integers, a list of rows, the rows back to back, and C-ordered,
-    # Fortran-ordered and strided arrays give the same bits; a partial state
-    # is a ValueError
-    p = make_params(1.0, 0.5)
-    rows = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 4.0, -1.0, 2.5], [-3.0, 0.25, 7.0, -0.5]])
-    for ws in ((1.0, -2.0, 0.5, 3.0), [1, -2, 0, 3], rows.tolist(), rows.ravel(), rows,
-               np.asfortranarray(rows), rows[::2], rows.astype(np.float32)):
-        got, want = lyapunov._energy_column_native(ws, p), lyapunov._energy_column_python(ws, p)
-        assert type(got) is type(want) is np.ndarray and got.tobytes() == want.tobytes()
-    for partial in ([0.0] * 5, (1.0, 2.0, 3.0), np.zeros((2, 3))):
-        for energy_column in (lyapunov._energy_column_native, lyapunov._energy_column_python):
-            with pytest.raises(ValueError):
-                energy_column(partial, p)
+def test_state_energy_native_bit_identical_to_python(r, ws):
+    # V of each state of ws, as a zero-step DG call writes it to row 0 of its
+    # energies: the C kernels' state_energy against lyapunov._energy_rows,
+    # one NaN for any NaN V
+    p, us = make_params(1.0, r), np.reshape(ws, (-1, 4)).tolist()
+    native_run, python_run = (_outcome(run, us, p, 0.1, 0)
+                              for run in (integrators._dg_run_native, integrators._dg_run_python))
+    assert native_run == python_run
+    for (_, _, energy, _), v in zip(native_run, lyapunov.energy_column(us, p).tolist()):
+        assert energy == (NAN_BYTES if math.isnan(v) else struct.pack("<d", v))
 
 
 def test_kernel_names_the_selection_and_is_read_only():
@@ -560,11 +586,12 @@ def test_ctypes_signatures_match_the_c_definitions():
     # compiler: a parameter dropped on one side only, or a long passed as a
     # double, would hand C the wrong arguments without an error.
     argtypes = {"double": {ctypes.c_double}, "long": {ctypes.c_long},
-                "double *": {native._doubles, ctypes.c_void_p},
+                "double *": {ctypes.POINTER(ctypes.c_double)},
                 "long *": {ctypes.POINTER(ctypes.c_long)}}
     defined = re.findall(r"^(int|void) (\w+)\(([^)]*)\)\n\{", native.SOURCE.read_text(),
                          re.MULTILINE)
-    assert sorted(name for _, name, _ in defined) == sorted(native._SIGNATURES)
+    assert sorted(name for _, name, _ in defined) == sorted(native._SIGNATURES) == [
+        "dg_run", "rk4_run"]
     for c_restype, name, params in defined:
         restype, types = native._SIGNATURES[name]
         assert restype is (ctypes.c_int if c_restype == "int" else None), name
@@ -750,8 +777,10 @@ def test_asan_build_reports_an_out_of_bounds_write(tmp_path, past_the_end):
             "lib, address = ctypes.CDLL(sys.argv[1]), lambda a: ctypes.c_void_p(a.ctypes.data)\n"
             "constants, states = np.ones((2, 30)), np.zeros((2, 3, 4))\n"
             "stages, energy = np.zeros((2, 3, 5)), np.zeros((2, 3))\n"
+            "record = np.zeros((2, 3), np.int64)\n"
             "lib.rk4_run(address(constants), ctypes.c_double(0.1), ctypes.c_long(2), "
-            "ctypes.c_long(2), address(states), address(stages), address(energy))\n")
+            "ctypes.c_long(2), address(states), address(stages), address(energy), "
+            "address(record))\n")
     env = {**os.environ, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
     proc = subprocess.run([sys.executable, "-c", call, str(library)], env=env,
                           capture_output=True, text=True, timeout=300)
