@@ -7,11 +7,14 @@
  * the calling thread among them, each taking the next m from an atomic
  * counter, in the floating-point environment new threads inherit.
  *
- * Trajectory m writes its steps, the energy V of each of its rows and its row
- * of an (n_traj, 3) record: its first row whose state is not finite (0 if
- * none), its stabilized steps and its line-search trials (0 and 0 for RK4).
- * It stops at that row, and its states, stage values and energies from there
- * on are NAN, the positive quiet NaN that Python's math.nan is, as is any NaN
+ * Trajectory m reads row 0 of its states alone, and first writes that row's
+ * stage values and energy V; a start whose V is not finite (NaN, or inf from
+ * an overflowing or infinite state) takes no step.  Then it writes its steps,
+ * the energy V of each of its rows and its row of an (n_traj, 3) record: the
+ * first row it did not reach, at a state that is not finite or after such a
+ * start (0 if none), its stabilized steps and its line-search trials (0 and
+ * 0 for RK4).  Its states, stage values and energies from that row on are
+ * NAN, the positive quiet NaN that Python's math.nan is, as is any NaN
  * energy.  So every byte is the same at any thread count and on the Python
  * kernels, NaN rows included, and no count is shared between threads.
  *
@@ -125,10 +128,11 @@ static double max_abs(double u, double m)
     return u > m ? u : -u > m ? -u : m;
 }
 
-/* Trajectory m of a dg_run batch: n steps from the state states[0..3] with
- * its stage values stages[0..4], those of its rows, with the constants pc of
- * its row, into row j = 1..n of states and stages until a state is not
- * finite; then the energy of each row written, and record_trajectory. */
+/* Trajectory m of a dg_run batch, with the constants pc of its row: the
+ * stage values and the energy of its state states[0..3], those of its rows,
+ * to row 0 of stages and energy, then n steps into row j = 1..n of states and
+ * stages until a state is not finite (none if that energy is not); then the
+ * energy of each row written, and record_trajectory. */
 static int dg_trajectory(struct batch *b, long m)
 {
     const double *pc = b->pc + 30 * m, *line_search = b->line_search;
@@ -149,9 +153,9 @@ static int dg_trajectory(struct batch *b, long m)
     const long n_chord = n_search < 1 ? n_search : 1;
     double g0;
     double w1 = states[0], w2 = states[1], w3 = states[2], w4 = states[3];
-    double t1 = stages[0], t2 = stages[1], t3 = stages[2], t4 = stages[3], t5 = stages[4];
+    double t1, t2, t3, t4, t5;
     double e1 = 0.0, e2 = 0.0, e3 = 0.0, e4 = 0.0, e5 = 0.0;
-    long stabilized = 0, trials = 0, step, it, i, ns;
+    long stabilized = 0, trials = 0, step, end, it, i, ns;
 
     kmax = k2 > kmax ? k2 : kmax;
     kmax = k3 > kmax ? k3 : kmax;
@@ -160,7 +164,19 @@ static int dg_trajectory(struct batch *b, long m)
     if (c4 == 0.0)
         return ZERO_DIVISION;
     g0 = c5 / c4;
-    for (step = 1; step <= n; step++) {
+    t1 = tanh(k1 * w1);
+    t2 = tanh(k2 * w2);
+    t3 = tanh(k3 * w3);
+    t4 = tanh(k4 * w4);
+    t5 = tanh(k5 * w4);
+    stages[0] = t1;
+    stages[1] = t2;
+    stages[2] = t3;
+    stages[3] = t4;
+    stages[4] = t5;
+    energy[0] = state_energy(pc, w1, w2, w3, w4);
+    end = isfinite(energy[0]) ? n : 0;  /* a start whose V is not finite takes no step */
+    for (step = 1; step <= end; step++) {
         const double y1 = g1 * t1, y2 = g2 * t2, y3 = g3 * t3, y4 = g4 * t4, y5 = g5 * t5;
         const double m1 = max_abs(w1, 1.0), m2 = max_abs(w2, 1.0);
         const double m3 = max_abs(w3, 1.0), m4 = max_abs(w4, 1.0);
@@ -358,7 +374,7 @@ static int dg_trajectory(struct batch *b, long m)
         stages[5 * step + 3] = t4;
         stages[5 * step + 4] = t5;
     }
-    for (i = 0; i < step; i++)
+    for (i = 1; i < step; i++)
         energy[i] = state_energy(pc, states[4 * i], states[4 * i + 1], states[4 * i + 2],
                                  states[4 * i + 3]);
     record_trajectory(b, m, step, stabilized, trials);
@@ -427,10 +443,12 @@ int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, doub
     return run_batch(&b);
 }
 
-/* Trajectory m of an rk4_run batch: n steps from the state states[0..3], that
- * of its rows, with the constants pc of its row, into row j = 1..n of states
- * and stages (row 0 not read) until a state is not finite; then the energy
- * at w = D x of each row written, and record_trajectory with no work. */
+/* Trajectory m of an rk4_run batch, with the constants pc of its row: the
+ * stage values and the energy at w = D x of its state states[0..3], those of
+ * its rows, to row 0 of stages and energy, then n steps into row j = 1..n of
+ * states and stages until a state is not finite (none if that energy is
+ * not); then the energy of each row written, and record_trajectory with no
+ * work. */
 static int rk4_trajectory(struct batch *b, long m)
 {
     const double *pc = b->pc + 30 * m, dt = b->dt, h = 0.5 * dt, s = dt / 6.0;
@@ -440,11 +458,18 @@ static int rk4_trajectory(struct batch *b, long m)
     const double k1 = pc[1], k2 = pc[5], k3 = pc[9], k4 = pc[13], k5 = pc[17];
     const double w0 = pc[24], g = pc[25];
     const double sc1 = pc[26], sc2 = pc[27], sc3 = pc[28], sc4 = pc[29];
-    double x1 = states[0], x2 = states[1], x3 = states[2], x4 = states[3];
-    long step, j;
+    double x1 = states[0], x2 = states[1], x3 = states[2], x4 = states[3], w4 = sc4 * x4;
+    long step, end, j;
 
-    for (step = 1; step <= n; step++) {
-        double t1, t2, t3, t4, fb, y1, y2, y3, y4, w4;
+    stages[0] = tanh(k1 * x1);
+    stages[1] = tanh(k2 * (sc2 * x2));
+    stages[2] = tanh(k3 * (sc3 * x3));
+    stages[3] = tanh(k4 * w4);
+    stages[4] = tanh(k5 * w4);
+    energy[0] = state_energy(pc, sc1 * x1, sc2 * x2, sc3 * x3, w4);
+    end = isfinite(energy[0]) ? n : 0;  /* a start whose V is not finite takes no step */
+    for (step = 1; step <= end; step++) {
+        double t1, t2, t3, t4, fb, y1, y2, y3, y4;
         double a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, c3, c4, d1, d2, d3, d4;
 
         t1 = tanh(x1); t2 = tanh(x2); t3 = tanh(x3); t4 = tanh(x4); fb = tanh(g * x4);
@@ -475,7 +500,7 @@ static int rk4_trajectory(struct batch *b, long m)
         stages[5 * step + 3] = tanh(k4 * w4);
         stages[5 * step + 4] = tanh(k5 * w4);
     }
-    for (j = 0; j < step; j++)
+    for (j = 1; j < step; j++)
         energy[j] = state_energy(pc, sc1 * states[4 * j], sc2 * states[4 * j + 1],
                                  sc3 * states[4 * j + 2], sc4 * states[4 * j + 3]);
     record_trajectory(b, m, step, 0, 0);

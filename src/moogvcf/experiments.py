@@ -14,7 +14,7 @@ import numpy as np
 from . import lyapunov, model
 from .integrators import MAX_DG_OMEGA0_DT, Method, StepConfig, simulate_batch
 from .lyapunov import Verdict
-from .rng import substream
+from .rng import _GOLDEN, _MASK, _mix_array, substream
 
 # Largest n_steps of one trajectory: simulate holds every recorded step, about
 # 0.19 KB each with the CLI's rendering, so 10^6 steps take about 190 MB.
@@ -36,6 +36,7 @@ _BATCH_ROWS = 2 ** 16
 # Initial states are drawn with |x_i| <= 5, deep into tanh saturation, so
 # decay studies exercise the genuinely nonlinear regime.
 _STATE_RANGE = 5.0
+_DRAW_STEPS = np.arange(1, 5, dtype=np.uint64) * _GOLDEN  # k * _GOLDEN mod 2^64, k = 1..4
 
 _DECAY_TOLERANCE = {
     # Guaranteed per-step decay up to Newton slack.
@@ -238,10 +239,29 @@ def run_definiteness_sweep(families, omega0_grid, r_grid, tol: float = 1e-10) ->
     return result
 
 
-def _draw_start(seed: int, i: int) -> tuple:
-    """Initial state i of a decay study seeded with seed."""
-    stream = substream(seed, i)
-    return tuple(stream.uniform(-_STATE_RANGE, _STATE_RANGE) for _ in range(4))
+def _draw_starts(seeds, n: int) -> np.ndarray:
+    """The (len(seeds) * n, 4) initial states of decay studies of n states
+    seeded with each seed of seeds, in seed order: row j * n + i the first
+    four substream(seeds[j], i).uniform(-_STATE_RANGE, _STATE_RANGE) draws,
+    bit for bit.  SplitMix64 runs on np.uint64 arrays, whose arithmetic wraps
+    mod 2^64 as rng's masks do: substream i's state is _mix(seed ^ _mix(i + 1))
+    and its draw k mixes state + k * _GOLDEN (_DRAW_STEPS).  (u >> 11) * 2^-53
+    is exact, and lo + (hi - lo) * u rounds entry by entry as the float
+    expression does."""
+    lo, hi = -_STATE_RANGE, _STATE_RANGE
+    seeds = np.array([seed & _MASK for seed in seeds], dtype=np.uint64)
+    states = _mix_array(seeds[:, None] ^ _mix_array(np.arange(1, n + 1, dtype=np.uint64)))
+    u = _mix_array(states.reshape(-1, 1) + _DRAW_STEPS)
+    u >>= 11
+    return lo + (hi - lo) * (u * 2.0 ** -53)
+
+
+def _norms(xs: np.ndarray) -> list:
+    """float(np.linalg.norm(x)) of each row x of xs, in one call.  That norm
+    is the square root of x.dot(x), and a stacked matmul of 1 x n by n x 1
+    takes the same dot product, where a sum of squares or an axis norm may
+    round otherwise."""
+    return np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0]).tolist()
 
 
 def _decay_summaries(points, n_states: int, cfg: StepConfig, t_end: float) -> list:
@@ -249,30 +269,30 @@ def _decay_summaries(points, n_states: int, cfg: StepConfig, t_end: float) -> li
     (p, seed) of points, in point order and then state order, simulated to
     t_end.
 
-    The states go through integrators.simulate_batch together, each with its
-    point's p, in blocks of at most _BATCH_ROWS recorded rows (a block may
-    span points), so that a study or sweep of short trajectories makes one
-    kernel call.  A state passes when its largest per-step increase stays at
-    or below the method's tolerance.  Integrator failures are recorded in the
-    summary, not raised.
+    The states, drawn by _draw_starts, go through integrators.simulate_batch
+    together, each with its point's p, in blocks of at most _BATCH_ROWS
+    recorded rows (a block may span points), so that a study or sweep of
+    short trajectories makes one kernel call.  A state passes when its
+    largest per-step increase stays at or below the method's tolerance.
+    Integrator failures are recorded in the summary, not raised.
     """
-    tol = _DECAY_TOLERANCE[cfg.method]
+    tol, method = _DECAY_TOLERANCE[cfg.method], cfg.method.value
     n_steps = max(1, int(round(t_end / cfg.dt)))
-    starts = ((p, i, _draw_start(seed, i)) for p, seed in points for i in range(n_states))
-    summaries = []
-    while block := list(itertools.islice(starts, max(1, _BATCH_ROWS // (n_steps + 1)))):
-        ps, indices, x0s = zip(*block)
-        states, energy, _, errors = simulate_batch(x0s, ps, cfg, n_steps)
+    x0s = _draw_starts([seed for _, seed in points], n_states)
+    params = [p for p, _ in points for _ in range(n_states)]
+    size, summaries = max(1, _BATCH_ROWS // (n_steps + 1)), []
+    for start in range(0, len(x0s), size):
+        block, ps = x0s[start:start + size], params[start:start + size]
+        states, energy, _, errors = simulate_batch(block, ps, cfg, n_steps)
         max_incs = np.diff(energy, axis=1).max(axis=1).tolist()
-        for p, i, x0, x, max_inc, error in zip(ps, indices, x0s, states[:, -1], max_incs, errors):
-            if error is None:
-                final_norm = float(np.linalg.norm(x))
-            else:
+        for m, (p, x0, max_inc, final_norm, error) in enumerate(
+                zip(ps, block.tolist(), max_incs, _norms(states[:, -1]), errors), start):
+            if error is not None:
                 max_inc = final_norm = math.nan
                 error = str(error)
             summaries.append(TrajectorySummary(
-                omega0=p.omega0, r=p.r, method=cfg.method.value, dt=cfg.dt,
-                state_index=i, x0=x0, max_v_increase=max_inc,
+                omega0=p.omega0, r=p.r, method=method, dt=cfg.dt,
+                state_index=m % n_states, x0=tuple(x0), max_v_increase=max_inc,
                 final_norm=final_norm, passed=max_inc <= tol, error=error,
             ))
     return summaries

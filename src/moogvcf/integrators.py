@@ -158,10 +158,11 @@ def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
     """For each trajectory of states and stages, with the parameters p of its
     row of constants, take n classic fourth-order steps x + dt/6 (a + 2 b +
     2 c + d) of model.rhs_nonlinear from its row 0 of states into its rows
-    1..n, and write their stage values model.stage_tanh(D x,
-    model.stage_table(p)) to its rows 1..n of stages; then the energy V(D x)
-    of each row, with D x rounded as x * _scale(p) rounds, to its row of
-    energy, and its record, stopping as _dg_run_python does, with no work.
+    1..n, and write the stage values model.stage_tanh(D x,
+    model.stage_table(p)) of its rows 0..n to its rows of stages and the
+    energy V(D x) of each row, with D x rounded as x * _scale(p) rounds, to
+    its row of energy (row 0's first), and its record, stopping as
+    _dg_run_python does, with no work.
     The field and the stage values are inline, with the operands and order of
     rhs_nonlinear and stage_tanh, so they match those bit for bit; the
     constants are native.constants(p), as rk4_run of _kernels.c reads them,
@@ -173,8 +174,12 @@ def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
         k1, k2, k3, k4, k5 = pc[1:20:4]  # the stage table's k column
         w0, g, sc1, sc2, sc3, sc4 = pc[24:30]
         x1, x2, x3, x4 = xs[0].tolist()
-        last = n + 1
-        for step in range(1, n + 1):
+        w4 = sc4 * x4
+        ts[0] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)), tanh(k4 * w4),
+                 tanh(k5 * w4))
+        vs[0] = v = lyapunov._energy_rows(pc, [[sc1 * x1, sc2 * x2, sc3 * x3, w4]])[0]
+        last = n + 1 if isfinite(v) else 1  # a start whose V is not finite takes no step
+        for step in range(1, last):
             t1, t2, t3 = tanh(x1), tanh(x2), tanh(x3)
             t4, fb = tanh(x4), tanh(g * x4)
             a1, a2, a3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
@@ -208,8 +213,8 @@ def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
             xs[step] = x1, x2, x3, x4
             ts[step] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)),
                         tanh(k4 * w4), tanh(k5 * w4))
-        vs[:last] = lyapunov._energy_rows(pc, [[sc1 * x1, sc2 * x2, sc3 * x3, sc4 * x4]
-                                               for x1, x2, x3, x4 in xs[:last].tolist()])
+        vs[1:last] = lyapunov._energy_rows(pc, [[sc1 * x1, sc2 * x2, sc3 * x3, sc4 * x4]
+                                                for x1, x2, x3, x4 in xs[1:last].tolist()])
         xs[last:] = ts[last:] = vs[last:] = math.nan
         rec[:] = (0 if last > n else last), 0, 0
 
@@ -217,14 +222,16 @@ def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
 def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
                    record: np.ndarray, constants: np.ndarray, dt: float) -> None:
     """For each trajectory of states and stages, with the parameters p of its
-    row of constants, take n discrete-gradient steps of length dt from its row
-    0 of states, w, with its stage values t = model.stage_tanh(w,
-    model.stage_table(p)) in its row 0 of stages, into its rows 1..n of both:
-    the new states v and their tanh(k_i v_i); then the energy V of each row to
-    its row of energy.  It stops at its first state that is not finite: every
-    value from that row on is math.nan, and its row of record holds that row
-    (0 if none), its stabilized steps and its line-search trials, the residual
-    evaluations with quotients.  Nothing carries over from one trajectory to
+    row of constants, write the stage values t = model.stage_tanh(w,
+    model.stage_table(p)) of its row 0 of states, w, to its row 0 of stages
+    and V(w) to its row 0 of energy; then take n discrete-gradient steps of
+    length dt from w into its rows 1..n of both, the new states v and their
+    tanh(k_i v_i), and the energy V of each to its row of energy.  It stops
+    at its first state that is not finite, and a start whose V is not finite
+    (an overflowing or non-finite w) takes no step: every value from that row
+    on is math.nan, and its row of record holds that row (0 if none), its
+    stabilized steps and its line-search trials, the residual evaluations
+    with quotients.  Nothing carries over from one trajectory to
     the next.  The constants are native.constants(p), as dg_run of _kernels.c
     reads them, and those of (p, dt) are computed once per trajectory.
 
@@ -279,10 +286,15 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
         ho = dt * omega0
         sub, hf, kmax = -ho * d, ho * fc, max(k1, k2, k3, k4, k5)
         cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
-        (w1, w2, w3, w4), (t1, t2, t3, t4, t5) = ws[0].tolist(), ts[0].tolist()
+        w1, w2, w3, w4 = ws[0].tolist()
+        t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
+        t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
+        ts[0] = t1, t2, t3, t4, t5
+        vs[0] = v = lyapunov._energy_rows(pc, [[w1, w2, w3, w4]])[0]
         km = 0.0  # kmax from the second step on: the first solve has no slopes to borrow
-        stabilized, trials, last = 0, 0, n + 1
-        for step in range(1, n + 1):
+        # a start whose V is not finite takes no step: its rows from 1 on are NaN
+        stabilized, trials, last = 0, 0, n + 1 if isfinite(v) else 1
+        for step in range(1, last):
             y1, y2, y3 = g1 * t1, g2 * t2, g3 * t3
             y4, y5 = g4 * t4, g5 * t5
             # m_i = max(1, |w_i|), the coincidence cutoffs cut_i and nc_i = -cut_i
@@ -425,7 +437,7 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
             t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
             ws[step] = w1, w2, w3, w4
             ts[step] = t1, t2, t3, t4, t5
-        vs[:last] = lyapunov._energy_rows(pc, ws[:last].tolist())
+        vs[1:last] = lyapunov._energy_rows(pc, ws[1:last].tolist())
         ws[last:] = ts[last:] = vs[last:] = math.nan
         rec[:] = (0 if last > n else last), stabilized, trials
 
@@ -467,24 +479,32 @@ def _scale(p: FilterParams) -> np.ndarray:
 def _start(xs: np.ndarray, params: list, n: int, rk4: bool):
     """The five arrays of a kernel call of n steps from each of the N rows x of
     xs, trajectory m with the parameters params[m]: the (N, n + 1, 4) states,
-    row 0 x (RK4) or w = D x (DG), the (N, n + 1, 5) stage values, row 0 those
-    at w, the (N, n + 1) energies, the (N, 3) record and N native.constants."""
+    row 0 x (RK4) or w = D x (DG), the (N, n + 1, 5) stage values, the
+    (N, n + 1) energies and the (N, 3) record, left for the kernel to write,
+    and N native.constants."""
     constants = np.array([native.constants(p) for p in params])
-    ws = [[s * u for s, u in zip(scale, x)]  # in floats: no overflow warning
-          for scale, x in zip(constants[:, 26:].tolist(), xs.tolist())]
-    states, stages = np.empty((len(ws), n + 1, 4)), np.empty((len(ws), n + 1, 5))
-    states[:, 0] = xs if rk4 else ws
-    stages[:, 0] = [model.stage_tanh(w, model.stage_table(p)) for p, w in zip(params, ws)]
-    return states, stages, np.empty(states.shape[:2]), np.empty((len(ws), 3), np.int64), constants
+    states = np.empty((len(xs), n + 1, 4))
+    if rk4:
+        states[:, 0] = xs
+    else:
+        with np.errstate(over="ignore"):  # an infinite w: the kernel's V of row 0 rejects it
+            np.multiply(xs, constants[:, 26:], out=states[:, 0])
+    return (states, np.empty((len(xs), n + 1, 5)), np.empty(states.shape[:2]),
+            np.empty((len(xs), 3), np.int64), constants)
 
 
 def _step(x, p: FilterParams, dt: float, rk4: bool) -> np.ndarray:
     """The state after one kernel step of length dt from the state x, x for
-    RK4 and w = D x for DG; the step's IntegrationError if it is not finite."""
-    arrays = states, _, _, record, _ = _start(_finite_state(x, "x")[None], [p], 1, rk4)
+    RK4 and w = D x for DG; the step's IntegrationError if it is not finite,
+    and ValueError, as simulate raises it, if V(D x) is not, since the
+    kernel then takes no step."""
+    x = _finite_state(x, "x")
+    arrays = states, _, energy, record, _ = _start(x[None], [p], 1, rk4)
     (_rk4_run if rk4 else _dg_run)(*arrays, dt)
     (error,) = _failures(record)
     if error:
+        if not math.isfinite(energy[0, 0]):
+            raise ValueError(f"x must have a finite energy V(D x), got {x.tolist()}")
         raise error
     return states[0, 1]
 
@@ -513,13 +533,15 @@ def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
     ValueError names dt if the last time dt * n_steps overflows, or if
     |omega0 * dt| is more than MAX_DG_OMEGA0_DT at the batch's largest omega0
     for the discrete-gradient method, p unless it has one FilterParams per
-    row, and x0 unless each row is finite with a finite energy V(D x0).  One
-    _rk4_run or _dg_run call writes, for each trajectory and on the thread
-    that steps it, the states (x for RK4, w for discrete gradient), their stage
-    values, their energies V, the saturation energy with d = max(1, alpha)
-    at w, and its record, which names its error, to the arrays of _start.  DG
-    states then become x = D^-1 w in one in-place division by each row's own
-    scale, which rounds as a float division does.
+    row, and x0 unless each row is finite with a finite energy V(D x0), which
+    the kernel writes to row 0 of the energies before any step, taking none
+    from a row whose V is not finite.  One _rk4_run or _dg_run call writes,
+    for each trajectory and on the thread that steps it, the states (x for
+    RK4, w for discrete gradient), their stage values, their energies V, the
+    saturation energy with d = max(1, alpha) at w, and its record, which
+    names its error, to the arrays of _start.  DG states then become
+    x = D^-1 w in one in-place division by each row's own scale, which rounds
+    as a float division does.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
@@ -537,14 +559,12 @@ def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
         raise ValueError(f"p must be one FilterParams or one per row of x0s, got {len(params)} "
                          f"for {len(x0s)} rows")
     arrays = states, stages, energy, record, constants = _start(x0s, params, n_steps, rk4)
-    if rk4:
-        _rk4_run(*arrays, cfg.dt)
-    else:
-        _dg_run(*arrays, cfg.dt)
-        states /= constants[:, None, 26:]
+    (_rk4_run if rk4 else _dg_run)(*arrays, cfg.dt)
     if not np.isfinite(energy[:, 0]).all():
         bad = np.isfinite(energy[:, 0]).argmin()
         raise ValueError(f"x0 must have a finite energy V(D x0), got {x0s[bad].tolist()}")
+    if not rk4:
+        states /= constants[:, None, 26:]
     return states, energy, stages, _failures(record)
 
 

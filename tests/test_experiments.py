@@ -1,7 +1,11 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moogvcf import experiments, integrators, lyapunov
 from moogvcf.experiments import (
@@ -214,6 +218,63 @@ def test_decay_study_rk4():
         assert s.final_norm < 1e-3
 
 
+@pytest.mark.filterwarnings("error")  # numpy warns on np.uint64 scalar overflow
+@given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3),
+       n=st.integers(0, 1000))
+@example(seeds=[0], n=1000)
+@example(seeds=[2 ** 64 - 1], n=1000)
+@example(seeds=[2 ** 64 - 1, 0, 12345678901234567890], n=3)
+@settings(max_examples=50, deadline=None)
+def test_draw_starts_are_the_substream_draws(seeds, n):
+    # row j * n + i holds the first four substream(seeds[j], i).uniform(-5, 5)
+    # draws, bit for bit, with no warning from the wrapping uint64 arithmetic
+    want = [v for seed in seeds for i in range(n) for stream in [substream(seed, i)]
+            for v in [stream.uniform(-5.0, 5.0) for _ in range(4)]]
+    got = experiments._draw_starts(seeds, n)
+    assert got.shape == (len(seeds) * n, 4) and got.dtype == np.float64
+    assert got.tobytes() == struct.pack(f"<{len(want)}d", *want)
+
+
+# rows with signed zeros, subnormals, 1e+-300 and the largest float, some of
+# whose norms overflow to inf
+norm_entries = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                                -1e-300, 1e300, -1e300, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@given(rows=st.lists(st.lists(norm_entries, min_size=4, max_size=4), min_size=1, max_size=50))
+@example(rows=[[1e300, -1e300, 0.0, -0.0], [1.7976931348623157e308, 1.0, 0.0, 0.0],
+               [-0.0, -0.0, -0.0, -0.0], [5e-324, -5e-324, 1e-300, 0.0], [3.0, 4.0, 0.0, 0.0]])
+@settings(max_examples=300, deadline=None)
+def test_norms_are_per_row_linalg_norms(rows):
+    # the decay summaries' final norms, in one call, are float(np.linalg.norm(x))
+    # of each row x, bit for bit, inf where the sum of squares overflows
+    xs = np.array(rows)
+    want = [float(np.linalg.norm(x)) for x in xs]
+    assert struct.pack(f"<{len(want)}d", *experiments._norms(xs)) == struct.pack(
+        f"<{len(want)}d", *want)
+
+
+# sha256 of the summaries of decay_stiff's shape, 16 seeded starts and 100
+# discrete-gradient steps at each (r, omega0*dt) cell, cell k seeded with
+# substream(2^64 - 1, k).next_u64(), as "\n"-joined reprs: recorded from the
+# kernels and decay helper that drew each start and each final norm per
+# trajectory in Python; the summaries' bytes must not move.
+DECAY_STIFF_DIGEST = "265e4810391dba58e972a15fc71d2a59285f5e5c0c2190c1bacba04c893792b4"
+
+
+def test_decay_stiff_summaries_digest(kernels):
+    cells = [(r, dt) for r in (0.1, 0.5, 0.99, 1.0) for dt in (0.1, 1.0, 10.0)]
+    summaries = [s for k, (r, dt) in enumerate(cells) for s in run_decay_study(
+        make_params(1.0, r), substream(2 ** 64 - 1, k).next_u64(), 16, StepConfig(dt),
+        100 * dt).summaries]
+    assert len(summaries) == 192
+    digest = hashlib.sha256("\n".join(map(repr, summaries)).encode()).hexdigest()
+    assert digest == DECAY_STIFF_DIGEST
+
+
 def test_decay_study_rejects_zero_states():
     with pytest.raises(ValueError):
         run_decay_study(make_params(1.0, 0.5), 1, 0, StepConfig(dt=0.1), 1.0)
@@ -227,9 +288,10 @@ def test_decay_study_rejects_bad_t_end(t_end):
         run_decay_study(make_params(1.0, 0.5), 1, 1, StepConfig(dt=0.1), t_end)
 
 
-def test_decay_study_records_integrator_failures(monkeypatch):
-    # a NaN injected into the kernel: every stage value is NaN, so no
-    # trajectory's first state is finite
+def test_decay_study_records_integrator_failures(monkeypatch, python_kernels):
+    # a NaN injected into the Python kernel, which writes the stage values of
+    # row 0 too: every stage value is NaN, so no trajectory's first state is
+    # finite
     monkeypatch.setattr(math, "tanh", lambda u: math.nan)
     result = run_decay_study(make_params(1.0, 0.5), 1, 3, StepConfig(dt=0.1), 1.0)
     assert len(result.summaries) == 3

@@ -281,10 +281,9 @@ def _bits(values):
 
 def _dg_record(ws, p, dt, n_steps):
     """The states, stage values and record of a _dg_run call of n_steps from
-    each state w of ws, row 0 of each trajectory w and its stage values."""
+    each state w of ws, row 0 of each trajectory's states."""
     states, stages = np.empty((len(ws), n_steps + 1, 4)), np.empty((len(ws), n_steps + 1, 5))
-    for w, rows, stage_rows in zip(ws, states, stages):
-        rows[0], stage_rows[0] = w, model.stage_tanh(w, model.stage_table(p))
+    states[:, 0] = ws
     record = np.empty((len(ws), 3), np.int64)
     integrators._dg_run(states, stages, np.empty(states.shape[:2]), record,
                         np.array([native.constants(p)] * len(ws)), dt)
@@ -293,7 +292,7 @@ def _dg_record(ws, p, dt, n_steps):
 
 def _dg_rows(w, p, dt, n_steps):
     """The state and stage-value rows of a _dg_run call on one trajectory, row
-    0 w and its stage values, and its (stabilized steps, trials) over n_steps,
+    0 of its states w, and its (stabilized steps, trials) over n_steps,
     the work columns of its record."""
     states, stages, record = _dg_record([w], p, dt, n_steps)
     return (states[0], stages[0], *record[:, 1:].sum(axis=0).tolist())
@@ -568,7 +567,7 @@ def test_record_work_sums_on_decay_stiff_cells(kernels, cell):
     # each trajectory's work columns, summed over the batch, are the sums the
     # kernels counted: on any thread count, since each row is one trajectory's
     (r, dt), p = cell, make_params(1.0, cell[0])
-    ws = [np.array(experiments._draw_start(1, i)) * integrators._scale(p) for i in range(16)]
+    ws = experiments._draw_starts([1], 16) * integrators._scale(p)
     states, _, record = _dg_record(ws, p, dt, 100)
     assert tuple(record[:, 1:].sum(axis=0).tolist()) == DECAY_STIFF_WORK[cell]
     assert record[:, 0].tolist() == [0] * 16 and np.isfinite(states).all()
@@ -760,6 +759,18 @@ def test_rk4_overflow_names_its_step(kernels):
         step_rk4(x0, p, 1e10)
 
 
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 1e308], [1e308] * 4])
+def test_step_from_infinite_energy_is_rejected(kernels, x):
+    # every entry is finite but V(D x) overflows: the kernel takes no step,
+    # and both one-step functions raise the ValueError simulate raises, not
+    # an IntegrationError naming step 1
+    p = make_params(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^x must have a finite energy V\(D x\), got "):
+        step_rk4(x, p, 0.1)
+    with pytest.raises(ValueError, match=r"^x must have a finite energy V\(D x\), got "):
+        step_discrete_gradient(x, p, StepConfig(0.1))
+
+
 def test_rk4_non_finite_state_names_its_step(python_kernels):
     # a NaN injected into the first tanh of step k of the Python kernel
     # spreads to later steps, and the error names step k
@@ -778,11 +789,12 @@ def test_rk4_non_finite_state_names_its_step(python_kernels):
 
 
 @pytest.mark.parametrize("dt_omega", [0.1, 10.0])
-def test_stage_tanh_once_per_state(monkeypatch, dt_omega):
+def test_stage_tanh_once_per_state(monkeypatch, python_kernels, dt_omega):
     # A recorded state's five stage values serve its rate and the solve from
     # it, and a solve evaluates tanh only for the quotient slopes of its
     # iterations after the first: at most 5 tanh calls per recorded state
-    # plus 5 per such iteration.  The iterations are counted on the frozen
+    # plus 5 per such iteration, counted on the Python kernel, which makes
+    # them all, row 0's included.  The iterations are counted on the frozen
     # solve, which takes the same iterates bit for bit.
     p, x0, n_steps = make_params(1.0, 1.0), np.array([1.0, -2.0, 0.5, 3.0]), 100
     counts = {"solve": 0, "iteration": 0, "tanh": 0}

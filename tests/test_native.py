@@ -37,13 +37,12 @@ def _bits(values):
 def _arrays(us, ps, n):
     """The five arrays of a kernel call of n steps from each state u of us,
     with the FilterParams ps, or ps[m] for member m if ps is a list: row 0 of
-    its states u and of its stage values those at u."""
+    its states u, from which the kernel writes the rest."""
     ps = ps if isinstance(ps, list) else [ps] * len(us)
-    states, stages = np.empty((len(us), n + 1, 4)), np.empty((len(us), n + 1, 5))
-    for u, p, rows, stage_rows in zip(us, ps, states, stages):
-        rows[0], stage_rows[0] = u, model.stage_tanh(u, model.stage_table(p))
-    return (states, stages, np.empty((len(us), n + 1)), np.empty((len(us), 3), np.int64),
-            np.array([native.constants(p) for p in ps]))
+    states = np.empty((len(us), n + 1, 4))
+    states[:, 0] = us
+    return (states, np.empty((len(us), n + 1, 5)), np.empty((len(us), n + 1)),
+            np.empty((len(us), 3), np.int64), np.array([native.constants(p) for p in ps]))
 
 
 def _members(states, stages, energy, record):
@@ -166,16 +165,19 @@ def test_batch_member_solves_start_from_its_own_slopes(kernel):
 
 
 def _mixed_batch(method):
-    """A kernel name, its (p, dt), n and a 33-member batch of starts whose
-    members meet different fates.  DG at r = 0.99 and omega0*dt = 10: finite
-    members with stabilized steps, and three that are not finite from step 1.
-    RK4 at r = 0 and omega0*dt = 9e307: members that overflow at steps 1, 2
-    and 3, and two that stay finite."""
+    """A kernel name, its (p, dt), n and a batch of starts whose members meet
+    different fates.  DG at r = 0.99 and omega0*dt = 10: 31 finite members,
+    one of them of amplitude 1e300, whose every step is stabilized, and three
+    that are not finite from row 1, two of them non-finite starts and one a
+    finite start whose V overflows, which take no step.  RK4 at r = 0 and
+    omega0*dt = 9e307: members that overflow at steps 1, 2 and 3, and two
+    that stay finite."""
     rng = np.random.default_rng(29)
     if method is Method.DISCRETE_GRADIENT:
         p = make_params(1.0, 0.99)
         us = (rng.uniform(-5.0, 5.0, (30, 4)) * integrators._scale(p)).tolist()
-        return "_dg_run", p, 10.0, 30, us + [[math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, -math.inf, 1.0],
+        return "_dg_run", p, 10.0, 30, us + [[1e300, -1e300, 1e300, 1e300],
+                                             [math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, -math.inf, 1.0],
                                              [1e308, -1e308, 1e308, 1e308]]
     return "_rk4_run", make_params(1e300, 0.0), 9e7, 30, DIFFERENT_STEPS + rng.uniform(
         -5.0, 5.0, (29, 4)).tolist()
@@ -184,7 +186,7 @@ def _mixed_batch(method):
 @needs_native
 @pytest.mark.parametrize("method", list(Method))
 def test_threaded_batch_matches_python_member_for_member(method):
-    # however the threads share out the 33 members, every byte of each one's
+    # however the threads share out the members, every byte of each one's
     # rows, non-finite ones included, and its record are the Python kernel's
     kernel, p, dt, n, us = _mixed_batch(method)
     members = _outcome(getattr(integrators, kernel + "_native"), us, p, dt, n)
@@ -430,7 +432,10 @@ def _ref_decay_study(p, seed, n_states, cfg, t_end):
     return summaries
 
 
+# the reference's np.linalg.norm and the helper's stacked norm of a final
+# state beyond the float range
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("batch_rows", [2 ** 16, 50, 1])
 def test_decay_study_matches_per_state_reference(kernels, monkeypatch, batch_rows):
     # every summary, on one kernel call per cell and in blocks of 4 and of 1
@@ -531,16 +536,65 @@ def test_dg_kernels_check_omega0_dt_before_the_library(kernel, omega0, dt):
 @pytest.mark.parametrize("kernel", ["_dg_run", "_rk4_run"])
 @pytest.mark.parametrize("side", ["python", "native"])
 def test_dead_trajectory_costs_one_step(kernel, side):
-    # a NaN start stops at row 1: its record for 1,000 steps is that for one,
-    # so a trajectory that is not finite costs one step, and every row from
-    # row 1 on is the positive quiet NaN
+    # a NaN start stops at row 1, and takes no step since its V is NaN: its
+    # record for 1,000 steps is that for one, and every row from row 1 on is
+    # the positive quiet NaN
     if side == "native" and native.lib is None:
         pytest.skip("the C kernels did not load")
     run, p = getattr(integrators, f"{kernel}_{side}"), make_params(1.0, 0.5)
     (one,), (many,) = (_outcome(run, [[math.nan, 0.0, 0.0, 0.0]], p, 0.1, n) for n in (1, 1000))
-    assert many[3] == one[3] and one[3][0] == 1
+    assert many[3] == one[3] == (1, 0, 0)
     assert many[0][32:] == NAN_BYTES * 4000 and many[1][40:] == NAN_BYTES * 5000
     assert many[2] == NAN_BYTES * 1001
+
+
+@pytest.mark.parametrize("kernel", ["_dg_run", "_rk4_run"])
+@pytest.mark.parametrize("side", ["python", "native"])
+def test_start_of_infinite_energy_takes_no_step(kernel, side):
+    # every entry of the start is finite, but its V overflows: the kernel
+    # writes V = inf to row 0 before any step and takes none, so its record
+    # names row 1 with no work at 100,000 steps (RK4 steps from it would stay
+    # finite, and DG steps would be stabilized), and every row from row 1 on
+    # is NaN; simulate_batch raises its ValueError on that row 0
+    if side == "native" and native.lib is None:
+        pytest.skip("the C kernels did not load")
+    run, p, n = getattr(integrators, f"{kernel}_{side}"), make_params(1.0, 0.5), 100_000
+    arrays = states, stages, energy, record, _ = _arrays([[1e308] * 4], p, n)
+    run(*arrays, 0.1)
+    assert record.tolist() == [[1, 0, 0]]
+    assert energy[0, 0] == math.inf and np.isnan(energy[0, 1:]).all()
+    assert np.isnan(states[0, 1:]).all() and np.isnan(stages[0, 1:]).all()
+    assert np.isfinite(stages[0, 0]).all()
+    method = Method.RK4 if kernel == "_rk4_run" else Method.DISCRETE_GRADIENT
+    with mock.patch.multiple(integrators, **{kernel: run}):
+        with pytest.raises(ValueError, match=r"^x0 must have a finite energy V\(D x0\), got "):
+            integrators.simulate_batch([[1e308] * 4], p, StepConfig(0.1, method), n)
+
+
+# starts with signed zeros, subnormals, and entries up to 1e6 of either sign
+row0_entries = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]) | st.floats(-1e6, 1e6)
+
+
+@pytest.mark.parametrize("side", ["python", "native"])
+@pytest.mark.parametrize("method", list(Method))
+@given(r=resonances, xs=st.lists(st.lists(row0_entries, min_size=4, max_size=4), min_size=1,
+                                  max_size=4))
+@example(r=0.5, xs=[[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 1.0, -5e-324]])
+@example(r=0.0, xs=[[-0.0, 0.0, -0.0, 0.0]])
+@settings(max_examples=100, deadline=None)
+def test_kernels_write_the_stage_values_of_row_0(side, method, r, xs):
+    # row 0 of the stage values, which the kernel writes, is
+    # model.stage_tanh(D x, model.stage_table(p)) of each start x, bit for
+    # bit, for both methods and on both kernels, D x as x * _scale(p) rounds
+    if side == "native" and native.lib is None:
+        pytest.skip("the C kernels did not load")
+    p, rk4 = make_params(1.0, r), method is Method.RK4
+    arrays = _, stages, _, _, _ = integrators._start(np.array(xs), [p] * len(xs), 1, rk4)
+    getattr(integrators, f"{'_rk4_run' if rk4 else '_dg_run'}_{side}")(*arrays, 0.1)
+    with np.errstate(over="ignore"):
+        ws = (np.array(xs) * integrators._scale(p)).tolist()
+    want = [t for w in ws for t in model.stage_tanh(w, model.stage_table(p))]
+    assert _bits(stages[:, 0].ravel().tolist()) == _bits(want)
 
 
 # state_energy's inputs: signed zeros, overflowing and tiny amplitudes, and
