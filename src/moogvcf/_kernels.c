@@ -21,8 +21,19 @@
  * Each statement keeps the operands, the order of operations and the libm
  * calls (tanh, sinh, log1p, exp) of the Python line it transcribes, and the
  * file is compiled with -ffp-contract=off, so no multiply and add fuse: the
- * results match the Python kernels bit for bit.  Where Python would raise
- * ZeroDivisionError, a kernel returns ZERO_DIVISION and the caller raises.
+ * results match the Python kernels bit for bit.
+ *
+ * No kernel can fail, so none returns a status: integrators._steps admits
+ * 0 < dt < inf alone, and inside that domain, with integrators' positive
+ * cutoffs cut and dcut, nothing divides by zero.  With dt > 0,
+ * ho = dt omega0 >= 0.  Every slope e_i is +0, positive or NaN: the
+ * analytic c (1 - t^2) has |t| <= 1, and the secant is clamped at 0.  So
+ * j11, j22 and j33 are >= 1 (or inf or NaN), q1, q2 and q3 are >= 0 and j43
+ * is <= 0, and the Newton and the stabilized pivots are >= 1 (or NaN).  A
+ * quotient divides by b_i only outside +-cut m_i, and cut m_i > 0; a slope
+ * divides by h_i only outside +-dc, and dc >= dcut > 0.  c4 = S4 k4^2 / 2,
+ * the divisor of g0, is positive for every model.make_params output
+ * (4.45e-308 at the smallest normal r).
  *
  * The file holds no tunables.  Every constant but ln 2 (M_LN2, the double
  * nearest ln 2, which math.log(2.0) is too) comes from the caller: the
@@ -42,21 +53,18 @@
 #include <sched.h>
 #include <stdatomic.h>
 
-#define ZERO_DIVISION 1
-
 /* n_traj trajectories of n steps, trajectory m's constants at pc[30 m..], its
  * n + 1 states at states[4 (n + 1) m..], stage values at stages[5 (n + 1) m..],
  * energies at energy[(n + 1) m..] and record at record[3 m..], with dg_run's
  * arguments (rk4_run leaves the solver's unset), for run_batch. */
 struct batch {
-    int (*trajectory)(struct batch *b, long m);
+    void (*trajectory)(struct batch *b, long m);
     const double *pc, *line_search;
     double dt, tol, ctol, cut, dcut;
     long n_traj, n, max_iter, n_search;
     double *states, *stages, *energy;
     long *record;
-    atomic_long next;   /* the next trajectory to take */
-    atomic_int failed;  /* a trajectory returned ZERO_DIVISION */
+    atomic_long next;  /* the next trajectory to take */
 };
 
 /* ln(cosh(a)) of a = |u| >= 0 (or NaN), as lyapunov.log_cosh takes it. */
@@ -128,12 +136,25 @@ static double max_abs(double u, double m)
     return u > m ? u : -u > m ? -u : m;
 }
 
+/* A quotient's slope in v_i at the iterate, as _dg_run_python writes it:
+ * c (1 - th^2) of the stage's tanh th there within dc of coincidence, else
+ * the secant (g th - z) / h clamped at 0, as a convex potential's is. */
+static double slope(double c, double g, double th, double z, double h, double dc)
+{
+    double e;
+
+    if (-dc < h && h < dc)
+        return c * (1.0 - th * th);
+    e = (g * th - z) / h;
+    return e > 0.0 ? e : 0.0;
+}
+
 /* Trajectory m of a dg_run batch, with the constants pc of its row: the
  * stage values and the energy of its state states[0..3], those of its rows,
  * to row 0 of stages and energy, then n steps into row j = 1..n of states and
  * stages until a state is not finite (none if that energy is not); then the
  * energy of each row written, and record_trajectory. */
-static int dg_trajectory(struct batch *b, long m)
+static void dg_trajectory(struct batch *b, long m)
 {
     const double *pc = b->pc + 30 * m, *line_search = b->line_search;
     const double dt = b->dt, tol = b->tol, ctol = b->ctol, cut = b->cut, dcut = b->dcut;
@@ -161,8 +182,6 @@ static int dg_trajectory(struct batch *b, long m)
     kmax = k3 > kmax ? k3 : kmax;
     kmax = k4 > kmax ? k4 : kmax;
     kmax = k5 > kmax ? k5 : kmax;
-    if (c4 == 0.0)
-        return ZERO_DIVISION;
     g0 = c5 / c4;
     t1 = tanh(k1 * w1);
     t2 = tanh(k2 * w2);
@@ -206,22 +225,17 @@ static int dg_trajectory(struct batch *b, long m)
         for (it = 0; !(rnorm <= tol) && it < max_iter; it++) {
             const double j11 = 1.0 + ho * e1, j22 = 1.0 + ho * e2, j33 = 1.0 + ho * e3;
             const double j21 = sub * e1, j32 = sub * e2, j43 = sub * e3;
-            double p1, q1, p2, q2, p3, q3, piv, n1, n2, n3, n4;
-            double u1, u2, u3, u4, th1, th2, th3, th4, th5, dc;
+            double p1, q1, p2, q2, p3, q3, n1, n2, n3, n4;
+            double u1, u2, u3, u4, dc;
             int accepted = 0;
 
-            if (j11 == 0.0 || j22 == 0.0 || j33 == 0.0)
-                return ZERO_DIVISION;
             p1 = -r1 / j11;
             q1 = hf * e4 / j11;
             p2 = (-r2 - j21 * p1) / j22;
             q2 = -j21 * q1 / j22;
             p3 = (-r3 - j32 * p2) / j33;
             q3 = -j32 * q2 / j33;
-            piv = 1.0 + ho * e5 - j43 * q3;
-            if (piv == 0.0)
-                return ZERO_DIVISION;
-            n4 = (-r4 - j43 * p3) / piv;
+            n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3);
             n1 = p1 - q1 * n4;
             n2 = p2 - q2 * n4;
             n3 = p3 - q3 * n4;
@@ -233,11 +247,6 @@ static int dg_trajectory(struct batch *b, long m)
                 double f1, f2, f3, f4, f5, o1, o2, o3, o4, cnorm;
 
                 trials++;
-                if ((b1 == 0.0 && !(nc1 < b1 && b1 < cut1))
-                    || (b2 == 0.0 && !(nc2 < b2 && b2 < cut2))
-                    || (b3 == 0.0 && !(nc3 < b3 && b3 < cut3))
-                    || (b4 == 0.0 && !(nc4 < b4 && b4 < cut4)))
-                    return ZERO_DIVISION;
                 f1 = nc1 < b1 && b1 < cut1 ? y1 : quotient(s1, k1, w1, b1, t1);
                 f2 = nc2 < b2 && b2 < cut2 ? y2 : quotient(s2, k2, w2, b2, t2);
                 f3 = nc3 < b3 && b3 < cut3 ? y3 : quotient(s3, k3, w3, b3, t3);
@@ -283,70 +292,27 @@ static int dg_trajectory(struct batch *b, long m)
             u2 = w2 + h2;
             u3 = w3 + h3;
             u4 = w4 + h4;
-            th1 = tanh(k1 * u1);
-            th2 = tanh(k2 * u2);
-            th3 = tanh(k3 * u3);
-            th4 = tanh(k4 * u4);
-            th5 = tanh(k5 * u4);
-            dc = dcut * max_abs(u1, m1);
-            if (-dc < h1 && h1 < dc) {
-                e1 = c1 * (1.0 - th1 * th1);
-            } else {
-                if (h1 == 0.0)
-                    return ZERO_DIVISION;
-                e1 = (g1 * th1 - z1) / h1;
-                e1 = e1 > 0.0 ? e1 : 0.0;
-            }
-            dc = dcut * max_abs(u2, m2);
-            if (-dc < h2 && h2 < dc) {
-                e2 = c2 * (1.0 - th2 * th2);
-            } else {
-                if (h2 == 0.0)
-                    return ZERO_DIVISION;
-                e2 = (g2 * th2 - z2) / h2;
-                e2 = e2 > 0.0 ? e2 : 0.0;
-            }
-            dc = dcut * max_abs(u3, m3);
-            if (-dc < h3 && h3 < dc) {
-                e3 = c3 * (1.0 - th3 * th3);
-            } else {
-                if (h3 == 0.0)
-                    return ZERO_DIVISION;
-                e3 = (g3 * th3 - z3) / h3;
-                e3 = e3 > 0.0 ? e3 : 0.0;
-            }
+            e1 = slope(c1, g1, tanh(k1 * u1), z1, h1, dcut * max_abs(u1, m1));
+            e2 = slope(c2, g2, tanh(k2 * u2), z2, h2, dcut * max_abs(u2, m2));
+            e3 = slope(c3, g3, tanh(k3 * u3), z3, h3, dcut * max_abs(u3, m3));
             dc = dcut * max_abs(u4, m4);
-            if (-dc < h4 && h4 < dc) {
-                e4 = c4 * (1.0 - th4 * th4);
-                e5 = c5 * (1.0 - th5 * th5);
-            } else {
-                if (h4 == 0.0)
-                    return ZERO_DIVISION;
-                e4 = (g4 * th4 - z4) / h4;
-                e5 = (g5 * th5 - z5) / h4;
-                e4 = e4 > 0.0 ? e4 : 0.0;
-                e5 = e5 > 0.0 ? e5 : 0.0;
-            }
+            e4 = slope(c4, g4, tanh(k4 * u4), z4, h4, dc);
+            e5 = slope(c5, g5, tanh(k5 * u4), z5, h4, dc);
         }
         if (!(rnorm <= tol)) {  /* gave up (NaN included): the stabilized step from w */
             double g = y4 != 0.0 ? y5 / y4 : g0;
             const double j11 = 1.0 + ho * cb1, j22 = 1.0 + ho * cb2, j33 = 1.0 + ho * cb3;
             const double j21 = sub * cb1, j32 = sub * cb2, j43 = sub * cb3;
-            double p1, q1, p2, q2, p3, q3, piv, n4;
+            double p1, q1, p2, q2, p3, q3, n4;
 
             g = g < glo ? glo : g > ghi ? ghi : g;
-            if (j11 == 0.0 || j22 == 0.0 || j33 == 0.0)
-                return ZERO_DIVISION;
             p1 = ho * (-y1 - fc * y4) / j11;
             q1 = hf * cb4 / j11;
             p2 = (ho * (d * y1 - y2) - j21 * p1) / j22;
             q2 = -j21 * q1 / j22;
             p3 = (ho * (d * y2 - y3) - j32 * p2) / j33;
             q3 = -j32 * q2 / j33;
-            piv = 1.0 + ho * (g * cb4) - j43 * q3;
-            if (piv == 0.0)
-                return ZERO_DIVISION;
-            n4 = (ho * (d * y3 - g * y4) - j43 * p3) / piv;
+            n4 = (ho * (d * y3 - g * y4) - j43 * p3) / (1.0 + ho * (g * cb4) - j43 * q3);
             v1 = w1 + (p1 - q1 * n4);
             v2 = w2 + (p2 - q2 * n4);
             v3 = w3 + (p3 - q3 * n4);
@@ -378,20 +344,16 @@ static int dg_trajectory(struct batch *b, long m)
         energy[i] = state_energy(pc, states[4 * i], states[4 * i + 1], states[4 * i + 2],
                                  states[4 * i + 3]);
     record_trajectory(b, m, step, stabilized, trials);
-    return 0;
 }
 
-/* Take trajectories from b->next and run them until none is left or one
- * has returned ZERO_DIVISION. */
+/* Take trajectories from b->next and run them until none is left. */
 static void *take_trajectories(void *arg)
 {
     struct batch *b = arg;
     long m;
 
-    while (!atomic_load_explicit(&b->failed, memory_order_relaxed)
-           && (m = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_traj)
-        if (b->trajectory(b, m))
-            atomic_store_explicit(&b->failed, 1, memory_order_relaxed);
+    while ((m = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_traj)
+        b->trajectory(b, m);
     return NULL;
 }
 
@@ -410,37 +372,34 @@ static long batch_threads(long n_traj)
 
 /* Run every trajectory of b, spread over batch_threads(b->n_traj) threads,
  * the calling thread among them; if a thread cannot be started, those
- * running take its share.  Every thread is joined before the return.
- * ZERO_DIVISION if any trajectory returned it, else 0. */
-static int run_batch(struct batch *b)
+ * running take its share.  Every thread is joined before the return. */
+static void run_batch(struct batch *b)
 {
     const long threads = batch_threads(b->n_traj);
     pthread_t thread[threads];  /* thread[0] stays unset: the calling thread is the first */
     long i, started;
 
     atomic_init(&b->next, 0);
-    atomic_init(&b->failed, 0);
     for (started = 1; started < threads; started++)
         if (pthread_create(&thread[started], NULL, take_trajectories, b))
             break;
     take_trajectories(b);
     for (i = 1; i < started; i++)
         pthread_join(thread[i], NULL);
-    return atomic_load(&b->failed) ? ZERO_DIVISION : 0;
 }
 
 /* integrators._dg_run_python: the n_traj trajectories of n steps each, laid
  * out as struct batch has them, by run_batch. */
-int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, double tol,
-           double ctol, double cut, double dcut, const double *line_search, long n_search,
-           double *states, double *stages, double *energy, long *record)
+void dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, double tol,
+            double ctol, double cut, double dcut, const double *line_search, long n_search,
+            double *states, double *stages, double *energy, long *record)
 {
     struct batch b = {.trajectory = dg_trajectory, .pc = pc, .line_search = line_search,
                       .dt = dt, .tol = tol, .ctol = ctol, .cut = cut, .dcut = dcut,
                       .n_traj = n_traj, .n = n, .max_iter = max_iter, .n_search = n_search,
                       .states = states, .stages = stages, .energy = energy, .record = record};
 
-    return run_batch(&b);
+    run_batch(&b);
 }
 
 /* Trajectory m of an rk4_run batch, with the constants pc of its row: the
@@ -449,7 +408,7 @@ int dg_run(const double *pc, double dt, long n_traj, long n, long max_iter, doub
  * states and stages until a state is not finite (none if that energy is
  * not); then the energy of each row written, and record_trajectory with no
  * work. */
-static int rk4_trajectory(struct batch *b, long m)
+static void rk4_trajectory(struct batch *b, long m)
 {
     const double *pc = b->pc + 30 * m, dt = b->dt, h = 0.5 * dt, s = dt / 6.0;
     const long n = b->n;
@@ -504,7 +463,6 @@ static int rk4_trajectory(struct batch *b, long m)
         energy[j] = state_energy(pc, sc1 * states[4 * j], sc2 * states[4 * j + 1],
                                  sc3 * states[4 * j + 2], sc4 * states[4 * j + 3]);
     record_trajectory(b, m, step, 0, 0);
-    return 0;
 }
 
 /* integrators._rk4_run_python: the n_traj trajectories of n steps each, laid

@@ -82,10 +82,13 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def _parse_x0(raw: str):
-    parts = raw.split(",")
-    if len(parts) != 4:
+    try:
+        x0 = [float(t) for t in raw.split(",")]
+    except ValueError:
+        x0 = []
+    if len(x0) != 4:
         raise ValueError(f"x0 must be four comma-separated reals, got {raw!r}")
-    return [float(t) for t in parts]
+    return x0
 
 
 def _parse_families(raw: str) -> list[MatrixFamily]:
@@ -123,8 +126,7 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    lyapunov._check_tol("--tol", args.tol)
     families = _parse_families(args.families)
     grid = _parse_grid(args.r_grid)
     sweep = experiments.run_definiteness_sweep(families, (args.omega0,), grid, tol=args.tol)

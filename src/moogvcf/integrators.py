@@ -119,14 +119,15 @@ def _finite_state(x, name: str) -> np.ndarray:
 
 
 def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, record: np.ndarray,
-           constants: np.ndarray, dg_dt: float = 0.0) -> int:
-    """The number of steps n of a kernel call on its five arrays; ValueError
-    unless they are writable, C-ordered arrays of the same N >= 1 trajectories,
-    as _kernels.c reads and writes them: n + 1 >= 1 float64 rows of 4 states,
-    5 stage values and 1 energy each, an int64 record of 3 and a float64 row of
-    30 native.constants each.  A discrete-gradient call passes its dt as dg_dt:
-    ValueError names dt unless |omega0 * dt| is at most MAX_DG_OMEGA0_DT at
-    the largest omega0 of constants."""
+           constants: np.ndarray, dt: float, dg: bool) -> int:
+    """The number of steps n of a kernel call on its five arrays and its dt;
+    ValueError unless they are writable, C-ordered arrays of the same N >= 1
+    trajectories, as _kernels.c reads and writes them: n + 1 >= 1 float64 rows
+    of 4 states, 5 stage values and 1 energy each, an int64 record of 3 and a
+    float64 row of 30 native.constants each.  ValueError names dt unless
+    |omega0 * dt| is at most MAX_DG_OMEGA0_DT at the largest omega0 of
+    constants, for a discrete-gradient (dg) call, and unless 0 < dt < inf, as
+    StepConfig has it: within that domain no kernel divides by zero."""
     arrays = (states, stages, energy, record, constants)
     if not (all(isinstance(a, np.ndarray) and a.flags.c_contiguous and a.flags.writeable
                 for a in arrays)
@@ -140,9 +141,10 @@ def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, record: n
                          "at least 1: float64 rows of 4, 5 and 1, at least 1, int64 records of 3 "
                          f"and float64 constants of 30, got {arrays!r}")
     omega0 = constants[:, 24].max().item()
-    if not abs(omega0 * dg_dt) <= MAX_DG_OMEGA0_DT:
-        raise ValueError(f"dt = {dg_dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more than "
+    if dg and not abs(omega0 * dt) <= MAX_DG_OMEGA0_DT:
+        raise ValueError(f"dt = {dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more than "
                          f"{MAX_DG_OMEGA0_DT:g}, the discrete-gradient limit")
+    StepConfig(dt)  # validates dt
     return states.shape[1] - 1
 
 
@@ -167,7 +169,7 @@ def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
     rhs_nonlinear and stage_tanh, so they match those bit for bit; the
     constants are native.constants(p), as rk4_run of _kernels.c reads them,
     and those of dt are computed once per call."""
-    n, h, s = _steps(states, stages, energy, record, constants), 0.5 * dt, dt / 6.0
+    n, h, s = _steps(states, stages, energy, record, constants, dt, False), 0.5 * dt, dt / 6.0
     tanh, isfinite = math.tanh, math.isfinite
     # at most three targets per assignment, as in _dg_run
     for xs, ts, vs, rec, pc in zip(states, stages, energy, record, constants.tolist()):
@@ -268,7 +270,7 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
     <= z'delta + delta'L delta/2 = dt*omega0*y'Q(g)y - delta'L delta/2 <= 0, as
     the QsWorstCase certificate makes sym(Q(g)) <= 0 within the bounds.
     """
-    n = _steps(states, stages, energy, record, constants, dt)
+    n = _steps(states, stages, energy, record, constants, dt, True)
     tol, cut, ctol, dcut = _NEWTON_TOL, _COINCIDENCE_CUTOFF, _CHORD_TOL, _DERIVATIVE_CUTOFF
     iterations, line_search, chord = range(_NEWTON_MAX_ITER), _LINE_SEARCH, _LINE_SEARCH[:1]
     tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
@@ -445,7 +447,7 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
 def _rk4_run_native(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
                     record: np.ndarray, constants: np.ndarray, dt: float) -> None:
     """_rk4_run_python, run by rk4_run of _kernels.c."""
-    n = _steps(states, stages, energy, record, constants)
+    n = _steps(states, stages, energy, record, constants, dt, False)
     double = ctypes.c_double.from_buffer  # a cheap pointer
     native.lib.rk4_run(double(constants), dt, len(states), n, double(states), double(stages),
                        double(energy), ctypes.c_long.from_buffer(record))
@@ -455,12 +457,12 @@ def _dg_run_native(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
                    record: np.ndarray, constants: np.ndarray, dt: float) -> None:
     """_dg_run_python, run by dg_run of _kernels.c with this module's solver
     constants as they stand at the call."""
-    n, double = _steps(states, stages, energy, record, constants, dt), ctypes.c_double.from_buffer
-    if native.lib.dg_run(double(constants), dt, len(states), n, _NEWTON_MAX_ITER, _NEWTON_TOL,
-                         _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
-                         native.doubles(_LINE_SEARCH), len(_LINE_SEARCH), double(states),
-                         double(stages), double(energy), ctypes.c_long.from_buffer(record)):
-        raise ZeroDivisionError("float division by zero")  # where _dg_run_python raises it
+    n = _steps(states, stages, energy, record, constants, dt, True)
+    double = ctypes.c_double.from_buffer
+    native.lib.dg_run(double(constants), dt, len(states), n, _NEWTON_MAX_ITER, _NEWTON_TOL,
+                      _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF,
+                      native.doubles(_LINE_SEARCH), len(_LINE_SEARCH), double(states),
+                      double(stages), double(energy), ctypes.c_long.from_buffer(record))
 
 
 # The kernels simulate_batch runs: those of _kernels.c if native loaded them,
@@ -512,7 +514,6 @@ def _step(x, p: FilterParams, dt: float, rk4: bool) -> np.ndarray:
 def step_rk4(x, p: FilterParams, dt: float) -> np.ndarray:
     """Classic fourth-order one-step update of rhs_nonlinear, taken as
     simulate takes it."""
-    StepConfig(dt)  # validates dt
     return _step(x, p, dt, rk4=True)
 
 

@@ -12,10 +12,12 @@ row on.  The library exports dg_run and rk4_run alone, which spread a
 batch's trajectories over as many threads as the batch has trajectories and
 the process's CPU affinity mask has CPUs, each thread evaluating the
 energies V of the trajectories it steps, which changes no bit; nothing else
-sets the number.  On first import it is
-compiled with the system C compiler (the CC environment variable, else
-sysconfig's CC) and the flags of FLAGS: -ffp-contract=off keeps multiplies
-and adds from fusing into FMAs, which round once instead of twice.  The
+sets the number.  Both return void: integrators._steps admits 0 < dt < inf
+alone, and within that domain no kernel divides by zero (the argument heads
+_kernels.c), so none can fail.  On first import it is compiled with the
+system C compiler (the CC environment variable, else sysconfig's CC) and
+the flags of FLAGS: -ffp-contract=off keeps multiplies and adds from
+fusing into FMAs, which round once instead of twice.  The
 library is cached in $XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf), under a
 name keyed by the sha256 of the source, the compiler, the flags and the
 platform, and loaded through ctypes.  Each load refreshes the library's
@@ -70,8 +72,8 @@ _log = logging.getLogger("moogvcf")
 _double, _long = ctypes.c_double, ctypes.c_long
 _doubles, _longs = ctypes.POINTER(_double), ctypes.POINTER(_long)
 _SIGNATURES = {
-    "dg_run": (ctypes.c_int, [_doubles, _double, _long, _long, _long, _double, _double, _double,
-                              _double, _doubles, _long, _doubles, _doubles, _doubles, _longs]),
+    "dg_run": (None, [_doubles, _double, _long, _long, _long, _double, _double, _double,
+                      _double, _doubles, _long, _doubles, _doubles, _doubles, _longs]),
     "rk4_run": (None, [_doubles, _double, _long, _long, _doubles, _doubles, _doubles, _longs]),
 }
 

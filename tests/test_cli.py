@@ -270,6 +270,7 @@ def test_simulate_bad_x0(capsys):
 @pytest.mark.parametrize("flag,value,field", [
     ("--x0", "nan,0,0,0", "x0"),
     ("--x0", "1,inf,0,0", "x0"),
+    ("--x0", "1,2,3,abc", "x0"),
     ("--dt", "inf", "dt"),
     ("--r", "5e-324", "r="),
 ])
