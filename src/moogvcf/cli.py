@@ -10,6 +10,7 @@ Floats are rendered with the shortest round-trip decimal representation.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -287,7 +288,9 @@ def _add_format(parser) -> None:
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each func binds its _cmd_* here."""
     parser = argparse.ArgumentParser(
         prog="moogvcf",
         description="Ladder-filter stability toolkit: eigenvalues, Lyapunov "

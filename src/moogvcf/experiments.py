@@ -7,7 +7,7 @@ outputs are listed in canonical (grid, state) order.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -214,28 +214,37 @@ class SweepResult:
         return all(s.passed for s in self.summaries)
 
 
+def _bracket(reports):
+    """The lyapunov.bisect_brackets bracket between the first adjacent reports
+    whose negative-definite flags differ, or None when every flag agrees."""
+    for a, b in zip(reports, reports[1:]):
+        if (a.verdict is Verdict.NEGATIVE_DEFINITE) != (b.verdict is Verdict.NEGATIVE_DEFINITE):
+            return a.family, a.r, b.r, a.verdict is Verdict.NEGATIVE_DEFINITE, a.tol
+    return None
+
+
 def detect_threshold(reports) -> float | None:
     """Bisect between the first adjacent reports whose negative-definite
     flags differ, at the reports' own verdict tolerance; None when every
-    flag agrees.  The reports are of one family, in ascending r."""
-    for a, b in zip(reports, reports[1:]):
-        if (a.verdict is Verdict.NEGATIVE_DEFINITE) != (b.verdict is Verdict.NEGATIVE_DEFINITE):
-            return lyapunov.definiteness_threshold(a.family, a.r, b.r, verdict_tol=a.tol)
-    return None
+    flag agrees.  The reports are of one family and tolerance, in ascending
+    r, and their flags are the bisection's at the bracket's ends."""
+    return lyapunov.bisect_brackets([_bracket(reports)])[0]
 
 
 def run_definiteness_sweep(families, omega0_grid, r_grid, tol: float = 1e-10) -> SweepResult:
     """Certify every (family, omega0, r) grid point at verdict tolerance tol
     and locate each family's verdict boundary along r; the reports are in
-    (family, omega0, r) order."""
-    result = SweepResult()
+    (family, omega0, r) order.  Family matrices read only r, so one
+    lyapunov.certify_grid call serves every omega0, and the boundaries are
+    bisected in lockstep."""
+    first = [model.make_params(omega0_grid[0], r) for r in r_grid]
+    omega0s = [model.make_params(omega0, 0.0).omega0 for omega0 in omega0_grid[1:]]
+    result, brackets = SweepResult(), {}
     for family in families:
-        rows = [[lyapunov.certify(family, model.make_params(omega0, r), tol=tol) for r in r_grid]
-                for omega0 in omega0_grid]
-        for row in rows:
-            result.reports.extend(row)
-        # Certificates are omega0-normalized, so every row has the same verdicts.
-        result.thresholds[family.value] = detect_threshold(rows[0])
+        row = lyapunov.certify_grid(family, first, tol)
+        result.reports += row + [replace(rep, omega0=omega0) for omega0 in omega0s for rep in row]
+        brackets[family.value] = _bracket(row)
+    result.thresholds = dict(zip(brackets, lyapunov.bisect_brackets(list(brackets.values()))))
     return result
 
 

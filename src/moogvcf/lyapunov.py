@@ -5,9 +5,9 @@ scaled quadratic 0.5*w'w, certified through the As and Bs families, and the
 saturation energy built from log-cosh stage potentials whose gradient is
 exactly the saturation vector z (model.saturation_vector).  A matrix family
 is certified negative (semi)definite through the eigenvalues of its
-omega0-normalized symmetrization: one LAPACK eigvalsh call on a matrix that
-is symmetric by construction.  sym_eigvals is the checked entry point for
-matrices from outside.
+omega0-normalized symmetrization: one stacked LAPACK eigvalsh call per block
+of grid points, or per round of the families' lockstep boundary bisection.
+sym_eigvals is the checked entry point for matrices from outside.
 """
 
 import math
@@ -21,6 +21,8 @@ from .model import FilterParams
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
+# Most matrices per eigvalsh call: 2 MB, not the 128 MB of a 10^6-point grid.
+_BLOCK_MATRICES = 2 ** 14
 
 
 def log_cosh(u: float) -> float:
@@ -256,9 +258,9 @@ class CertificateReport:
     tol: float
 
 
-def _family_matrix(family: MatrixFamily, p: FilterParams) -> np.ndarray:
-    """Symmetrized family member at p's resonance, divided by omega0, built
-    from one ladder pattern:
+def _family_row(family: MatrixFamily, p: FilterParams) -> tuple:
+    """The 16 entries, row by row, of the symmetrized family member at p's
+    resonance, divided by omega0, built from one ladder pattern:
 
         [[-1,   s/2, 0,   -c/2],
          [s/2,  -1,  s/2, 0   ],
@@ -284,7 +286,16 @@ def _family_matrix(family: MatrixFamily, p: FilterParams) -> np.ndarray:
     else:
         raise ValueError(f"unknown family {family!r}")
     h, k = 0.5 * s, 0.5 * (0.0 - c)  # 0.0 - c: +0.0, not -0.0, at c = 0
-    return np.array([[-1.0, h, 0.0, k], [h, -1.0, h, 0.0], [0.0, h, -1.0, h], [k, 0.0, h, -g]])
+    return -1.0, h, 0.0, k, h, -1.0, h, 0.0, 0.0, h, -1.0, h, k, 0.0, h, -g
+
+
+def _family_matrices(family: MatrixFamily, ps) -> np.ndarray:
+    """The (N, 4, 4) family matrices at each p of ps, from one flat list,
+    which costs less than a numpy fill at one to three matrices."""
+    flat = []
+    for p in ps:
+        flat += _family_row(family, p)
+    return np.array(flat, dtype=float).reshape(-1, 4, 4)
 
 
 def _check_tol(name: str, value: float, positive: bool = False) -> None:
@@ -296,31 +307,28 @@ def _check_tol(name: str, value: float, positive: bool = False) -> None:
 
 
 def certify(family: MatrixFamily, p: FilterParams, tol: float = 1e-10) -> CertificateReport:
-    """Definiteness certificate for one family at parameters p.
+    """Definiteness certificate for one family at parameters p: certify_grid of [p]."""
+    return certify_grid(family, [p], tol)[0]
+
+
+def certify_grid(family: MatrixFamily, ps, tol: float = 1e-10) -> list:
+    """Definiteness certificate for one family at each parameters p of ps.
 
     For QsWorstCase the coupling matrix is evaluated at the smallest
     attainable feedback ratio; since the ratio only enters the (4,4) entry
     with a minus sign, a negative-definite verdict there covers every
     attainable ratio (larger ratios subtract a positive rank-one term).
     At r = 0 there is no feedback ratio; QsWorstCase then certifies the
-    feedback-free cascade, the matrix of Vdot_zero_feedback.  The
-    certificate is one eigvalsh call on the family matrix, which is
-    symmetric by construction; sym_eigvals is the checked entry point for
-    matrices from outside.  Raises ValueError naming tol unless it is
-    finite and >= 0.
+    feedback-free cascade, the matrix of Vdot_zero_feedback.  The family
+    matrices go to one eigvalsh call per _BLOCK_MATRICES; numpy runs LAPACK's
+    syevd on each matrix of a stack, so a report is bit for bit that of its
+    matrix alone.  Raises ValueError naming tol unless it is finite and >= 0.
     """
     _check_tol("tol", tol)
-    eigs = np.linalg.eigvalsh(_family_matrix(family, p))
-    max_eig = float(eigs[-1])
-    return CertificateReport(
-        omega0=p.omega0,
-        r=p.r,
-        family=family,
-        min_eig=float(eigs[0]),
-        max_eig=max_eig,
-        verdict=_verdict(max_eig, tol),
-        tol=tol,
-    )
+    blocks = [ps[k:k + _BLOCK_MATRICES] for k in range(0, len(ps), _BLOCK_MATRICES)]
+    return [CertificateReport(p.omega0, p.r, family, lo, hi, _verdict(hi, tol), tol)
+            for block in blocks for p, (lo, *_, hi) in zip(
+                block, np.linalg.eigvalsh(_family_matrices(family, block)).tolist())]
 
 
 def definiteness_threshold(
@@ -331,46 +339,50 @@ def definiteness_threshold(
     verdict_tol: float = 1e-10,
 ) -> float:
     """Bisect the resonance at which the family stops being negative
-    definite (max eigenvalue crosses -verdict_tol).
+    definite (max eigenvalue crosses -verdict_tol): bisect_brackets of one.
 
     Requires the definiteness predicate to differ at r_lo and r_hi; r_hi may
-    sit slightly above 1 to bracket a boundary at r = 1 itself.  Bisection
-    stops when the bracket is at most tol wide, or when it can shrink no
-    further in floating point.  Raises ValueError naming tol unless it is
-    finite and > 0, naming verdict_tol unless it is finite and >= 0, and
-    naming r_lo or r_hi if the family matrix there has a non-finite entry:
-    at r = inf, or once 4r overflows, past about 4.5e307.
+    sit slightly above 1 to bracket a boundary at r = 1 itself.  Raises
+    ValueError naming tol unless it is finite and > 0, naming verdict_tol
+    unless it is finite and >= 0, and naming r_lo or r_hi if the family
+    matrix there has a non-finite entry: at r = inf, or once 4r overflows,
+    past about 4.5e307.
     """
     _check_tol("tol", tol, positive=True)
     _check_tol("verdict_tol", verdict_tol)
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"need 0 <= r_lo < r_hi, got ({r_lo}, {r_hi})")
-
-    def is_definite(M: np.ndarray) -> bool:
-        return float(np.linalg.eigvalsh(M)[-1]) < -verdict_tol
-
     # Entries overflow only at large r, so a matrix finite at r_hi is finite inside.
-    ends = []
+    flat = []
     for name, r in (("r_lo", r_lo), ("r_hi", r_hi)):
         try:
-            M = _family_matrix(family, model._derive(1.0, r))
+            flat += (row := _family_row(family, model._derive(1.0, r)))
         except OverflowError:  # d ** 4 in QsWorstCase's feedback ratio bound
-            M = None
-        if M is None or not np.isfinite(M).all():
+            row = (math.inf,)
+        if not all(map(math.isfinite, row)):
             raise ValueError(f"{name} = {r!r} gives a non-finite {family.value} matrix entry")
-        ends.append(M)
-    lo_def = is_definite(ends[0])
-    if lo_def == is_definite(ends[1]):
-        raise ValueError(
-            f"no definiteness change for {family.value} on [{r_lo}, {r_hi}]"
-        )
-    lo, hi = float(r_lo), float(r_hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if is_definite(_family_matrix(family, model._derive(1.0, mid))) == lo_def:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    tops = np.linalg.eigvalsh(np.array(flat, dtype=float).reshape(-1, 4, 4))[:, -1].tolist()
+    if (lo_def := tops[0] < -verdict_tol) == (tops[1] < -verdict_tol):
+        raise ValueError(f"no definiteness change for {family.value} on [{r_lo}, {r_hi}]")
+    return bisect_brackets([(family, r_lo, r_hi, lo_def, verdict_tol)], tol)[0]
+
+
+def bisect_brackets(brackets, tol: float = 1e-8) -> list:
+    """The threshold of each bracket (family, r_lo, r_hi, lo_definite,
+    verdict_tol), or None for a bracket of None.  lo_definite is the
+    predicate max eigenvalue < -verdict_tol at r_lo, which must not hold at
+    r_hi.  The brackets still open are bisected in lockstep, one stacked
+    eigvalsh call per round; each keeps its own midpoints and stopping rule,
+    so its threshold is bit for bit its bisection alone's."""
+    ends = [None if b is None else [float(b[1]), float(b[2])] for b in brackets]
+    live = [(bracket, end, None) for bracket, end in zip(brackets, ends) if end is not None]
+    # a bracket stops once at most tol wide, or once its midpoint is an end
+    while live := [(bracket, end, mid) for bracket, end, _ in live if end[1] - end[0] > tol
+                   and end[0] != (mid := 0.5 * (end[0] + end[1])) != end[1]]:
+        flat = []
+        for (family, *_), _, mid in live:
+            flat += _family_row(family, model._derive(1.0, mid))
+        tops = np.linalg.eigvalsh(np.array(flat, dtype=float).reshape(-1, 4, 4))[:, -1].tolist()
+        for (bracket, end, mid), top in zip(live, tops):
+            end[0 if (top < -bracket[4]) == bracket[3] else 1] = mid
+    return [None if end is None else 0.5 * (end[0] + end[1]) for end in ends]

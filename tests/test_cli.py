@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moogvcf import cli, experiments, integrators, lyapunov, spectral
+from moogvcf import cli, experiments, integrators, lyapunov, model, spectral
 from moogvcf.cli import main
 from moogvcf.lyapunov import MatrixFamily
 
@@ -139,18 +139,24 @@ def test_certify_threshold_row(capsys):
 
 
 def test_certify_certifies_each_grid_point_once(capsys, monkeypatch):
-    calls = []
-    real = lyapunov.certify
+    # count the matrices handed to eigvalsh, one per matrix of a stack
+    solved = []
+    real = np.linalg.eigvalsh
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        solved.extend(m.tobytes() for m in np.asarray(a).reshape(-1, 4, 4))
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(lyapunov, "certify", counting)
-    code, _, _ = run(capsys, "certify", "--families", "As", "--r-grid", "0:1:0.01")
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    code, out, _ = run(capsys, "certify", "--families", "As", "--r-grid", "0:1:0.01")
     assert code == 0
-    # 101 grid points plus the Threshold row
-    assert len(calls) == 102
+    # 101 grid points plus the Threshold row, each solved once; the others
+    # are the bisection's midpoints, and no matrix is solved twice
+    rs = [float(row[1]) for row in parse_csv(out)[1]]
+    assert len(rs) == 102
+    wanted = lyapunov._family_matrices(MatrixFamily.AS, [model.make_params(1.0, r) for r in rs])
+    assert all(solved.count(m.tobytes()) == 1 for m in wanted)
+    assert len(set(solved)) == len(solved) < 102 + 64
 
 
 def test_certify_runs_the_definiteness_sweep(capsys, monkeypatch):
@@ -177,7 +183,7 @@ def test_certify_runs_the_definiteness_sweep(capsys, monkeypatch):
 def test_certify_rejects_bad_tol(capsys, monkeypatch, tol):
     # a negative --tol rated an indefinite point NegativeDefinite, and nan
     # rated every point Indefinite, both with exit 0
-    monkeypatch.setattr(lyapunov, "certify", None)
+    monkeypatch.setattr(lyapunov, "certify_grid", None)
     code, out, err = run(capsys, "certify", "--families", "As", "--r-grid", "0:1:0.5",
                          f"--tol={tol}")
     assert code == 2
@@ -298,7 +304,7 @@ def test_simulate_rejects_non_finite_input_up_front(capsys, flag, value, field):
 ])
 def test_certify_rejects_bad_grid(capsys, monkeypatch, grid, message):
     # a rejected grid must never reach certification
-    monkeypatch.setattr(lyapunov, "certify", None)
+    monkeypatch.setattr(lyapunov, "certify_grid", None)
     code, _, err = run(capsys, "certify", "--families", "As", f"--r-grid={grid}")
     assert code == 2
     assert "--r-grid" in err and message in err
@@ -349,7 +355,7 @@ def test_simulate_dg_step_above_the_limit_exit_code(capsys, kernels, dt):
 def test_sweep_rejects_dg_step_above_the_limit(tmp_path, capsys, monkeypatch):
     # dt times the largest omega0 above integrators.MAX_DG_OMEGA0_DT: the
     # spec is rejected under dt before any certification; RK4 has no limit
-    monkeypatch.setattr(lyapunov, "certify", None)
+    monkeypatch.setattr(lyapunov, "certify_grid", None)
     spec = tmp_path / "spec.json"
     fields = {"r": [0.5], "omega0": [1.0, 1e300], "families": ["As"], "seed": 1,
               "samples_per_point": 1, "dt": 1e7, "n_steps": 3}
@@ -435,7 +441,7 @@ def test_sweep_rejects_non_finite_spec_up_front(tmp_path, capsys, monkeypatch, f
     # JSON reads 1e400 as inf, and 10^400 written out as an integer no float
     # holds; the spec must be rejected before any certification, with the
     # path of the offending entry, and so must sizes that would run for days
-    monkeypatch.setattr(lyapunov, "certify", None)
+    monkeypatch.setattr(lyapunov, "certify_grid", None)
     fields = {"r": "[0.5]", "omega0": "[1]", "families": '["As"]', "seed": "1",
               "samples_per_point": "1", field: text}
     spec = tmp_path / "spec.json"

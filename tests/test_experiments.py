@@ -183,6 +183,17 @@ def test_definiteness_sweep_passes_its_tolerance():
     assert certify(MatrixFamily.AS, make_params(1.0, r_star + 1e-6)).max_eig > -0.1
 
 
+def test_definiteness_sweep_later_omega0_rows_are_their_own_certificates():
+    # the rows after the first repeat its eigenvalues; each must still be
+    # the certificate of its own (omega0, r), bit for bit
+    grid = [0.0, 1e-300, 0.2, 5.0 / 12.0, 0.7, 1.0]
+    families = list(MatrixFamily)
+    result = run_definiteness_sweep(families, [1.0, 250.0], grid)
+    assert [repr(rep) for rep in result.reports] == [
+        repr(certify(family, make_params(omega0, r)))
+        for family in families for omega0 in (1.0, 250.0) for r in grid]
+
+
 def test_detect_threshold_uses_report_tolerance():
     # With a verdict tolerance of 0.1 the As boundary moves to where the
     # largest eigenvalue crosses -0.1, and bisection must use that same

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moogvcf import lyapunov, model
+from moogvcf import cli, lyapunov, model
 from moogvcf.lyapunov import (
     CertificateReport,
     MatrixFamily,
@@ -530,7 +530,7 @@ _FAMILY_RS = [0.0, sys.float_info.min, 1e-300, 1e-12, math.nextafter(_FIVE_TWELF
 
 
 def _check_family_matrix(family, r):
-    got = lyapunov._family_matrix(family, model._derive(2.5, r))
+    got = lyapunov._family_matrices(family, [model._derive(2.5, r)])[0]
     ref = _reference_family_matrix(family, r)
     # bytes, so that -0.0 against 0.0 counts as a mismatch
     assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -579,6 +579,65 @@ def test_threshold_matches_reference_bisection(family, r_lo, tol):
     r_hi = 1.0 if family is MatrixFamily.AS else 1.0001
     got = definiteness_threshold(family, r_lo, r_hi, tol=tol)
     assert got == _reference_threshold(family, r_lo, r_hi, tol)
+
+
+_GRID_RS = [0.0, sys.float_info.min, 1e-300, 1e-12, math.nextafter(_FIVE_TWELFTHS, 0.0),
+            _FIVE_TWELFTHS, math.nextafter(_FIVE_TWELFTHS, 1.0), 1.0]
+
+
+def _alone(family, p, tol):
+    """The certificate of p from eigvalsh of its one (4, 4) matrix."""
+    eigs = np.linalg.eigvalsh(_reference_family_matrix(family, p.r))
+    return CertificateReport(p.omega0, p.r, family, float(eigs[0]), float(eigs[-1]),
+                             lyapunov._verdict(float(eigs[-1]), tol), tol)
+
+
+@pytest.mark.parametrize("family", list(MatrixFamily))
+@given(rs=st.lists(st.sampled_from(_GRID_RS) | resonances, min_size=1, max_size=60),
+       tol=st.sampled_from([0.0, 1e-10, 1e-3]))
+@settings(max_examples=60)
+def test_certify_grid_is_each_point_alone(family, rs, tol):
+    # repr tells -0.0 from 0.0, so every field must match bit for bit
+    ps = [make_params(2.5, r) for r in rs]
+    got = [repr(rep) for rep in lyapunov.certify_grid(family, ps, tol)]
+    assert got == [repr(certify(family, p, tol)) for p in ps]
+    assert got == [repr(_alone(family, p, tol)) for p in ps]
+
+
+def test_certify_grid_blocks_give_the_same_bytes(monkeypatch, capsys):
+    ps = [make_params(1.0, 0.02 * k) for k in range(50)]
+    args = ["certify", "--families", "As,Bs,QsWorstCase", "--r-grid", "0:0.98:0.02"]
+    whole = {family: lyapunov.certify_grid(family, ps) for family in MatrixFamily}
+    assert cli.main(args) == 0
+    text = capsys.readouterr().out
+    monkeypatch.setattr(lyapunov, "_BLOCK_MATRICES", 7)
+    calls = _limit_eigensolves(monkeypatch)
+    for family in MatrixFamily:
+        assert [repr(rep) for rep in lyapunov.certify_grid(family, ps)] == [
+            repr(rep) for rep in whole[family]]
+    assert len(calls) == 3 * 8  # 50 matrices in blocks of 7
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == text
+
+
+_BRACKET_ENDS = {MatrixFamily.AS: 1.0, MatrixFamily.BS: 1.0001, MatrixFamily.QS_WORST_CASE: 1.0001}
+
+
+@given(los=st.lists(st.tuples(st.sampled_from(list(MatrixFamily)),
+                              st.just(0.0) | st.floats(min_value=1e-300, max_value=0.4)),
+                    min_size=1, max_size=6),
+       tol=st.sampled_from([1e-8, 1e-10, 5e-324]),
+       verdict_tol=st.sampled_from([0.0, 1e-10, 1e-6]))
+@settings(max_examples=40)
+@example(los=[(family, 0.0) for family in MatrixFamily], tol=5e-324, verdict_tol=1e-10)
+def test_lockstep_bisection_is_each_bracket_alone(los, tol, verdict_tol):
+    brackets = []
+    for family, r_lo in los:
+        top = certify(family, model._derive(1.0, r_lo)).max_eig
+        brackets.append((family, r_lo, _BRACKET_ENDS[family], top < -verdict_tol, verdict_tol))
+    got = lyapunov.bisect_brackets(brackets + [None], tol)
+    assert got == [definiteness_threshold(family, r_lo, r_hi, tol, verdict_tol)
+                   for family, r_lo, r_hi, _, _ in brackets] + [None]
 
 
 @pytest.mark.parametrize("family, r_lo, r_hi, name", [
