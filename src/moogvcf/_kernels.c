@@ -1,6 +1,7 @@
 /* C transcriptions of integrators._dg_run_python and _rk4_run_python, and of
- * lyapunov._energy_rows, which both evaluate (state_energy); the library
- * exports dg_run and rk4_run alone.  Each puts its arguments in a struct
+ * lyapunov._energy_rows, which both evaluate (state_energy), and of
+ * cli._csv_rows_python (at the end); the library exports dg_run, rk4_run
+ * and render_rows.  dg_run and rk4_run each put their arguments in a struct
  * batch of independent trajectories, and one driver (run_batch) spreads
  * dg_trajectory(batch, m) or rk4_trajectory(batch, m) over as many threads
  * as the batch has trajectories and the process's affinity mask has CPUs,
@@ -52,6 +53,7 @@
 #include <pthread.h>
 #include <sched.h>
 #include <stdatomic.h>
+#include <string.h>
 
 /* n_traj trajectories of n steps, trajectory m's constants at pc[30 m..], its
  * n + 1 states at states[4 (n + 1) m..], stage values at stages[5 (n + 1) m..],
@@ -475,4 +477,43 @@ void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, d
                       .record = record};
 
     run_batch(&b);
+}
+
+/* CPython's PyOS_double_to_string and PyMem_Free, whose addresses the caller
+ * passes: a libpython symbol named here would be left for the loader to
+ * resolve, and where it could not, the kernels would not load either. */
+typedef char *double_to_string(double val, char format_code, int precision, int flags,
+                               int *type);
+typedef void mem_free(void *block);
+
+/* cli._csv_rows_python on the n rows of k doubles of values, in C order: the
+ * bytes of each value's repr, to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0 = 2,
+ * NULL) as CPython's float repr calls it, each string freed by release, a
+ * ',' after each value but a row's last and a '\n' after that, into text,
+ * of capacity bytes.  The number of bytes written; -1 if to_string failed
+ * (out of memory, with MemoryError set), or if the text would not fit, and
+ * then nothing is written past text[capacity - 1].  It calls into the
+ * interpreter, so it is called with the GIL held, the one entry that is. */
+long render_rows(double_to_string *to_string, mem_free *release, const double *values, long n,
+                 long k, char *text, long capacity)
+{
+    long used = 0, i, j, len;
+    char *repr;
+
+    for (i = 0; i < n; i++)
+        for (j = 0; j < k; j++) {
+            repr = to_string(values[k * i + j], 'r', 0, 2, NULL);
+            if (!repr)
+                return -1;
+            len = (long)strlen(repr);
+            if (len >= capacity - used) {  /* the repr and its separator */
+                release(repr);
+                return -1;
+            }
+            memcpy(text + used, repr, (size_t)len);
+            release(repr);
+            used += len;
+            text[used++] = j + 1 < k ? ',' : '\n';
+        }
+    return used;
 }

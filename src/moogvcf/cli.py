@@ -5,12 +5,16 @@ Exit codes: 0 success / all checks passed, 1 a requested check failed,
 2 usage or specification error (an --out that cannot be opened included),
 3 numerical failure (a simulated state that is not finite, or an eigenvalue
 root finder that fails), 141 (128 + SIGPIPE) the reader closed stdout.
-Floats are rendered with the shortest round-trip decimal representation.
+Floats are rendered as repr(float) renders them, the shortest decimal that
+round-trips; simulate's CSV rows are rendered in C, through CPython's own
+repr routine, when native loaded its renderer, and give the same bytes.
 """
 
 import argparse
 import contextlib
+import ctypes
 import functools
+import itertools
 import json
 import math
 import os
@@ -18,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, integrators, lyapunov, model, spectral
+from . import experiments, integrators, lyapunov, model, native, spectral
 from .experiments import SweepSpec
 from .integrators import IntegrationError, Method, StepConfig
 from .lyapunov import MatrixFamily
@@ -38,10 +42,45 @@ _MAX_STEPS = experiments._MAX_STEPS
 _MAX_EIG_OMEGA0 = 2.0 ** 224
 # simulate renders and writes CSV rows in blocks of this many.
 _BLOCK_ROWS = 1024
+# Bytes of the longest repr of a float, -2.2250738585072014e-308, and its separator.
+_REPR_BYTES = 25
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _csv_rows_python(columns: list):
+    """The CSV lines of columns, float64 arrays of one length, one block of
+    _BLOCK_ROWS rows at a time: the repr of each value, commas between a
+    row's values and a newline after each row."""
+    for i in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = zip(*(column[i:i + _BLOCK_ROWS].tolist() for column in columns))
+        yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _csv_rows_native(columns: list):
+    """_csv_rows_python, each block gathered into one (rows, columns) table
+    and rendered by native.render_rows into one text buffer, both reused from
+    block to block."""
+    table = np.empty((_BLOCK_ROWS, len(columns)))
+    text = bytearray(_REPR_BYTES * table.size)
+    chars, view = (ctypes.c_char * len(text)).from_buffer(text), memoryview(text)
+    n = len(columns[0])
+    for i in range(0, n, _BLOCK_ROWS):
+        rows = table[:min(n - i, _BLOCK_ROWS)]
+        for j, column in enumerate(columns):
+            rows[:, j] = column[i:i + len(rows)]
+        used = native.render_rows(ctypes.c_double.from_buffer(rows), len(rows), len(columns),
+                                  chars, len(text))
+        if used < 0:
+            raise RuntimeError(f"{len(text)} bytes cannot hold {rows.size} rendered floats")
+        yield str(view[:used], "ascii")
+
+
+# The CSV renderer simulate runs: native's if it loaded, else the Python one,
+# which gives the same bytes.
+_csv_rows = _csv_rows_python if native.render_rows is None else _csv_rows_native
 
 
 def _check_out(path: str) -> None:
@@ -205,14 +244,9 @@ def _cmd_simulate(args) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     columns = [traj.times, *traj.states.T, traj.V, traj.Vdot] + ([dv] if dg else [])
-
-    def blocks():  # written as rendered, so neither a row list nor the text spans the run
-        yield "t,x1,x2,x3,x4,v,vdot" + (",dv" if dg else "") + "\n"
-        for i in range(0, len(traj.times), _BLOCK_ROWS):
-            rows = zip(*(column[i:i + _BLOCK_ROWS].tolist() for column in columns))
-            yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
-
-    _emit(blocks(), args.out)
+    header = "t,x1,x2,x3,x4,v,vdot" + (",dv" if dg else "") + "\n"
+    # written as rendered, so neither a row list nor the text spans the run
+    _emit(itertools.chain([header], _csv_rows(columns)), args.out)
     return 0
 
 

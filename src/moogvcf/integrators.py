@@ -128,22 +128,32 @@ def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, record: n
     |omega0 * dt| is at most MAX_DG_OMEGA0_DT at the largest omega0 of
     constants, for a discrete-gradient (dg) call, and unless 0 < dt < inf, as
     StepConfig has it: within that domain no kernel divides by zero."""
-    arrays = (states, stages, energy, record, constants)
-    if not (all(isinstance(a, np.ndarray) and a.flags.c_contiguous and a.flags.writeable
-                for a in arrays)
-            and [a.dtype for a in arrays] == [np.float64] * 3 + [np.int64, np.float64]
+    # plain comparisons, no generator: this runs at every kernel call, a
+    # one-step call included
+    nd = np.ndarray
+    if not (isinstance(states, nd) and isinstance(stages, nd) and isinstance(energy, nd)
+            and isinstance(record, nd) and isinstance(constants, nd)
+            and states.flags.c_contiguous and states.flags.writeable
+            and stages.flags.c_contiguous and stages.flags.writeable
+            and energy.flags.c_contiguous and energy.flags.writeable
+            and record.flags.c_contiguous and record.flags.writeable
+            and constants.flags.c_contiguous and constants.flags.writeable
+            and states.dtype == stages.dtype == energy.dtype == constants.dtype == np.float64
+            and record.dtype == np.int64
             and (states.ndim, stages.ndim, energy.ndim, constants.ndim) == (3, 3, 2, 2)
             and states.shape[:2] == stages.shape[:2] == energy.shape
             and (states.shape[2], stages.shape[2]) == (4, 5)
             and record.shape == (len(states), 3) and constants.shape == (len(states), 30)
             and 0 not in energy.shape):
+        arrays = (states, stages, energy, record, constants)
         raise ValueError("kernel arrays must be writable, C-ordered and of the same trajectories, "
                          "at least 1: float64 rows of 4, 5 and 1, at least 1, int64 records of 3 "
                          f"and float64 constants of 30, got {arrays!r}")
-    omega0 = constants[:, 24].max().item()
-    if dg and not abs(omega0 * dt) <= MAX_DG_OMEGA0_DT:
-        raise ValueError(f"dt = {dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more than "
-                         f"{MAX_DG_OMEGA0_DT:g}, the discrete-gradient limit")
+    if dg:
+        omega0 = constants[:, 24].max().item()
+        if not abs(omega0 * dt) <= MAX_DG_OMEGA0_DT:
+            raise ValueError(f"dt = {dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more "
+                             f"than {MAX_DG_OMEGA0_DT:g}, the discrete-gradient limit")
     StepConfig(dt)  # validates dt
     return states.shape[1] - 1
 

@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from moogvcf import integrators, native
+from moogvcf import cli, integrators, native
 
 # Under CI a failing property test prints its reproduce blob, so that the
 # counterexample can be replayed locally with @reproduce_failure.  The
@@ -31,4 +31,17 @@ def kernels(request):
         pytest.skip("the C kernels did not load")
     if request.param == "python":
         request.getfixturevalue("python_kernels")
+    return request.param
+
+
+@pytest.fixture(params=["native", "python"])
+def renderer(request, monkeypatch):
+    """Render simulate's CSV in C (skipped where native's renderer did not
+    load) or in Python; the value is the renderer's name."""
+    if request.param == "native":
+        if native.render_rows is None:
+            pytest.skip("the C renderer did not load")
+        monkeypatch.setattr(cli, "_csv_rows", cli._csv_rows_native)
+    else:
+        monkeypatch.setattr(cli, "_csv_rows", cli._csv_rows_python)
     return request.param

@@ -555,7 +555,7 @@ def test_sweep_output_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_golden_bytes(tmp_path):
+def test_simulate_golden_bytes(tmp_path, renderer):
     args = ["simulate", "--omega0", "1", "--r", "0.8", "--x0", "1,-1,0.5,2",
             "--dt", "0.05", "--steps", "100", "--method", "dg"]
     a = tmp_path / "a.csv"
@@ -602,7 +602,7 @@ README_DIGESTS = {
 
 
 @pytest.mark.parametrize("method, fmt", sorted(README_DIGESTS))
-def test_simulate_readme_commands_keep_their_bytes(tmp_path, method, fmt):
+def test_simulate_readme_commands_keep_their_bytes(tmp_path, method, fmt, renderer):
     out = tmp_path / f"{method}.{fmt}"
     argv = ["simulate", *README_SIMULATE[method], "--format", fmt, "--out", str(out)]
     assert main(argv) == 0

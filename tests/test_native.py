@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moogvcf import experiments, integrators, lyapunov, model, native
+from moogvcf import cli, experiments, integrators, lyapunov, model, native
 from moogvcf.integrators import IntegrationError, Method, StepConfig, simulate
 from moogvcf.model import make_params
 from moogvcf.rng import substream
@@ -28,6 +28,8 @@ from moogvcf.rng import substream
 SRC = Path(native.__file__).resolve().parent.parent
 
 needs_native = pytest.mark.skipif(native.lib is None, reason="the C kernels did not load")
+needs_renderer = pytest.mark.skipif(native.render_rows is None,
+                                    reason="the C renderer did not load")
 
 
 def _bits(values):
@@ -620,8 +622,16 @@ def test_state_energy_native_bit_identical_to_python(r, ws):
 def test_kernel_names_the_selection_and_is_read_only():
     assert native.KERNEL == ("python" if native.lib is None else "native")
     assert (integrators._dg_run is integrators._dg_run_native) == (native.KERNEL == "native")
+    assert (cli._csv_rows is cli._csv_rows_native) == (native.render_rows is not None)
+    assert native.render_rows is None or native.KERNEL == "native"
     with pytest.raises(AttributeError):
         native.KERNEL = "python"
+
+
+def _unnamed(param: str) -> str:
+    """The type of the C parameter declaration param: "const double *x" is
+    "const double *"."""
+    return re.sub(r"\w+$", "", " ".join(param.split())).strip()
 
 
 def test_ctypes_signatures_match_the_c_definitions():
@@ -632,11 +642,12 @@ def test_ctypes_signatures_match_the_c_definitions():
     argtypes = {"double": {ctypes.c_double}, "long": {ctypes.c_long},
                 "double *": {ctypes.POINTER(ctypes.c_double)},
                 "long *": {ctypes.POINTER(ctypes.c_long)}}
-    defined = re.findall(r"^(\w+) (\w+)\(([^)]*)\)\n\{", native.SOURCE.read_text(),
-                         re.MULTILINE)
-    assert sorted(name for _, name, _ in defined) == sorted(native._SIGNATURES) == [
-        "dg_run", "rk4_run"]
-    for c_restype, name, params in defined:
+    source = native.SOURCE.read_text()
+    defined = {name: (c_restype, params) for c_restype, name, params
+               in re.findall(r"^(\w+) (\w+)\(([^)]*)\)\n\{", source, re.MULTILINE)}
+    assert sorted(defined) == sorted(native._SIGNATURES) == ["dg_run", "render_rows", "rk4_run"]
+    for name in ("dg_run", "rk4_run"):
+        c_restype, params = defined[name]
         restype, types = native._SIGNATURES[name]
         assert (c_restype, restype) == ("void", None), name
         params = [re.fullmatch(r"(?:const )?(double|long) (\*?)\w+", " ".join(param.split()))
@@ -644,6 +655,107 @@ def test_ctypes_signatures_match_the_c_definitions():
         assert all(params) and len(params) == len(types), name
         for i, (param, argtype) in enumerate(zip(params, types)):
             assert argtype in argtypes[f"{param[1]} {param[2]}".strip()], (name, i)
+    # render_rows returns a long and takes a char buffer and two function
+    # pointers, whose typedefs give their return and parameter types;
+    # PyOS_double_to_string's string is an address that C alone reads
+    entry = {"long": ctypes.c_long, "const double *": ctypes.POINTER(ctypes.c_double),
+             "char *": ctypes.POINTER(ctypes.c_char),
+             "double_to_string *": native._DoubleToString, "mem_free *": native._MemFree}
+    c_restype, params = defined["render_rows"]
+    restype, types = native._SIGNATURES["render_rows"]
+    assert entry[c_restype] is restype
+    assert [entry[_unnamed(param)] for param in params.split(",")] == types
+    prototype = {"char *": ctypes.c_void_p, "void *": ctypes.c_void_p, "void": None,
+                 "double": ctypes.c_double, "char": ctypes.c_char, "int": ctypes.c_int,
+                 "int *": ctypes.POINTER(ctypes.c_int)}
+    typedefs = re.findall(r"^typedef (\w+ \*?)(\w+)\(([^)]*)\);", source, re.MULTILINE)
+    assert sorted(name for _, name, _ in typedefs) == ["double_to_string", "mem_free"]
+    for c_restype, name, params in typedefs:
+        function = entry[f"{name} *"]
+        assert prototype[c_restype.strip()] is function._restype_, name
+        assert [prototype[_unnamed(param)] for param in params.split(",")] == list(
+            function._argtypes_), name
+
+
+# Floats whose repr is a case of its own: signed zeros and infinities, NaNs
+# of several payloads and both signs, the ends of the subnormals, the
+# smallest normal, the largest float, and 1e16 and 1e-4 with their
+# neighbours, where repr switches between fixed and exponent notation.
+REPR_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, NEGATIVE_NAN,
+    *(struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in (
+        0x7FF0000000000001, 0x7FF4000000000000, 0x7FFFFFFFFFFFFFFF, 0xFFF0000000000001,
+        0xFFFFFFFFFFFFFFFF)),
+    5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+    2.2250738585072014e-308, -2.2250738585072014e-308, sys.float_info.max,
+    -sys.float_info.max,
+    *(np.nextafter(x, toward).item() for x in (1e16, -1e16, 1e-4, -1e-4, 0.1)
+      for toward in (-math.inf, 0.0, math.inf)),
+]
+BLOCK = cli._BLOCK_ROWS
+
+
+@needs_renderer
+@given(k=st.integers(1, 8), n=st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1]),
+       seed=st.integers(0, 2 ** 32 - 1), edges=st.lists(st.sampled_from(REPR_EDGES)))
+@example(k=8, n=BLOCK + 1, seed=0, edges=REPR_EDGES)
+@example(k=1, n=len(REPR_EDGES), seed=1, edges=REPR_EDGES)
+@settings(deadline=None)
+def test_csv_rows_native_gives_the_bytes_of_the_python_renderer(k, n, seed, edges):
+    # n rows of k random 64-bit patterns (subnormals and NaN payloads of
+    # either sign among them), edges at random places, rendered by C through
+    # CPython's repr routine and by repr itself
+    rng = np.random.default_rng(seed)
+    table = np.frombuffer(rng.bytes(8 * n * k), np.float64).reshape(n, k).copy()
+    places = rng.permutation(table.size)[:len(edges)]
+    table.flat[places] = edges[:len(places)]
+    columns = list(table.T)
+    assert "".join(cli._csv_rows_native(columns)) == "".join(cli._csv_rows_python(columns))
+
+
+@needs_renderer
+def test_render_rows_refuses_a_buffer_one_byte_short(monkeypatch):
+    # the text fills its buffer exactly: one byte less is refused, and no
+    # call writes past its capacity
+    values = np.array([[-2.2250738585072014e-308, math.nan], [-0.0, 1e16]])
+    expected = b"-2.2250738585072014e-308,nan\n-0.0,1e+16\n"
+    for capacity in (len(expected), len(expected) - 1, 0):
+        text = bytearray(b"#" * (len(expected) + 8))
+        used = native.render_rows(ctypes.c_double.from_buffer(values), 2, 2,
+                                  (ctypes.c_char * len(text)).from_buffer(text), capacity)
+        assert text[capacity:] == b"#" * (len(text) - capacity)
+        if capacity == len(expected):
+            assert (used, text[:used]) == (len(expected), expected)
+        else:
+            assert used == -1
+    # the CLI's buffer holds a block of the longest reprs, and one byte less
+    # a value would not
+    column = np.full(4, -2.2250738585072014e-308)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    assert "".join(cli._csv_rows_native([column, column])) == "".join(
+        cli._csv_rows_python([column, column]))
+    monkeypatch.setattr(cli, "_REPR_BYTES", cli._REPR_BYTES - 1)
+    with pytest.raises(RuntimeError, match="cannot hold"):
+        "".join(cli._csv_rows_native([column, column]))
+
+
+@needs_native
+def test_kernels_load_when_the_repr_routine_cannot_be_found():
+    # an interpreter whose ctypes.pythonapi finds no PyOS_double_to_string
+    # loses the C renderer alone: the kernels stay native, and the CSV rows
+    # are rendered in Python
+    code = ("import ctypes\n"
+            "class Missing:\n"
+            "    def __getattr__(self, name):\n"
+            "        raise AttributeError(name)\n"
+            "ctypes.pythonapi = Missing()\n"
+            "from moogvcf import cli, integrators, native\n"
+            "print(native.KERNEL, native.render_rows, cli._csv_rows.__name__,\n"
+            "      integrators._dg_run.__name__)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    assert out.stdout.split() == ["native", "None", "_csv_rows_python", "_dg_run_native"]
 
 
 def _import_in_child(cache, **env):
