@@ -19,10 +19,23 @@
  * energy.  So every byte is the same at any thread count and on the Python
  * kernels, NaN rows included, and no count is shared between threads.
  *
- * Each statement keeps the operands, the order of operations and the libm
- * calls (tanh, sinh, log1p, exp) of the Python line it transcribes, and the
- * file is compiled with -ffp-contract=off, so no multiply and add fuse: the
- * results match the Python kernels bit for bit.
+ * The kernels transcribe the Python ones helper for helper, each with the
+ * operands, the order of operations and the libm calls (tanh, sinh, log1p,
+ * exp) of its Python counterpart:
+ *     log_cosh_abs      lyapunov._log_cosh_abs,
+ *     state_energy      lyapunov._energy_rows of one state,
+ *     quotient          s * lyapunov.log_cosh_diff(k w, k b, t) / b,
+ *     max_abs           integrators._max_abs,
+ *     slope             integrators._slope,
+ *     dg_trajectory     integrators._dg_run_python of one trajectory, with
+ *                       integrators._residual (r at v = w and o of each
+ *                       trial), _norm (rnorm and cnorm) and _solve (the
+ *                       Newton update and the stabilized step) inline,
+ *     rk4_trajectory    integrators._rk4_run_python of one trajectory, with
+ *                       model.ladder_field (a, b, c and d) and
+ *                       model.stage_tanh (the stage values) inline.
+ * The file is compiled with -ffp-contract=off, so no multiply and add fuse:
+ * the results match the Python kernels bit for bit.
  *
  * No kernel can fail, so none returns a status: integrators._steps admits
  * 0 < dt < inf alone, and inside that domain, with integrators' positive
@@ -69,7 +82,7 @@ struct batch {
     atomic_long next;  /* the next trajectory to take */
 };
 
-/* ln(cosh(a)) of a = |u| >= 0 (or NaN), as lyapunov.log_cosh takes it. */
+/* ln(cosh(a)) of a = |u| >= 0 (or NaN): lyapunov._log_cosh_abs. */
 static double log_cosh_abs(double a)
 {
     double sh;
@@ -119,9 +132,9 @@ static void record_trajectory(struct batch *b, long m, long last, long stabilize
     b->record[3 * m + 2] = trials;
 }
 
-/* A discrete-gradient quotient S log_cosh_diff(k w, k b, t) / b, b != 0, as
- * _dg_run_python writes it: the |k b| <= 1 branch of lyapunov.log_cosh_diff
- * inline, else (NaN included) its difference of two log_cosh values. */
+/* A discrete-gradient quotient s * lyapunov.log_cosh_diff(k w, k b, t) / b,
+ * b != 0, as _dg_run_python writes it: log_cosh_diff's |k b| <= 1 branch,
+ * else (NaN included) its difference of two log_cosh_abs values. */
 static double quotient(double s, double k, double w, double b, double t)
 {
     double q = k * b, a = k * w, sh;
@@ -132,15 +145,15 @@ static double quotient(double s, double k, double w, double b, double t)
     return s * (log_cosh_abs(fabs(a + q)) - log_cosh_abs(fabs(a))) / b;
 }
 
-/* max(m, |u|) as the chain of comparisons of _dg_run_python */
+/* max(m, |u|), m if u is NaN: integrators._max_abs */
 static double max_abs(double u, double m)
 {
     return u > m ? u : -u > m ? -u : m;
 }
 
-/* A quotient's slope in v_i at the iterate, as _dg_run_python writes it:
- * c (1 - th^2) of the stage's tanh th there within dc of coincidence, else
- * the secant (g th - z) / h clamped at 0, as a convex potential's is. */
+/* A quotient's slope in v_i at the iterate, integrators._slope: c (1 - th^2)
+ * of the stage's tanh th there within dc of coincidence, else the secant
+ * (g th - z) / h clamped at 0, as a convex potential's is. */
 static double slope(double c, double g, double th, double z, double h, double dc)
 {
     double e;

@@ -165,68 +165,110 @@ def _failures(record: np.ndarray) -> list:
             else None for k in record[:, 0].tolist()]
 
 
+def _table(pc: list) -> list:
+    """The five rows (S, k, S k, S k^2 / 2) of model.stage_table from pc, a
+    native.constants row as a list of floats."""
+    return [pc[i:i + 4] for i in range(0, 20, 4)]
+
+
+def _max_abs(u: float, m: float) -> float:
+    """max(m, |u|), as max_abs of _kernels.c takes it: m if u is NaN."""
+    return u if u > m else -u if -u > m else m
+
+
+def _norm(r) -> float:
+    """The infinity norm of the four floats r, as the chain of comparisons of
+    _kernels.c takes it: it keeps a NaN first term and skips a NaN later one."""
+    r1, r2, r3, r4 = r
+    return _max_abs(r4, _max_abs(r3, _max_abs(r2, abs(r1))))
+
+
+def _slope(c: float, g: float, th: float, z: float, h: float, dc: float) -> float:
+    """A quotient's slope in v_i at the iterate, as slope of _kernels.c: the
+    analytic c (1 - th^2) of the stage's tanh th there within dc of
+    coincidence (|h| < dc), else the secant (g th - z) / h clamped at +0.0,
+    as a convex potential's is."""
+    if -dc < h < dc:
+        return c * (1.0 - th * th)
+    e = (g * th - z) / h
+    return e if e > 0.0 else 0.0
+
+
+def _residual(b, f, ho: float, d: float, fc: float) -> tuple:
+    """The residual b - ho Fbar of a discrete-gradient step b = v - w, Fbar
+    the scaled field model.stage_field of its stage quotients f, with p's d
+    and feedback_coeff fc."""
+    b1, b2, b3, b4 = b
+    f1, f2, f3, f4, f5 = f
+    return (b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2), b3 - ho * (d * f2 - f3),
+            b4 - ho * (d * f3 - f5))
+
+
+def _solve(b, e, ho: float, sub: float, hf: float) -> tuple:
+    """The solution n of M n = b by forward substitution, M the bordered
+    bidiagonal matrix of the slopes e, sub = -ho d and hf = ho fc:
+
+        [[1 + ho e1, 0,         0,         hf e4    ],
+         [sub e1,    1 + ho e2, 0,         0        ],
+         [0,         sub e2,    1 + ho e3, 0        ],
+         [0,         0,         sub e3,    1 + ho e5]],
+
+    the Jacobian of _residual in v at quotient slopes e.  It writes n_i =
+    p_i - q_i n4 (q_i >= 0 for e >= 0), so the last pivot is >= 1."""
+    b1, b2, b3, b4 = b
+    e1, e2, e3, e4, e5 = e
+    j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
+    j21, j32, j43 = sub * e1, sub * e2, sub * e3
+    p1 = b1 / j11
+    q1 = hf * e4 / j11
+    p2 = (b2 - j21 * p1) / j22
+    q2 = -j21 * q1 / j22
+    p3 = (b3 - j32 * p2) / j33
+    q3 = -j32 * q2 / j33
+    n4 = (b4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
+    return p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4, n4
+
+
 def _rk4_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
                     record: np.ndarray, constants: np.ndarray, dt: float) -> None:
     """For each trajectory of states and stages, with the parameters p of its
     row of constants, take n classic fourth-order steps x + dt/6 (a + 2 b +
-    2 c + d) of model.rhs_nonlinear from its row 0 of states into its rows
-    1..n, and write the stage values model.stage_tanh(D x,
-    model.stage_table(p)) of its rows 0..n to its rows of stages and the
-    energy V(D x) of each row, with D x rounded as x * _scale(p) rounds, to
-    its row of energy (row 0's first), and its record, stopping as
-    _dg_run_python does, with no work.
-    The field and the stage values are inline, with the operands and order of
-    rhs_nonlinear and stage_tanh, so they match those bit for bit; the
-    constants are native.constants(p), as rk4_run of _kernels.c reads them,
-    and those of dt are computed once per call."""
+    2 c + d) of model.ladder_field, the field of rhs_nonlinear, from its row 0
+    of states into its rows 1..n, and write the stage values
+    model.stage_tanh(D x, model.stage_table(p)) of its rows 0..n to its rows
+    of stages and the energy V(D x) of each row, with D x rounded as
+    x * _scale(p) rounds, to its row of energy (row 0's first), and its
+    record, stopping as _dg_run_python does, with no work.  The constants
+    are native.constants(p), as rk4_run of _kernels.c reads them."""
     n, h, s = _steps(states, stages, energy, record, constants, dt, False), 0.5 * dt, dt / 6.0
-    tanh, isfinite = math.tanh, math.isfinite
-    # at most three targets per assignment, as in _dg_run
+    field = model.ladder_field
     for xs, ts, vs, rec, pc in zip(states, stages, energy, record, constants.tolist()):
-        k1, k2, k3, k4, k5 = pc[1:20:4]  # the stage table's k column
-        w0, g, sc1, sc2, sc3, sc4 = pc[24:30]
+        table = _table(pc)
+        omega0, gain, sc1, sc2, sc3, sc4 = pc[24:30]
         x1, x2, x3, x4 = xs[0].tolist()
-        w4 = sc4 * x4
-        ts[0] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)), tanh(k4 * w4),
-                 tanh(k5 * w4))
-        vs[0] = v = lyapunov._energy_rows(pc, [[sc1 * x1, sc2 * x2, sc3 * x3, w4]])[0]
-        last = n + 1 if isfinite(v) else 1  # a start whose V is not finite takes no step
+        rows = [(sc1 * x1, sc2 * x2, sc3 * x3, sc4 * x4)]  # w = D x of each row
+        ts[0] = model.stage_tanh(rows[0], table)
+        vs[0] = v = lyapunov._energy_rows(pc, rows)[0]
+        last = n + 1 if math.isfinite(v) else 1  # a start whose V is not finite takes no step
         for step in range(1, last):
-            t1, t2, t3 = tanh(x1), tanh(x2), tanh(x3)
-            t4, fb = tanh(x4), tanh(g * x4)
-            a1, a2, a3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
-            a4 = w0 * (-t4 + t3)
-            y1, y2, y3 = x1 + h * a1, x2 + h * a2, x3 + h * a3
-            y4 = x4 + h * a4
-            t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
-            t4, fb = tanh(y4), tanh(g * y4)
-            b1, b2, b3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
-            b4 = w0 * (-t4 + t3)
-            y1, y2, y3 = x1 + h * b1, x2 + h * b2, x3 + h * b3
-            y4 = x4 + h * b4
-            t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
-            t4, fb = tanh(y4), tanh(g * y4)
-            c1, c2, c3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
-            c4 = w0 * (-t4 + t3)
-            y1, y2, y3 = x1 + dt * c1, x2 + dt * c2, x3 + dt * c3
-            y4 = x4 + dt * c4
-            t1, t2, t3 = tanh(y1), tanh(y2), tanh(y3)
-            t4, fb = tanh(y4), tanh(g * y4)
-            d1, d2, d3 = w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2)
-            d4 = w0 * (-t4 + t3)
-            x1, x2 = (x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                      x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
-            x3, x4 = (x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-                      x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
-            if not (isfinite(x1) and isfinite(x2) and isfinite(x3) and isfinite(x4)):
+            a1, a2, a3, a4 = field((x1, x2, x3, x4), omega0, gain)
+            b1, b2, b3, b4 = field((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4),
+                                   omega0, gain)
+            c1, c2, c3, c4 = field((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4),
+                                   omega0, gain)
+            d1, d2, d3, d4 = field((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4),
+                                   omega0, gain)
+            x = x1, x2, x3, x4 = (x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                                  x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                                  x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                                  x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+            if not all(map(math.isfinite, x)):
                 last = step  # the trajectory stops at its first row that is not finite
                 break
-            w4 = sc4 * x4
-            xs[step] = x1, x2, x3, x4
-            ts[step] = (tanh(k1 * x1), tanh(k2 * (sc2 * x2)), tanh(k3 * (sc3 * x3)),
-                        tanh(k4 * w4), tanh(k5 * w4))
-        vs[1:last] = lyapunov._energy_rows(pc, [[sc1 * x1, sc2 * x2, sc3 * x3, sc4 * x4]
-                                                for x1, x2, x3, x4 in xs[1:last].tolist()])
+            rows.append((sc1 * x1, sc2 * x2, sc3 * x3, sc4 * x4))
+            xs[step] = x
+            ts[step] = model.stage_tanh(rows[-1], table)
+        vs[1:last] = lyapunov._energy_rows(pc, rows[1:])
         xs[last:] = ts[last:] = vs[last:] = math.nan
         rec[:] = (0 if last > n else last), 0, 0
 
@@ -250,13 +292,11 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
     A step solves v = w + dt*omega0*Fbar(w, v), Fbar being model.stage_field
     of the stage quotients zbar of the table's rows (rows 4 and 5 along w4):
     S k tanh(k w_i) within _COINCIDENCE_CUTOFF * max(1, |w_i|) of coincidence,
-    else S lyapunov.log_cosh_diff(k w_i, k h_i, tanh(k w_i)) / h_i, with its
-    |k h_i| <= 1 branch inline.  A quotient's slope in v_i is S k^2 sech^2(k v_i)
-    / 2 within _DERIVATIVE_CUTOFF * max(1, |w_i|, |v_i|), else the secant form
-    clamped at 0, as a convex potential's is.  So the Jacobian is lower
-    bidiagonal plus the (1, 4) feedback corner, with diagonal >= 1, subdiagonal
-    <= 0 and corner >= 0: forward substitution writes n_i = p_i - q_i * n4
-    (q_i >= 0), and the last pivot is >= 1.
+    else S lyapunov.log_cosh_diff(k w_i, k h_i, tanh(k w_i)) / h_i.  A
+    quotient's slope in v_i is _slope: S k^2 sech^2(k v_i) / 2 within
+    _DERIVATIVE_CUTOFF * max(1, |w_i|, |v_i|), else the secant form clamped at
+    0, as a convex potential's is.  So the Jacobian is _solve's bordered
+    bidiagonal matrix, with diagonal >= 1, subdiagonal <= 0 and corner >= 0.
 
     Newton starts at v = w, where every quotient is analytic.  The first
     iteration uses the slopes there, so its iterate is the linearly implicit
@@ -281,108 +321,59 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
     the QsWorstCase certificate makes sym(Q(g)) <= 0 within the bounds.
     """
     n = _steps(states, stages, energy, record, constants, dt, True)
-    tol, cut, ctol, dcut = _NEWTON_TOL, _COINCIDENCE_CUTOFF, _CHORD_TOL, _DERIVATIVE_CUTOFF
-    iterations, line_search, chord = range(_NEWTON_MAX_ITER), _LINE_SEARCH, _LINE_SEARCH[:1]
-    tanh, sinh, log1p, lcd = math.tanh, math.sinh, math.log1p, lyapunov.log_cosh_diff
-    isfinite = math.isfinite
-    # The loops below keep three rules, as CPython 3.11 runs them.  An
-    # assignment has at most three targets: four or more build and unpack a
-    # tuple.  No builtin is called: |b| < c is written -c < b < c, and a max of
-    # absolute values is a chain of comparisons that, as max(map(abs, ...))
-    # does, keeps a NaN first term and skips a NaN later one.  Constants are
-    # read into locals before a trajectory's steps.  Each float operation keeps
-    # the operands and order it had with abs(), so no result changes by a bit.
+    tol, ctol, cut, dcut = _NEWTON_TOL, _CHORD_TOL, _COINCIDENCE_CUTOFF, _DERIVATIVE_CUTOFF
+    tanh, lcd = math.tanh, lyapunov.log_cosh_diff
     for ws, ts, vs, rec, pc in zip(states, stages, energy, record, constants.tolist()):
         (s1, k1, g1, c1, s2, k2, g2, c2, s3, k3, g3, c3, s4, k4, g4, c4, s5, k5, g5, c5,
          d, fc, glo, ghi, omega0, *_) = pc
-        ho = dt * omega0
+        table, ho = _table(pc), dt * omega0
         sub, hf, kmax = -ho * d, ho * fc, max(k1, k2, k3, k4, k5)
         cb1, cb2, cb3, cb4, g0 = 2.0 * c1, 2.0 * c2, 2.0 * c3, 2.0 * c4, c5 / c4  # L, g at z4 = 0
-        w1, w2, w3, w4 = ws[0].tolist()
-        t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
-        t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
-        ts[0] = t1, t2, t3, t4, t5
-        vs[0] = v = lyapunov._energy_rows(pc, [[w1, w2, w3, w4]])[0]
+        w = w1, w2, w3, w4 = ws[0].tolist()
+        ts[0] = t1, t2, t3, t4, t5 = model.stage_tanh(w, table)
+        vs[0] = v = lyapunov._energy_rows(pc, [w])[0]
         km = 0.0  # kmax from the second step on: the first solve has no slopes to borrow
         # a start whose V is not finite takes no step: its rows from 1 on are NaN
-        stabilized, trials, last = 0, 0, n + 1 if isfinite(v) else 1
+        stabilized, trials, last = 0, 0, n + 1 if math.isfinite(v) else 1
         for step in range(1, last):
-            y1, y2, y3 = g1 * t1, g2 * t2, g3 * t3
-            y4, y5 = g4 * t4, g5 * t5
-            # m_i = max(1, |w_i|), the coincidence cutoffs cut_i and nc_i = -cut_i
-            m1 = w1 if w1 > 1.0 else -w1 if -w1 > 1.0 else 1.0
-            m2 = w2 if w2 > 1.0 else -w2 if -w2 > 1.0 else 1.0
-            m3 = w3 if w3 > 1.0 else -w3 if -w3 > 1.0 else 1.0
-            m4 = w4 if w4 > 1.0 else -w4 if -w4 > 1.0 else 1.0
-            cut1, cut2, cut3 = cut * m1, cut * m2, cut * m3
-            cut4, nc1, nc2 = cut * m4, -cut1, -cut2
-            nc3, nc4 = -cut3, -cut4
+            y = y1, y2, y3, y4, y5 = g1 * t1, g2 * t2, g3 * t3, g4 * t4, g5 * t5
+            m1, m2, m3, m4 = [_max_abs(u, 1.0) for u in w]  # max(1, |w_i|)
+            cut1, cut2, cut3, cut4 = cut * m1, cut * m2, cut * m3, cut * m4
             # the iterate v, h = v - w, its quotients z, residual r and norm
-            v1, v2, v3 = w1, w2, w3
-            v4, h1, h2 = w4, 0.0, 0.0
-            h3, h4 = 0.0, 0.0
-            z1, z2, z3 = y1, y2, y3
-            z4, z5 = y4, y5
-            r1, r2 = 0.0 - ho * (-z1 - fc * z4), 0.0 - ho * (d * z1 - z2)
-            r3, r4 = 0.0 - ho * (d * z2 - z3), 0.0 - ho * (d * z3 - z5)
-            rnorm = -r1 if r1 < 0.0 else r1
-            rnorm = r2 if r2 > rnorm else -r2 if -r2 > rnorm else rnorm
-            rnorm = r3 if r3 > rnorm else -r3 if -r3 > rnorm else rnorm
-            rnorm = r4 if r4 > rnorm else -r4 if -r4 > rnorm else rnorm
+            v1, v2, v3, v4 = w
+            h1 = h2 = h3 = h4 = 0.0
+            z, r = y, _residual((0.0, 0.0, 0.0, 0.0), y, ho, d, fc)
+            rnorm = _norm(r)
             # the quotient slopes at v = w, where h = 0 takes the analytic form,
             # unless the first update may leave |k b| <= 1: then those that the
-            # previous solve last used, still in e1..e5
-            stale, km, search = rnorm * km > 1.0, kmax, line_search  # stale: not from the iterate
+            # previous solve last used, still in e
+            stale, km, search = rnorm * km > 1.0, kmax, _LINE_SEARCH  # stale: not from the iterate
             if not stale:
-                e1, e2, e3 = c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3)
-                e4, e5 = c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5)
-            for _ in (() if rnorm <= tol else iterations):  # none if v = w solves
-                j11, j22, j33 = 1.0 + ho * e1, 1.0 + ho * e2, 1.0 + ho * e3
-                j21, j32, j43 = sub * e1, sub * e2, sub * e3
-                p1 = -r1 / j11
-                q1 = hf * e4 / j11
-                p2 = (-r2 - j21 * p1) / j22
-                q2 = -j21 * q1 / j22
-                p3 = (-r3 - j32 * p2) / j33
-                q3 = -j32 * q2 / j33
-                n4 = (-r4 - j43 * p3) / (1.0 + ho * e5 - j43 * q3)
-                n1, n2, n3 = p1 - q1 * n4, p2 - q2 * n4, p3 - q3 * n4
+                e = (c1 * (1.0 - t1 * t1), c2 * (1.0 - t2 * t2), c3 * (1.0 - t3 * t3),
+                     c4 * (1.0 - t4 * t4), c5 * (1.0 - t5 * t5))
+            for _ in (() if rnorm <= tol else range(_NEWTON_MAX_ITER)):  # none if v = w solves
+                r1, r2, r3, r4 = r
+                n1, n2, n3, n4 = _solve((-r1, -r2, -r3, -r4), e, ho, sub, hf)
                 for lam in search:
                     trials += 1
-                    x1, x2, x3 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3
-                    x4 = v4 + lam * n4
-                    b1, b2, b3 = x1 - w1, x2 - w2, x3 - w3
-                    b4 = x4 - w4
-                    # a quotient S log_cosh_diff(k w, q, tanh(k w)) / b with q = k b
-                    f1 = y1 if nc1 < b1 < cut1 else s1 * (
-                        log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t1)
-                        if -1.0 <= (q := k1 * b1) <= 1.0 else lcd(k1 * w1, q, t1)) / b1
-                    f2 = y2 if nc2 < b2 < cut2 else s2 * (
-                        log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t2)
-                        if -1.0 <= (q := k2 * b2) <= 1.0 else lcd(k2 * w2, q, t2)) / b2
-                    f3 = y3 if nc3 < b3 < cut3 else s3 * (
-                        log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t3)
-                        if -1.0 <= (q := k3 * b3) <= 1.0 else lcd(k3 * w3, q, t3)) / b3
-                    if nc4 < b4 < cut4:
+                    x1, x2, x3, x4 = v1 + lam * n1, v2 + lam * n2, v3 + lam * n3, v4 + lam * n4
+                    b = b1, b2, b3, b4 = x1 - w1, x2 - w2, x3 - w3, x4 - w4
+                    # the stage quotients S log_cosh_diff(k w, k b, tanh(k w)) / b, and
+                    # the stage gradients y within the coincidence cutoffs
+                    f1 = y1 if -cut1 < b1 < cut1 else s1 * lcd(k1 * w1, k1 * b1, t1) / b1
+                    f2 = y2 if -cut2 < b2 < cut2 else s2 * lcd(k2 * w2, k2 * b2, t2) / b2
+                    f3 = y3 if -cut3 < b3 < cut3 else s3 * lcd(k3 * w3, k3 * b3, t3) / b3
+                    if -cut4 < b4 < cut4:
                         f4, f5 = y4, y5
                     else:
-                        f4 = s4 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t4)
-                                   if -1.0 <= (q := k4 * b4) <= 1.0 else lcd(k4 * w4, q, t4)) / b4
-                        f5 = s5 * (log1p(2.0 * (sh := sinh(0.5 * q)) * sh + sinh(q) * t5)
-                                   if -1.0 <= (q := k5 * b4) <= 1.0 else lcd(k5 * w4, q, t5)) / b4
-                    o1, o2 = b1 - ho * (-f1 - fc * f4), b2 - ho * (d * f1 - f2)
-                    o3, o4 = b3 - ho * (d * f2 - f3), b4 - ho * (d * f3 - f5)
-                    cnorm = -o1 if o1 < 0.0 else o1
-                    cnorm = o2 if o2 > cnorm else -o2 if -o2 > cnorm else cnorm
-                    cnorm = o3 if o3 > cnorm else -o3 if -o3 > cnorm else cnorm
-                    cnorm = o4 if o4 > cnorm else -o4 if -o4 > cnorm else cnorm
+                        f4 = s4 * lcd(k4 * w4, k4 * b4, t4) / b4
+                        f5 = s5 * lcd(k5 * w4, k5 * b4, t5) / b4
+                    f = f1, f2, f3, f4, f5
+                    o = _residual(b, f, ho, d, fc)
+                    cnorm = _norm(o)
                     if cnorm < rnorm:
-                        v1, v2, v3 = x1, x2, x3
-                        v4, h1, h2 = x4, b1, b2
-                        h3, h4, rnorm = b3, b4, cnorm
-                        z1, z2, z3 = f1, f2, f3
-                        z4, z5, r1 = f4, f5, o1
-                        r2, r3, r4 = o2, o3, o4
+                        v1, v2, v3, v4, h1, h2, h3, h4 = x1, x2, x3, x4, b1, b2, b3, b4
+                        z, r, rnorm = f, o, cnorm
                         stale = cnorm <= ctol  # the next iteration is a chord step
                         break
                 else:  # the line search stalled
@@ -392,63 +383,33 @@ def _dg_run_python(states: np.ndarray, stages: np.ndarray, energy: np.ndarray,
                 if rnorm <= tol:
                     break
                 if stale:  # a chord step, which takes the full update or none
-                    search = chord
+                    search = _LINE_SEARCH[:1]
                     continue
-                search = line_search
-                # the quotient slopes at the iterate u = w + h, from its tanh,
-                # analytic within dcut * max(m_i, |u_i|), so at u = w those at w
-                u1, u2, u3 = w1 + h1, w2 + h2, w3 + h3
-                u4 = w4 + h4
-                th1, th2, th3 = tanh(k1 * u1), tanh(k2 * u2), tanh(k3 * u3)
-                th4, th5 = tanh(k4 * u4), tanh(k5 * u4)
-                dc = dcut * (u1 if u1 > m1 else -u1 if -u1 > m1 else m1)
-                if -dc < h1 < dc:
-                    e1 = c1 * (1.0 - th1 * th1)
-                else:
-                    e1 = (g1 * th1 - z1) / h1
-                    e1 = e1 if e1 > 0.0 else 0.0
-                dc = dcut * (u2 if u2 > m2 else -u2 if -u2 > m2 else m2)
-                if -dc < h2 < dc:
-                    e2 = c2 * (1.0 - th2 * th2)
-                else:
-                    e2 = (g2 * th2 - z2) / h2
-                    e2 = e2 if e2 > 0.0 else 0.0
-                dc = dcut * (u3 if u3 > m3 else -u3 if -u3 > m3 else m3)
-                if -dc < h3 < dc:
-                    e3 = c3 * (1.0 - th3 * th3)
-                else:
-                    e3 = (g3 * th3 - z3) / h3
-                    e3 = e3 if e3 > 0.0 else 0.0
-                dc = dcut * (u4 if u4 > m4 else -u4 if -u4 > m4 else m4)
-                if -dc < h4 < dc:
-                    e4, e5 = c4 * (1.0 - th4 * th4), c5 * (1.0 - th5 * th5)
-                else:
-                    e4, e5 = (g4 * th4 - z4) / h4, (g5 * th5 - z5) / h4
-                    e4, e5 = e4 if e4 > 0.0 else 0.0, e5 if e5 > 0.0 else 0.0
+                search = _LINE_SEARCH
+                # the quotient slopes at the iterate u = w + h, analytic within
+                # dcut * max(m_i, |u_i|), so at u = w those at w
+                u1, u2, u3, u4 = w1 + h1, w2 + h2, w3 + h3, w4 + h4
+                z1, z2, z3, z4, z5 = z
+                dc = dcut * _max_abs(u4, m4)
+                e = (_slope(c1, g1, tanh(k1 * u1), z1, h1, dcut * _max_abs(u1, m1)),
+                     _slope(c2, g2, tanh(k2 * u2), z2, h2, dcut * _max_abs(u2, m2)),
+                     _slope(c3, g3, tanh(k3 * u3), z3, h3, dcut * _max_abs(u3, m3)),
+                     _slope(c4, g4, tanh(k4 * u4), z4, h4, dc),
+                     _slope(c5, g5, tanh(k5 * u4), z5, h4, dc))
             if not rnorm <= tol:  # gave up (NaN included): the stabilized step from w
                 g = y5 / y4 if y4 else g0
                 g = glo if g < glo else ghi if g > ghi else g
-                j11, j22, j33 = 1.0 + ho * cb1, 1.0 + ho * cb2, 1.0 + ho * cb3
-                j21, j32, j43 = sub * cb1, sub * cb2, sub * cb3
-                p1 = ho * (-y1 - fc * y4) / j11
-                q1 = hf * cb4 / j11
-                p2 = (ho * (d * y1 - y2) - j21 * p1) / j22
-                q2 = -j21 * q1 / j22
-                p3 = (ho * (d * y2 - y3) - j32 * p2) / j33
-                q3 = -j32 * q2 / j33
-                n4 = (ho * (d * y3 - g * y4) - j43 * p3) / (1.0 + ho * (g * cb4) - j43 * q3)
-                v1, v2, v3 = w1 + (p1 - q1 * n4), w2 + (p2 - q2 * n4), w3 + (p3 - q3 * n4)
-                v4 = w4 + n4
+                n1, n2, n3, n4 = _solve((ho * (-y1 - fc * y4), ho * (d * y1 - y2),
+                                         ho * (d * y2 - y3), ho * (d * y3 - g * y4)),
+                                        (cb1, cb2, cb3, cb4, g * cb4), ho, sub, hf)
+                v1, v2, v3, v4 = w1 + n1, w2 + n2, w3 + n3, w4 + n4
                 stabilized += 1
-            if not (isfinite(v1) and isfinite(v2) and isfinite(v3) and isfinite(v4)):
+            w = v1, v2, v3, v4
+            if not all(map(math.isfinite, w)):
                 last = step  # the trajectory stops at its first row that is not finite
                 break
-            w1, w2, w3 = v1, v2, v3
-            w4 = v4
-            t1, t2, t3 = tanh(k1 * w1), tanh(k2 * w2), tanh(k3 * w3)
-            t4, t5 = tanh(k4 * w4), tanh(k5 * w4)
-            ws[step] = w1, w2, w3, w4
-            ts[step] = t1, t2, t3, t4, t5
+            w1, w2, w3, w4 = ws[step] = w
+            ts[step] = t1, t2, t3, t4, t5 = model.stage_tanh(w, table)
         vs[1:last] = lyapunov._energy_rows(pc, ws[1:last].tolist())
         ws[last:] = ts[last:] = vs[last:] = math.nan
         rec[:] = (0 if last > n else last), stabilized, trials

@@ -25,14 +25,19 @@ _LN2 = math.log(2.0)
 _BLOCK_MATRICES = 2 ** 14
 
 
-def log_cosh(u: float) -> float:
-    """ln(cosh(u)) without overflow: log1p(2 sinh(u/2)^2) for |u| <= 1, which
-    keeps full relative accuracy as u -> 0, else |u| + log1p(exp(-2|u|)) - ln 2."""
-    a = abs(float(u))
+def _log_cosh_abs(a: float) -> float:
+    """ln(cosh(a)) of a = |u| >= 0 (or NaN), as log_cosh_abs of _kernels.c:
+    log1p(2 sinh(a/2)^2) for a <= 1, which keeps full relative accuracy as
+    a -> 0, else a + log1p(exp(-2a)) - ln 2, which does not overflow."""
     if a <= 1.0:
         sh = math.sinh(0.5 * a)
         return math.log1p(2.0 * sh * sh)
     return a + math.log1p(math.exp(-2.0 * a)) - _LN2
+
+
+def log_cosh(u: float) -> float:
+    """ln(cosh(u)) without overflow: _log_cosh_abs of |u|."""
+    return _log_cosh_abs(abs(float(u)))
 
 
 def log_cosh_diff(a: float, h: float, tanh_a: float) -> float:
@@ -45,15 +50,18 @@ def log_cosh_diff(a: float, h: float, tanh_a: float) -> float:
     h the two exponential-like terms of the ratio can cancel instead, so
     the direct difference (then benign) is used.
     """
-    if abs(h) <= 1.0:
+    if -1.0 <= h <= 1.0:
         sh = math.sinh(0.5 * h)
         return math.log1p(2.0 * sh * sh + math.sinh(h) * tanh_a)
-    u, v = abs(a + h), abs(a)  # log_cosh(a + h) and log_cosh(a), inline
-    u = (math.log1p(2.0 * (sh := math.sinh(0.5 * u)) * sh) if u <= 1.0
-         else u + math.log1p(math.exp(-2.0 * u)) - _LN2)
-    v = (math.log1p(2.0 * (sh := math.sinh(0.5 * v)) * sh) if v <= 1.0
-         else v + math.log1p(math.exp(-2.0 * v)) - _LN2)
-    return u - v
+    return _log_cosh_abs(abs(a + h)) - _log_cosh_abs(abs(a))
+
+
+def _state(w) -> np.ndarray:
+    """w as a float array; ValueError naming w unless it is one 4-vector."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (4,):
+        raise ValueError(f"w must be one 4-vector, got shape {w.shape}")
+    return w
 
 
 def V_nonlinear(w, p: FilterParams) -> float:
@@ -64,6 +72,7 @@ def V_nonlinear(w, p: FilterParams) -> float:
 
     Zero at the origin, positive elsewhere, radially unbounded.
     """
+    w = _state(w)
     if p.r == 0.0:
         raise ValueError("V_nonlinear undefined for r=0; use V_zero_feedback")
     return float(energy_column(w, p)[0])
@@ -71,12 +80,13 @@ def V_nonlinear(w, p: FilterParams) -> float:
 
 def V_zero_feedback(w) -> float:
     """Feedback-free energy sum(lncosh(w_i)); the r = 0 branch (d = 1)."""
-    return sum(log_cosh(float(v)) for v in w)
+    return sum(map(log_cosh, _state(w).tolist()))
 
 
 def Vdot_nonlinear(w, p: FilterParams) -> float:
     """Decay rate of V_nonlinear along the flow: omega0 * z' sym(Q) z
     with the feedback ratio evaluated at w4."""
+    w = _state(w)
     if p.r == 0.0:
         raise ValueError("Vdot_nonlinear undefined for r=0; use Vdot_zero_feedback")
     return float(rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0])
@@ -84,7 +94,7 @@ def Vdot_nonlinear(w, p: FilterParams) -> float:
 
 def Vdot_zero_feedback(w, p: FilterParams) -> float:
     """Decay rate of the feedback-free energy along the r = 0 cascade."""
-    return float(rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0])
+    return float(rate_column(model.stage_gradients(_state(w), model.stage_table(p)), p)[0])
 
 
 @model.per_params
@@ -102,30 +112,16 @@ def _rate_constants(p: FilterParams):
 
 def _energy_rows(pc, rows) -> list:
     """V of each state (w1, w2, w3, w4) of rows, a list of 4-lists of floats:
-    V = sum_i S_i lncosh(k_i w_i) over model.stage_table, whose S and k are
+    V = sum_i S_i ln(cosh(k_i w_i)) over model.stage_table, whose S and k are
     read from pc, a native.constants row as a list of floats, as state_energy
     of _kernels.c reads them; math.nan if V is a NaN, whichever NaN the
     additions kept."""
     s1, k1, _, _, s2, k2, _, _, s3, k3, _, _, s4, k4 = pc[:14]
-    log1p, sinh, exp, ln2, nan = math.log1p, math.sinh, math.exp, _LN2, math.nan
     energy = []
-    # no abs call and at most three targets per assignment, as in integrators._dg_run
     for w1, w2, w3, w4 in rows:
-        # log_cosh(k_i w_i) of a_i = |k_i w_i| (0.0 - a: +0.0 at a = -0.0, as abs gives), inline
-        a1 = a if (a := k1 * w1) > 0.0 else 0.0 - a
-        a1 = (log1p(2.0 * (sh := sinh(0.5 * a1)) * sh) if a1 <= 1.0
-              else a1 + log1p(exp(-2.0 * a1)) - ln2)
-        a2 = a if (a := k2 * w2) > 0.0 else 0.0 - a
-        a2 = (log1p(2.0 * (sh := sinh(0.5 * a2)) * sh) if a2 <= 1.0
-              else a2 + log1p(exp(-2.0 * a2)) - ln2)
-        a3 = a if (a := k3 * w3) > 0.0 else 0.0 - a
-        a3 = (log1p(2.0 * (sh := sinh(0.5 * a3)) * sh) if a3 <= 1.0
-              else a3 + log1p(exp(-2.0 * a3)) - ln2)
-        a4 = a if (a := k4 * w4) > 0.0 else 0.0 - a
-        a4 = (log1p(2.0 * (sh := sinh(0.5 * a4)) * sh) if a4 <= 1.0
-              else a4 + log1p(exp(-2.0 * a4)) - ln2)
-        v = s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4
-        energy.append(v if v == v else nan)
+        v = (s1 * _log_cosh_abs(abs(k1 * w1)) + s2 * _log_cosh_abs(abs(k2 * w2))
+             + s3 * _log_cosh_abs(abs(k3 * w3)) + s4 * _log_cosh_abs(abs(k4 * w4)))
+        energy.append(v if v == v else math.nan)
     return energy
 
 

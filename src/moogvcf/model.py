@@ -83,20 +83,25 @@ def make_params(omega0: float, r: float) -> FilterParams:
     return _derive(omega0, r)
 
 
-def rhs_nonlinear(x, p: FilterParams) -> np.ndarray:
-    """Autonomous vector field dx/dt of the four-stage ladder at a real
-    4-vector x, the field that RK4 integrates.
+def ladder_field(x, omega0: float, gain: float) -> tuple:
+    """dx/dt of the four-stage ladder at the four floats x, with feedback gain
+    4r, as rhs_nonlinear and the RK4 kernels evaluate it:
 
-    dx/dt = omega0 * [-tanh(x1) - tanh(4r * x4),
+    dx/dt = omega0 * [-tanh(x1) - tanh(gain * x4),
                       -tanh(x2) + tanh(x1),
                       -tanh(x3) + tanh(x2),
                       -tanh(x4) + tanh(x3)]
     """
-    x1, x2, x3, x4 = map(float, x)
+    x1, x2, x3, x4 = x
     t1, t2, t3, t4 = math.tanh(x1), math.tanh(x2), math.tanh(x3), math.tanh(x4)
-    fb = math.tanh(p.feedback_gain * x4)
-    w0 = p.omega0
-    return np.array([w0 * (-t1 - fb), w0 * (-t2 + t1), w0 * (-t3 + t2), w0 * (-t4 + t3)])
+    fb = math.tanh(gain * x4)
+    return omega0 * (-t1 - fb), omega0 * (-t2 + t1), omega0 * (-t3 + t2), omega0 * (-t4 + t3)
+
+
+def rhs_nonlinear(x, p: FilterParams) -> np.ndarray:
+    """Autonomous vector field dx/dt of the four-stage ladder at a real
+    4-vector x, the field that RK4 integrates: ladder_field of x."""
+    return np.array(ladder_field(map(float, x), p.omega0, p.feedback_gain))
 
 
 def rhs_scaled(w, p: FilterParams) -> np.ndarray:

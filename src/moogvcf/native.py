@@ -1,11 +1,14 @@
 """Build and load the C kernels of _kernels.c, or leave the Python kernels in use.
 
 _kernels.c transcribes integrators._dg_run_python, integrators._rk4_run_python
-and lyapunov._energy_rows statement by statement, so both kernels give the
-same bits, NaN rows included, on the rows of the same caller-owned numpy
-arrays and from the same per-parameter constants, one row of constants per
-trajectory (an (N, 30) table of them for a batch of N, whose members may
-have different parameters); C's M_LN2 is math.log(2.0).  Each trajectory
+and lyapunov._energy_rows helper for helper (its quotient is
+s * lyapunov.log_cosh_diff(k w, k b, t) / b, its log_cosh_abs, max_abs and
+slope are lyapunov._log_cosh_abs, integrators._max_abs and _slope, and its
+head lists the rest), so both kernels give the same bits, NaN rows
+included, on the rows of the same caller-owned numpy arrays and from the
+same per-parameter constants, one row of constants per trajectory (an
+(N, 30) table of them for a batch of N, whose members may have different
+parameters); C's M_LN2 is math.log(2.0).  Each trajectory
 writes its row of an (N, 3) int64 record (its first row that is not finite,
 or 0, its stabilized steps and its line-search trials) and NaN from that
 row on.  dg_run and rk4_run, called through lib, a ctypes.CDLL handle that

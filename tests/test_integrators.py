@@ -44,8 +44,8 @@ def _rate(w, p):
 # line-search trial counts included.  Its solve gives up as the kernel's does,
 # when no line-search trial lowers the residual, within a run it starts a stiff
 # solve from the previous solve's slopes, and it takes the kernel's chord
-# steps.  The kernel keeps its quotients, slopes and Newton step inline, so the
-# tests of those properties (telescoping, coincidence limit, feedback ratio,
+# steps.  The kernel takes its quotients, slopes and Newton step on floats, so
+# the tests of those properties (telescoping, coincidence limit, feedback ratio,
 # dense solve) run here.
 # Its log-cosh difference is the two-argument formula of that time, which
 # evaluated tanh(a) itself.
@@ -585,6 +585,27 @@ def test_stalled_borrowed_iteration_retries_from_analytic_slopes():
     assert stabilized == 0 and not ref_stabilized
     assert _bits(states[2]) == _bits(v)
     assert trials2 - trials1 == 9 + ref_trials
+
+
+def test_norm_keeps_a_nan_first_term_and_skips_a_later_one():
+    # as dg_trajectory's chain of comparisons does
+    assert math.isnan(integrators._norm((math.nan, 1.0, -3.0, 2.0)))
+    assert integrators._norm((1.0, math.nan, -3.0, 2.0)) == 3.0
+    assert integrators._norm((-1.0, 0.5, -0.25, math.nan)) == 1.0
+
+
+def test_max_abs():
+    assert integrators._max_abs(math.nan, 2.0) == 2.0
+    assert (integrators._max_abs(-3.0, 1.0), integrators._max_abs(0.5, 1.0)) == (3.0, 1.0)
+
+
+@pytest.mark.parametrize("th, z, h", [(0.5, 1.0, 1.0), (0.0, 0.0, -1.0)],
+                         ids=["negative", "negative-zero"])
+def test_slope_clamps_a_secant_below_zero_at_positive_zero(th, z, h):
+    # the secant (g th - z) / h is -0.5 or -0.0; either slope is +0.0
+    slope = integrators._slope(2.0, 1.0, th, z, h, 1e-7)
+    assert struct.pack(">d", slope) == struct.pack(">d", 0.0)
+    assert integrators._slope(2.0, 1.0, 0.5, 1.0, 1e-8, 1e-7) == 2.0 * (1.0 - 0.25)  # analytic
 
 
 # Signed zeros and amplitudes up to 1e6, on a linear and on a log scale.

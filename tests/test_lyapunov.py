@@ -46,8 +46,20 @@ def test_log_cosh_matches_naive():
         assert log_cosh(u) == pytest.approx(u * u / 2.0 - u ** 4 / 12.0, rel=1e-14, abs=0.0)
     # saturated regime: lncosh(u) ~ |u| - ln 2
     assert log_cosh(800.0) == pytest.approx(800.0 - math.log(2.0), rel=1e-15)
+    # both signed zeros give +0.0, both infinities inf, and NaN NaN
+    assert [struct.pack(">d", log_cosh(u)) for u in (0.0, -0.0)] == [struct.pack(">d", 0.0)] * 2
+    assert log_cosh(math.inf) == log_cosh(-math.inf) == math.inf
+    assert math.isnan(log_cosh(math.nan))
 
 
+# h = +-1, where log_cosh_diff switches from its small-step branch to the
+# difference of two log_cosh values, and the float neighbours on each side
+@example(a=0.5, h=1.0)
+@example(a=0.5, h=-1.0)
+@example(a=-3.0, h=math.nextafter(1.0, 0.0))
+@example(a=-3.0, h=math.nextafter(1.0, 2.0))
+@example(a=3.0, h=math.nextafter(-1.0, 0.0))
+@example(a=3.0, h=math.nextafter(-1.0, -2.0))
 @given(a=st.floats(min_value=-30, max_value=30), h=st.floats(min_value=-40, max_value=40))
 def test_log_cosh_diff_consistent(a, h):
     direct = log_cosh(a + h) - log_cosh(a)
@@ -111,6 +123,25 @@ def test_V_nonlinear_positive_and_radially_unbounded():
         for direction in np.eye(4):
             s = 1e4
             assert V_nonlinear(s * direction, p) / s > 0.05
+
+
+@pytest.mark.parametrize("size", [3, 5, 8])
+@pytest.mark.parametrize("call", [
+    lambda w, p: V_nonlinear(w, p),
+    lambda w, p: V_zero_feedback(w),
+    lambda w, p: Vdot_nonlinear(w, p),
+    lambda w, p: lyapunov.Vdot_zero_feedback(w, p),
+], ids=["V_nonlinear", "V_zero_feedback", "Vdot_nonlinear", "Vdot_zero_feedback"])
+def test_single_state_functions_take_one_4_vector(call, size):
+    # not the first state of several, nor a sum over any count of entries
+    with pytest.raises(ValueError, match="w must be one 4-vector"):
+        call([1.0] * size, make_params(1.0, 0.5))
+
+
+def test_single_state_energy_of_infinite_state_is_inf():
+    # the shape check is not a finiteness check
+    w = [math.inf, 0.0, 0.0, 0.0]
+    assert V_nonlinear(w, make_params(1.0, 0.5)) == V_zero_feedback(w) == math.inf
 
 
 def test_zero_feedback_energy():
