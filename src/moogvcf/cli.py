@@ -3,8 +3,8 @@ and gradient checks, emitted as CSV or JSON.
 
 Exit codes: 0 success / all checks passed, 1 a requested check failed,
 2 usage or specification error (an --out that cannot be opened included),
-3 numerical failure (a simulated state that is not finite, or an eigenvalue
-root finder that fails), 141 (128 + SIGPIPE) the reader closed stdout.
+3 numerical failure (a simulated state or its V that is not finite, or an
+eigenvalue root finder that fails), 141 (128 + SIGPIPE) the reader closed stdout.
 Floats are rendered as repr(float) renders them, the shortest decimal that
 round-trips; simulate's CSV rows are rendered in C, through CPython's own
 repr routine, when native loaded its renderer, and give the same bytes.
@@ -33,8 +33,6 @@ SCHEMA_VERSION = 1
 # Largest number of points --r-grid may expand to, and of gradcheck --points;
 # checked before any work.
 _MAX_GRID_POINTS = 10 ** 6
-# Largest simulate --steps, the sweep spec's n_steps cap.
-_MAX_STEPS = experiments._MAX_STEPS
 # Largest eig --omega0.  The numeric spectrum's root iteration works on the
 # characteristic coefficients, up to omega0^4 (1 + 4r), and on fourth powers
 # of its iterates, which overflow a float from about omega0 = 6e74 at some r;
@@ -217,8 +215,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.steps > _MAX_STEPS:
-        raise ValueError(f"--steps {args.steps} is more than {_MAX_STEPS}")
+    integrators._check_steps(args.steps, "--steps")
     p = model.make_params(args.omega0, args.r)
     x0 = _parse_x0(args.x0)
     method = Method(args.method)

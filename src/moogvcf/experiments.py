@@ -11,14 +11,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import lyapunov, model
-from .integrators import MAX_DG_OMEGA0_DT, Method, StepConfig, simulate_batch
+from . import integrators, lyapunov, model
+from .integrators import Method, StepConfig, simulate_batch
 from .lyapunov import Verdict
 from .rng import _GOLDEN, _MASK, _mix_array, substream
 
-# Largest n_steps of one trajectory: simulate holds every recorded step, about
-# 0.19 KB each with the CLI's rendering, so 10^6 steps take about 190 MB.
-_MAX_STEPS = 10 ** 6
 # Largest number of steps a sweep takes in all, trajectories times n_steps:
 # the full-range sweep at 32 samples per point and 2,000 steps takes 0.55-0.8
 # us per DG step on the C kernel, pinned to one CPU of a 2-vCPU Xeon (about 0.5
@@ -67,6 +64,21 @@ def _spec_float(value, path: str) -> float:
         raise SpecValidationError(path, "must be within the float range") from None
 
 
+def _spec_int(value, path: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """value; SpecValidationError under path unless a JSON integer (not bool) in [lo, hi]."""
+    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
+        raise SpecValidationError(path, f"must be an integer in [{lo}, {hi}]")
+    return value
+
+
+def _spec_checked(path: str, check, *args):
+    """check(*args), a rule that raises ValueError, with its error under path."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise SpecValidationError(path, str(err)) from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid and sampling plan for a combined certification/decay sweep."""
@@ -83,7 +95,8 @@ class SweepSpec:
     @staticmethod
     def from_dict(data: dict) -> "SweepSpec":
         """Build and validate a spec from parsed JSON, reporting the field
-        path of the first violation."""
+        path of the first violation; the run rules are those of integrators,
+        the step count under n_steps and the last time dt * n_steps under dt."""
         if not isinstance(data, dict):
             raise SpecValidationError("$", "spec must be a JSON object")
 
@@ -96,10 +109,7 @@ class SweepSpec:
             out = []
             for i, v in enumerate(values):
                 v = _spec_float(v, f"{key}[{i}]")
-                try:
-                    check(v)
-                except model.ParameterRangeError as err:
-                    raise SpecValidationError(f"{key}[{i}]", str(err)) from None
+                _spec_checked(f"{key}[{i}]", check, v)
                 out.append(v)
             if sorted(out) != out:
                 raise SpecValidationError(key, "must be sorted ascending")
@@ -115,64 +125,34 @@ class SweepSpec:
             raise SpecValidationError("families", "must be a non-empty array")
         families = []
         for i, name in enumerate(fams):
-            try:
-                family = lyapunov.family_named(name)
-            except ValueError as err:
-                raise SpecValidationError(f"families[{i}]", str(err)) from None
+            family = _spec_checked(f"families[{i}]", lyapunov.family_named, name)
             if family in families:
                 raise SpecValidationError(f"families[{i}]", f"repeats {name!r}")
             families.append(family)
 
-        seed = data.get("seed")
-        if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):
-            raise SpecValidationError("seed", "must be an unsigned 64-bit integer")
+        seed = _spec_int(data.get("seed"), "seed", 0, 2 ** 64 - 1)
+        samples = _spec_int(data.get("samples_per_point"), "samples_per_point", 1)
+        method = _spec_checked("method", Method, data.get("method", SweepSpec.method.value))
 
-        samples = data.get("samples_per_point")
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-            raise SpecValidationError("samples_per_point", "must be a positive integer")
-
-        method_name = data.get("method", SweepSpec.method.value)
-        try:
-            method = Method(method_name)
-        except ValueError:
-            raise SpecValidationError("method", f"unknown method {method_name!r}") from None
-
-        dt = _spec_float(data.get("dt", SweepSpec.dt), "dt")
-        if not 0.0 < dt < math.inf:
-            raise SpecValidationError("dt", "must be a positive finite number")
-
-        n_steps = data.get("n_steps", SweepSpec.n_steps)
-        if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
-            raise SpecValidationError("n_steps", "must be a positive integer")
-        if n_steps > _MAX_STEPS:
-            raise SpecValidationError("n_steps", f"{n_steps} is more than {_MAX_STEPS}")
-        if dt * n_steps == math.inf:  # run_sweep's decay horizon
-            raise SpecValidationError("dt", f"dt * n_steps must be finite, got dt = {dt!r}")
-        if method is Method.DISCRETE_GRADIENT and not omega0_grid[-1] * dt <= MAX_DG_OMEGA0_DT:
-            raise SpecValidationError("dt", (
-                f"omega0 * dt must be at most {MAX_DG_OMEGA0_DT:g} for the discrete-gradient "
-                f"method, got dt = {dt!r} at omega0 = {omega0_grid[-1]!r}"))
+        dt = _spec_checked("dt", StepConfig, _spec_float(data.get("dt", SweepSpec.dt), "dt")).dt
+        n_steps = _spec_int(data.get("n_steps", SweepSpec.n_steps), "n_steps")
+        _spec_checked("n_steps", integrators._check_steps, n_steps)
+        _spec_checked("dt", integrators._check_steps, n_steps, "n_steps", dt)
+        if method is Method.DISCRETE_GRADIENT:
+            _spec_checked("dt", integrators._check_dg_step, omega0_grid[-1], dt)
         total = len(r_grid) * len(omega0_grid) * samples * n_steps
         if total > _MAX_SWEEP_STEPS:
             raise SpecValidationError("samples_per_point", (
                 f"{len(r_grid)} r x {len(omega0_grid)} omega0 x {samples} samples_per_point x "
                 f"{n_steps} n_steps = {total} steps is more than {_MAX_SWEEP_STEPS}"))
 
-        known = {"r", "omega0", "families", "seed", "samples_per_point", "method", "dt", "n_steps"}
-        for key in data:
-            if key not in known:
-                raise SpecValidationError(key, "unknown field")
-
-        return SweepSpec(
-            r_grid=r_grid,
-            omega0_grid=omega0_grid,
-            families=tuple(families),
-            seed=seed,
-            samples_per_point=samples,
-            method=method,
-            dt=dt,
-            n_steps=n_steps,
-        )
+        spec = SweepSpec(r_grid=r_grid, omega0_grid=omega0_grid, families=tuple(families),
+                         seed=seed, samples_per_point=samples, method=method, dt=dt,
+                         n_steps=n_steps)
+        unknown = [key for key in data if key not in spec.to_dict()]  # to_dict has every field
+        if unknown:
+            raise SpecValidationError(unknown[0], "unknown field")
+        return spec
 
     def to_dict(self) -> dict:
         return {
@@ -273,10 +253,9 @@ def _norms(xs: np.ndarray) -> list:
     return np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0]).tolist()
 
 
-def _decay_summaries(points, n_states: int, cfg: StepConfig, t_end: float) -> list:
+def _decay_summaries(points, n_states: int, cfg: StepConfig, n_steps: int) -> list:
     """The TrajectorySummary of each of n_states seeded initial states at each
-    (p, seed) of points, in point order and then state order, simulated to
-    t_end.
+    (p, seed) of points, in point order and then state order, for n_steps steps.
 
     The states, drawn by _draw_starts, go through integrators.simulate_batch
     together, each with its point's p, in blocks of at most _BATCH_ROWS
@@ -286,7 +265,6 @@ def _decay_summaries(points, n_states: int, cfg: StepConfig, t_end: float) -> li
     Integrator failures are recorded in the summary, not raised.
     """
     tol, method = _DECAY_TOLERANCE[cfg.method], cfg.method.value
-    n_steps = max(1, int(round(t_end / cfg.dt)))
     x0s = _draw_starts([seed for _, seed in points], n_states)
     params = [p for p, _ in points for _ in range(n_states)]
     size, summaries = max(1, _BATCH_ROWS // (n_steps + 1)), []
@@ -316,15 +294,17 @@ def run_decay_study(
 ) -> SweepResult:
     """Simulate seeded random initial states and record the worst per-step
     energy increase and the final state norm for each: the one-point case of
-    _decay_summaries.  ValueError names n_states unless it is >= 1, and t_end
-    unless it is positive and finite.
+    _decay_summaries, for max(1, round(t_end / cfg.dt)) steps.  Before any
+    work, ValueError names n_states unless it is >= 1, and t_end unless it is
+    positive and finite and integrators._check_steps admits those steps.
     """
     n_states = int(n_states)
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    return SweepResult(summaries=_decay_summaries([(p, seed)], n_states, cfg, t_end))
+    n_steps = integrators._check_steps(max(1.0, t_end / cfg.dt), "round(t_end / dt)", cfg.dt)
+    return SweepResult(summaries=_decay_summaries([(p, seed)], n_states, cfg, n_steps))
 
 
 def run_gradcheck(seed: int, n_points: int) -> float:
@@ -369,6 +349,5 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
               for point_index, (omega0, r) in enumerate(
                   itertools.product(spec.omega0_grid, spec.r_grid))]
     result.summaries = _decay_summaries(points, spec.samples_per_point,
-                                        StepConfig(dt=spec.dt, method=spec.method),
-                                        spec.dt * spec.n_steps)
+                                        StepConfig(dt=spec.dt, method=spec.method), spec.n_steps)
     return result

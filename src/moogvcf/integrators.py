@@ -11,6 +11,11 @@ Newton slack, and that quadratic form is nonpositive for d = max(1, alpha).
 
 All discrete-gradient stepping happens in w coordinates; conversion to x
 is done when recording trajectories.
+
+Each rule on a run's input is written here once, and every entry point
+calls it: StepConfig holds the dt domain, _check_dg_step the limit
+MAX_DG_OMEGA0_DT on |omega0 * dt|, and _check_steps the cap MAX_STEPS on
+n_steps and a finite last time dt * n_steps.
 """
 
 import ctypes
@@ -53,6 +58,10 @@ _LINE_SEARCH = tuple(0.5 ** i for i in range(9))
 # no step of 6,400 trajectories (|x_i| from 1e-12 to 1e300, r from 0 to 1)
 # raised V.
 MAX_DG_OMEGA0_DT = 1e306
+
+# The largest n_steps of one trajectory: simulate holds every recorded step,
+# about 0.19 KB each with the CLI's rendering, so 10^6 steps take about 190 MB.
+MAX_STEPS = 10 ** 6
 
 
 class Method(Enum):
@@ -118,6 +127,24 @@ def _finite_state(x, name: str) -> np.ndarray:
     return x
 
 
+def _check_steps(n_steps, name: str = "n_steps", dt: float = 0.0) -> int:
+    """round(n_steps), a real (inf too); ValueError naming name unless
+    1 <= n_steps <= MAX_STEPS and the last time dt * n_steps is finite."""
+    if not 1 <= n_steps <= MAX_STEPS:
+        raise ValueError(f"{name} must be from 1 to {MAX_STEPS} steps, got {n_steps!r}")
+    n_steps = round(n_steps)
+    if dt * n_steps == math.inf:
+        raise ValueError(f"dt * {name} must be finite, got dt = {dt!r} and {name} = {n_steps}")
+    return n_steps
+
+
+def _check_dg_step(omega0: float, dt: float) -> None:
+    """ValueError naming dt unless |omega0 * dt| <= MAX_DG_OMEGA0_DT."""
+    if not abs(omega0 * dt) <= MAX_DG_OMEGA0_DT:
+        raise ValueError(f"dt = {dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more "
+                         f"than {MAX_DG_OMEGA0_DT:g}, the discrete-gradient limit")
+
+
 def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, record: np.ndarray,
            constants: np.ndarray, dt: float, dg: bool) -> int:
     """The number of steps n of a kernel call on its five arrays and its dt;
@@ -125,9 +152,9 @@ def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, record: n
     trajectories, as _kernels.c reads and writes them: n + 1 >= 1 float64 rows
     of 4 states, 5 stage values and 1 energy each, an int64 record of 3 and a
     float64 row of 30 native.constants each.  ValueError names dt unless
-    |omega0 * dt| is at most MAX_DG_OMEGA0_DT at the largest omega0 of
-    constants, for a discrete-gradient (dg) call, and unless 0 < dt < inf, as
-    StepConfig has it: within that domain no kernel divides by zero."""
+    _check_dg_step admits it at the largest omega0 of constants, for a
+    discrete-gradient (dg) call, and unless 0 < dt < inf, as StepConfig has
+    it: within that domain no kernel divides by zero."""
     # plain comparisons, no generator: this runs at every kernel call, a
     # one-step call included
     nd = np.ndarray
@@ -150,19 +177,20 @@ def _steps(states: np.ndarray, stages: np.ndarray, energy: np.ndarray, record: n
                          "at least 1: float64 rows of 4, 5 and 1, at least 1, int64 records of 3 "
                          f"and float64 constants of 30, got {arrays!r}")
     if dg:
-        omega0 = constants[:, 24].max().item()
-        if not abs(omega0 * dt) <= MAX_DG_OMEGA0_DT:
-            raise ValueError(f"dt = {dt!r} at omega0 = {omega0!r} makes |omega0 * dt| more "
-                             f"than {MAX_DG_OMEGA0_DT:g}, the discrete-gradient limit")
+        _check_dg_step(constants[:, 24].max().item(), dt)
     StepConfig(dt)  # validates dt
     return states.shape[1] - 1
 
 
-def _failures(record: np.ndarray) -> list:
-    """For each trajectory of a kernel call's record, None if its states stayed
-    finite, else the IntegrationError naming its first step whose row is not."""
-    return [IntegrationError(f"integration failed at step {k}: state not finite", k) if k
-            else None for k in record[:, 0].tolist()]
+def _failures(record: np.ndarray, energy: np.ndarray) -> list:
+    """For each trajectory of a kernel call's record and energies, None if its
+    states and their V stayed finite, else the IntegrationError naming its first
+    step whose state (the record's row) or V (an RK4 step's can overflow) is not."""
+    finite = np.isfinite(energy[:, 1:])
+    steps = np.where(finite.all(axis=1), 0, finite.argmin(axis=1) + 1).tolist()
+    return [IntegrationError(f"integration failed at step {k}: "
+                             f"{'state' if k == row else 'V'} not finite", k) if k else None
+            for k, row in zip(steps, record[:, 0].tolist())]
 
 
 def _table(pc: list) -> list:
@@ -468,13 +496,13 @@ def _start(xs: np.ndarray, params: list, n: int, rk4: bool):
 
 def _step(x, p: FilterParams, dt: float, rk4: bool) -> np.ndarray:
     """The state after one kernel step of length dt from the state x, x for
-    RK4 and w = D x for DG; the step's IntegrationError if it is not finite,
-    and ValueError, as simulate raises it, if V(D x) is not, since the
-    kernel then takes no step."""
+    RK4 and w = D x for DG; the step's IntegrationError if it or its V is not
+    finite, and ValueError, as simulate raises it, if V(D x) is not, since
+    the kernel then takes no step."""
     x = _finite_state(x, "x")
     arrays = states, _, energy, record, _ = _start(x[None], [p], 1, rk4)
     (_rk4_run if rk4 else _dg_run)(*arrays, dt)
-    (error,) = _failures(record)
+    (error,) = _failures(record, energy)
     if error:
         if not math.isfinite(energy[0, 0]):
             raise ValueError(f"x must have a finite energy V(D x), got {x.tolist()}")
@@ -500,26 +528,22 @@ def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
     if p is a sequence of N of them, and return the (N, n_steps + 1, 4) states
     in x coordinates, their (N, n_steps + 1) energies V and (N, n_steps + 1, 5)
     stage values, and for each trajectory None or the IntegrationError naming
-    its first step that is not finite (its rows from there on are NaN).
+    its first step whose state or V is not finite (its rows from a state that
+    is not finite on are NaN).
 
-    ValueError names dt if the last time dt * n_steps overflows, or if
-    |omega0 * dt| is more than MAX_DG_OMEGA0_DT at the batch's largest omega0
-    for the discrete-gradient method, p unless it has one FilterParams per
-    row, and x0 unless each row is finite with a finite energy V(D x0), which
-    the kernel writes to row 0 of the energies before any step, taking none
-    from a row whose V is not finite.  One _rk4_run or _dg_run call writes,
-    for each trajectory and on the thread that steps it, the states (x for
-    RK4, w for discrete gradient), their stage values, their energies V, the
-    saturation energy with d = max(1, alpha) at w, and its record, which
-    names its error, to the arrays of _start.  DG states then become
-    x = D^-1 w in one in-place division by each row's own scale, which rounds
-    as a float division does.
+    ValueError names n_steps unless _check_steps admits it at cfg.dt, dt unless
+    _check_dg_step does at the batch's largest omega0 for the discrete-gradient
+    method, p unless it has one FilterParams per row, and x0 unless each row is
+    finite with a finite energy V(D x0), which the kernel writes to row 0 of the
+    energies before any step, taking none from a row whose V is not finite.
+    One _rk4_run or _dg_run call writes, for each trajectory and on the thread
+    that steps it, the states (x for RK4, w for discrete gradient), their stage
+    values, their energies V, the saturation energy with d = max(1, alpha) at
+    w, and its record, which names its error, to the arrays of _start.  DG
+    states then become x = D^-1 w in one in-place division by each row's own
+    scale, which rounds as a float division does.
     """
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if cfg.dt * n_steps == math.inf:  # the last recorded time
-        raise ValueError(f"dt * n_steps must be finite, got dt = {cfg.dt!r} and n_steps = {n_steps}")
+    n_steps = _check_steps(n_steps, "n_steps", cfg.dt)
     x0s, rk4 = np.asarray(x0s, dtype=float), cfg.method is Method.RK4
     if x0s.ndim != 2 or x0s.shape[1] != 4 or not len(x0s):
         raise ValueError(f"x0s must be an (N, 4) array with N >= 1, got shape {x0s.shape}")
@@ -537,7 +561,7 @@ def simulate_batch(x0s, p, cfg: StepConfig, n_steps: int):
         raise ValueError(f"x0 must have a finite energy V(D x0), got {x0s[bad].tolist()}")
     if not rk4:
         states /= constants[:, None, 26:]
-    return states, energy, stages, _failures(record)
+    return states, energy, stages, _failures(record, energy)
 
 
 def simulate(x0, p: FilterParams, cfg: StepConfig, n_steps: int) -> Trajectory:

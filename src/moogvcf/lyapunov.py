@@ -94,7 +94,10 @@ def Vdot_nonlinear(w, p: FilterParams) -> float:
 
 def Vdot_zero_feedback(w, p: FilterParams) -> float:
     """Decay rate of the feedback-free energy along the r = 0 cascade."""
-    return float(rate_column(model.stage_gradients(_state(w), model.stage_table(p)), p)[0])
+    w = _state(w)
+    if p.r != 0.0:
+        raise ValueError(f"Vdot_zero_feedback undefined for r={p.r!r} > 0; use Vdot_nonlinear")
+    return float(rate_column(model.stage_gradients(w, model.stage_table(p)), p)[0])
 
 
 @model.per_params

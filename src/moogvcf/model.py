@@ -149,19 +149,15 @@ def scaling_matrix(d: float) -> np.ndarray:
 
 
 def to_scaled(x, d: float) -> np.ndarray:
-    """w = D x."""
-    if not d > 0.0:
-        raise ParameterRangeError("d", d, "(0, inf)")
+    """w = D x, entry by entry."""
     x1, x2, x3, x4 = (float(v) for v in x)
-    return np.array([x1, d * x2, d * d * x3, d * d * d * x4])
+    return np.array([x1, x2, x3, x4]) * scaling_matrix(d).diagonal()
 
 
 def from_scaled(w, d: float) -> np.ndarray:
-    """x = D^-1 w; exact inverse of to_scaled up to rounding."""
-    if not d > 0.0:
-        raise ParameterRangeError("d", d, "(0, inf)")
+    """x = D^-1 w, entry by entry; exact inverse of to_scaled up to rounding."""
     w1, w2, w3, w4 = (float(v) for v in w)
-    return np.array([w1, w2 / d, w3 / (d * d), w4 / (d * d * d)])
+    return np.array([w1, w2, w3, w4]) / scaling_matrix(d).diagonal()
 
 
 def per_params(fn):

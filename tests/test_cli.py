@@ -90,7 +90,7 @@ def test_eig_largest_omega0_prints_finite_spectrum(capsys, r):
     (("simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0", "--dt", "0.1",
       "--steps", "99999999999999999999999"), "--steps", ("integrators", "simulate")),
     (("simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0", "--dt", "0.1",
-      "--steps", str(cli._MAX_STEPS + 1)), "--steps", ("integrators", "simulate")),
+      "--steps", str(integrators.MAX_STEPS + 1)), "--steps", ("integrators", "simulate")),
 ])
 def test_oversized_arguments_rejected_up_front(capsys, monkeypatch, args, field, work):
     # each is rejected under its own field before the work it sizes starts,
@@ -115,8 +115,8 @@ def test_size_caps_admit_their_limit(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.integrators, "simulate", simulate)
     assert run(capsys, "simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0",
-               "--dt", "0.1", "--steps", str(cli._MAX_STEPS))[0] == 3
-    assert sizes == [cli._MAX_GRID_POINTS, cli._MAX_STEPS]
+               "--dt", "0.1", "--steps", str(integrators.MAX_STEPS))[0] == 3
+    assert sizes == [cli._MAX_GRID_POINTS, integrators.MAX_STEPS]
 
 
 def test_eig_json_round_trip(capsys):
@@ -363,7 +363,7 @@ def test_sweep_rejects_dg_step_above_the_limit(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "sweep", "--spec", str(spec))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: dt: omega0 * dt must be at most 1e+306")
+    assert err.startswith("error: dt: dt = 10000000.0 at omega0 = 1e+300 makes |omega0 * dt| ")
     assert experiments.SweepSpec.from_dict({**fields, "method": "rk4"}).dt == 1e7
 
 
@@ -386,6 +386,17 @@ def test_simulate_rk4_overflow_exit_code(capsys, fmt):
     assert code == 3
     assert out == ""
     assert "step 1" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_rk4_energy_overflow_exit_code(capsys, kernels, fmt):
+    # the first state is finite but its V overflows: exit 3 naming the step,
+    # not exit 0 with inf in the v column
+    code, out, err = run(capsys, "simulate", "--omega0", "1e150", "--r", "0.41666666666666663",
+                         "--x0", "1.7976931348623157e308,0,0,0", "--dt", "1e150", "--steps", "1",
+                         "--method", "rk4", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert "step 1: V not finite" in err
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -78,7 +78,7 @@ def test_spec_from_dict_minimal():
     ({"dt": 1e308, "n_steps": 10}, "dt"),
     ({"n_steps": 10 ** 400}, "n_steps"),
     ({"n_steps": 10 ** 12}, "n_steps"),
-    ({"n_steps": experiments._MAX_STEPS + 1}, "n_steps"),
+    ({"n_steps": integrators.MAX_STEPS + 1}, "n_steps"),
     ({"samples_per_point": 10 ** 15}, "samples_per_point"),
     ({"dt": 10 ** 400}, "dt"),  # JSON integers beyond the float range
     ({"omega0": [10 ** 400]}, "omega0[0]"),
@@ -95,11 +95,11 @@ def test_spec_validation_paths(patch, path):
 
 
 def test_spec_size_caps_admit_their_limit():
-    # n_steps at experiments._MAX_STEPS and trajectories x n_steps at
+    # n_steps at integrators.MAX_STEPS and trajectories x n_steps at
     # _MAX_SWEEP_STEPS pass validation, which starts no run
     data = {"r": [0.5, 1.0], "omega0": [1.0], "families": ["As"], "seed": 1,
-            "samples_per_point": 50, "n_steps": experiments._MAX_STEPS}
-    assert SweepSpec.from_dict(data).n_steps == experiments._MAX_STEPS
+            "samples_per_point": 50, "n_steps": integrators.MAX_STEPS}
+    assert SweepSpec.from_dict(data).n_steps == integrators.MAX_STEPS
     with pytest.raises(SpecValidationError) as exc:
         SweepSpec.from_dict({**data, "samples_per_point": 51})
     assert exc.value.path == "samples_per_point"
@@ -297,6 +297,32 @@ def test_decay_study_rejects_bad_t_end(t_end):
     # negative t_end ran one step
     with pytest.raises(ValueError, match="t_end"):
         run_decay_study(make_params(1.0, 0.5), 1, 1, StepConfig(dt=0.1), t_end)
+
+
+@pytest.mark.parametrize("dt, t_end", [
+    (1e-300, 1e300),  # t_end / dt overflows: round() raised OverflowError
+    (0.5, 0.5 * (integrators.MAX_STEPS + 1)),  # one step above the cap
+    (1e308, 1.7976931348623157e308),  # dt * round(t_end / dt) = 2e308 overflows
+])
+def test_decay_study_rejects_horizon_beyond_the_step_cap(monkeypatch, dt, t_end):
+    # rejected under t_end before any work: no batch is simulated
+    monkeypatch.setattr(experiments, "simulate_batch", None)
+    with pytest.raises(ValueError, match="t_end"):
+        run_decay_study(make_params(1.0, 0.5), 1, 1, StepConfig(dt), t_end)
+
+
+def test_decay_study_admits_the_step_cap(monkeypatch):
+    # t_end / dt at the cap reaches the batch it sizes, which is not run
+    sizes = []
+
+    def stop(x0s, p, cfg, n_steps):
+        sizes.append(n_steps)
+        raise RuntimeError("stopped before the kernel")
+
+    monkeypatch.setattr(experiments, "simulate_batch", stop)
+    with pytest.raises(RuntimeError, match="stopped"):
+        run_decay_study(make_params(1.0, 0.5), 1, 1, StepConfig(0.5), 0.5 * integrators.MAX_STEPS)
+    assert sizes == [integrators.MAX_STEPS]
 
 
 def test_decay_study_records_integrator_failures(monkeypatch, python_kernels):

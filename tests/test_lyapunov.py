@@ -390,6 +390,13 @@ def test_Vdot_zero_feedback_nonpositive():
         assert lyapunov.Vdot_zero_feedback(w, p) <= 0.0
 
 
+def test_Vdot_zero_feedback_rejects_feedback():
+    # at r > 0 it returned the feedback model's rate (-5.2959 here); it now
+    # rejects the branch it does not serve, as Vdot_nonlinear rejects r = 0
+    with pytest.raises(ValueError, match=r"r=0\.5"):
+        lyapunov.Vdot_zero_feedback([1.0, -2.0, 0.5, 3.0], make_params(1.0, 0.5))
+
+
 def test_branch_dispatchers():
     # energy_column and rate_column take both branches: the feedback-free
     # energy and rate at r = 0, the saturation energy and its rate above
