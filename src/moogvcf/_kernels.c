@@ -66,6 +66,7 @@
 #include <pthread.h>
 #include <sched.h>
 #include <stdatomic.h>
+#include <stdint.h>
 #include <string.h>
 
 /* n_traj trajectories of n steps, trajectory m's constants at pc[30 m..], its
@@ -492,39 +493,341 @@ void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, d
     run_batch(&b);
 }
 
-/* CPython's PyOS_double_to_string and PyMem_Free, whose addresses the caller
- * passes: a libpython symbol named here would be left for the loader to
- * resolve, and where it could not, the kernels would not load either. */
-typedef char *double_to_string(double val, char format_code, int precision, int flags,
-                               int *type);
-typedef void mem_free(void *block);
+/* cli._csv_rows_python's repr of a double, in two steps.  shortest finds the
+ * shortest decimal that rounds to the double, the one nearest it among
+ * several, by Ryu's d2s (Adams 2018, "Ryu: fast float-to-string conversion",
+ * PLDI 2018) with its small tables: every 128-bit multiplier it needs is
+ * built from one of 13 entries, a power of 5 below 5^26 and a 2-bit
+ * correction, in place of full tables of the 617 it can need.  repr_double
+ * then lays the digits out as repr does.  The 64 x 64 -> 128-bit products
+ * need a compiler with unsigned __int128 (GCC and Clang on 64-bit targets);
+ * elsewhere the library does not build, and the Python kernels and renderer
+ * run. */
+__extension__ typedef unsigned __int128 u128;
+
+/* 5^0 .. 5^25 */
+static const uint64_t POW5[26] = {
+    1u, 5u, 25u, 125u,
+    625u, 3125u, 15625u, 78125u,
+    390625u, 1953125u, 9765625u, 48828125u,
+    244140625u, 1220703125u, 6103515625u, 30517578125u,
+    152587890625u, 762939453125u, 3814697265625u, 19073486328125u,
+    95367431640625u, 476837158203125u, 2384185791015625u, 11920928955078125u,
+    59604644775390625u, 298023223876953125u
+};
+/* floor(5^i / 2^(pow5bits(i) - 125)), the 125 leading bits of 5^i, as
+ * {low, high} halves, at i = 26 b for b = 0 .. 12 */
+static const uint64_t POW5_SPLIT[13][2] = {
+    {0x0000000000000000u, 0x1000000000000000u}, {0x0000000000000000u, 0x14adf4b7320334b9u},
+    {0x0e549208b31adb10u, 0x1aba4714957d300du}, {0x6dc6ad264d8f0866u, 0x1145b7e285bf98f5u},
+    {0xeb1dbd923d8596cau, 0x1652efdc6018a1fcu}, {0xb4c1b80b22ae923cu, 0x1cda62055b2d9d83u},
+    {0x5bb28b4e8f7e4c30u, 0x12a5568b9f52f416u}, {0xf08aed437682d4fbu, 0x1819651531f9e78fu},
+    {0xb4ee134ad99bf150u, 0x1f25c186a6f04c28u}, {0x16499ecb70c25f03u, 0x1420eb449c8842e6u},
+    {0x85a56ead360865b0u, 0x1a03fde214caf085u}, {0x093db1d57999890bu, 0x10cfeb353a97dad8u},
+    {0xcf38bb735e3f36acu, 0x15baaf44fa52673eu}
+};
+/* the 2-bit correction of pow5_split(i), i = 0 .. 325, 16 to a word from its
+ * low bits up */
+static const uint32_t POW5_OFFSETS[21] = {
+    0x00000000u, 0x00000000u, 0x00000000u, 0x00000000u, 0x40000000u, 0x59695995u,
+    0x55545555u, 0x56555515u, 0x41150504u, 0x40555410u, 0x44555145u, 0x44504540u,
+    0x45555550u, 0x40004000u, 0x96440440u, 0x55565565u, 0x54454045u, 0x40154151u,
+    0x55559155u, 0x51405555u, 0x00000105u
+};
+/* floor(2^(pow5bits(i) + 124) / 5^i) + 1, 2^125 / 5^i rounded up to 125
+ * bits, as {low, high} halves, at i = 26 b for b = 0 .. 12 */
+static const uint64_t POW5_INV_SPLIT[13][2] = {
+    {0x0000000000000001u, 0x2000000000000000u}, {0x52a6c95fc0655034u, 0x18c240c4aecb13bbu},
+    {0x7ca8d50071dfc806u, 0x1327fc58da0f6ff5u}, {0x6520247d3556476eu, 0x1da48ce468e7c702u},
+    {0x6139cdd76802e6e9u, 0x16ef5b40c2fc7779u}, {0xf951a7ff43de8c79u, 0x11bebdf578b2f391u},
+    {0x7be8bee8d6e957e8u, 0x1b758d848fac54b0u}, {0x8bd3f9e999a423eau, 0x153eda614071a3b7u},
+    {0x0848f973cb3ee3ceu, 0x10701bd527b4978cu}, {0x153285ebb9efbfa2u, 0x196fbb9bb44db44du},
+    {0xadeee7f86c07b696u, 0x13ae3591f5b4d936u}, {0x4d686a4eaf182222u, 0x1e74404f3daada91u},
+    {0x98c0a106e09ebd9fu, 0x17900ea4fda7c257u}
+};
+/* the 2-bit correction of pow5_inv(i), i = 0 .. 290, packed as POW5_OFFSETS */
+static const uint32_t POW5_INV_OFFSETS[19] = {
+    0x54544554u, 0x04055545u, 0x10041000u, 0x00400414u, 0x40010000u, 0x41155555u,
+    0x00000454u, 0x00010044u, 0x40000000u, 0x44000041u, 0x50454450u, 0x55550054u,
+    0x51655554u, 0x40004000u, 0x01000001u, 0x00010500u, 0x51515411u, 0x05555554u,
+    0x00000000u
+};
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The bits of 5^e, ceil(log2(5^e)) (1 at e = 0), for 0 <= e <= 3528. */
+static int32_t pow5bits(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 1217359u) >> 19) + 1;
+}
+
+/* floor(log10(2^e)), for 0 <= e <= 1650. */
+static int32_t log10_pow2(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 78913u) >> 18);
+}
+
+/* floor(log10(5^e)), for 0 <= e <= 2620. */
+static int32_t log10_pow5(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 732923u) >> 20);
+}
+
+/* The 192-bit product of m < 2^64 and the 128-bit f, shifted right by
+ * 0 < shift < 64 and cut to 128 bits, plus add. */
+static u128 mul_shift_add(uint64_t m, u128 f, int32_t shift, uint32_t add)
+{
+    const u128 low = (u128)m * (uint64_t)f, high = (u128)m * (uint64_t)(f >> 64);
+    const u128 top = high + (low >> 64);  /* bits 64 .. 191 of the product */
+
+    return ((top << (64 - shift)) | ((uint64_t)low >> shift)) + add;
+}
+
+/* The 125 leading bits of 5^i, 0 <= i <= 325: POW5_SPLIT's entry for i. */
+static u128 pow5_split(int32_t i)
+{
+    const int32_t base = i / 26, offset = i - 26 * base;
+    const u128 f = (u128)POW5_SPLIT[base][1] << 64 | POW5_SPLIT[base][0];
+
+    if (offset == 0)
+        return f;
+    return mul_shift_add(POW5[offset], f, pow5bits(i) - pow5bits(26 * base),
+                         (POW5_OFFSETS[i / 16] >> (i % 16 * 2)) & 3u);
+}
+
+/* 2^125 / 5^i rounded up to 125 bits, 0 <= i <= 290: POW5_INV_SPLIT's
+ * entry for i. */
+static u128 pow5_inv(int32_t i)
+{
+    const int32_t base = (i + 25) / 26, offset = 26 * base - i;
+    const u128 f = (u128)POW5_INV_SPLIT[base][1] << 64 | POW5_INV_SPLIT[base][0];
+
+    if (offset == 0)
+        return f;
+    return mul_shift_add(POW5[offset], f - 1, pow5bits(26 * base) - pow5bits(i),
+                         1u + ((POW5_INV_OFFSETS[i / 16] >> (i % 16 * 2)) & 3u));
+}
+
+/* floor(m f / 2^shift) for m < 2^55, a 125-bit f and 64 <= shift < 192. */
+static uint64_t mul_shift(uint64_t m, u128 f, int32_t shift)
+{
+    const u128 low = (u128)m * (uint64_t)f, high = (u128)m * (uint64_t)(f >> 64);
+
+    return (uint64_t)((high + (low >> 64)) >> (shift - 64));
+}
+
+/* Whether 5^p divides v > 0. */
+static int multiple_of_pow5(uint64_t v, int32_t p)
+{
+    int32_t count = 0;
+
+    for (; v % 5 == 0; v /= 5)
+        count++;
+    return count >= p;
+}
+
+/* The decimal digits * 10^exponent. */
+struct decimal {
+    uint64_t digits;
+    int32_t exponent;
+};
+
+/* Ryu's d2d: the shortest decimal in the interval of reals that round to
+ * the positive double of mantissa field ieee_mantissa and exponent field
+ * ieee_exponent < 2047, the one nearest the double if there are several
+ * (half to even).  Its ends are included when the double's significand is
+ * even, as round-half-to-even reading includes them. */
+static struct decimal shortest(uint64_t ieee_mantissa, uint32_t ieee_exponent)
+{
+    /* the double is mv 2^e2, mv = 4 m2, and the midpoints to its neighbours
+     * are (mv + 2) 2^e2 and (mv - 1 - mm_shift) 2^e2: mm_shift is 0 at a
+     * power of 2 above the smallest normal, whose lower neighbour is nearer */
+    const int32_t e2 = (ieee_exponent ? (int32_t)ieee_exponent : 1) - 1077;
+    const uint64_t m2 = ieee_exponent ? (UINT64_C(1) << 52) | ieee_mantissa : ieee_mantissa;
+    const uint64_t mv = 4 * m2;
+    const uint64_t mm_shift = ieee_mantissa != 0 || ieee_exponent <= 1;
+    const int even = (m2 & 1) == 0;
+    uint64_t vr, vp, vm;
+    int32_t q, i, e10, removed = 0;
+    int vm_zeros = 0, vr_zeros = 0, round_up = 0;
+    uint32_t last = 0;
+    struct decimal out;
+    u128 f;
+
+    /* vr, vp and vm are mv, mv + 2 and mv - 1 - mm_shift times 2^e2 over
+     * 10^e10, floored; vr_zeros and vm_zeros say that vr and vm are exact */
+    if (e2 >= 0) {
+        q = log10_pow2(e2) - (e2 > 3);
+        e10 = q;
+        f = pow5_inv(q);
+        i = -e2 + q + 124 + pow5bits(q);
+        vr = mul_shift(mv, f, i);
+        vp = mul_shift(mv + 2, f, i);
+        vm = mul_shift(mv - 1 - mm_shift, f, i);
+        if (q <= 21) {  /* one of mv, mv + 2 and mv - 1 - mm_shift at most is a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (even)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= (uint64_t)multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        q = log10_pow5(-e2) - (-e2 > 1);
+        e10 = q + e2;
+        i = -e2 - q;
+        f = pow5_split(i);
+        i = q - pow5bits(i) + 125;
+        vr = mul_shift(mv, f, i);
+        vp = mul_shift(mv + 2, f, i);
+        vm = mul_shift(mv - 1 - mm_shift, f, i);
+        if (q <= 1) {  /* mv has two trailing zero bits, mv + 2 one */
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((UINT64_C(1) << q) - 1)) == 0;
+        }
+    }
+
+    /* remove the digits that vp and vm do not need, last digit removed from
+     * vr in last */
+    if (vm_zeros || vr_zeros) {  /* the rare case: an end or vr is exact */
+        for (; vp / 10 > vm / 10; removed++) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        if (vm_zeros)
+            for (; vm % 10 == 0; removed++) {
+                vr_zeros &= last == 0;
+                last = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+            }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;  /* exactly ...50..0: round half to even */
+        round_up = (vr == vm && (!even || !vm_zeros)) || last >= 5;
+    } else {
+        if (vp / 100 > vm / 100) {  /* two digits at a time, the most common step */
+            round_up = vr % 100 >= 50;
+            vr /= 100;
+            vp /= 100;
+            vm /= 100;
+            removed += 2;
+        }
+        for (; vp / 10 > vm / 10; removed++) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        round_up = round_up || vr == vm;
+    }
+    out.digits = vr + (uint64_t)round_up;
+    out.exponent = e10 + removed;
+    return out;
+}
+
+/* repr(x) at out, with no terminating NUL; its length, at most 24 bytes:
+ * "nan" for any NaN, "-" before a negative x (-0.0 included), "inf", and
+ * the digits of shortest with the decimal point at decpt, where x is
+ * 0.DIGITS * 10^decpt: fixed notation for -4 < decpt <= 16, with ".0" after
+ * an integral value, and otherwise d[.ddd]e+-XX, with two exponent digits
+ * at least. */
+static int repr_double(double x, char *out)
+{
+    uint64_t bits, mantissa, v;
+    uint32_t ieee_exponent;
+    struct decimal d;
+    char digits[17];
+    int len = 0, n, decpt, e;
+
+    memcpy(&bits, &x, sizeof bits);
+    ieee_exponent = (uint32_t)(bits >> 52) & 0x7ffu;
+    mantissa = bits & ((UINT64_C(1) << 52) - 1);
+    if (ieee_exponent == 0x7ffu && mantissa) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        out[len++] = '-';
+    if (ieee_exponent == 0x7ffu || (ieee_exponent == 0 && mantissa == 0)) {
+        memcpy(out + len, ieee_exponent ? "inf" : "0.0", 3);
+        return len + 3;
+    }
+    d = shortest(mantissa, ieee_exponent);
+    for (n = 17, v = UINT64_C(10000000000000000); n > 1 && d.digits < v; n--)
+        v /= 10;  /* 10^(n - 1) */
+    for (e = n, v = d.digits; e >= 2; v /= 100, e -= 2)
+        memcpy(digits + e - 2, DIGIT_PAIRS + 2 * (v % 100), 2);
+    if (e)
+        digits[0] = (char)('0' + v);
+    decpt = d.exponent + n;
+    if (decpt <= -4 || decpt > 16) {
+        out[len++] = digits[0];
+        if (n > 1) {
+            out[len++] = '.';
+            memcpy(out + len, digits + 1, (size_t)(n - 1));
+            len += n - 1;
+        }
+        e = decpt - 1;
+        out[len++] = 'e';
+        out[len++] = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e >= 100) {
+            out[len++] = (char)('0' + e / 100);
+            e %= 100;
+        }
+        memcpy(out + len, DIGIT_PAIRS + 2 * e, 2);
+        return len + 2;
+    }
+    if (decpt <= 0) {  /* 0.000ddd */
+        memcpy(out + len, "0.000", (size_t)(2 - decpt));
+        len += 2 - decpt;
+        memcpy(out + len, digits, (size_t)n);
+        return len + n;
+    }
+    if (decpt < n) {  /* ddd.ddd */
+        memcpy(out + len, digits, (size_t)decpt);
+        len += decpt;
+        out[len++] = '.';
+        memcpy(out + len, digits + decpt, (size_t)(n - decpt));
+        return len + n - decpt;
+    }
+    memcpy(out + len, digits, (size_t)n);  /* ddd000.0 */
+    len += n;
+    memset(out + len, '0', (size_t)(decpt - n));
+    len += decpt - n;
+    memcpy(out + len, ".0", 2);
+    return len + 2;
+}
 
 /* cli._csv_rows_python on the n rows of k doubles of values, in C order: the
- * bytes of each value's repr, to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0 = 2,
- * NULL) as CPython's float repr calls it, each string freed by release, a
- * ',' after each value but a row's last and a '\n' after that, into text,
- * of capacity bytes.  The number of bytes written; -1 if to_string failed
- * (out of memory, with MemoryError set), or if the text would not fit, and
- * then nothing is written past text[capacity - 1].  It calls into the
- * interpreter, so it is called with the GIL held, the one entry that is. */
-long render_rows(double_to_string *to_string, mem_free *release, const double *values, long n,
-                 long k, char *text, long capacity)
+ * repr of each value, a ',' after each value but a row's last and a '\n'
+ * after that, into text, of capacity bytes.  The number of bytes written; -1
+ * if the text would not fit, and then nothing is written past
+ * text[capacity - 1]. */
+long render_rows(const double *values, long n, long k, char *text, long capacity)
 {
-    long used = 0, i, j, len;
-    char *repr;
+    long used = 0, i, j;
+    char repr[24];
+    int len;
 
     for (i = 0; i < n; i++)
         for (j = 0; j < k; j++) {
-            repr = to_string(values[k * i + j], 'r', 0, 2, NULL);
-            if (!repr)
+            len = repr_double(values[k * i + j], repr);
+            if (len >= capacity - used)  /* the repr and its separator */
                 return -1;
-            len = (long)strlen(repr);
-            if (len >= capacity - used) {  /* the repr and its separator */
-                release(repr);
-                return -1;
-            }
             memcpy(text + used, repr, (size_t)len);
-            release(repr);
             used += len;
             text[used++] = j + 1 < k ? ',' : '\n';
         }

@@ -6,8 +6,9 @@ Exit codes: 0 success / all checks passed, 1 a requested check failed,
 3 numerical failure (a simulated state or its V that is not finite, or an
 eigenvalue root finder that fails), 141 (128 + SIGPIPE) the reader closed stdout.
 Floats are rendered as repr(float) renders them, the shortest decimal that
-round-trips; simulate's CSV rows are rendered in C, through CPython's own
-repr routine, when native loaded its renderer, and give the same bytes.
+round-trips; simulate's CSV rows are rendered in C, by a port of Ryu that
+calls nothing of the interpreter, when native's library loaded, and give
+the same bytes.
 """
 
 import argparse
@@ -298,8 +299,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.points > _MAX_GRID_POINTS:
-        raise ValueError(f"--points {args.points} is more than {_MAX_GRID_POINTS}")
+    if not 1 <= args.points <= _MAX_GRID_POINTS:
+        raise ValueError(f"--points must be from 1 to {_MAX_GRID_POINTS}, got {args.points}")
     worst = experiments.run_gradcheck(args.seed, args.points)
     if args.format == "json":
         payload = {

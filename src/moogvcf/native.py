@@ -19,28 +19,27 @@ steps, which changes no bit; nothing else sets the number.  Both return
 void: integrators._steps admits 0 < dt < inf alone, and within that domain
 no kernel divides by zero (the argument heads _kernels.c), so none can fail.
 The third entry, render_rows, writes the CSV text of a float64 table with
-the bytes of cli._csv_rows_python: it calls CPython's own repr routine,
-PyOS_double_to_string, and PyMem_Free, whose addresses it is passed, so it
-is called through a second handle on the library, a ctypes.PyDLL, which
-holds the GIL.  On first import the library is compiled with the
-system C compiler (the CC environment variable, else sysconfig's CC) and
-the flags of FLAGS: -ffp-contract=off keeps multiplies and adds from
-fusing into FMAs, which round once instead of twice.  The
-library is cached in $XDG_CACHE_HOME/moogvcf (~/.cache/moogvcf), under a
-name keyed by the sha256 of the source, the compiler, the flags and the
-platform, and loaded through ctypes.  Each load refreshes the library's
-mtime, and a cache miss keeps the CACHE_KEEP most recently loaded libraries
-and deletes the rest, so checkouts that share the cache keep their own.
-The cache directory must belong to the user and be writable by no one else,
-since a library planted there would run as the user.
+the bytes of cli._csv_rows_python: each float's shortest round-trip digits,
+found by a port of Ryu's d2s, laid out as repr lays them out.  It calls
+nothing of the interpreter, so it too is called through lib, without the
+GIL, and returns -1 only for a text buffer too small.  On first import the
+library is compiled with the system C compiler (the CC environment
+variable, else sysconfig's CC) and the flags of FLAGS: -ffp-contract=off
+keeps multiplies and adds from fusing into FMAs, which round once instead
+of twice.  The library is cached in $XDG_CACHE_HOME/moogvcf
+(~/.cache/moogvcf), under a name keyed by the sha256 of the source, the
+compiler, the flags and the platform, and loaded through ctypes.  Each load
+refreshes the library's mtime, and a cache miss keeps the CACHE_KEEP most
+recently loaded libraries and deletes the rest, so checkouts that share the
+cache keep their own.  The cache directory must belong to the user and be
+writable by no one else, since a library planted there would run as the
+user.
 
 Any failure (no compiler, a compile error or timeout, a cache directory that
 fails its check, a library that does not load) leaves lib and render_rows
-None, and the Python kernels and renderer run.  If the library loaded but
-the interpreter's two routines cannot be found, render_rows alone is None.
-KERNEL names the kernel in use, "native" or "python"; DEBUG records on the
-"moogvcf" logger give the library path, the compile time on a cache miss
-and the reason for a fallback.
+None, and the Python kernels and renderer run.  KERNEL names the kernel in
+use, "native" or "python"; DEBUG records on the "moogvcf" logger give the
+library path, the compile time on a cache miss and the reason for a fallback.
 """
 
 import contextlib
@@ -81,17 +80,11 @@ _log = logging.getLogger("moogvcf")
 # takes without the 1.5-2.5 us of an ndarray.ctypes.data read.
 _double, _long = ctypes.c_double, ctypes.c_long
 _doubles, _longs = ctypes.POINTER(_double), ctypes.POINTER(_long)
-# render_rows' function pointers, to PyOS_double_to_string (its string
-# returned as an address, which only C reads) and to PyMem_Free
-_DoubleToString = ctypes.CFUNCTYPE(ctypes.c_void_p, _double, ctypes.c_char, ctypes.c_int,
-                                   ctypes.c_int, ctypes.POINTER(ctypes.c_int))
-_MemFree = ctypes.CFUNCTYPE(None, ctypes.c_void_p)
 _SIGNATURES = {
     "dg_run": (None, [_doubles, _double, _long, _long, _long, _double, _double, _double,
                       _double, _doubles, _long, _doubles, _doubles, _doubles, _longs]),
     "rk4_run": (None, [_doubles, _double, _long, _long, _doubles, _doubles, _doubles, _longs]),
-    "render_rows": (_long, [_DoubleToString, _MemFree, _doubles, _long, _long,
-                            ctypes.POINTER(ctypes.c_char), _long]),
+    "render_rows": (_long, [_doubles, _long, _long, ctypes.POINTER(ctypes.c_char), _long]),
 }
 
 
@@ -158,28 +151,11 @@ def load() -> ctypes.CDLL:
     with contextlib.suppress(OSError):  # the mtime only orders the cleanup above
         os.utime(target)
     lib = ctypes.CDLL(str(target))
-    for name in ("dg_run", "rk4_run"):  # render_rows is bound by load_renderer alone
-        _bind(lib, name)
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
     _log.debug("native kernels loaded from %s", target)
     return lib
-
-
-def _bind(handle: ctypes.CDLL, name: str):
-    """The entry name of handle, with its restype and argtypes set."""
-    fn = getattr(handle, name)
-    fn.restype, fn.argtypes = _SIGNATURES[name]
-    return fn
-
-
-def load_renderer(lib: ctypes.CDLL):
-    """render_rows of lib, called through a ctypes.PyDLL handle on the same
-    library, which holds the GIL, with ctypes.pythonapi's
-    PyOS_double_to_string and PyMem_Free bound as its first two arguments;
-    AttributeError unless the interpreter exports both."""
-    api = ctypes.pythonapi
-    to_string = _DoubleToString(("PyOS_double_to_string", api))
-    release = _MemFree(("PyMem_Free", api))
-    return functools.partial(_bind(ctypes.PyDLL(lib._name), "render_rows"), to_string, release)
 
 
 @model.per_params
@@ -207,12 +183,7 @@ try:
 except Exception as err:  # any failure: the Python kernels run
     lib = None
     _log.debug("native kernels unavailable, the Python kernels run: %s", err)
-render_rows = None
-if lib is not None:
-    try:
-        render_rows = load_renderer(lib)
-    except (AttributeError, OSError) as err:  # the kernels stay native
-        _log.debug("native renderer unavailable, the Python renderer runs: %s", err)
+render_rows = None if lib is None else lib.render_rows
 _KERNEL = "python" if lib is None else "native"
 
 

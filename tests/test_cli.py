@@ -87,6 +87,7 @@ def test_eig_largest_omega0_prints_finite_spectrum(capsys, r):
     (("eig", "--omega0", "1e308", "--r", "0.5"), "--omega0", ("spectral", "eigvals_closed_form")),
     (("gradcheck", "--points", str(cli._MAX_GRID_POINTS + 1)), "--points",
      ("experiments", "run_gradcheck")),
+    (("gradcheck", "--points", "0"), "--points", ("experiments", "run_gradcheck")),
     (("simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0", "--dt", "0.1",
       "--steps", "99999999999999999999999"), "--steps", ("integrators", "simulate")),
     (("simulate", "--omega0", "1", "--r", "0.5", "--x0", "1,0,0,0", "--dt", "0.1",

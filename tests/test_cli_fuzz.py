@@ -186,4 +186,4 @@ def test_gradcheck_fuzz(seed, points, fmt):
         assert_finite_output(out, fmt)
     else:
         assert code == 2, (code, err)
-        assert_names_field(err, {"--points", "n_points"})
+        assert_names_field(err, {"--points"})

@@ -628,53 +628,79 @@ def test_kernel_names_the_selection_and_is_read_only():
         native.KERNEL = "python"
 
 
-def _unnamed(param: str) -> str:
-    """The type of the C parameter declaration param: "const double *x" is
-    "const double *"."""
-    return re.sub(r"\w+$", "", " ".join(param.split())).strip()
-
-
 def test_ctypes_signatures_match_the_c_definitions():
     # Each exported definition of _kernels.c against its restype and argtypes
     # in native._SIGNATURES, read from the source, so that the test needs no
     # compiler: a parameter dropped on one side only, or a long passed as a
     # double, would hand C the wrong arguments without an error.
+    restypes = {"void": None, "long": ctypes.c_long}
     argtypes = {"double": {ctypes.c_double}, "long": {ctypes.c_long},
                 "double *": {ctypes.POINTER(ctypes.c_double)},
-                "long *": {ctypes.POINTER(ctypes.c_long)}}
+                "long *": {ctypes.POINTER(ctypes.c_long)},
+                "char *": {ctypes.POINTER(ctypes.c_char)}}
     source = native.SOURCE.read_text()
     defined = {name: (c_restype, params) for c_restype, name, params
                in re.findall(r"^(\w+) (\w+)\(([^)]*)\)\n\{", source, re.MULTILINE)}
     assert sorted(defined) == sorted(native._SIGNATURES) == ["dg_run", "render_rows", "rk4_run"]
-    for name in ("dg_run", "rk4_run"):
-        c_restype, params = defined[name]
+    for name, (c_restype, params) in defined.items():
         restype, types = native._SIGNATURES[name]
-        assert (c_restype, restype) == ("void", None), name
-        params = [re.fullmatch(r"(?:const )?(double|long) (\*?)\w+", " ".join(param.split()))
+        assert restypes[c_restype] is restype, name
+        params = [re.fullmatch(r"(?:const )?(double|long|char) (\*?)\w+", " ".join(param.split()))
                   for param in params.split(",")]
         assert all(params) and len(params) == len(types), name
         for i, (param, argtype) in enumerate(zip(params, types)):
             assert argtype in argtypes[f"{param[1]} {param[2]}".strip()], (name, i)
-    # render_rows returns a long and takes a char buffer and two function
-    # pointers, whose typedefs give their return and parameter types;
-    # PyOS_double_to_string's string is an address that C alone reads
-    entry = {"long": ctypes.c_long, "const double *": ctypes.POINTER(ctypes.c_double),
-             "char *": ctypes.POINTER(ctypes.c_char),
-             "double_to_string *": native._DoubleToString, "mem_free *": native._MemFree}
-    c_restype, params = defined["render_rows"]
-    restype, types = native._SIGNATURES["render_rows"]
-    assert entry[c_restype] is restype
-    assert [entry[_unnamed(param)] for param in params.split(",")] == types
-    prototype = {"char *": ctypes.c_void_p, "void *": ctypes.c_void_p, "void": None,
-                 "double": ctypes.c_double, "char": ctypes.c_char, "int": ctypes.c_int,
-                 "int *": ctypes.POINTER(ctypes.c_int)}
-    typedefs = re.findall(r"^typedef (\w+ \*?)(\w+)\(([^)]*)\);", source, re.MULTILINE)
-    assert sorted(name for _, name, _ in typedefs) == ["double_to_string", "mem_free"]
-    for c_restype, name, params in typedefs:
-        function = entry[f"{name} *"]
-        assert prototype[c_restype.strip()] is function._restype_, name
-        assert [prototype[_unnamed(param)] for param in params.split(",")] == list(
-            function._argtypes_), name
+
+
+def _c_array(source: str, name: str) -> list:
+    """The unsigned integer literals of the C array name's initializer in
+    source, in order."""
+    body = re.search(rf"\b{name}\[[^=]*= \{{(.*?)\}};", source, re.DOTALL).group(1)
+    return [int(literal, 0) for literal in re.findall(r"\b(0x[0-9a-f]+|[0-9]+)u\b", body)]
+
+
+def test_ryu_tables_match_their_definitions():
+    # every entry of the renderer's tables recomputed with Python integers,
+    # and every 128-bit multiplier that shortest reads rebuilt from them as
+    # pow5_split and pow5_inv rebuild it, so that a wrong digit fails here
+    # whatever values the equivalence tests draw
+    source = native.SOURCE.read_text()
+    bits = [(5 ** i).bit_length() for i in range(13 * 26)]
+    assert bits == [((i * 1217359) >> 19) + 1 for i in range(13 * 26)]  # pow5bits
+    assert all((e * 78913) >> 18 == len(str(2 ** e)) - 1 for e in range(1651))  # log10_pow2
+    assert all((e * 732923) >> 20 == len(str(5 ** e)) - 1 for e in range(2621))  # log10_pow5
+    # the 125 leading bits of 5^i, and 2^125 / 5^i rounded up to 125 bits
+    lead = [5 ** i << 125 >> bits[i] for i in range(13 * 26)]
+    inverse = [(1 << (bits[i] + 124)) // 5 ** i + 1 for i in range(13 * 26)]
+    halves = [part for i in range(0, 13 * 26, 26) for part in (lead[i] % 2 ** 64, lead[i] >> 64)]
+    assert _c_array(source, "POW5_SPLIT") == halves
+    halves = [part for i in range(0, 13 * 26, 26)
+              for part in (inverse[i] % 2 ** 64, inverse[i] >> 64)]
+    assert _c_array(source, "POW5_INV_SPLIT") == halves
+    assert _c_array(source, "POW5") == [5 ** i for i in range(26)]
+    # the exponents shortest meets, over every exponent field of a finite
+    # double: pow5_inv(q) for e2 >= 0, pow5_split(i) for e2 < 0
+    inverses, leads = set(), set()
+    for field in range(2047):
+        e2 = max(field, 1) - 1077
+        if e2 >= 0:
+            inverses.add(((e2 * 78913) >> 18) - (e2 > 3))
+        else:
+            leads.add(-e2 - (((-e2 * 732923) >> 20) - (-e2 > 1)))
+    assert min(leads | inverses) >= 0 and (max(leads), max(inverses)) == (325, 290)
+    offsets, inv_offsets = _c_array(source, "POW5_OFFSETS"), _c_array(source, "POW5_INV_OFFSETS")
+    assert (len(offsets), len(inv_offsets)) == (21, 19)
+    for i in range(326):
+        base = i // 26 * 26
+        correction = offsets[i // 16] >> (i % 16 * 2) & 3
+        assert (lead[base] * 5 ** (i - base) >> (bits[i] - bits[base])) + correction == lead[i], i
+    for i in range(291):
+        base = -(-i // 26) * 26
+        correction = inv_offsets[i // 16] >> (i % 16 * 2) & 3
+        assert ((inverse[base] - 1) * 5 ** (base - i) >> (bits[base] - bits[i])) + 1 + correction \
+            == inverse[i], i
+    pairs = re.search(r"DIGIT_PAIRS\[201\] =((?:\s*\"\d+\")+);", source).group(1)
+    assert "".join(re.findall(r"\d+", pairs)) == "".join(f"{i:02d}" for i in range(100))
 
 
 # Floats whose repr is a case of its own: signed zeros and infinities, NaNs
@@ -703,14 +729,51 @@ BLOCK = cli._BLOCK_ROWS
 @settings(deadline=None)
 def test_csv_rows_native_gives_the_bytes_of_the_python_renderer(k, n, seed, edges):
     # n rows of k random 64-bit patterns (subnormals and NaN payloads of
-    # either sign among them), edges at random places, rendered by C through
-    # CPython's repr routine and by repr itself
+    # either sign among them), edges at random places, rendered by C and by
+    # repr itself
     rng = np.random.default_rng(seed)
     table = np.frombuffer(rng.bytes(8 * n * k), np.float64).reshape(n, k).copy()
     places = rng.permutation(table.size)[:len(edges)]
     table.flat[places] = edges[:len(places)]
     columns = list(table.T)
     assert "".join(cli._csv_rows_native(columns)) == "".join(cli._csv_rows_python(columns))
+
+
+def repr_cases(seed: int, n_random: int) -> np.ndarray:
+    """Floats of each class on which repr's digits or layout could go wrong,
+    of both signs: n_random random 64-bit patterns, n_random decimals of 0 to
+    12 places, every power of two and 10^k, k = -324 .. 308, with both
+    neighbours of each, the integers within 10^4 of 2^53, doubles at 2^-80
+    to 2^139 whose significand m makes 4m or 4m -+ 2 a multiple of 5^j,
+    j = 1 .. 22 (the double or an end of its rounding interval is then a
+    short decimal, where Ryu tracks trailing zeros), and REPR_EDGES."""
+    rng = np.random.default_rng(seed)
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{k}") for k in range(-324, 309)]])
+    powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    near = 2.0 ** 53 + np.arange(-10 ** 4, 10 ** 4 + 1)
+    decimals = rng.integers(-10 ** 15, 10 ** 15, n_random) / 10.0 ** rng.integers(0, 13, n_random)
+    significands = []
+    for five in (5 ** j for j in range(1, 23)):
+        for r in (0, 2 * pow(4, -1, five) % five, -2 * pow(4, -1, five) % five):
+            t = rng.integers(-(-(2 ** 52 - r) // five), (2 ** 53 - 1 - r) // five + 1, 8)
+            significands += [five * k + r for k in t.tolist()]
+    tails = np.ldexp(np.array(significands, float)[:, None], np.arange(-132, 87)).ravel()
+    signed = np.concatenate([powers, near, decimals, tails])
+    return np.concatenate([np.frombuffer(rng.bytes(8 * n_random), np.float64), signed, -signed,
+                           REPR_EDGES])
+
+
+@needs_renderer
+def test_csv_rows_native_gives_repr_on_every_class():
+    # a seeded 10^6 values of every class of repr_cases, four to a row:
+    # native's lines against the Python renderer's, first differences shown
+    values = repr_cases(20181, 250_000)
+    columns = list(np.resize(values, (-(-len(values) // 4), 4)).T)
+    native_lines = "".join(cli._csv_rows_native(columns)).split("\n")
+    python_lines = "".join(cli._csv_rows_python(columns)).split("\n")
+    assert len(native_lines) == len(python_lines) == len(columns[0]) + 1
+    assert [pair for pair in zip(native_lines, python_lines) if pair[0] != pair[1]][:5] == []
 
 
 @needs_renderer
@@ -739,23 +802,10 @@ def test_render_rows_refuses_a_buffer_one_byte_short(monkeypatch):
         "".join(cli._csv_rows_native([column, column]))
 
 
-@needs_native
-def test_kernels_load_when_the_repr_routine_cannot_be_found():
-    # an interpreter whose ctypes.pythonapi finds no PyOS_double_to_string
-    # loses the C renderer alone: the kernels stay native, and the CSV rows
-    # are rendered in Python
-    code = ("import ctypes\n"
-            "class Missing:\n"
-            "    def __getattr__(self, name):\n"
-            "        raise AttributeError(name)\n"
-            "ctypes.pythonapi = Missing()\n"
-            "from moogvcf import cli, integrators, native\n"
-            "print(native.KERNEL, native.render_rows, cli._csv_rows.__name__,\n"
-            "      integrators._dg_run.__name__)\n")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=300, check=True)
-    assert out.stdout.split() == ["native", "None", "_csv_rows_python", "_dg_run_native"]
+def test_renderer_loads_with_the_kernels():
+    # render_rows calls nothing of the interpreter: it is an entry of the
+    # library like the kernels, there exactly when they are
+    assert (native.render_rows is None) == (native.lib is None)
 
 
 def _import_in_child(cache, **env):
